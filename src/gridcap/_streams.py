@@ -4,12 +4,17 @@ Each (seed, replicate) pair owns an independent Philox stream, and draws
 inside a replicate are indexed by position (step, coordinate). Because a
 stream never depends on how work is scheduled, simulations are bit-identical
 across runs and across thread counts.
+
+`fill_normal_blocks` draws the blocks of consecutive replicates with one
+generator whose Philox key, counter and buffer are reset per replicate,
+which is several times cheaper than building a generator for each. The
+generator is local to the call, so concurrent callers share no state.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replicate_stream", "normal_block"]
+__all__ = ["replicate_stream", "normal_block", "fill_normal_blocks"]
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -31,3 +36,22 @@ def normal_block(seed: int, replicate: int, steps: int, dim: int) -> np.ndarray:
     fixed, so the same (seed, replicate) always yields the same block.
     """
     return replicate_stream(seed, replicate).standard_normal((steps, dim))
+
+
+def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
+    """Fill out[i] with normal_block(seed, start + i, steps, dim), bit for bit.
+
+    `out` is a C-contiguous float64 array of shape (replicates, steps, dim).
+    Returns `out`.
+    """
+    if seed < 0 or start < 0:
+        raise ValueError("seed and replicate must be non-negative")
+    bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
+    gen = np.random.Generator(bits)
+    fresh = bits.state  # a just-keyed stream: zero counter, empty buffer
+    key = fresh["state"]["key"]
+    for i in range(out.shape[0]):
+        key[1] = start + i
+        bits.state = fresh
+        gen.standard_normal(out=out[i])
+    return out

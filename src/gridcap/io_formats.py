@@ -40,6 +40,7 @@ exactly.
 from __future__ import annotations
 
 import json
+import math
 import re
 from dataclasses import dataclass, replace
 
@@ -160,7 +161,14 @@ def _expect(cond, path, message):
 def _number(value, path, allow_int=True):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise SchemaError(f"{path}: expected a number")
-    return float(value)
+    # Python's json accepts NaN, Infinity and out-of-range literals like 1e999
+    try:
+        number = float(value)
+    except OverflowError:
+        number = math.inf
+    if not math.isfinite(number):
+        raise SchemaError(f"{path}: expected a finite number, got {number!r}")
+    return number
 
 
 def _check_keys(obj, path, allowed):

@@ -5,6 +5,12 @@ counter-based random stream per replicate keyed by (seed, replicate). The
 estimate is therefore bit-identical for any chunk size and any number of
 worker threads: chunking only groups replicates for vectorized stepping.
 
+The kernel is lines-major: a block of R replicates is stepped as states
+x (m, R), squared currents and temperatures (L, R), and noise (steps, m, R),
+so each step reads one contiguous noise slice and the per-replicate peak is
+a maximum across rows. A block holds at most `McConfig.chunk` replicates
+and at most NOISE_BLOCK_BYTES of noise; neither cap changes any result.
+
 Current and temperature overload indicators come from the same paths, which
 makes the temperature event a subset of the current event replicate by
 replicate: each temperature sample is a convex combination of the initial
@@ -21,7 +27,7 @@ from .errors import InsufficientHits
 from .injections import ou_step_coefficients
 from .ld_rates import PsiContext
 from .thermal import filter_coefficients
-from ._streams import normal_block
+from ._streams import fill_normal_blocks
 
 __all__ = [
     "Z_95",
@@ -37,15 +43,23 @@ __all__ = [
 
 Z_95 = 1.959963984540054
 
+# Upper bound on the bytes of noise drawn for one block of replicates.
+NOISE_BLOCK_BYTES = 16 * 2**20
+
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replicate count, time grid, base seed, and vectorization chunk."""
+    """Replicate count, time grid, base seed, and vectorization chunk.
+
+    `chunk` caps the replicates stepped together in one block; blocks are
+    further capped so their noise stays within NOISE_BLOCK_BYTES. Results do
+    not depend on either cap.
+    """
 
     replicates: int
     step_count: int
     seed: int
-    chunk: int = 256
+    chunk: int = 2048
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -109,38 +123,60 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
     if not threshold > 0:
         raise ValueError("threshold must be strictly positive")
     ou = ctx.ou
-    flow = ctx.flow
     n = config.step_count
     dt = ou.horizon / n
     decay, std = ou_step_coefficients(ou, dt)
-    mu = np.asarray(ou.mean)
-    C = flow.stochastic_block
-    y = ctx.op.y
-    tau = ctx.tau
-    q, c1, c2 = filter_coefficients(dt, tau)
+    q, c1, c2 = filter_coefficients(dt, ctx.tau)
+    C = ctx.flow.stochastic_block
+    columns = [np.asarray(c)[:, None] for c in (ou.mean, decay, std, ctx.op.y, q, c1, c2)]
     th2 = threshold * threshold
+    rows = max(1, min(config.chunk, NOISE_BLOCK_BYTES // (8 * n * ou.m)))
 
     cur_hits = np.zeros(config.replicates, dtype=bool)
     tmp_hits = np.zeros(config.replicates, dtype=bool)
-    for start in range(0, config.replicates, config.chunk):
-        stop = min(start + config.chunk, config.replicates)
-        z = np.stack([normal_block(config.seed, r, n, ou.m) for r in range(start, stop)])
-        R = stop - start
-        x = np.broadcast_to(mu, (R, ou.m)).copy()
-        u = (x @ C.T + y) ** 2
-        theta = u.copy()
-        cur = np.max(u, axis=1)
-        tmp = np.max(theta, axis=1)
-        for k in range(n):
-            x = mu + (x - mu) * decay + std * z[:, k, :]
-            u_next = (x @ C.T + y) ** 2
-            theta = q * theta + c1 * u + c2 * u_next
-            u = u_next
-            np.maximum(cur, np.max(u, axis=1), out=cur)
-            np.maximum(tmp, np.max(theta, axis=1), out=tmp)
+    for start in range(0, config.replicates, rows):
+        stop = min(start + rows, config.replicates)
+        z = fill_normal_blocks(config.seed, start, np.empty((stop - start, n, ou.m)))
+        noise = np.ascontiguousarray(z.transpose(1, 2, 0))
+        del z
+        cur, tmp = _block_peaks(noise, C, *columns)
         cur_hits[start:stop] = cur >= th2
         tmp_hits[start:stop] = tmp >= th2
     return McIndicators(current=cur_hits, temperature=tmp_hits, threshold=float(threshold))
+
+
+def _block_peaks(noise, C, mu, decay, std, y, q, c1, c2):
+    """Peak squared current and peak temperature per replicate of one block.
+
+    `noise` is (steps, m, R); the other coefficients are columns, widened
+    here to the R replicates because full-width operands step faster than
+    broadcast ones. The (L, R) updates run in place but keep the operation
+    order of theta' = q theta + c1 u + c2 u', so no result depends on the
+    block size.
+    """
+    R = noise.shape[2]
+    mu, decay, std, y, q, c1, c2 = (np.repeat(c, R, axis=1) for c in (mu, decay, std, y, q, c1, c2))
+    x = mu
+    u = (C @ x + y) ** 2
+    theta = u.copy()
+    cur = u.max(axis=0)
+    tmp = cur.copy()
+    u_next = np.empty_like(u)
+    buf = np.empty_like(u)
+    for z in noise:
+        x = mu + (x - mu) * decay + std * z
+        np.matmul(C, x, out=u_next)
+        u_next += y
+        u_next *= u_next
+        theta *= q
+        np.multiply(c1, u, out=buf)
+        theta += buf
+        np.multiply(c2, u_next, out=buf)
+        theta += buf
+        u, u_next = u_next, u
+        np.maximum(cur, u.max(axis=0), out=cur)
+        np.maximum(tmp, theta.max(axis=0), out=tmp)
+    return cur, tmp
 
 
 def _estimate(mode: str, hits_arr: np.ndarray, threshold: float) -> McEstimate:

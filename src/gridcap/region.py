@@ -285,6 +285,8 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     (1 - |nu_ell|)^2 / (C_ell M_T C_ell^T) at that operating point; ties
     within 1e-9 relative produce multi-line labels.
     """
+    if resolution < 1:
+        raise ValueError("resolution must be at least 1")
     flow = ctx.flow
     base, du, dv = _slice_geometry(flow, free, fixed)
     umin, umax, vmin, vmax = map(float, bbox)
@@ -301,28 +303,23 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     inside = np.ones_like(U, dtype=bool)
     rates = np.empty((len(live), resolution, resolution))
     for ell in range(flow.line_count):
-        nu = base[ell] + du[ell] * U + dv[ell] * V
-        inside &= np.abs(nu) < 1.0
+        nu = np.abs(base[ell] + du[ell] * U + dv[ell] * V)
+        inside &= nu < 1.0
         if ell in live:
-            rates[live.index(ell)] = (1.0 - np.abs(nu)) ** 2 / denom[ell]
+            rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
 
     best = np.min(rates, axis=0)
     tie = rates <= best * (1.0 + 1e-9)
-    # encode each cell's argmin set as a bitmask to group identical labels
-    weights = 1 << np.arange(len(live), dtype=np.int64)
-    mask = np.where(inside, np.tensordot(weights, tie.astype(np.int64), axes=1), 0)
-
-    labels = []
-    label_of_mask = {}
+    # Key each inside cell by its argmin set packed into bytes, most
+    # significant byte first, so keys sort like the integer bitmask
+    # sum_i 2^i over tied lines i, for any number of lines.
+    keys = np.packbits(tie, axis=0, bitorder="little")[::-1, inside]
+    keys = np.ascontiguousarray(keys.T).view(np.dtype((np.void, keys.shape[0]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    members = tie.reshape(len(live), -1)[:, np.flatnonzero(inside)[first]]
+    labels = [tuple(live[i] for i in np.flatnonzero(col)) for col in members.T]
     label_grid = np.full(U.shape, -1, dtype=np.int32)
-    for code in np.unique(mask):
-        if code == 0:
-            continue
-        members = tuple(live[i] for i in range(len(live)) if code >> i & 1)
-        label_of_mask[int(code)] = len(labels)
-        labels.append(members)
-    for code, idx in label_of_mask.items():
-        label_grid[mask == code] = idx
+    label_grid[inside] = inverse
 
     cell_area = cell_u * cell_v
     net = flow.network

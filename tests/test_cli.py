@@ -1,6 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+from importlib import resources
 
 import numpy as np
 import pytest
@@ -99,6 +100,25 @@ def test_region_partition(capsys):
     assert part["resolution"] == 30
     assert part["central"] in ([0], [1])
     assert part["regions"][0]["cells"] > 0
+
+
+def test_region_partition_rejects_zero_resolution(capsys):
+    code, out, err = run(
+        capsys,
+        "region",
+        "builtin:wheel3",
+        "--kind",
+        "deterministic",
+        "--slice",
+        "2,3",
+        "--bbox=-2,2,-2,2",
+        "--partition",
+        "--resolution",
+        "0",
+    )
+    assert code == 2
+    assert out == ""
+    assert "resolution" in err
 
 
 def test_region_slice_requires_bbox(capsys):
@@ -264,6 +284,17 @@ def test_convert_zero_flow_requires_flag(capsys):
     )
     assert code == 2
     assert "zero base flow" in err
+
+
+@pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
+def test_non_finite_input_exits_invalid(capsys, tmp_path, literal):
+    text = resources.files("gridcap").joinpath("data", "wheel3.json").read_text()
+    doc = tmp_path / "wheel3.json"
+    doc.write_text(text.replace('"mean": 0.3}', f'"mean": {literal}}}', 1))
+    code, out, err = run(capsys, "rates", str(doc))
+    assert code == 2
+    assert out == ""
+    assert "$.nodes[1].mean" in err
 
 
 def test_unknown_builtin(capsys):

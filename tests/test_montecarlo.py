@@ -3,8 +3,11 @@
 import numpy as np
 import pytest
 
-from conftest import single_line_context, wheel_context
+from conftest import make_context, single_line_context, wheel_context
 from gridcap.errors import InsufficientHits
+from gridcap.grid_model import GridNetwork
+from gridcap.injections import SamplePath, simulate_ou
+from gridcap.thermal import xi_map
 from gridcap.montecarlo import (
     McConfig,
     Z_95,
@@ -179,3 +182,58 @@ def test_indicator_arrays_read_only():
     ind = overload_indicators(ctx, McConfig(50, 20, 0))
     with pytest.raises(ValueError):
         ind.current[0] = True
+
+
+def _oracle_peaks(ctx, replicates, steps, seed):
+    """Peak squared current and peak temperature per replicate, one path at a time."""
+    C, y = ctx.flow.stochastic_block, ctx.op.y
+    cur, tmp = [], []
+    for r in range(replicates):
+        path = simulate_ou(ctx.ou, steps, seed, r)
+        current = SamplePath(path.times, path.values @ C.T + y)
+        cur.append(np.max(current.values**2))
+        tmp.append(np.max(xi_map(current, ctx.tau).values))
+    return np.array(cur), np.array(tmp)
+
+
+def _splitting_levels(peaks):
+    """Squared thresholds halfway between neighbouring sorted peaks at a few quantiles."""
+    ordered = np.sort(peaks)
+    levels = []
+    for q in (0.2, 0.5, 0.8, 0.95):
+        k = int(q * (ordered.size - 1))
+        assert ordered[k + 1] - ordered[k] > 2e-9
+        levels.append(0.5 * (ordered[k] + ordered[k + 1]))
+    return levels
+
+
+def test_kernel_matches_per_path_oracle():
+    # wheel3 with a distinct thermal constant on every line
+    net = GridNetwork(
+        node_count=3,
+        lines=((0, 1), (0, 2), (1, 2)),
+        susceptance=np.ones(3),
+        current_rating=np.ones(3),
+        thermal_constant=np.array([0.2, 0.5, 1.1]),
+    )
+    ctx = make_context(net, 2, [0.3, 0.3], [1.0, 1.0], [1.0, 1.0], 0.6, 1.0)
+    replicates, steps, seed = 64, 50, 4
+    cur, tmp = _oracle_peaks(ctx, replicates, steps, seed)
+    for level in _splitting_levels(cur):
+        ind = overload_indicators(ctx, McConfig(replicates, steps, seed, chunk=24), threshold=np.sqrt(level))
+        assert np.array_equal(ind.current, cur >= level)
+    for level in _splitting_levels(tmp):
+        ind = overload_indicators(ctx, McConfig(replicates, steps, seed, chunk=24), threshold=np.sqrt(level))
+        assert np.array_equal(ind.temperature, tmp >= level)
+
+
+def test_noise_block_cap_leaves_indicators_unchanged(monkeypatch):
+    ctx = wheel_context(epsilon=0.6)
+    config = McConfig(300, 40, 2)
+    base = overload_indicators(ctx, config)
+    # blocks of 3 replicates: 3 * 40 steps * 2 nodes * 8 bytes
+    monkeypatch.setattr("gridcap.montecarlo.NOISE_BLOCK_BYTES", 3 * 40 * 2 * 8)
+    capped = overload_indicators(ctx, config)
+    assert base.current.sum() > 0
+    assert np.array_equal(base.current, capped.current)
+    assert np.array_equal(base.temperature, capped.temperature)

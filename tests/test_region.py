@@ -6,7 +6,7 @@ import pytest
 from conftest import make_context, single_line_context, wheel_context
 from gridcap.errors import BoundCollapse, EmptySlice, NonUniformGamma
 from gridcap.grid_model import GridNetwork
-from gridcap.ld_rates import current_decay_rate, lb_decay_rate
+from gridcap.ld_rates import current_decay_rate, lb_decay_rate, line_variances
 from gridcap.region import (
     REGION_KINDS,
     build_region,
@@ -269,3 +269,46 @@ def test_all_region_kinds_enumerated():
         "temperature_lb",
         "temperature_taylor",
     )
+
+
+def test_partition_labels_beyond_63_stochastic_lines():
+    # A 60-node ring with 30 chords: 90 lines, all reached by the three
+    # stochastic nodes. Lines 66 and 85, past the width of a 64-bit mask,
+    # get a low rating, so they are the ones most at risk.
+    edges = {(i, i + 1) for i in range(59)} | {(0, 59)} | {(i, i + 7) for i in range(30)}
+    lines = tuple(sorted(edges))
+    rating = np.full(90, 10.0)
+    rating[[66, 85]] = 0.5
+    net = GridNetwork(60, lines, np.ones(90), rating, np.full(90, 0.5))
+    ctx = make_context(net, 3, np.zeros(3), np.ones(3), np.ones(3), 0.1, 1.0, np.zeros(56))
+    assert len(ctx.stochastic_lines) == 90
+    free, fixed = (1, 30), np.zeros(59)
+    det = build_region(ctx, "deterministic", 0.1, 1e-4)
+    verts = slice2d(det, ctx.flow, free, fixed, (-50.0, 50.0, -50.0, 50.0)).vertices
+    (umin, vmin), (umax, vmax) = verts.min(axis=0), verts.max(axis=0)
+    pad_u, pad_v = 0.05 * (umax - umin), 0.05 * (vmax - vmin)
+    bbox = (umin - pad_u, umax + pad_u, vmin - pad_v, vmax + pad_v)
+    part = risk_partition(ctx, free, fixed, bbox, resolution=48)
+    assert {(66,), (85,)} <= set(part.labels)
+
+    # pointwise oracle for every cell
+    live = list(ctx.stochastic_lines)
+    denom = line_variances(ctx)[live]
+    for i, v in enumerate(part.v_centers):
+        for j, u in enumerate(part.u_centers):
+            s = np.zeros(60)
+            s[1:] = fixed
+            s[free[0]], s[free[1]] = u, v
+            nu = ctx.flow.normalized @ s
+            idx = part.label_grid[i, j]
+            if np.max(np.abs(nu)) >= 1.0:
+                assert idx == -1
+                continue
+            rates = (1.0 - np.abs(nu[live])) ** 2 / denom
+            expect = tuple(live[k] for k in np.flatnonzero(rates <= rates.min() * (1.0 + 1e-9)))
+            assert part.labels[idx] == expect
+
+
+def test_partition_resolution_must_be_positive():
+    with pytest.raises(ValueError):
+        risk_partition(wheel_context(), (1, 2), np.zeros(2), BOX, resolution=0)

@@ -1,0 +1,32 @@
+"""Replicate-keyed Philox streams: the batch filler against the per-replicate block."""
+
+import numpy as np
+import pytest
+
+from gridcap._streams import fill_normal_blocks, normal_block
+
+
+@pytest.mark.parametrize("seed", [0, 29])
+@pytest.mark.parametrize("start", [0, 1, 255, 256, 2047])
+@pytest.mark.parametrize("shape", [(1, 1), (7, 3), (200, 2)])
+def test_fill_equals_normal_block(seed, start, shape):
+    out = fill_normal_blocks(seed, start, np.empty((3, *shape)))
+    for i in range(3):
+        assert np.array_equal(out[i], normal_block(seed, start + i, *shape))
+
+
+def test_fill_keeps_no_state_between_calls():
+    first = fill_normal_blocks(5, 10, np.empty((4, 7, 3)))
+    fill_normal_blocks(6, 0, np.empty((2, 200, 2)))
+    again = fill_normal_blocks(5, 10, np.empty((4, 7, 3)))
+    assert np.array_equal(first, again)
+    # a block that overlaps the first one repeats its shared replicates
+    shifted = fill_normal_blocks(5, 12, np.empty((3, 7, 3)))
+    assert np.array_equal(shifted[:2], first[2:])
+
+
+def test_fill_rejects_negative_keys():
+    with pytest.raises(ValueError):
+        fill_normal_blocks(-1, 0, np.empty((1, 2, 2)))
+    with pytest.raises(ValueError):
+        fill_normal_blocks(0, -1, np.empty((1, 2, 2)))

@@ -19,11 +19,10 @@ result (empty slice, no stochastic lines, no hits, collapsed bound);
 from __future__ import annotations
 
 import argparse
+import math
 import sys
 from dataclasses import replace
 from importlib import resources
-
-import numpy as np
 
 from .errors import (
     BlowUp,
@@ -51,6 +50,7 @@ from .errors import (
 from .exact1d import Exact1dProblem, exact_decay_rate
 from .io_formats import (
     AnalysisDefaults,
+    _base_injection_vector,
     _f17,
     _json_text,
     apply_imax_rule,
@@ -129,13 +129,15 @@ def _id_list(text: str):
     return [_parse_node_id(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _finite_float(text: str) -> float:
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"expected a finite number, got {text!r}")
+    return value
+
+
 def _float_list(text: str):
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _fixed_vector(doc):
-    values = {n.id: (n.mean if n.role == "stochastic" else n.injection) for n in doc.nodes if n.role != "slack"}
-    return np.array([values[nid] for nid in doc.node_ids[1:]])
+    return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
 def _free_indices(doc, text: str):
@@ -181,14 +183,14 @@ def cmd_region(args) -> int:
         if args.slice is None or args.bbox is None:
             raise ValueError("--partition requires --slice and --bbox")
         free = _free_indices(doc, args.slice)
-        part = risk_partition(bm.ctx, free, _fixed_vector(doc), args.bbox, resolution=args.resolution)
+        part = risk_partition(bm.ctx, free, _base_injection_vector(doc)[1:], args.bbox, resolution=args.resolution)
         _emit(export_partition(part, args.format, line_terminals=bm.line_terminals), args.output)
         return 0
     if args.slice is not None:
         if args.bbox is None:
             raise ValueError("--slice requires --bbox")
         free = _free_indices(doc, args.slice)
-        sl = slice2d(region, bm.flow, free, _fixed_vector(doc), args.bbox)
+        sl = slice2d(region, bm.flow, free, _base_injection_vector(doc)[1:], args.bbox)
         _emit(export_slice(sl, args.format), args.output)
         return 0
     _emit(export_region(region, args.format), args.output)
@@ -217,15 +219,16 @@ def cmd_mc(args) -> int:
     else:
         raise ValueError("--eps not given and absent from document defaults")
     config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed)
-    estimates = []
-    for eps in eps_list:
-        bm = build_model(doc, epsilon=eps, horizon=args.horizon)
-        est = overload_probability(bm.ctx, config, mode=args.kind, threshold=args.threshold)
-        estimates.append((eps, est))
     fit = None
     if len(eps_list) >= 2:
+        # the fit runs one estimate per scale; report those rather than rerun them
         bm = build_model(doc, epsilon=eps_list[0], horizon=args.horizon)
         fit = decay_slope(bm.ctx, config, eps_list, mode=args.kind, threshold=args.threshold)
+        found = fit.estimates
+    else:
+        ctxs = (build_model(doc, epsilon=eps, horizon=args.horizon).ctx for eps in eps_list)
+        found = [overload_probability(ctx, config, mode=args.kind, threshold=args.threshold) for ctx in ctxs]
+    estimates = list(zip(eps_list, found))
     if args.format == "csv":
         rows = ["epsilon,p_hat,ci_low,ci_high,hits,replicates"]
         for eps, est in estimates:
@@ -298,10 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_rates = sub.add_parser("rates", help="per-line decay-rate report")
     p_rates.add_argument("input", help="network document path or builtin:NAME")
-    p_rates.add_argument("--epsilon", type=float, default=None, help="noise scale override")
-    p_rates.add_argument("--horizon", type=float, default=None, help="time horizon override")
-    p_rates.add_argument("--tau", type=float, default=None, help="set every line's thermal constant and tau0; 0 sets only tau0")
-    p_rates.add_argument("--tau0", type=float, default=None, help="first-order rate expansion point")
+    p_rates.add_argument("--epsilon", type=_finite_float, default=None, help="noise scale override")
+    p_rates.add_argument("--horizon", type=_finite_float, default=None, help="time horizon override")
+    p_rates.add_argument("--tau", type=_finite_float, default=None, help="set every line's thermal constant and tau0; 0 sets only tau0")
+    p_rates.add_argument("--tau0", type=_finite_float, default=None, help="first-order rate expansion point")
     p_rates.add_argument("--format", choices=("json", "csv"), default="json")
     p_rates.add_argument("--output", default=None)
     p_rates.set_defaults(func=cmd_rates)
@@ -309,10 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     p_region = sub.add_parser("region", help="capacity region bounds, slices, and partitions")
     p_region.add_argument("input")
     p_region.add_argument("--kind", choices=REGION_KINDS, required=True)
-    p_region.add_argument("--epsilon", type=float, default=None)
-    p_region.add_argument("--p", type=float, default=None, help="target overload probability")
-    p_region.add_argument("--horizon", type=float, default=None)
-    p_region.add_argument("--tau0", type=float, default=None)
+    p_region.add_argument("--epsilon", type=_finite_float, default=None)
+    p_region.add_argument("--p", type=_finite_float, default=None, help="target overload probability")
+    p_region.add_argument("--horizon", type=_finite_float, default=None)
+    p_region.add_argument("--tau0", type=_finite_float, default=None)
     p_region.add_argument("--slice", default=None, metavar="U,V", help="two free node ids")
     p_region.add_argument(
         "--bbox",
@@ -328,11 +331,11 @@ def build_parser() -> argparse.ArgumentParser:
     p_region.set_defaults(func=cmd_region)
 
     p_exact = sub.add_parser("exact1d", help="exact single-line temperature decay rate")
-    p_exact.add_argument("--mu", type=float, required=True, help="injection mean, 0 < |mu| < 1")
-    p_exact.add_argument("--gamma", type=float, required=True)
-    p_exact.add_argument("--vol", type=float, required=True)
-    p_exact.add_argument("--tau", type=float, required=True)
-    p_exact.add_argument("--T", dest="horizon", type=float, required=True)
+    p_exact.add_argument("--mu", type=_finite_float, required=True, help="injection mean, 0 < |mu| < 1")
+    p_exact.add_argument("--gamma", type=_finite_float, required=True)
+    p_exact.add_argument("--vol", type=_finite_float, required=True)
+    p_exact.add_argument("--tau", type=_finite_float, required=True)
+    p_exact.add_argument("--T", dest="horizon", type=_finite_float, required=True)
     p_exact.add_argument("--output", default=None)
     p_exact.set_defaults(func=cmd_exact1d)
 
@@ -343,25 +346,25 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc.add_argument("--n", type=int, default=10000, help="replicates per noise scale")
     p_mc.add_argument("--steps", type=int, default=200, help="time steps per path")
     p_mc.add_argument("--seed", type=int, default=0)
-    p_mc.add_argument("--threshold", type=float, default=1.0)
-    p_mc.add_argument("--horizon", type=float, default=None)
+    p_mc.add_argument("--threshold", type=_finite_float, default=1.0)
+    p_mc.add_argument("--horizon", type=_finite_float, default=None)
     p_mc.add_argument("--format", choices=("json", "csv"), default="json")
     p_mc.add_argument("--output", default=None)
     p_mc.set_defaults(func=cmd_mc)
 
     p_conv = sub.add_parser("convert", help="MATPOWER case subset to native document")
     p_conv.add_argument("input")
-    p_conv.add_argument("--K", type=float, required=True, help="rating multiple of the base flow, K > 1")
+    p_conv.add_argument("--K", type=_finite_float, required=True, help="rating multiple of the base flow, K > 1")
     p_conv.add_argument("--stochastic", required=True, help="comma-separated bus ids")
     p_conv.add_argument("--controllable", default="", help="comma-separated bus ids")
-    p_conv.add_argument("--gamma", type=float, default=1.0)
-    p_conv.add_argument("--vol", type=float, default=1.0)
-    p_conv.add_argument("--tau", type=float, default=0.5)
-    p_conv.add_argument("--epsilon", type=float, default=None)
-    p_conv.add_argument("--p", type=float, default=None)
-    p_conv.add_argument("--horizon", type=float, default=None)
-    p_conv.add_argument("--tau0", type=float, default=None)
-    p_conv.add_argument("--zero-flow-rating", type=float, default=None, help="rating for lines with zero base flow")
+    p_conv.add_argument("--gamma", type=_finite_float, default=1.0)
+    p_conv.add_argument("--vol", type=_finite_float, default=1.0)
+    p_conv.add_argument("--tau", type=_finite_float, default=0.5)
+    p_conv.add_argument("--epsilon", type=_finite_float, default=None)
+    p_conv.add_argument("--p", type=_finite_float, default=None)
+    p_conv.add_argument("--horizon", type=_finite_float, default=None)
+    p_conv.add_argument("--tau0", type=_finite_float, default=None)
+    p_conv.add_argument("--zero-flow-rating", type=_finite_float, default=None, help="rating for lines with zero base flow")
     p_conv.add_argument("--output", default=None)
     p_conv.set_defaults(func=cmd_convert)
     return parser

@@ -16,7 +16,8 @@ as a chain of matrices:
 
 With the stochastic injections occupying nodes 1..m, Cbar splits column-wise
 into [0 | C | C_D]: the slack column is identically zero, C acts on the
-stochastic injections and C_D on the deterministic ones.
+stochastic injections and C_D on the deterministic ones. `DcFlowMatrices`
+stores B, Ct, Cbar, C and C_D; A, Dbeta and Bg are not kept.
 """
 from __future__ import annotations
 
@@ -45,8 +46,9 @@ __all__ = [
 RANK_RTOL = 1e-9
 
 
-def _readonly(a) -> np.ndarray:
-    out = np.asarray(a, dtype=float).copy()
+def _readonly(a, dtype=float) -> np.ndarray:
+    """Read-only copy of `a` as an array of `dtype`."""
+    out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
 
@@ -166,9 +168,8 @@ class DcFlowMatrices:
         constants.
     m : int
         Number of stochastic nodes; by convention they are nodes 1..m.
-    laplacian, incidence, susceptance_diag, grounded_inverse, transfer,
-    normalized : arrays
-        B, A, Dbeta, Bg, Ct and Cbar as described in the module docstring.
+    laplacian, transfer, normalized : arrays
+        B, Ct and Cbar as described in the module docstring.
     stochastic_block : array, shape (L, m)
         Columns 1..m of Cbar (the matrix C).
     deterministic_block : array, shape (L, N-m)
@@ -178,9 +179,6 @@ class DcFlowMatrices:
     network: GridNetwork
     m: int
     laplacian: np.ndarray = field(repr=False)
-    incidence: np.ndarray = field(repr=False)
-    susceptance_diag: np.ndarray = field(repr=False)
-    grounded_inverse: np.ndarray = field(repr=False)
     transfer: np.ndarray = field(repr=False)
     normalized: np.ndarray = field(repr=False)
     stochastic_block: np.ndarray = field(repr=False)
@@ -217,8 +215,6 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     if not (1 <= m <= n - 1):
         raise ValueError(f"m must lie in 1..{n - 1}")
     B = build_laplacian(network)
-    A = build_incidence(network)
-    Dbeta = np.diag(network.susceptance)
 
     Bhat = B[1:, 1:]
     svals = np.linalg.svd(Bhat, compute_uv=False)
@@ -229,7 +225,8 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     Bg = np.zeros((n, n))
     Bg[1:, 1:] = np.linalg.inv(Bhat)
 
-    Ct = Dbeta @ A @ Bg
+    # row-scaling A by beta equals Dbeta A bit for bit, without the L x L diagonal
+    Ct = (network.susceptance[:, None] * build_incidence(network)) @ Bg
     Cbar = Ct / network.current_rating[:, None]
 
     if _rank(B) != n - 1:
@@ -244,9 +241,6 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         network=network,
         m=m,
         laplacian=_readonly(B),
-        incidence=_readonly(A),
-        susceptance_diag=_readonly(Dbeta),
-        grounded_inverse=_readonly(Bg),
         transfer=_readonly(Ct),
         normalized=_readonly(Cbar),
         stochastic_block=_readonly(C),

@@ -22,6 +22,7 @@ import numpy as np
 
 from ._streams import normal_block
 from .errors import NonPositiveVolatility
+from .grid_model import _readonly
 
 __all__ = [
     "OuModel",
@@ -35,11 +36,10 @@ __all__ = [
 
 
 def _vector(x, name: str) -> np.ndarray:
-    out = np.atleast_1d(np.asarray(x, dtype=float)).copy()
+    out = np.atleast_1d(np.asarray(x, dtype=float))
     if out.ndim != 1:
         raise ValueError(f"{name} must be a scalar or 1-D array")
-    out.setflags(write=False)
-    return out
+    return _readonly(out)
 
 
 @dataclass(frozen=True)
@@ -136,11 +136,11 @@ class SamplePath:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).copy()
+        times = _readonly(self.times)
         values = np.asarray(self.values, dtype=float)
         if values.ndim == 1:
             values = values[:, None]
-        values = values.copy()
+        values = _readonly(values)
         if times.ndim != 1 or times.shape[0] < 2:
             raise ValueError("need at least two grid points")
         if values.shape[0] != times.shape[0]:
@@ -150,8 +150,6 @@ class SamplePath:
             raise ValueError("grid must be strictly increasing")
         if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
             raise ValueError("grid must be uniform")
-        times.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

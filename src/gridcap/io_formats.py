@@ -298,7 +298,11 @@ def parse_native(text: str) -> NetworkDocument:
 
 
 def _f17(x) -> str:
-    return format(float(x), ".17g")
+    x = float(x)
+    # JSON has no literal for inf or nan; CSV refuses them too
+    if not math.isfinite(x):
+        raise ValueError(f"cannot export the non-finite value {x!r}")
+    return format(x, ".17g")
 
 
 def _json_text(obj, indent=0) -> str:
@@ -597,11 +601,9 @@ def _document_network(doc: NetworkDocument, ratings):
 
 
 def _base_injection_vector(doc: NetworkDocument) -> np.ndarray:
+    """Stochastic means and fixed injections in internal node order; 0 at the slack."""
     values = {n.id: (n.mean if n.role == "stochastic" else n.injection) for n in doc.nodes if n.role != "slack"}
-    s = np.zeros(len(doc.nodes))
-    for nid, value in values.items():
-        s[doc.index_of[nid]] = value
-    return s
+    return np.array([0.0] + [values[nid] for nid in doc.node_ids[1:]])
 
 
 def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float = None) -> NetworkDocument:

@@ -120,11 +120,17 @@ def line_variances(ctx: PsiContext) -> np.ndarray:
     return (ctx.flow.stochastic_block**2) @ mT
 
 
-def psi(ctx: PsiContext, line: int, a: float) -> float:
-    """Cheapest action driving line's normalized current to level a at the horizon."""
+def _line_variance(ctx: PsiContext, line: int) -> float:
+    """One line's C_ell M_T C_ell^T; ZeroVarianceLine if the noise cannot move it."""
     denom = float(line_variances(ctx)[line])
     if denom <= 0.0:
         raise ZeroVarianceLine(f"line {line} has zero terminal current variance")
+    return denom
+
+
+def psi(ctx: PsiContext, line: int, a: float) -> float:
+    """Cheapest action driving line's normalized current to level a at the horizon."""
+    denom = _line_variance(ctx, line)
     return float((a - ctx.op.nu[line]) ** 2 / denom)
 
 
@@ -169,9 +175,7 @@ def optimal_paths(ctx: PsiContext, line: int, a: float, step_count: int):
     The injection path starts at the mean and ends where the line's current
     is exactly a; its action equals psi(ctx, line, a).
     """
-    denom = float(line_variances(ctx)[line])
-    if denom <= 0.0:
-        raise ZeroVarianceLine(f"line {line} has zero terminal current variance")
+    denom = _line_variance(ctx, line)
     times = uniform_grid(ctx.horizon, step_count)
     mdiags = np.stack([_m_diag(ctx.ou, t, ctx.horizon) for t in times])
     gain = (a - ctx.op.nu[line]) / denom
@@ -231,9 +235,7 @@ class CurrentEndpoints:
 
 def optimal_current_endpoints(ctx: PsiContext, line: int, a: float) -> CurrentEndpoints:
     """Endpoint data of the optimal current path toward level a on a line."""
-    denom = float(line_variances(ctx)[line])
-    if denom <= 0.0:
-        raise ZeroVarianceLine(f"line {line} has zero terminal current variance")
+    denom = _line_variance(ctx, line)
     C = ctx.flow.stochastic_block
     cl = C[line]
     gain = (a - ctx.op.nu[line]) / denom
@@ -319,8 +321,9 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     sigma2 = (ctx.flow.stochastic_block**2) @ ctx.ou.vol**2
     nu = ctx.op.nu
     net = ctx.flow.network
+    live = ctx.stochastic_lines
     rows = []
-    for ell in ctx.stochastic_lines:
+    for ell in live:
         al = alpha(ctx, ell)
         rows.append(
             LineRates(
@@ -333,9 +336,7 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
                 sigma2=float(sigma2[ell]),
             )
         )
-    excluded = tuple(
-        ell for ell in range(ctx.flow.line_count) if ell not in ctx.stochastic_lines
-    )
+    excluded = tuple(sorted(set(range(ctx.flow.line_count)).difference(live)))
     current, current_argmin = current_decay_rate(ctx)
     lb, lb_argmin = lb_decay_rate(ctx)
 

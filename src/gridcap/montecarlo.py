@@ -24,6 +24,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import InsufficientHits
+from .grid_model import _readonly
 from .injections import ou_step_coefficients
 from .ld_rates import PsiContext
 from .thermal import filter_coefficients
@@ -82,9 +83,7 @@ class McIndicators:
 
     def __post_init__(self):
         for name in ("current", "temperature"):
-            arr = np.asarray(getattr(self, name), dtype=bool).copy()
-            arr.setflags(write=False)
-            object.__setattr__(self, name, arr)
+            object.__setattr__(self, name, _readonly(getattr(self, name), dtype=bool))
 
 
 @dataclass(frozen=True)

@@ -24,7 +24,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundCollapse, EmptySlice, NonUniformGamma, NonUniformTau, NoStochasticLines
-from .ld_rates import PsiContext, line_variances
+from .grid_model import _readonly
+from .ld_rates import PsiContext, _uniform, line_variances
 
 __all__ = [
     "REGION_KINDS",
@@ -55,9 +56,7 @@ class CapacityRegion:
     tau0: object
 
     def __post_init__(self):
-        bounds = np.asarray(self.bounds, dtype=float).copy()
-        bounds.setflags(write=False)
-        object.__setattr__(self, "bounds", bounds)
+        object.__setattr__(self, "bounds", _readonly(self.bounds))
 
 
 def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
@@ -71,14 +70,6 @@ def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
     return np.sqrt(epsilon * np.log(1.0 / p) * line_variances(ctx))
-
-
-def _uniform_scalar(values, what, error):
-    arr = np.asarray(values, dtype=float)
-    v0 = float(arr.flat[0])
-    if np.any(np.abs(arr - v0) > 1e-12 * max(1.0, abs(v0))):
-        raise error(f"{what} must be uniform for this region kind")
-    return v0
 
 
 def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None) -> CapacityRegion:
@@ -110,9 +101,9 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
                     raise BoundCollapse(ell)
                 bounds[ell] = np.sqrt(radicand[ell]) - beta[ell] * (1.0 - q[ell])
         else:  # temperature_taylor
-            gamma = _uniform_scalar(ctx.ou.gamma, "mean-reversion rate", NonUniformGamma)
+            gamma = _uniform(ctx.ou.gamma, "mean-reversion rate", NonUniformGamma)
             if tau0 is None:
-                tau0 = _uniform_scalar(ctx.tau, "thermal constant", NonUniformTau)
+                tau0 = _uniform(ctx.tau, "thermal constant", NonUniformTau)
             if tau0 < 0:
                 raise ValueError("tau0 must be non-negative")
             tau0_used = float(tau0)
@@ -158,9 +149,7 @@ class Slice2D:
 
     @property
     def area(self) -> float:
-        v = self.vertices
-        x, y = v[:, 0], v[:, 1]
-        return float(0.5 * np.sum(x * np.roll(y, -1) - np.roll(x, -1) * y))
+        return _polygon_area(self.vertices)
 
 
 def _clip_half_plane(poly, normal, offset):

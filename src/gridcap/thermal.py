@@ -16,6 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import NonPositiveTau
+from .grid_model import _readonly
 from .injections import SamplePath
 
 __all__ = [
@@ -35,12 +36,10 @@ class TemperaturePath:
     values: np.ndarray
 
     def __post_init__(self):
-        times = np.asarray(self.times, dtype=float).copy()
-        values = np.asarray(self.values, dtype=float).copy()
+        times = _readonly(self.times)
+        values = _readonly(self.values)
         if values.shape[0] != times.shape[0]:
             raise ValueError("one value row per grid point required")
-        times.setflags(write=False)
-        values.setflags(write=False)
         object.__setattr__(self, "times", times)
         object.__setattr__(self, "values", values)
 

@@ -222,6 +222,16 @@ def test_mc_fit_over_noise_scales(capsys):
     assert res["fit"]["rate"] > 0
 
 
+def test_mc_fit_reports_the_single_scale_estimates(capsys):
+    args = ("mc", "builtin:wheel3", "--n", "1500", "--steps", "40", "--seed", "5")
+    _, pair, _ = run(capsys, *args, "--eps", "0.5,0.7")
+    singles = []
+    for eps in ("0.5", "0.7"):
+        _, out, _ = run(capsys, *args, "--eps", eps)
+        singles += json.loads(out)["estimates"]
+    assert json.loads(pair)["estimates"] == singles
+
+
 def test_mc_csv_format(capsys):
     code, out, _ = run(
         capsys,
@@ -295,6 +305,33 @@ def test_non_finite_input_exits_invalid(capsys, tmp_path, literal):
     assert code == 2
     assert out == ""
     assert "$.nodes[1].mean" in err
+
+
+def test_rates_infinite_horizon_exits_invalid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["rates", "builtin:wheel3", "--horizon", "inf"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
+
+
+def test_mc_infinite_threshold_exits_invalid(capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "builtin:wheel3", "--threshold", "inf", "--n", "100", "--steps", "10"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "finite" in err
+
+
+@pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")
+def test_non_finite_result_exits_invalid(capsys):
+    # A huge thermal constant drives alpha to inf; the exporter refuses it.
+    code, out, err = run(capsys, "rates", "builtin:wheel3", "--tau", "1e308", "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "non-finite" in err
 
 
 def test_unknown_builtin(capsys):

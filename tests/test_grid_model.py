@@ -54,6 +54,11 @@ def test_transfer_matches_direct_angle_solution():
         n = net.node_count
         flow = build_flow_matrices(net, n - 1)
         B = build_laplacian(net)
+        # the assembly is the chain Dbeta A Bg itself, bit for bit
+        Bg = np.zeros((n, n))
+        Bg[1:, 1:] = np.linalg.inv(B[1:, 1:])
+        chain = np.diag(net.susceptance) @ build_incidence(net) @ Bg
+        assert flow.transfer.tobytes() == chain.tobytes()
         for col, node in enumerate(range(1, n)):
             s = np.zeros(n)
             s[node] = 1.0

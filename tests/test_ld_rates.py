@@ -241,9 +241,27 @@ def test_zero_coupling_line_excluded():
         psi(ctx, 1, 1.0)
     rep = full_report(ctx)
     assert rep.excluded == (1,)
+    assert [row.line for row in rep.lines] == [0]
     rate, argmin = current_decay_rate(ctx)
     assert argmin == (0,)
     assert np.isfinite(rate)
+    # Node 3 is a deterministic leaf on the slack, so the noise cannot reach
+    # line (0, 3), which sits between two live lines in the report's order.
+    net = GridNetwork(
+        node_count=4,
+        lines=((0, 1), (0, 3), (1, 2)),
+        susceptance=np.ones(3),
+        current_rating=np.ones(3),
+        thermal_constant=np.full(3, 0.5),
+    )
+    ctx = make_context(net, 2, [0.3, 0.2], [1.0, 1.0], [1.0, 1.0], 0.1, 1.0, mu_D=[0.0])
+    rep = full_report(ctx)
+    assert rep.excluded == (1,)
+    assert [row.line for row in rep.lines] == [0, 2]
+    for row in rep.lines:
+        assert row.terminals == net.lines[row.line]
+        assert row.psi_plus == psi(ctx, row.line, 1.0)
+        assert row.psi_minus == psi(ctx, row.line, -1.0)
 
 
 def test_full_report_is_consistent():

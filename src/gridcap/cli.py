@@ -140,6 +140,13 @@ def _float_list(text: str):
     return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
 
+def _noise_scales(text: str):
+    values = _float_list(text)
+    if not values:
+        raise argparse.ArgumentTypeError("expected at least one noise scale")
+    return values
+
+
 def _free_indices(doc, text: str):
     ids = _id_list(text)
     if len(ids) != 2:
@@ -342,7 +349,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_mc = sub.add_parser("mc", help="Monte Carlo overload probabilities")
     p_mc.add_argument("input")
     p_mc.add_argument("--kind", choices=("current", "temperature"), default="current")
-    p_mc.add_argument("--eps", type=_float_list, default=None, help="comma-separated noise scales")
+    p_mc.add_argument("--eps", type=_noise_scales, default=None, help="comma-separated noise scales")
     p_mc.add_argument("--n", type=int, default=10000, help="replicates per noise scale")
     p_mc.add_argument("--steps", type=int, default=200, help="time steps per path")
     p_mc.add_argument("--seed", type=int, default=0)

@@ -23,6 +23,22 @@ action. The public shooting parameters are the missing initial data of the
 equivalent 4-D system in y = [theta, f, f', f'']: x1 = f'(0), x2 = f''(0),
 related bijectively to (p0, E(0)) through f = g^2.
 
+The two conditions on (p0, E(T)) are solved by Newton's method. The forward
+sensitivities d(theta, g, p)/dE(T) and d(theta, g, p)/dp0 obey the
+linearized system
+
+    s_theta' = (2 g s_g - s_theta)/tau,   s_g' = s_p,
+    s_p' = (gamma^2 + 2 E(t)) s_g  [+ 2 e^{(t-T)/tau} g for d/dE(T)]
+
+from s = 0 (d/dE(T)) or s = (0, 0, 1) (d/dp0), and are integrated in the
+same DOP853 call as the shot. The first condition is theta(T) = 1. The
+second is the transversality condition of the free endpoint: g(T) is not
+prescribed and theta(T) does not depend on it pointwise, so the optimal
+control u = g' + gamma (g - mu) = p + gamma (g - mu) vanishes at the horizon,
+u(T) = 0. A coarse scan over p0 with a Newton root in E(T) at each point
+locates the basin of the minimum; a 2-D Newton iteration on both conditions
+then converges to it.
+
 The cubic form of the stationarity condition, used by `euler_residual`, is
 
     4 gamma^2 f^3 + 2 tau f^2 f''' - 2 f^2 f'' + f (f')^2 - 4 tau f f' f''
@@ -33,11 +49,10 @@ constant path f = mu^2 spuriously non-stationary.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import solve_ivp
-from scipy.optimize import brentq, minimize_scalar
 
 from .errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
 from .thermal import TemperaturePath
@@ -57,6 +72,15 @@ BLOWUP_BOUND = 1e6
 
 #: g below this level counts as a collapse of f = g^2 toward the singularity.
 G_FLOOR = 1e-9
+
+#: Newton iterations allowed per root before falling back to a bracketed search.
+NEWTON_STEPS = 8
+
+#: A Newton iterate lands on the boundary once |theta(T) - 1| is this small.
+THETA_TOL = 1e-11
+
+#: The refinement also needs the terminal control |u(T)| this small.
+CONTROL_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -170,20 +194,40 @@ def _shot_from_reduced(problem: Exact1dProblem, p0: float, e_end: float):
     return 2.0 * a * p0, 2.0 * p0**2 + 4.0 * a**2 * e0
 
 
-def _integrate(problem: Exact1dProblem, p0: float, e_end: float, rtol: float, atol: float):
-    """Advance (theta, g, p, action) to the horizon; None marks an invalid shot."""
+def _integrate(
+    problem: Exact1dProblem,
+    p0: float,
+    e_end: float,
+    rtol: float,
+    atol: float,
+    sensitivities: int = 0,
+    dense_output: bool = False,
+):
+    """Advance (theta, g, p, action) to the horizon; None marks an invalid shot.
+
+    `sensitivities` = 1 appends d(theta, g, p)/dE(T) (rows 4-6) and 2 also
+    d(theta, g, p)/dp0 (rows 7-9), integrated in the same call. They carry an
+    infinite absolute tolerance, so only the shot itself steers the step size.
+    """
+    from scipy.integrate import solve_ivp
+
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     l2 = problem.vol**2
+    gam2 = gam * gam
+    n = 4 + 3 * sensitivities
 
     def rhs(t, u):
-        th, g, p, _ = u
-        forcing = 2.0 * e_end * np.exp((t - T) / tau) * g
-        return (
-            (g * g - th) / tau,
-            p,
-            gam * gam * (g - a) + forcing,
-            0.5 * (p + gam * (g - a)) ** 2 / l2,
-        )
+        u = u.tolist()
+        th, g, p = u[0], u[1], u[2]
+        weight = 2.0 * math.exp((t - T) / tau)
+        stiffness = gam2 + e_end * weight
+        du = [(g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2]
+        for k in range(4, n, 3):
+            s_th, s_g, s_p = u[k], u[k + 1], u[k + 2]
+            du += [(2.0 * g * s_g - s_th) / tau, s_p, stiffness * s_g]
+        if n > 4:
+            du[6] += weight * g
+        return du
 
     def collapse(t, u):
         return u[1] - G_FLOOR
@@ -195,15 +239,18 @@ def _integrate(problem: Exact1dProblem, p0: float, e_end: float, rtol: float, at
 
     escape.terminal = True
 
+    y0 = [a * a, a, p0, 0.0] + [0.0, 0.0, 0.0] * sensitivities
+    if sensitivities == 2:
+        y0[9] = 1.0
     sol = solve_ivp(
         rhs,
         (0.0, T),
-        (a * a, a, p0, 0.0),
+        y0,
         method="DOP853",
         rtol=rtol,
-        atol=atol,
+        atol=[atol] * 4 + [np.inf] * (n - 4),
         events=(collapse, escape),
-        dense_output=True,
+        dense_output=dense_output,
     )
     if sol.status != 0:
         reason = "collapse" if sol.t_events[0].size else "escape"
@@ -227,10 +274,11 @@ class ShotResult:
     state_derivs: np.ndarray
 
 
-def _sample_states(problem: Exact1dProblem, sol, e_end: float, samples: int):
+def _shot_result(problem: Exact1dProblem, sol, e_end: float, samples: int) -> ShotResult:
+    """Sample a dense solution of the reduced system as a ShotResult."""
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     t = np.linspace(0.0, T, samples + 1)
-    th, g, p, cost = sol.sol(t)
+    th, g, p, cost = sol.sol(t)[:4]
     e = e_end * np.exp((t - T) / tau)
     gpp = gam**2 * (g - a) + 2.0 * e * g
     gppp = gam**2 * p + 2.0 * (e / tau) * g + 2.0 * e * p
@@ -238,9 +286,14 @@ def _sample_states(problem: Exact1dProblem, sol, e_end: float, samples: int):
     fp = 2.0 * g * p
     fpp = 2.0 * p**2 + 2.0 * g * gpp
     fppp = 6.0 * p * gpp + 2.0 * g * gppp
-    states = np.column_stack([th, f, fp, fpp])
-    derivs = np.column_stack([(f - th) / tau, fp, fpp, fppp])
-    return t, th, cost[-1], states, derivs
+    return ShotResult(
+        theta=TemperaturePath(t, th[:, None]),
+        theta_end=float(th[-1]),
+        value=float(cost[-1]),
+        times=t,
+        states=np.column_stack([th, f, fp, fpp]),
+        state_derivs=np.column_stack([(f - th) / tau, fp, fpp, fppp]),
+    )
 
 
 def shoot(
@@ -257,36 +310,54 @@ def shoot(
     along the way and BlowUp when the trajectory escapes the bounding box.
     """
     p0, e_end = _initial_from_shot(problem, x1, x2)
-    sol, reason = _integrate(problem, p0, e_end, rtol, atol)
+    sol, reason = _integrate(problem, p0, e_end, rtol, atol, dense_output=True)
     if sol is None:
         if reason == "collapse":
             raise DegenerateF("f collapsed to zero along the shot")
         raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
-    t, th, value, states, derivs = _sample_states(problem, sol, e_end, samples)
-    return ShotResult(
-        theta=TemperaturePath(t, th[:, None]),
-        theta_end=float(th[-1]),
-        value=float(value),
-        times=t,
-        states=states,
-        state_derivs=derivs,
-    )
+    return _shot_result(problem, sol, e_end, samples)
+
+
+def _inside(problem: Exact1dProblem, p0: float, e_end: float, e_bound: float) -> bool:
+    """Whether the implied f''(0) stays within the search box."""
+    return abs(_shot_from_reduced(problem, p0, e_end)[1]) <= e_bound
+
+
+def _newton_boundary(problem: Exact1dProblem, p0: float, e_end: float, e_bound: float):
+    """Newton on E(T) for theta(T) = 1 at fixed p0, from the guess e_end.
+
+    Iterates on log theta(T), which is closer to linear in E(T) than theta(T)
+    itself. Returns (E(T), action), or None when an iterate leaves the search
+    box, stops being integrable or the iteration does not settle.
+    """
+    for _ in range(NEWTON_STEPS):
+        if not _inside(problem, p0, e_end, e_bound):
+            return None
+        sol, _ = _integrate(problem, p0, e_end, rtol=1e-9, atol=1e-11, sensitivities=1)
+        if sol is None:
+            return None
+        th, _, _, action, dth_de = sol.y[:5, -1]
+        if abs(th - 1.0) <= THETA_TOL:
+            return e_end, float(action)
+        if not th * dth_de > 0.0:
+            return None
+        e_end -= math.log(th) * th / dth_de
+    return None
 
 
 def _solve_boundary(problem: Exact1dProblem, p0: float, e_bound: float):
-    """Find E(T) with theta(T) = 1 for a fixed p0; None when no root exists.
+    """Bracketed root of theta(T) = 1 in E(T) for a fixed p0; None when none.
 
     The bracket grows geometrically from zero forcing, downward when the
     unforced shot already overshoots, until the implied |f''(0)| would leave
-    the search box or the trajectory stops being integrable.
+    the search box or the trajectory stops being integrable. Returns
+    (E(T), action) with the action from a tighter solve at the root.
     """
+    from scipy.optimize import brentq
 
     def terminal_theta(e_end):
         sol, _ = _integrate(problem, p0, e_end, rtol=1e-9, atol=1e-11)
         return np.nan if sol is None else sol.y[0, -1] - 1.0
-
-    def inside(e_end):
-        return abs(_shot_from_reduced(problem, p0, e_end)[1]) <= e_bound
 
     lo, hi = 0.0, 0.5
     flo = terminal_theta(lo)
@@ -299,7 +370,7 @@ def _solve_boundary(problem: Exact1dProblem, p0: float, e_bound: float):
         if flo > 0:  # overshoots with no forcing: search damping E < 0
             hi, fhi = lo, flo
             lo = lo - 2.0 * max(0.5, abs(lo))
-            if not inside(lo):
+            if not _inside(problem, p0, lo, e_bound):
                 return None
             flo = terminal_theta(lo)
             if np.isnan(flo):
@@ -307,7 +378,7 @@ def _solve_boundary(problem: Exact1dProblem, p0: float, e_bound: float):
         else:
             lo, flo = hi, fhi
             hi *= 2.0
-            if not inside(hi):
+            if not _inside(problem, p0, hi, e_bound):
                 return None
             fhi = terminal_theta(hi)
     if np.isnan(fhi) or flo * fhi > 0:
@@ -319,7 +390,66 @@ def _solve_boundary(problem: Exact1dProblem, p0: float, e_bound: float):
     sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12)
     if sol is None:
         return None
-    return e_end, float(sol.y[3, -1]), sol
+    return e_end, float(sol.y[3, -1])
+
+
+def _boundary_hit(problem: Exact1dProblem, p0: float, guess: float, e_bound: float):
+    """(E(T), action) with theta(T) = 1 at fixed p0: Newton from guess, else the bracket search."""
+    hit = _newton_boundary(problem, p0, guess, e_bound)
+    return hit if hit is not None else _solve_boundary(problem, p0, e_bound)
+
+
+def _refine(problem: Exact1dProblem, p0: float, e_end: float, p0_bounds, e_bound: float, action_best: float):
+    """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
+
+    u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
+    endpoint. Returns the converged (p0, E(T)), or None when an iterate leaves
+    p0_bounds or the search box, stops being integrable, does not settle, or
+    converges to a shot dearer than action_best.
+    """
+    gam, a = problem.gamma, problem.level
+    p0_lo, p0_hi = p0_bounds
+    for _ in range(NEWTON_STEPS):
+        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=2)
+        if sol is None:
+            return None
+        th, g, p, action, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
+        resid = np.array([th - 1.0, p + gam * (g - a)])
+        if abs(resid[0]) <= THETA_TOL and abs(resid[1]) <= CONTROL_TOL:
+            return (p0, e_end) if action <= action_best else None
+        jac = np.array([[th_p, th_e], [p_p + gam * g_p, p_e + gam * g_e]])
+        try:
+            step = np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError:
+            return None
+        p0, e_end = p0 - step[0], e_end - step[1]
+        if not (p0_lo <= p0 <= p0_hi and _inside(problem, p0, e_end, e_bound)):
+            return None
+    return None
+
+
+def _minimize_action(problem: Exact1dProblem, bracket, x1_best: float, e_best: float, action_best: float,
+                     e_bound: float):
+    """Bounded minimization of the boundary-hitting action over x1 in bracket.
+
+    Returns (p0, E(T)) of the minimizer, or of the scan point (x1_best,
+    e_best) when the minimizer is no cheaper than action_best.
+    """
+    from scipy.optimize import minimize_scalar
+
+    a = problem.level
+
+    def boundary_action(x1):
+        hit = _boundary_hit(problem, x1 / (2.0 * a), e_best, e_bound)
+        return np.inf if hit is None else hit[1]
+
+    res = minimize_scalar(boundary_action, bounds=bracket, method="bounded", options={"xatol": 1e-6})
+    if not res.fun <= action_best:
+        return x1_best / (2.0 * a), e_best
+    hit = _boundary_hit(problem, res.x / (2.0 * a), e_best, e_bound)
+    if hit is None:
+        raise NoBoundaryHit("refinement lost the boundary root")
+    return res.x / (2.0 * a), hit[0]
 
 
 @dataclass(frozen=True)
@@ -338,12 +468,20 @@ def exact_decay_rate(
     scan_points: int = 21,
     samples: int = 400,
 ) -> Exact1dResult:
-    """Temperature overload decay rate by nested shooting.
+    """Temperature overload decay rate by shooting with Newton sensitivities.
 
-    For each initial slope x1 on a coarse grid, the inner stage root-finds
-    the forcing that lands theta exactly on the limit at the horizon; the
-    outer stage then minimizes the resulting action over x1 inside the
-    bracket around the best grid point. `search_box` bounds (x1, x2).
+    A coarse scan over the initial slope x1 = f'(0) finds, at each grid
+    point, the forcing E(T) that lands theta exactly on the limit at the
+    horizon: Newton on E(T), with d theta(T)/dE(T) from the sensitivity
+    equations, warm-started by extrapolating the roots of the previous grid
+    points, and a bracketed root search where Newton fails. From the
+    cheapest grid point, a 2-D Newton iteration on (p0, E(T)) solves
+    theta(T) = 1 together with the free-endpoint transversality condition
+    u(T) = p(T) + gamma (g(T) - |mu|) = 0, which the minimal action
+    satisfies. If it leaves the grid cell around that point, does not
+    converge or ends dearer than the grid point, a bounded 1-D minimization
+    of the action over x1 in that cell takes its place. `search_box` bounds
+    (x1, x2).
     """
     (x1_lo, x1_hi), (x2_lo, x2_hi) = search_box
     e_bound = max(abs(x2_lo), abs(x2_hi))
@@ -355,37 +493,30 @@ def exact_decay_rate(
     if not lo < hi:
         lo, hi = x1_lo, x1_hi
 
-    def boundary_action(x1):
-        found = _solve_boundary(problem, x1 / (2.0 * a), e_bound)
-        return np.inf if found is None else found[1]
-
     grid = np.linspace(lo, hi, scan_points)
-    actions = np.array([boundary_action(x) for x in grid])
+    roots = np.full(scan_points, np.nan)
+    actions = np.full(scan_points, np.inf)
+    for i, x1 in enumerate(grid):
+        # warm start: the polynomial through the last (up to) three roots
+        known = np.flatnonzero(np.isfinite(actions[:i]))[-3:]
+        guess = np.polyval(np.polyfit(grid[known], roots[known], known.size - 1), x1) if known.size else 0.0
+        hit = _boundary_hit(problem, x1 / (2.0 * a), guess, e_bound)
+        if hit is not None:
+            roots[i], actions[i] = hit
     if not np.any(np.isfinite(actions)):
         raise NoBoundaryHit(
             "no shot inside the search box reaches the overload level at the horizon"
         )
     k = int(np.argmin(actions))
     dx = grid[1] - grid[0]
-    res = minimize_scalar(
-        boundary_action,
-        bounds=(max(lo, grid[k] - dx), min(hi, grid[k] + dx)),
-        method="bounded",
-        options={"xatol": 1e-6},
-    )
-    x1 = float(res.x) if res.fun <= actions[k] else float(grid[k])
-    found = _solve_boundary(problem, x1 / (2.0 * a), e_bound)
+    bracket = (max(lo, grid[k] - dx), min(hi, grid[k] + dx))
+    found = _refine(problem, grid[k] / (2.0 * a), roots[k], np.divide(bracket, 2.0 * a), e_bound, actions[k])
     if found is None:
+        found = _minimize_action(problem, bracket, grid[k], roots[k], actions[k], e_bound)
+    p0, e_end = found
+    sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, dense_output=True)
+    if sol is None:
         raise NoBoundaryHit("refinement lost the boundary root")
-    e_end, value, sol = found
-    t, th, value, states, derivs = _sample_states(problem, sol, e_end, samples)
-    x2 = _shot_from_reduced(problem, x1 / (2.0 * a), e_end)[1]
-    shot = ShotResult(
-        theta=TemperaturePath(t, th[:, None]),
-        theta_end=float(th[-1]),
-        value=float(value),
-        times=t,
-        states=states,
-        state_derivs=derivs,
-    )
-    return Exact1dResult(value=float(value), x1=x1, x2=float(x2), shot=shot)
+    x1, x2 = _shot_from_reduced(problem, p0, e_end)
+    shot = _shot_result(problem, sol, e_end, samples)
+    return Exact1dResult(value=shot.value, x1=float(x1), x2=float(x2), shot=shot)

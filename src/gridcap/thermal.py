@@ -103,4 +103,5 @@ def overload_threshold_equivalence(nu, tau, horizon: float):
         raise NonPositiveTau("thermal constants must be strictly positive")
     nu = np.asarray(nu, dtype=float)
     q = np.exp(-horizon / tau)
-    return np.sqrt((1.0 - nu**2 * q) / (1.0 - q))
+    # -expm1 keeps 1 - q accurate, and nonzero, when horizon / tau is tiny
+    return np.sqrt((1.0 - nu**2 * q) / -np.expm1(-horizon / tau))

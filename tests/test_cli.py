@@ -1,11 +1,16 @@
 """End-to-end command-line behavior, run in process."""
 
 import json
+import os
+import pathlib
+import subprocess
+import sys
 from importlib import resources
 
 import numpy as np
 import pytest
 
+import gridcap
 from gridcap.cli import main
 from gridcap.io_formats import parse_native
 
@@ -14,6 +19,15 @@ def run(capsys, *argv):
     code = main(list(argv))
     out, err = capsys.readouterr()
     return code, out, err
+
+
+def test_import_loads_no_scipy():
+    # SciPy is imported only by the exact-rate solver, when it runs.
+    src = str(pathlib.Path(gridcap.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+    code = "import sys, gridcap, gridcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    assert out.strip() == "[]"
 
 
 def test_rates_single_line_report(capsys):
@@ -323,6 +337,16 @@ def test_mc_infinite_threshold_exits_invalid(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "finite" in err
+
+
+@pytest.mark.parametrize("eps", [",", " , "])
+def test_mc_empty_noise_scale_list_exits_usage(capsys, eps):
+    with pytest.raises(SystemExit) as exc:
+        main(["mc", "builtin:wheel3", "--eps", eps, "--n", "100", "--steps", "10"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "at least one noise scale" in err
 
 
 @pytest.mark.filterwarnings("ignore:divide by zero:RuntimeWarning")

@@ -2,7 +2,9 @@
 
 import numpy as np
 import pytest
+import scipy.integrate
 
+from gridcap import exact1d
 from gridcap.errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
 from gridcap.exact1d import (
     Exact1dProblem,
@@ -152,3 +154,50 @@ def test_residual_shape_contract():
     assert stacked.shape == (3, 4)
     with pytest.raises(ValueError):
         euler_residual(p, np.zeros(3), np.zeros(3))
+
+
+@pytest.fixture(scope="module")
+def counted_rows():
+    """Each benchmark row's result with the number of solve_ivp calls it made."""
+    original = scipy.integrate.solve_ivp
+    rows = {}
+    for tau in sorted(REFERENCE_RATES):
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(scipy.integrate, "solve_ivp", counting)
+            rows[tau] = (exact_decay_rate(_problem(tau)), calls[0])
+    return rows
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_optimum_satisfies_transversality(counted_rows, tau):
+    # The terminal value is free, so the optimal control
+    # u = g' + gamma (g - |mu|) vanishes at the horizon.
+    res, _ = counted_rows[tau]
+    f, fp = res.shot.states[-1, 1], res.shot.states[-1, 2]
+    g = np.sqrt(f)
+    p = fp / (2.0 * g)
+    assert abs(p + 0.5 * (g - 0.5)) < 1e-6
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_row_solve_budget(counted_rows, tau):
+    # Every solve is looked up on scipy.integrate at call time, so the
+    # patched counter sees all of them.
+    res, calls = counted_rows[tau]
+    assert np.isclose(res.value, REFERENCE_RATES[tau], rtol=1e-9)
+    assert 0 < calls <= 150
+
+
+def test_refinement_fallback_agrees(counted_rows, monkeypatch):
+    tau = 0.3
+    newton, _ = counted_rows[tau]
+    monkeypatch.setattr(exact1d, "_refine", lambda *args: None)
+    fallback = exact_decay_rate(_problem(tau))
+    assert np.isclose(fallback.value, newton.value, rtol=1e-9)
+    assert np.isclose(fallback.x1, newton.x1, atol=1e-5)

@@ -1,5 +1,7 @@
 """Thermal lag evaluator: exactness, convexity, and the threshold level."""
 
+import warnings
+
 import numpy as np
 import pytest
 from scipy.integrate import quad, solve_ivp
@@ -121,6 +123,24 @@ def test_threshold_level_properties():
     assert np.isclose(float(tiny), 1.0, atol=1e-12)
     big = overload_threshold_equivalence(0.5, 1e4, 1.0)
     assert float(big) > 50.0
+
+
+def test_threshold_level_finite_for_huge_tau():
+    # 1 - exp(-T/tau) rounds to zero for tau = 1e308; alpha must stay finite
+    # and the thermal module must not warn.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        a = overload_threshold_equivalence(np.array([-0.5, 0.0, 0.9]), 1e308, 1.0)
+    assert np.all(np.isfinite(a))
+    assert np.all(a > 1.0)
+
+
+@pytest.mark.parametrize("tau", [0.1, 0.5, 2.0, 10.0])
+def test_threshold_level_matches_direct_formula(tau):
+    nu = np.array([-0.9, -0.3, 0.0, 0.5])
+    q = np.exp(-1.0 / tau)
+    direct = np.sqrt((1.0 - nu**2 * q) / (1.0 - q))
+    assert np.allclose(overload_threshold_equivalence(nu, tau, 1.0), direct, rtol=1e-14, atol=0.0)
 
 
 def test_nonpositive_tau_rejected():

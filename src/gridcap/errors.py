@@ -41,13 +41,13 @@ class ZeroBaseFlow(GridCapError):
 # --- linear algebra / model errors -------------------------------------------
 
 class SingularReducedLaplacian(GridCapError):
-    """The grounded Laplacian is numerically singular, which signals a
-    disconnected graph or degenerate susceptances."""
+    """The grounded Laplacian is numerically singular: inversion fails or its
+    1-norm condition number reaches 1/RANK_RTOL (wide susceptance ratios)."""
 
 
 class RankDeficiency(GridCapError):
-    """A matrix that must have full rank (Laplacian, current transfer blocks)
-    fails its rank check beyond tolerance."""
+    """The stochastic block C lacks full column rank beyond tolerance, so
+    some stochastic injections cannot be told apart through line currents."""
 
 
 class InfeasibleStart(GridCapError):

@@ -18,6 +18,13 @@ With the stochastic injections occupying nodes 1..m, Cbar splits column-wise
 into [0 | C | C_D]: the slack column is identically zero, C acts on the
 stochastic injections and C_D on the deterministic ones. `DcFlowMatrices`
 stores B, Ct, Cbar, C and C_D; A, Dbeta and Bg are not kept.
+
+Each invariant is decided once. `_unreachable` decides connectivity, also for
+`io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
+||Bhat^-1||_1, within a factor N of sigma_max/sigma_min, is not finite or
+reaches 1/RANK_RTOL. rank(C) = m is checked. rank(B) = rank(Cbar) = N are
+theorems for a connected graph with positive susceptances (the range of Bg
+meets the kernel of A only at 0); `test_rank_chain_random_networks` checks them.
 """
 from __future__ import annotations
 
@@ -42,7 +49,8 @@ __all__ = [
     "operating_point",
 ]
 
-#: Relative singular-value cutoff used by every rank check.
+#: Relative singular-value cutoff of the rank(C) check; 1/RANK_RTOL also
+#: bounds the condition number kappa_1 of the grounded Laplacian.
 RANK_RTOL = 1e-9
 
 
@@ -51,6 +59,19 @@ def _readonly(a, dtype=float) -> np.ndarray:
     out = np.array(a, dtype=dtype)
     out.setflags(write=False)
     return out
+
+
+def _unreachable(node_count: int, lines) -> list:
+    """Nodes no line path joins to node 0, in increasing order (breadth-first)."""
+    adjacency = [[] for _ in range(node_count)]
+    for i, j in lines:
+        adjacency[i].append(j)
+        adjacency[j].append(i)
+    reached, frontier = {0}, {0}
+    while frontier:
+        frontier = {v for u in frontier for v in adjacency[u]} - reached
+        reached |= frontier
+    return sorted(set(range(node_count)) - reached)
 
 
 @dataclass(frozen=True)
@@ -90,31 +111,14 @@ class GridNetwork:
             if not np.all(arr > 0):
                 raise ValueError(f"{name} entries must be strictly positive")
             object.__setattr__(self, name, arr)
-        seen = set()
         for i, j in lines:
             if not (0 <= i < j < self.node_count):
                 raise ValueError(f"line ({i},{j}) must satisfy 0 <= i < j < node_count")
-            if (i, j) in seen:
-                raise ValueError(f"duplicate line ({i},{j})")
-            seen.add((i, j))
-        if list(lines) != sorted(lines):
-            raise ValueError("lines must be sorted lexicographically")
-        if not self._connected():
+        for a, b in zip(lines, lines[1:]):
+            if a >= b:
+                raise ValueError(f"line {b} after line {a}: lines must be distinct and sorted")
+        if _unreachable(self.node_count, lines):
             raise GraphError("network graph is disconnected")
-
-    def _connected(self) -> bool:
-        adj = [[] for _ in range(self.node_count)]
-        for i, j in self.lines:
-            adj[i].append(j)
-            adj[j].append(i)
-        seen = {0}
-        stack = [0]
-        while stack:
-            for v in adj[stack.pop()]:
-                if v not in seen:
-                    seen.add(v)
-                    stack.append(v)
-        return len(seen) == self.node_count
 
     @property
     def line_count(self) -> int:
@@ -148,13 +152,6 @@ def build_incidence(network: GridNetwork) -> np.ndarray:
         A[ell, i] = 1.0
         A[ell, j] = -1.0
     return A
-
-
-def _rank(matrix: np.ndarray) -> int:
-    s = np.linalg.svd(matrix, compute_uv=False)
-    if s.size == 0:
-        return 0
-    return int(np.sum(s > RANK_RTOL * s[0]))
 
 
 @dataclass(frozen=True)
@@ -194,7 +191,7 @@ class DcFlowMatrices:
 
 
 def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
-    """Assemble the current transfer chain and verify its rank structure.
+    """Assemble the current transfer chain and check the invariants it rests on.
 
     Parameters
     ----------
@@ -207,9 +204,11 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     Raises
     ------
     SingularReducedLaplacian
-        If the grounded Laplacian Bhat is numerically singular.
+        If LAPACK cannot invert Bhat, or kappa_1 is not finite or reaches
+        1/RANK_RTOL (module docstring); susceptance ratios near 1e10 do this.
     RankDeficiency
-        If rank(B) != N, rank(Cbar) != N or rank(C) != m.
+        If rank(C) != m at relative singular-value cutoff RANK_RTOL. rank(B)
+        and rank(Cbar) are theorems here and are not re-checked.
     """
     n = network.node_count
     if not (1 <= m <= n - 1):
@@ -217,24 +216,25 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     B = build_laplacian(network)
 
     Bhat = B[1:, 1:]
-    svals = np.linalg.svd(Bhat, compute_uv=False)
-    if svals.size == 0 or svals[-1] <= RANK_RTOL * svals[0]:
+    Bg = np.zeros((n, n))
+    try:
+        Bg[1:, 1:] = np.linalg.inv(Bhat)
+        # Python floats: a huge product becomes inf without a RuntimeWarning
+        kappa = float(np.linalg.norm(Bhat, 1)) * float(np.linalg.norm(Bg[1:, 1:], 1))
+    except np.linalg.LinAlgError:
+        kappa = np.inf
+    if not kappa < 1.0 / RANK_RTOL:  # NaN fails this test too
         raise SingularReducedLaplacian(
             "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
         )
-    Bg = np.zeros((n, n))
-    Bg[1:, 1:] = np.linalg.inv(Bhat)
 
     # row-scaling A by beta equals Dbeta A bit for bit, without the L x L diagonal
     Ct = (network.susceptance[:, None] * build_incidence(network)) @ Bg
     Cbar = Ct / network.current_rating[:, None]
 
-    if _rank(B) != n - 1:
-        raise RankDeficiency(f"Laplacian rank {_rank(B)} != {n - 1}")
-    if _rank(Cbar) != n - 1:
-        raise RankDeficiency("normalized transfer matrix is rank deficient")
     C = Cbar[:, 1 : m + 1]
-    if _rank(C) != m:
+    s = np.linalg.svd(C, compute_uv=False)
+    if np.sum(s > RANK_RTOL * s[0]) != m:
         raise RankDeficiency("stochastic block C does not have full column rank")
 
     return DcFlowMatrices(

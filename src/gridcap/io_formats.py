@@ -47,7 +47,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import GraphError, ParseError, RoleError, SchemaError, ZeroBaseFlow
-from .grid_model import GridNetwork, build_flow_matrices, operating_point
+from .grid_model import GridNetwork, _unreachable, build_flow_matrices, operating_point
 from .injections import OuModel
 from .ld_rates import PsiContext
 
@@ -273,20 +273,10 @@ def parse_native(text: str) -> NetworkDocument:
             _expect(check(value), f"$.defaults.{field}", requirement)
             defaults[field] = value
 
-    adjacency = {n.id: set() for n in nodes}
-    for line in lines:
-        adjacency[line.from_id].add(line.to_id)
-        adjacency[line.to_id].add(line.from_id)
-    reached = {nodes[0].id}
-    frontier = [nodes[0].id]
-    while frontier:
-        nid = frontier.pop()
-        for other in adjacency[nid]:
-            if other not in reached:
-                reached.add(other)
-                frontier.append(other)
-    if len(reached) != len(nodes):
-        missing = sorted(set(adjacency) - reached, key=repr)
+    position = {n.id: k for k, n in enumerate(nodes)}
+    unreachable = _unreachable(len(nodes), [(position[ln.from_id], position[ln.to_id]) for ln in lines])
+    if unreachable:
+        missing = sorted((nodes[k].id for k in unreachable), key=repr)
         raise GraphError(f"network is disconnected; unreachable nodes {missing}")
 
     return NetworkDocument(

@@ -134,6 +134,15 @@ def psi(ctx: PsiContext, line: int, a: float) -> float:
     return float((a - ctx.op.nu[line]) ** 2 / denom)
 
 
+def _level_cost(level, nu_abs, denom):
+    """(level - |nu|)^2 / sigma^2 for scalars or arrays; ValueError if it overflows."""
+    with np.errstate(over="ignore"):
+        cost = (level - nu_abs) ** 2 / denom
+    if not np.all(np.isfinite(cost)):
+        raise ValueError("overload level too far out: its decay rate is non-finite")
+    return cost
+
+
 def _min_levels(ctx: PsiContext, levels: np.ndarray):
     """Minimum over stochastic lines of psi at per-line symmetric levels.
 
@@ -145,7 +154,7 @@ def _min_levels(ctx: PsiContext, levels: np.ndarray):
         raise NoStochasticLines("no line responds to the stochastic injections")
     idx = np.asarray(lines)
     denom = line_variances(ctx)[idx]
-    rates = (levels[idx] - np.abs(ctx.op.nu[idx])) ** 2 / denom
+    rates = _level_cost(levels[idx], np.abs(ctx.op.nu[idx]), denom)
     best = float(np.min(rates))
     cut = best * (1.0 + ARGMIN_RTOL) + 1e-300
     argmin = tuple(int(i) for i, r in zip(idx, rates) if r <= cut)
@@ -158,9 +167,7 @@ def current_decay_rate(ctx: PsiContext):
     The overload level is 1 in normalized units; lines that do not feel the
     noise are excluded (their rate is infinite).
     """
-    ones = np.ones(ctx.flow.line_count)
-    best, argmin = _min_levels(ctx, ones)
-    return best, argmin
+    return _min_levels(ctx, np.ones(ctx.flow.line_count))
 
 
 def current_path(ctx: PsiContext, injections_path: SamplePath) -> SamplePath:
@@ -199,8 +206,7 @@ def lb_decay_rate(ctx: PsiContext):
     of 1 bounds the temperature rate from below while staying closed-form.
     """
     levels = overload_threshold_equivalence(ctx.op.nu, ctx.tau, ctx.horizon)
-    best, argmin = _min_levels(ctx, levels)
-    return best, argmin
+    return _min_levels(ctx, levels)
 
 
 def _uniform(values: np.ndarray, what: str, error):
@@ -332,7 +338,7 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
                 psi_plus=float((1.0 - nu[ell]) ** 2 / denom[ell]),
                 psi_minus=float((1.0 + nu[ell]) ** 2 / denom[ell]),
                 alpha=al,
-                psi_alpha=float((al - abs(nu[ell])) ** 2 / denom[ell]),
+                psi_alpha=float(_level_cost(al, abs(nu[ell]), denom[ell])),
                 sigma2=float(sigma2[ell]),
             )
         )

@@ -5,6 +5,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import warnings
 from importlib import resources
 
 import numpy as np
@@ -356,6 +357,42 @@ def test_non_finite_result_exits_invalid(capsys):
     assert code == 2
     assert out == ""
     assert "non-finite" in err
+
+
+def test_huge_tau_exits_without_warnings(capsys):
+    # The overflow in pricing the threshold level is detected, not warned about.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "rates", "builtin:wheel3", "--tau", "1e308")
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "non-finite" in err
+
+
+def test_ill_conditioned_laplacian_exits_numeric(capsys, tmp_path):
+    # Susceptances 1e10 and 1 in series give Bhat a condition number of
+    # about 1e10, past the 1e9 cutoff.
+    doc = {
+        "format": "gridcap-network",
+        "version": 1,
+        "nodes": [
+            {"id": "s", "role": "slack"},
+            {"id": "b", "role": "stochastic", "gamma": 1, "vol": 1, "mean": 0.1},
+            {"id": "c", "role": "stochastic", "gamma": 1, "vol": 1, "mean": 0.1},
+        ],
+        "lines": [
+            {"from": "s", "to": "b", "susceptance": 1e10, "rating": 1, "tau": 0.5},
+            {"from": "b", "to": "c", "susceptance": 1, "rating": 1, "tau": 0.5},
+        ],
+        "defaults": {"epsilon": 0.1, "p": 0.0001, "horizon": 1, "tau0": 0.5},
+    }
+    path = tmp_path / "stiff.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rates", str(path))
+    assert code == 4
+    assert out == ""
+    assert err.startswith("error:") and "singular" in err
+    assert "Traceback" not in err
 
 
 def test_unknown_builtin(capsys):

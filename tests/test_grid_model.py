@@ -6,7 +6,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_network, wheel_context
-from gridcap.errors import GraphError, InfeasibleStart
+from gridcap.errors import GraphError, InfeasibleStart, SingularReducedLaplacian
 from gridcap.grid_model import (
     GridNetwork,
     build_flow_matrices,
@@ -117,6 +117,41 @@ def test_rank_chain_random_networks(seed):
     assert np.linalg.matrix_rank(flow.stochastic_block, tol=1e-9) == m
     eigs = np.linalg.eigvalsh(flow.laplacian)
     assert eigs.min() > -1e-9
+
+
+def test_flow_matrices_decomposition_budget(monkeypatch):
+    # rank(B) and rank(Cbar) are theorems for a connected network, and the
+    # singularity test reads the inverse, so only the L x m block C is
+    # decomposed.
+    original = np.linalg.svd
+    shapes = []
+
+    def counting(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(21)
+    for _ in range(10):
+        net = random_network(rng)
+        m = int(rng.integers(1, net.node_count))
+        shapes.clear()
+        build_flow_matrices(net, m)
+        assert len(shapes) <= 1
+        assert all(shape == (net.line_count, m) for shape in shapes)
+
+
+@pytest.mark.parametrize("ratio, singular", [(1e10, True), (1e6, False)])
+def test_ill_conditioned_reduced_laplacian(ratio, singular):
+    # On the path 0-1-2 the 1-norm condition number of Bhat is about the
+    # susceptance ratio; the cutoff is 1/RANK_RTOL = 1e9.
+    net = _net([(0, 1), (1, 2)], 3, beta=[ratio, 1.0])
+    if singular:
+        with pytest.raises(SingularReducedLaplacian):
+            build_flow_matrices(net, 2)
+    else:
+        flow = build_flow_matrices(net, 2)
+        assert np.allclose(flow.stochastic_block, [[-1.0, -1.0], [0.0, -1.0]], atol=1e-6)
 
 
 def test_operating_point_wheel_values():

@@ -8,6 +8,7 @@ from importlib import resources
 
 from conftest import wheel_context
 from gridcap.errors import (
+    GraphError,
     ParseError,
     RoleError,
     SchemaError,
@@ -145,6 +146,22 @@ def test_exactly_one_slack_required():
     )
     with pytest.raises(RoleError):
         parse_native(text)
+
+
+def test_disconnected_document_names_unreachable_ids():
+    text = _data("wheel3.json").replace(
+        '{"id": 3, "role": "stochastic", "gamma": 1, "vol": 1, "mean": 0.3}',
+        '{"id": 3, "role": "stochastic", "gamma": 1, "vol": 1, "mean": 0.3},\n'
+        '    {"id": "a", "role": "deterministic", "injection": 0.1},\n'
+        '    {"id": 7, "role": "deterministic", "injection": -0.1}',
+    ).replace(
+        '{"from": 2, "to": 3, "susceptance": 1, "rating": 1, "tau": 0.5}',
+        '{"from": 2, "to": 3, "susceptance": 1, "rating": 1, "tau": 0.5},\n'
+        '    {"from": "a", "to": 7, "susceptance": 1, "rating": 1, "tau": 0.5}',
+    )
+    with pytest.raises(GraphError) as err:
+        parse_native(text)
+    assert "unreachable nodes ['a', 7]" in str(err.value)
 
 
 def test_invalid_json_is_a_schema_error():

@@ -35,9 +35,15 @@ same DOP853 call as the shot. The first condition is theta(T) = 1. The
 second is the transversality condition of the free endpoint: g(T) is not
 prescribed and theta(T) does not depend on it pointwise, so the optimal
 control u = g' + gamma (g - mu) = p + gamma (g - mu) vanishes at the horizon,
-u(T) = 0. A coarse scan over p0 with a Newton root in E(T) at each point
-locates the basin of the minimum; a 2-D Newton iteration on both conditions
-then converges to it.
+u(T) = 0. A 2-D Newton iteration on both conditions starts from the
+optimum of the discretized problem: there theta(T) = 1 is a single quadratic
+constraint on a positive definite quadratic action, and the global minimizer
+is certified by the root of a 1-D secular equation below a threshold set by
+the least generalized eigenvalue (More & Sorensen 1983; Polik & Terlaky,
+SIAM Review 2007). Where that start is not certified, the iteration does not
+converge or its result leaves an explicit search box, a coarse scan over p0
+with a Newton root in E(T) at each point locates the basin of the minimum
+instead.
 
 The cubic form of the stationarity condition, used by `euler_residual`, is
 
@@ -81,6 +87,12 @@ THETA_TOL = 1e-11
 
 #: The refinement also needs the terminal control |u(T)| this small.
 CONTROL_TOL = 1e-9
+
+#: Intervals of the discretized problem whose certified optimum starts the refinement.
+DISCRETE_STEPS = 400
+
+#: Safeguarded Newton steps allowed on the secular equation of the discretized problem.
+SECULAR_STEPS = 60
 
 
 @dataclass(frozen=True)
@@ -433,15 +445,18 @@ def _minimize_action(problem: Exact1dProblem, bracket, x1_best: float, e_best: f
     """Bounded minimization of the boundary-hitting action over x1 in bracket.
 
     Returns (p0, E(T)) of the minimizer, or of the scan point (x1_best,
-    e_best) when the minimizer is no cheaper than action_best.
+    e_best) when the minimizer is no cheaper than action_best. Slopes with
+    no boundary hit are priced above action_best, finitely, since the
+    bounded search's parabolic steps turn an infinite value into NaN.
     """
     from scipy.optimize import minimize_scalar
 
     a = problem.level
+    penalty = 2.0 * action_best + 1.0
 
     def boundary_action(x1):
         hit = _boundary_hit(problem, x1 / (2.0 * a), e_best, e_bound)
-        return np.inf if hit is None else hit[1]
+        return penalty if hit is None else hit[1]
 
     res = minimize_scalar(boundary_action, bounds=bracket, method="bounded", options={"xatol": 1e-6})
     if not res.fun <= action_best:
@@ -452,36 +467,111 @@ def _minimize_action(problem: Exact1dProblem, bracket, x1_best: float, e_best: f
     return res.x / (2.0 * a), hit[0]
 
 
-@dataclass(frozen=True)
-class Exact1dResult:
-    """Minimal action over boundary-hitting shots, with the attaining shot."""
+def _discrete_start(problem: Exact1dProblem):
+    """(p0, E(T)) read off the certified optimum of the discretized problem, or None.
 
-    value: float
-    x1: float
-    x2: float
-    shot: ShotResult
+    The current path is sampled as g_k = g(k d), d = T/n, n = DISCRETE_STEPS,
+    with g_0 = |mu|. Taking g^2 linear on each step, the exact filter of
+    theta' = (g^2 - theta)/tau gives theta(T) = q^n mu^2 + sum_k w_k g_k^2,
+    q = e^{-d/tau}, and the midpoint rule gives the action as a positive
+    multiple of 1/2 g^T H g - h^T g + const with H = B^T B tridiagonal and
+    positive definite. Stationary points on theta(T) = 1 solve
+    (H - 2 lam W) g = h, W = diag(w_1..w_n). Below the certification
+    threshold lam_crit = lambda_min(W^{-1/2} H W^{-1/2}) / 2 the matrix is
+    positive definite and g^T W g grows with lam, so a root of the secular
+    equation g^T W g = 1 - q^n mu^2 - w_0 mu^2 there is the global minimizer
+    (S-lemma). Newton runs on the secular equation in the form
+    (g^T W g)^{-1/2}, which is concave in lam: its steps approach the root
+    monotonically from above, and a step that leaves the bracket
+    (0, lam_crit) bisects it instead.
+
+    p0 = g'(0) and g''(T) come from second-order one-sided differences and
+    E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)). E is read at the
+    horizon rather than at the start because E(0) e^{T/tau} would multiply
+    the discretization error by e^{T/tau}. Returns None when the root does
+    not lie below lam_crit or the weights leave double precision.
+    """
+    from scipy.linalg import eigh_tridiagonal, solve_banded
+
+    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
+    n = DISCRETE_STEPS
+    d = T / n
+    decay = -math.expm1(-d / tau)
+    q = 1.0 - decay
+    # one step: theta_{k+1} = q theta_k + c0 g_k^2 + c1 g_{k+1}^2
+    c1 = 1.0 - decay * tau / d
+    c0 = decay - c1
+    lag = q ** np.arange(n - 1.0, -1.0, -1.0)  # q^{n-1-k}: how much of step k survives to T
+    w = c1 * lag
+    w[:-1] += c0 * lag[1:]
+    target = 1.0 - a * a * lag[0] * (q + c0)  # what g_1..g_n must add to theta(T) = 1
+    if not np.all(w > np.finfo(float).tiny):
+        return None
+
+    # action residuals r_k = ap g_{k+1} + am g_k - gamma |mu| = (B g + c)_k
+    ap, am = 1.0 / d + 0.5 * gam, -1.0 / d + 0.5 * gam
+    c = np.full(n, -gam * a)
+    c[0] += am * a
+    diag = np.full(n, ap * ap + am * am)
+    diag[-1] = ap * ap
+    off = np.full(n - 1, ap * am)
+    h = -ap * c  # h = -B^T c
+    h[:-1] -= am * c[1:]
+
+    root_w = np.sqrt(w)
+    whitened_off = off / (root_w[:-1] * root_w[1:])
+    # W^{-1/2} H W^{-1/2} is scaled diagonally dominant, so bisection resolves
+    # its least eigenvalue to full relative accuracy once the absolute
+    # tolerance no longer scales with its (huge, for small tau) norm
+    try:
+        lam_min = eigh_tridiagonal(diag / w, whitened_off, eigvals_only=True, select="i", select_range=(0, 0),
+                                   tol=np.finfo(float).tiny)[0]
+    except np.linalg.LinAlgError:
+        return None
+    lam_crit = 0.5 * lam_min
+    band = np.zeros((3, n))
+    band[0, 1:] = off
+    band[2, :-1] = off
+
+    def solve(lam, rhs):
+        band[1] = diag - 2.0 * lam * w
+        return solve_banded((1, 1), band, rhs, check_finite=False)
+
+    lo, hi, lam = 0.0, lam_crit, 0.0
+    for _ in range(SECULAR_STEPS):
+        g = solve(lam, h)
+        wg = w * g
+        norm2 = float(g @ wg)
+        if abs(norm2 - target) <= 1e-10 * target:  # far tighter than the basin of _refine needs
+            break
+        if norm2 < target:
+            lo = lam
+        else:
+            hi = lam
+        # (H - 2 lam W) dg/dlam = 2 W g, so d(g^T W g)/dlam = 4 (W g)^T (H - 2 lam W)^{-1} W g
+        slope = 4.0 * float(wg @ solve(lam, wg))
+        lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
+        if not lo < lam < hi:
+            lam = 0.5 * (lo + hi)
+    else:
+        return None
+    p0 = (-3.0 * a + 4.0 * g[0] - g[1]) / (2.0 * d)
+    gpp_end = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (d * d)
+    return p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1])
 
 
-def exact_decay_rate(
-    problem: Exact1dProblem,
-    search_box=((-50.0, 50.0), (-50.0, 50.0)),
-    scan_points: int = 21,
-    samples: int = 400,
-) -> Exact1dResult:
-    """Temperature overload decay rate by shooting with Newton sensitivities.
+def _scan(problem: Exact1dProblem, search_box, scan_points: int):
+    """(p0, E(T)) of the cheapest boundary-hitting shot found by scanning x1 = f'(0).
 
-    A coarse scan over the initial slope x1 = f'(0) finds, at each grid
-    point, the forcing E(T) that lands theta exactly on the limit at the
-    horizon: Newton on E(T), with d theta(T)/dE(T) from the sensitivity
-    equations, warm-started by extrapolating the roots of the previous grid
-    points, and a bracketed root search where Newton fails. From the
-    cheapest grid point, a 2-D Newton iteration on (p0, E(T)) solves
-    theta(T) = 1 together with the free-endpoint transversality condition
-    u(T) = p(T) + gamma (g(T) - |mu|) = 0, which the minimal action
-    satisfies. If it leaves the grid cell around that point, does not
-    converge or ends dearer than the grid point, a bounded 1-D minimization
-    of the action over x1 in that cell takes its place. `search_box` bounds
-    (x1, x2).
+    At each of scan_points values of x1 the forcing E(T) that lands theta
+    on the limit at the horizon comes from Newton on E(T), warm-started by
+    extrapolating the roots of the previous grid points, or from a
+    bracketed root search where Newton fails. From the cheapest grid point
+    `_refine` solves both optimality conditions; if it leaves the grid cell
+    around that point, does not converge or ends dearer than the grid
+    point, a bounded 1-D minimization of the action over x1 in that cell
+    takes its place. Only |x2| up to the larger end of the x2 range of
+    `search_box` is searched.
     """
     (x1_lo, x1_hi), (x2_lo, x2_hi) = search_box
     e_bound = max(abs(x2_lo), abs(x2_hi))
@@ -513,6 +603,54 @@ def exact_decay_rate(
     found = _refine(problem, grid[k] / (2.0 * a), roots[k], np.divide(bracket, 2.0 * a), e_bound, actions[k])
     if found is None:
         found = _minimize_action(problem, bracket, grid[k], roots[k], actions[k], e_bound)
+    return found
+
+
+@dataclass(frozen=True)
+class Exact1dResult:
+    """Minimal action over boundary-hitting shots, with the attaining shot."""
+
+    value: float
+    x1: float
+    x2: float
+    shot: ShotResult
+
+
+def exact_decay_rate(
+    problem: Exact1dProblem,
+    search_box=None,
+    scan_points: int = 21,
+    samples: int = 400,
+) -> Exact1dResult:
+    """Temperature overload decay rate by shooting with Newton sensitivities.
+
+    The start is the certified global optimum of the problem discretized on
+    DISCRETE_STEPS intervals: the root of its secular equation below the
+    certification threshold, with p0 = g'(0) and E(T) read off the discrete
+    path. From there a 2-D Newton iteration on (p0, E(T)) solves
+    theta(T) = 1 together with the free-endpoint transversality condition
+    u(T) = p(T) + gamma (g(T) - |mu|) = 0, which the minimal action
+    satisfies; it typically settles in two or three integrations.
+
+    The scan over x1 = f'(0) of `_scan` takes over when the discrete root
+    does not lie below the threshold, the iteration does not converge, or
+    its result lies outside an explicitly given `search_box`.
+    `search_box` = ((x1_lo, x1_hi), (x2_lo, x2_hi)) bounds the initial
+    slopes (f'(0), f''(0)); the default None leaves them unbounded. The scan
+    searches x1 in [x1_lo, x1_hi] and |x2| up to max(|x2_lo|, |x2_hi|), with
+    `scan_points` grid points. Raises NoBoundaryHit when no shot the scan
+    tries lands on the limit at the horizon.
+    """
+    box = ((-math.inf, math.inf), (-math.inf, math.inf)) if search_box is None else search_box
+    (x1_lo, x1_hi), (x2_lo, x2_hi) = box
+    start = _discrete_start(problem)
+    found = None if start is None else _refine(problem, *start, (-math.inf, math.inf), math.inf, math.inf)
+    if found is not None:
+        x1, x2 = _shot_from_reduced(problem, *found)
+        if not (x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi):
+            found = None
+    if found is None:
+        found = _scan(problem, box, scan_points)
     p0, e_end = found
     sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, dense_output=True)
     if sol is None:

@@ -272,7 +272,8 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
 
     The most-at-risk line minimizes the per-line overload rate
     (1 - |nu_ell|)^2 / (C_ell M_T C_ell^T) at that operating point; ties
-    within 1e-9 relative produce multi-line labels.
+    within 1e-9 relative produce multi-line labels. Raises EmptySlice when
+    no cell center lies inside the deterministic slice.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -295,7 +296,11 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
         nu = np.abs(base[ell] + du[ell] * U + dv[ell] * V)
         inside &= nu < 1.0
         if ell in live:
-            rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
+            # only inside cells (|nu| < 1) are read; far outside, the square may overflow
+            with np.errstate(over="ignore"):
+                rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
+    if not inside.any():
+        raise EmptySlice("no grid cell lies inside the deterministic slice")
 
     best = np.min(rates, axis=0)
     tie = rates <= best * (1.0 + 1e-9)

@@ -14,6 +14,7 @@ import pytest
 import gridcap
 from gridcap.cli import main
 from gridcap.io_formats import parse_native
+from oracles import certified_temperature_rate
 
 
 def run(capsys, *argv):
@@ -173,6 +174,31 @@ def test_region_empty_slice_exits_empty(capsys):
     assert "empty" in err.lower()
 
 
+def test_region_partition_outside_slice_exits_empty(capsys):
+    # No cell center of the box lies inside the deterministic region.
+    code, out, err = run(
+        capsys,
+        "region", "builtin:wheel3", "--kind", "deterministic", "--slice", "2,3",
+        "--bbox=10,11,10,11", "--partition",
+    )
+    assert code == 3
+    assert out == ""
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_region_partition_huge_box_prices_without_warnings(capsys):
+    # Far outside the region the squared margin overflows; those cells are never read.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, _, err = run(
+            capsys,
+            "region", "builtin:wheel3", "--kind", "deterministic", "--slice", "2,3",
+            "--bbox=-1e200,1e200,-1e200,1e200", "--partition",
+        )
+    assert code == 3
+    assert err.startswith("error:")
+
+
 def test_exact1d_reference_point(capsys):
     code, out, _ = run(
         capsys,
@@ -192,11 +218,27 @@ def test_exact1d_invalid_mean(capsys):
     assert "mu" in err
 
 
-def test_exact1d_unreachable_level(capsys):
-    code, _, err = run(
+def test_exact1d_reachable_beyond_former_box(capsys):
+    # The optimum has f''(0) of about 9.7e4, far outside the |x2| <= 50 box
+    # that once bounded the search by default.
+    code, out, _ = run(
         capsys,
         "exact1d",
         "--mu", "0.1", "--gamma", "0.1", "--vol", "1", "--tau", "10", "--T", "0.1",
+    )
+    assert code == 0
+    value, certified = certified_temperature_rate(0.1, 0.1, 1.0, 10.0, 0.1, 1600)
+    assert certified
+    assert np.isclose(json.loads(out)["rate"], value, rtol=1e-5)
+
+
+def test_exact1d_unreachable_level(capsys):
+    # Reaching theta(T) = 1 within T = 1e-3 at tau = 1e4 needs |g'| beyond
+    # the 1e6 state bound, so every shot is rejected.
+    code, _, err = run(
+        capsys,
+        "exact1d",
+        "--mu", "0.1", "--gamma", "0.1", "--vol", "1", "--tau", "1e4", "--T", "1e-3",
     )
     assert code == 4
     assert "search box" in err

@@ -1,5 +1,7 @@
 """Single-line temperature overload rate via the variational boundary problem."""
 
+import warnings
+
 import numpy as np
 import pytest
 import scipy.integrate
@@ -201,3 +203,55 @@ def test_refinement_fallback_agrees(counted_rows, monkeypatch):
     fallback = exact_decay_rate(_problem(tau))
     assert np.isclose(fallback.value, newton.value, rtol=1e-9)
     assert np.isclose(fallback.x1, newton.x1, atol=1e-5)
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_row_warm_start_budget(counted_rows, tau):
+    # Started at the certified discrete optimum, the refinement needs a few
+    # Newton solves and the final dense solve, and no scan.
+    _, calls = counted_rows[tau]
+    assert calls <= 8
+
+
+# (mu, gamma, vol, tau, horizon) whose optimum once lay outside the scan:
+# past the |f''(0)| <= 50 box (x2 = 308), or past the largest scanned slope.
+FORMER_MISSES = [(0.2, 0.5, 0.5, 4.0, 0.5), (0.8, 2.0, 1.0, 4.0, 2.0)]
+
+
+def _random_problems(count=24, seed=7):
+    """Seeded (mu, gamma, vol, tau, horizon); a third with tau/T in [2, 5], where misses clustered."""
+    rng = np.random.default_rng(seed)
+    problems = []
+    for k in range(count):
+        mu = rng.choice([-1.0, 1.0]) * rng.uniform(0.1, 0.9)
+        gamma, vol, horizon = rng.uniform(0.2, 2.0), rng.uniform(0.5, 2.0), rng.uniform(0.5, 2.0)
+        lag_ratio = rng.uniform(2.0, 5.0) if k % 3 == 0 else 10.0 ** rng.uniform(-1.0, np.log10(2.0))
+        problems.append((mu, gamma, vol, lag_ratio * horizon, horizon))
+    return problems
+
+
+RANDOM_PROBLEMS = _random_problems()
+
+
+@pytest.mark.parametrize(
+    "args",
+    RANDOM_PROBLEMS + FORMER_MISSES,
+    ids=[f"random{k}" for k in range(len(RANDOM_PROBLEMS))] + ["former_miss_box", "former_miss_scan"],
+)
+def test_matches_certified_oracle_sweep(args):
+    value, certified = certified_temperature_rate(*args, n=800)
+    assert certified
+    res = exact_decay_rate(Exact1dProblem(*args))
+    assert np.isclose(res.value, value, rtol=1e-5)
+
+
+def test_explicit_box_excluding_optimum_falls_back_quietly():
+    # The optimum has x2 = 308, so the box forces the scan, whose bounded
+    # minimization must not leak warnings; a constrained minimum costs more.
+    args = FORMER_MISSES[0]
+    value, _ = certified_temperature_rate(*args, n=800)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        res = exact_decay_rate(Exact1dProblem(*args), search_box=((-50.0, 50.0), (-50.0, 50.0)))
+    assert res.value >= value
+    assert abs(res.x2) <= 50.0

@@ -136,6 +136,13 @@ def _finite_float(text: str) -> float:
     return value
 
 
+def _positive_int(text: str) -> int:
+    value = int(text)
+    if value < 1:
+        raise argparse.ArgumentTypeError(f"expected a positive integer, got {text!r}")
+    return value
+
+
 def _float_list(text: str):
     return [_finite_float(tok) for tok in text.split(",") if tok.strip()]
 
@@ -300,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--threads",
-        type=int,
+        type=_positive_int,
         default=None,
         help="reserved concurrency cap; results are identical for any value",
     )

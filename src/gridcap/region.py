@@ -200,9 +200,20 @@ def slice2d(region: CapacityRegion, flow, free, fixed, bbox) -> Slice2D:
     if not (umin < umax and vmin < vmax):
         raise ValueError("bbox must satisfy umin < umax and vmin < vmax")
     poly = [(umin, vmin), (umax, vmin), (umax, vmax), (umin, vmax)]
-    for ell in range(flow.line_count):
-        r = region.bounds[ell]
-        if abs(du[ell]) < 1e-15 and abs(dv[ell]) < 1e-15:
+    # A slab that holds all four box corners with room to spare holds every
+    # vertex clipped from the box, so both of its half-plane clips would
+    # return the polygon unchanged: only the other lines are visited, in
+    # order. The slack covers rounding in the vertices and the distances.
+    bounds = region.bounds
+    us = np.array([umin, umax, umax, umin])
+    vs = np.array([vmin, vmin, vmax, vmax])
+    corners = np.abs(base[:, None] + du[:, None] * us + dv[:, None] * vs).max(axis=1)
+    reach = np.abs(base) + np.abs(du) * max(abs(umin), abs(umax)) + np.abs(dv) * max(abs(vmin), abs(vmax)) + bounds
+    clear = corners + 1e-12 * reach < bounds
+    flat = (np.abs(du) < 1e-15) & (np.abs(dv) < 1e-15)
+    for ell in np.flatnonzero(flat | ~clear):
+        r = bounds[ell]
+        if flat[ell]:
             if abs(base[ell]) >= r:
                 raise EmptySlice(
                     f"line {ell} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
@@ -267,6 +278,38 @@ class RiskPartition:
         return self.summaries[0].label
 
 
+def _inside_rows(a, b):
+    """Column range [lo, hi) of the cells inside every slab, one per grid row.
+
+    Cell (i, j) is inside when |a[ell, j] + b[ell, i]| < 1 for every line
+    ell. Each row a[ell] is monotone in j, being a rounded affine map of
+    sorted centers, and rounding keeps its sum with b[ell, i] monotone too.
+    After flipping the sign of decreasing rows, the cells with sum > -1
+    form a suffix, and so do the cells with sum >= 1 or NaN (a NaN needs an
+    infinite term, and then sits at the end of the row or fills it). So
+    bisection on the same rounded sums finds both ends exactly: the result
+    is the full-grid test's, in O(lines x resolution x log resolution).
+    """
+    n = a.shape[1]
+    sign = np.where(a[:, -1] < a[:, 0], -1.0, 1.0)[:, None]
+
+    def first(pred):
+        # per (line, row): the smallest j in [0, n] from which pred holds
+        lo = np.zeros(b.shape, dtype=np.intp)
+        hi = np.full(b.shape, n, dtype=np.intp)
+        for _ in range(n.bit_length()):
+            mid = (lo + hi) // 2
+            hit = pred(sign * (np.take_along_axis(a, np.minimum(mid, n - 1), axis=1) + b))
+            open_ = lo < hi
+            hi = np.where(open_ & hit, mid, hi)
+            lo = np.where(open_ & ~hit, mid + 1, lo)
+        return lo
+
+    lo = first(lambda x: x > -1.0).max(axis=0)
+    hi = first(lambda x: ~(x < 1.0)).min(axis=0)
+    return lo, np.maximum(hi, lo)
+
+
 def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) -> RiskPartition:
     """Label each point of the deterministic slice by its most-at-risk line.
 
@@ -274,6 +317,11 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     (1 - |nu_ell|)^2 / (C_ell M_T C_ell^T) at that operating point; ties
     within 1e-9 relative produce multi-line labels. Raises EmptySlice when
     no cell center lies inside the deterministic slice.
+
+    Rates are priced at inside cells only, one line at a time: working
+    memory is O(lines x resolution + inside cells x (1 + live lines / 64))
+    words besides the resolution^2 `label_grid`, and no (lines x cells)
+    array is held.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -284,50 +332,76 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     cell_v = (vmax - vmin) / resolution
     uc = umin + cell_u * (np.arange(resolution) + 0.5)
     vc = vmin + cell_v * (np.arange(resolution) + 0.5)
-    U, V = np.meshgrid(uc, vc)
 
     live = list(ctx.stochastic_lines)
     if not live:
         raise NoStochasticLines("no line couples to the stochastic injections")
     denom = line_variances(ctx)
-    inside = np.ones_like(U, dtype=bool)
-    rates = np.empty((len(live), resolution, resolution))
-    for ell in range(flow.line_count):
-        nu = np.abs(base[ell] + du[ell] * U + dv[ell] * V)
-        inside &= nu < 1.0
-        if ell in live:
-            # only inside cells (|nu| < 1) are read; far outside, the square may overflow
-            with np.errstate(over="ignore"):
-                rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
-    if not inside.any():
+    # nu_ell at cell (i, j) is a[ell, j] + b[ell, i], rounded exactly as
+    # (base + du u) + dv v is on the full grid
+    a = base[:, None] + du[:, None] * uc
+    b = dv[:, None] * vc
+    lo, hi = _inside_rows(a, b)
+    counts = hi - lo
+    if not counts.any():
         raise EmptySlice("no grid cell lies inside the deterministic slice")
+    # inside cells in row-major order
+    ii = np.repeat(np.arange(resolution), counts)
+    jj = np.arange(ii.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
 
-    best = np.min(rates, axis=0)
-    tie = rates <= best * (1.0 + 1e-9)
+    # Rates are priced twice, once for the minimum and once for the ties,
+    # in two reused buffers: fresh arrays this size cost more in page
+    # faults than the arithmetic. Indices are in range, and mode="clip"
+    # spares the copy that mode="raise" makes when writing to `out`.
+    nu = np.empty(ii.size)
+    shift = np.empty(ii.size)
+
+    def rate(ell):
+        np.take(a[ell], jj, out=nu, mode="clip")
+        np.add(nu, np.take(b[ell], ii, out=shift, mode="clip"), out=nu)
+        np.abs(nu, out=nu)
+        np.subtract(1.0, nu, out=nu)
+        np.square(nu, out=nu)
+        return np.divide(nu, denom[ell], out=nu)
+
+    best = rate(live[0]).copy()
+    for ell in live[1:]:
+        np.minimum(best, rate(ell), out=best)
+    threshold = best * (1.0 + 1e-9)
     # Key each inside cell by its argmin set packed into bytes, most
     # significant byte first, so keys sort like the integer bitmask
-    # sum_i 2^i over tied lines i, for any number of lines.
-    keys = np.packbits(tie, axis=0, bitorder="little")[::-1, inside]
-    keys = np.ascontiguousarray(keys.T).view(np.dtype((np.void, keys.shape[0]))).ravel()
-    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
-    members = tie.reshape(len(live), -1)[:, np.flatnonzero(inside)[first]]
-    labels = [tuple(live[i] for i in np.flatnonzero(col)) for col in members.T]
-    label_grid = np.full(U.shape, -1, dtype=np.int32)
-    label_grid[inside] = inverse
+    # sum_k 2^k over tied live lines k, for any number of lines.
+    width = (len(live) + 7) // 8
+    keys = np.zeros((width, ii.size), dtype=np.uint8)
+    tie = np.empty(ii.size, dtype=bool)
+    for k, ell in enumerate(live):
+        bits = np.less_equal(rate(ell), threshold, out=tie).view(np.uint8)
+        keys[-1 - k // 8] |= np.left_shift(bits, k % 8, out=bits)
+    _, first, inverse = np.unique(
+        np.ascontiguousarray(keys.T).view(np.dtype((np.void, width))).ravel(),
+        return_index=True,
+        return_inverse=True,
+    )
+    members = np.unpackbits(keys[::-1, first], axis=0, count=len(live), bitorder="little")
+    labels = [tuple(live[k] for k in np.flatnonzero(col)) for col in members.T]
+    label_grid = np.full((resolution, resolution), -1, dtype=np.int32)
+    label_grid[ii, jj] = inverse
 
+    # a stable sort keeps each label's cells in row-major order, so its
+    # centroid sums the same values in the same order as a full-grid mask
+    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     cell_area = cell_u * cell_v
     net = flow.network
     summaries = []
-    for idx, label in enumerate(labels):
-        sel = label_grid == idx
-        count = int(np.count_nonzero(sel))
+    for label, cells in zip(labels, groups):
+        count = len(cells)
         summaries.append(
             RegionSummary(
                 label=label,
                 terminals=tuple(net.lines[ell] for ell in label),
                 cells=count,
                 area=count * cell_area,
-                centroid=(float(U[sel].mean()), float(V[sel].mean())),
+                centroid=(float(uc[jj[cells]].mean()), float(vc[ii[cells]].mean())),
             )
         )
     summaries.sort(key=lambda s: (-s.cells, s.label))

@@ -5,6 +5,11 @@ methods (dense quadratic programming, banded eigensolvers, root finding) so
 that agreement with the library is evidence, not circularity. The only
 shared ingredient is the path-cost quadrature of `rate_functional`, which
 both sides must use for discrete-vs-closed-form comparisons to converge.
+
+The dense slice and partition references are the exception: they are the
+straightforward full-grid and every-line forms of `risk_partition` and
+`slice2d`, sharing the slice geometry and the clipping step, so that the
+library's shortcuts can be required to give bit-identical results.
 """
 from __future__ import annotations
 
@@ -12,7 +17,16 @@ import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
+from gridcap.errors import EmptySlice, NoStochasticLines
 from gridcap.injections import OuModel, SamplePath, rate_functional
+from gridcap.ld_rates import line_variances
+from gridcap.region import (
+    RegionSummary,
+    RiskPartition,
+    _clip_half_plane,
+    _polygon_area,
+    _slice_geometry,
+)
 
 
 def constrained_quadratic_rate(ctx, line, a, n):
@@ -141,7 +155,9 @@ def certified_temperature_rate(mu, gamma, vol, tau, horizon, n):
     h *= scale
     wv = w[1:]
 
-    lam_min = eigh_tridiagonal(Hd / wv, He / np.sqrt(wv[:-1] * wv[1:]), select="i", select_range=(0, 0))[0][0]
+    lam_min = eigh_tridiagonal(
+        Hd / wv, He / np.sqrt(wv[:-1] * wv[1:]), select="i", select_range=(0, 0), tol=np.finfo(float).tiny
+    )[0][0]
     lam_crit = 0.5 * lam_min
 
     band = np.empty((3, n))
@@ -188,3 +204,98 @@ def ou_terminal_moments(model: OuModel):
     mean = np.asarray(model.mean)
     var = model.noise_scale * vol**2 * (-np.expm1(-2.0 * gamma * model.horizon)) / (2.0 * gamma)
     return mean, var
+
+
+def dense_slice_vertices(region, flow, free, fixed, bbox):
+    """Slice polygon clipped by both half-planes of every line's slab, in order.
+
+    Returns the (k, 2) vertices `slice2d` must return, or raises the same
+    EmptySlice: a line with no gradient across the slice either pins its
+    |nu| outside the bound or is passed over.
+    """
+    base, du, dv = _slice_geometry(flow, free, fixed)
+    umin, umax, vmin, vmax = map(float, bbox)
+    poly = [(umin, vmin), (umax, vmin), (umax, vmax), (umin, vmax)]
+    for ell in range(flow.line_count):
+        r = region.bounds[ell]
+        if abs(du[ell]) < 1e-15 and abs(dv[ell]) < 1e-15:
+            if abs(base[ell]) >= r:
+                raise EmptySlice(
+                    f"line {ell} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
+                )
+            continue
+        poly = _clip_half_plane(poly, (du[ell], dv[ell]), r - base[ell])
+        poly = _clip_half_plane(poly, (-du[ell], -dv[ell]), r + base[ell])
+        if len(poly) < 3:
+            raise EmptySlice(f"slice became empty while clipping line {ell}")
+    verts = np.asarray(poly, dtype=float)
+    if _polygon_area(verts) <= 0.0:
+        raise EmptySlice("slice polygon is degenerate")
+    return verts
+
+
+def dense_risk_partition(ctx, free, fixed, bbox, resolution):
+    """Risk partition from a (live lines x every cell) rate tensor.
+
+    Evaluates |nu| on the full meshgrid, one line at a time, prices every
+    cell for every live line, and scans the whole grid once per label.
+    """
+    flow = ctx.flow
+    base, du, dv = _slice_geometry(flow, free, fixed)
+    umin, umax, vmin, vmax = map(float, bbox)
+    cell_u = (umax - umin) / resolution
+    cell_v = (vmax - vmin) / resolution
+    uc = umin + cell_u * (np.arange(resolution) + 0.5)
+    vc = vmin + cell_v * (np.arange(resolution) + 0.5)
+    U, V = np.meshgrid(uc, vc)
+
+    live = list(ctx.stochastic_lines)
+    if not live:
+        raise NoStochasticLines("no line couples to the stochastic injections")
+    denom = line_variances(ctx)
+    inside = np.ones_like(U, dtype=bool)
+    rates = np.empty((len(live), resolution, resolution))
+    for ell in range(flow.line_count):
+        nu = np.abs(base[ell] + du[ell] * U + dv[ell] * V)
+        inside &= nu < 1.0
+        if ell in live:
+            with np.errstate(over="ignore"):
+                rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
+    if not inside.any():
+        raise EmptySlice("no grid cell lies inside the deterministic slice")
+
+    best = np.min(rates, axis=0)
+    tie = rates <= best * (1.0 + 1e-9)
+    keys = np.packbits(tie, axis=0, bitorder="little")[::-1, inside]
+    keys = np.ascontiguousarray(keys.T).view(np.dtype((np.void, keys.shape[0]))).ravel()
+    _, first, inverse = np.unique(keys, return_index=True, return_inverse=True)
+    members = tie.reshape(len(live), -1)[:, np.flatnonzero(inside)[first]]
+    labels = [tuple(live[i] for i in np.flatnonzero(col)) for col in members.T]
+    label_grid = np.full(U.shape, -1, dtype=np.int32)
+    label_grid[inside] = inverse
+
+    cell_area = cell_u * cell_v
+    summaries = []
+    for idx, label in enumerate(labels):
+        sel = label_grid == idx
+        count = int(np.count_nonzero(sel))
+        summaries.append(
+            RegionSummary(
+                label=label,
+                terminals=tuple(flow.network.lines[ell] for ell in label),
+                cells=count,
+                area=count * cell_area,
+                centroid=(float(U[sel].mean()), float(V[sel].mean())),
+            )
+        )
+    summaries.sort(key=lambda s: (-s.cells, s.label))
+    return RiskPartition(
+        free=(int(free[0]), int(free[1])),
+        bbox=(umin, umax, vmin, vmax),
+        resolution=resolution,
+        u_centers=uc,
+        v_centers=vc,
+        labels=tuple(labels),
+        label_grid=label_grid,
+        summaries=tuple(summaries),
+    )

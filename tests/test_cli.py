@@ -72,6 +72,16 @@ def test_threads_flag_changes_nothing(capsys):
     assert plain == threaded
 
 
+@pytest.mark.parametrize("value", ["-3", "0"])
+def test_threads_below_one_exits_usage(capsys, value):
+    with pytest.raises(SystemExit) as exc:
+        main(["--threads", value, "rates", "builtin:wheel3"])
+    assert exc.value.code == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert "positive integer" in err
+
+
 def test_region_bounds(capsys):
     code, out, _ = run(capsys, "region", "builtin:wheel3", "--kind", "current")
     assert code == 0

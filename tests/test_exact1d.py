@@ -245,6 +245,16 @@ def test_matches_certified_oracle_sweep(args):
     assert np.isclose(res.value, value, rtol=1e-5)
 
 
+@pytest.mark.parametrize("tau", [0.02, 0.01])
+def test_small_lags_match_certified_oracle(tau):
+    # T/tau = 50 and 100: the oracle certifies only when its eigensolver's
+    # absolute tolerance does not scale with the matrix norm, ~e^{T/tau} n^2.
+    value, certified = certified_temperature_rate(0.5, 0.5, 1.0, tau, 1.0, 1600)
+    assert certified
+    res = exact_decay_rate(_problem(tau))
+    assert np.isclose(res.value, value, rtol=1e-5)
+
+
 def test_explicit_box_excluding_optimum_falls_back_quietly():
     # The optimum has x2 = 308, so the box forces the scan, whose bounded
     # minimization must not leak warnings; a constrained minimum costs more.

@@ -1,12 +1,23 @@
 """Capacity regions: slab bounds, 2-D slices, and the risk partition."""
 
+import tracemalloc
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from conftest import make_context, single_line_context, wheel_context
+from conftest import make_context, random_context, single_line_context, wheel_context
 from gridcap.errors import BoundCollapse, EmptySlice, NonUniformGamma
 from gridcap.grid_model import GridNetwork
+from gridcap.io_formats import (
+    AnalysisDefaults,
+    apply_imax_rule,
+    build_model,
+    export_partition,
+    parse_matpower,
+)
 from gridcap.ld_rates import current_decay_rate, lb_decay_rate, line_variances
+from oracles import dense_risk_partition, dense_slice_vertices
 from gridcap.region import (
     REGION_KINDS,
     build_region,
@@ -312,3 +323,146 @@ def test_partition_labels_beyond_63_stochastic_lines():
 def test_partition_resolution_must_be_positive():
     with pytest.raises(ValueError):
         risk_partition(wheel_context(), (1, 2), np.zeros(2), BOX, resolution=0)
+
+
+def _outcome(fn, *args, **kwargs):
+    """A function's result, or the message of the EmptySlice it raised."""
+    try:
+        return fn(*args, **kwargs)
+    except EmptySlice as exc:
+        return f"EmptySlice: {exc}"
+
+
+def _assert_partition_matches_dense(ctx, free, fixed, bbox, resolution):
+    want = _outcome(dense_risk_partition, ctx, free, fixed, bbox, resolution)
+    got = _outcome(risk_partition, ctx, free, fixed, bbox, resolution=resolution)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert got.labels == want.labels
+    assert got.summaries == want.summaries
+    assert got.label_grid.dtype == want.label_grid.dtype
+    assert np.array_equal(got.label_grid, want.label_grid)
+    assert np.array_equal(got.u_centers, want.u_centers)
+    assert np.array_equal(got.v_centers, want.v_centers)
+    return True
+
+
+def _assert_slice_matches_dense(region, flow, free, fixed, bbox):
+    want = _outcome(dense_slice_vertices, region, flow, free, fixed, bbox)
+    got = _outcome(slice2d, region, flow, free, fixed, bbox)
+    if isinstance(want, str):
+        assert got == want
+        return False
+    assert got.vertices.shape == want.shape
+    assert np.array_equal(got.vertices, want)
+    return True
+
+
+def _ring_with_chords():
+    """60-node ring with 30 chords; lines 66 and 85 are rated low."""
+    edges = {(i, i + 1) for i in range(59)} | {(0, 59)} | {(i, i + 7) for i in range(30)}
+    rating = np.full(90, 10.0)
+    rating[[66, 85]] = 0.5
+    net = GridNetwork(60, tuple(sorted(edges)), np.ones(90), rating, np.full(90, 0.5))
+    return make_context(net, 3, np.zeros(3), np.ones(3), np.ones(3), 0.1, 1.0, np.zeros(56))
+
+
+def _random_slices(rng, count, **context_args):
+    """Random networks, each with a random free pair and a random square box."""
+    for _ in range(count):
+        ctx = random_context(rng, max_nodes=9, **context_args)
+        n = ctx.flow.node_count
+        free = tuple(int(x) for x in rng.choice(np.arange(1, n), 2, replace=False))
+        fixed = np.concatenate([ctx.ou.mean, ctx.op.mu_D])
+        cu, cv = rng.uniform(-2.0, 2.0, 2)
+        half = rng.uniform(0.1, 5.0)
+        yield ctx, free, fixed, (cu - half, cu + half, cv - half, cv + half)
+
+
+def _case14_map():
+    """Converted IEEE 14-bus case sliced over buses 6 and 9, padded 5 % around the slice."""
+    case = parse_matpower(resources.files("gridcap").joinpath("data", "case14.m").read_text())
+    defaults = AnalysisDefaults(epsilon=4e-4, p=1e-4, horizon=1.0, tau0=0.5)
+    doc = apply_imax_rule(
+        case, 1.5, (2, 3), (6, 9), gamma=1.0, vol=10.0, tau=0.5, defaults=defaults, zero_flow_rating=1.0
+    )
+    bm = build_model(doc)
+    free = (bm.node_ids.index(6), bm.node_ids.index(9))
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    det = build_region(bm.ctx, "deterministic", 4e-4, 1e-4)
+    verts = slice2d(det, bm.flow, free, fixed, (-10.0, 10.0, -10.0, 10.0)).vertices
+    (umin, vmin), (umax, vmax) = verts.min(axis=0), verts.max(axis=0)
+    pad_u, pad_v = 0.05 * (umax - umin), 0.05 * (vmax - vmin)
+    return bm, free, fixed, (umin - pad_u, umax + pad_u, vmin - pad_v, vmax + pad_v)
+
+
+@pytest.mark.parametrize("resolution", [1, 2, 7, 60, 61])
+def test_partition_matches_dense_oracle_on_wheel(resolution):
+    # even resolutions put cell centers on the u = v tie diagonal
+    assert _assert_partition_matches_dense(wheel_context(), (1, 2), np.zeros(2), BOX, resolution)
+
+
+@pytest.mark.parametrize("resolution", [1, 48, 150])
+def test_partition_matches_dense_oracle_on_ring(resolution):
+    ctx = _ring_with_chords()
+    assert _assert_partition_matches_dense(ctx, (1, 30), np.zeros(59), (-8.0, 8.0, -8.0, 8.0), resolution)
+
+
+def test_partition_matches_dense_oracle_on_random_networks():
+    filled = empty = 0
+    for k, (ctx, free, fixed, bbox) in enumerate(_random_slices(np.random.default_rng(41), 40)):
+        resolution = (1, 3, 17, 64)[k % 4]
+        if _assert_partition_matches_dense(ctx, free, fixed, bbox, resolution):
+            filled += 1
+        else:
+            empty += 1
+    assert filled >= 20 and empty >= 5
+    # a box far outside the slice holds no cell
+    w = wheel_context()
+    assert not _assert_partition_matches_dense(w, (1, 2), np.zeros(2), (10.0, 11.0, 10.0, 11.0), 20)
+
+
+def test_case14_partition_matches_dense_oracle_bytes():
+    bm, free, fixed, bbox = _case14_map()
+    want = dense_risk_partition(bm.ctx, free, fixed, bbox, 800)
+    got = risk_partition(bm.ctx, free, fixed, bbox, resolution=800)
+    assert np.array_equal(got.label_grid, want.label_grid)
+    assert (got.labels, got.summaries) == (want.labels, want.summaries)
+    for fmt in ("json", "csv"):
+        expect = export_partition(want, fmt, line_terminals=bm.line_terminals)
+        assert export_partition(got, fmt, line_terminals=bm.line_terminals) == expect
+
+
+def test_case14_partition_memory_budget():
+    # the dense (lines x cells) rate tensor alone is 19 x 800^2 doubles, 97 MB
+    bm, free, fixed, bbox = _case14_map()
+    tracemalloc.start()
+    try:
+        risk_partition(bm.ctx, free, fixed, bbox, resolution=800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 60e6
+
+
+def test_slice_matches_dense_clip_oracle():
+    w = wheel_context()
+    bm, free, fixed, bbox = _case14_map()
+    cases = [
+        (w, (1, 2), np.zeros(2), BOX),
+        (w, (1, 2), np.zeros(2), (5.0, 6.0, 5.0, 6.0)),
+        (_ring_with_chords(), (1, 30), np.zeros(59), (-8.0, 8.0, -8.0, 8.0)),
+        (bm.ctx, free, fixed, bbox),
+        (bm.ctx, free, fixed, (-10.0, 10.0, -10.0, 10.0)),
+        *_random_slices(np.random.default_rng(43), 30, uniform_gamma=True),
+    ]
+    built = 0
+    for ctx, free, fixed, bbox in cases:
+        for kind in REGION_KINDS:
+            try:
+                region = build_region(ctx, kind, ctx.ou.noise_scale, 1e-4, tau0=0.5)
+            except BoundCollapse:
+                continue
+            built += _assert_slice_matches_dense(region, ctx.flow, free, fixed, bbox)
+    assert built >= 40

@@ -5,17 +5,30 @@ counter-based random stream per replicate keyed by (seed, replicate). The
 estimate is therefore bit-identical for any chunk size and any number of
 worker threads: chunking only groups replicates for vectorized stepping.
 
-The kernel is lines-major: a block of R replicates is stepped as states
-x (m, R), squared currents and temperatures (L, R), and noise (steps, m, R),
-so each step reads one contiguous noise slice and the per-replicate peak is
-a maximum across rows. A block holds at most `McConfig.chunk` replicates
-and at most NOISE_BLOCK_BYTES of noise; neither cap changes any result.
+A block of R replicates is handled in three steps. Its noise is drawn into
+one reused buffer and transposed into a second, (steps, m, R), where the
+OU recursion then runs in place, so that buffer holds the stored paths.
+Each replicate's path box (its lowest and highest state per coordinate
+over all steps and the start) bounds every line's current from above,
+with a slack that covers all rounding; replicates whose bound stays below
+the threshold on every line cannot hit. Overloads are rare, so usually
+only a few replicates are candidates, and only their columns go through
+the exact kernel: currents, the thermal recursion and the peaks, priced
+lines-major as (L, W) arrays from the stored paths. A block holds at most
+`McConfig.chunk` replicates and at most NOISE_BLOCK_BYTES of noise;
+neither cap changes any result.
 
-Current and temperature overload indicators come from the same paths, which
-makes the temperature event a subset of the current event replicate by
-replicate: each temperature sample is a convex combination of the initial
-and subsequent squared currents, so it can only reach the squared threshold
-if some current sample already did.
+Each column's currents come from the same gemm, whatever the block width
+or the candidate count: NumPy's matmul takes a gemv path when an operand
+is one wide, so the kernel prices a lone column twice over and C is kept
+at least two rows tall.
+
+A temperature overload is counted only on a replicate with a current
+overload, so the temperature event is a subset of the current event by
+construction. Exactly, each temperature sample is a convex combination of
+the initial and subsequent squared currents, so it could only reach the
+squared threshold if some current sample already did; the rule keeps that
+true under rounding too.
 """
 from __future__ import annotations
 
@@ -116,55 +129,133 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
     """Simulate all replicates and record both overload events per replicate.
 
     A current overload is sup_t max_ell |Y_ell| >= threshold on the sample
-    grid; a temperature overload is sup_t max_ell Theta_ell >= threshold^2,
-    with each line's temperature started at its initial squared current.
+    grid. A temperature overload is a current overload whose path also has
+    sup_t max_ell Theta_ell >= threshold^2, with each line's temperature
+    started at its initial squared current.
     """
     if not threshold > 0:
         raise ValueError("threshold must be strictly positive")
-    ou = ctx.ou
-    n = config.step_count
-    dt = ou.horizon / n
-    decay, std = ou_step_coefficients(ou, dt)
-    q, c1, c2 = filter_coefficients(dt, ctx.tau)
-    C = ctx.flow.stochastic_block
-    columns = [np.asarray(c)[:, None] for c in (ou.mean, decay, std, ctx.op.y, q, c1, c2)]
+    n, m = config.step_count, ctx.ou.m
+    mu, decay, std, C, y, q, c1, c2 = _coefficients(ctx, n)
     th2 = threshold * threshold
-    rows = max(1, min(config.chunk, NOISE_BLOCK_BYTES // (8 * n * ou.m)))
+    rows = max(1, min(config.chunk, config.replicates, NOISE_BLOCK_BYTES // (8 * n * m)))
+    noise = np.empty(rows * n * m)
+    paths = np.empty(rows * n * m)
 
     cur_hits = np.zeros(config.replicates, dtype=bool)
     tmp_hits = np.zeros(config.replicates, dtype=bool)
-    for start in range(0, config.replicates, rows):
-        stop = min(start + rows, config.replicates)
-        z = fill_normal_blocks(config.seed, start, np.empty((stop - start, n, ou.m)))
-        noise = np.ascontiguousarray(z.transpose(1, 2, 0))
-        del z
-        cur, tmp = _block_peaks(noise, C, *columns)
-        cur_hits[start:stop] = cur >= th2
-        tmp_hits[start:stop] = tmp >= th2
+    with np.errstate(over="ignore", invalid="ignore"):
+        for start in range(0, config.replicates, rows):
+            R = min(rows, config.replicates - start)
+            z = fill_normal_blocks(config.seed, start, noise[: R * n * m].reshape(R, n, m))
+            x = paths[: R * n * m].reshape(n, m, R)
+            np.copyto(x, z.transpose(1, 2, 0))
+            _ou_paths(x, mu, decay, std)
+            cand = np.flatnonzero(_may_reach(x, mu, C, y, threshold, th2))
+            if not cand.size:
+                continue
+            cur, tmp = _peaks(x if cand.size == R else np.take(x, cand, axis=2), mu, C, y, q, c1, c2)
+            cur_hit = cur >= th2
+            cur_hits[start + cand] = cur_hit
+            tmp_hits[start + cand] = cur_hit & (tmp >= th2)
     return McIndicators(current=cur_hits, temperature=tmp_hits, threshold=float(threshold))
 
 
-def _block_peaks(noise, C, mu, decay, std, y, q, c1, c2):
-    """Peak squared current and peak temperature per replicate of one block.
+def _coefficients(ctx: PsiContext, step_count: int):
+    """The kernel's coefficients: mu, decay, std, C, y, q, c1, c2.
 
-    `noise` is (steps, m, R); the other coefficients are columns, widened
-    here to the R replicates because full-width operands step faster than
-    broadcast ones. The (L, R) updates run in place but keep the operation
-    order of theta' = q theta + c1 u + c2 u', so no result depends on the
-    block size.
+    All but C are columns. A network with one line gets a copy of it as a
+    second row of C, so matmul never takes its gemv path on the line side
+    (see `_peaks`).
     """
-    R = noise.shape[2]
-    mu, decay, std, y, q, c1, c2 = (np.repeat(c, R, axis=1) for c in (mu, decay, std, y, q, c1, c2))
-    x = mu
-    u = (C @ x + y) ** 2
+    ou = ctx.ou
+    dt = ou.horizon / step_count
+    decay, std = ou_step_coefficients(ou, dt)
+    q, c1, c2 = filter_coefficients(dt, ctx.tau)
+    C, y = ctx.flow.stochastic_block, ctx.op.y
+    if C.shape[0] == 1:
+        C, y, q, c1, c2 = (np.concatenate([v, v]) for v in (C, y, q, c1, c2))
+    mu, decay, std, y, q, c1, c2 = (np.asarray(c)[:, None] for c in (ou.mean, decay, std, y, q, c1, c2))
+    return mu, decay, std, C, y, q, c1, c2
+
+
+def _ou_paths(x, mu, decay, std):
+    """Turn the standard normal draws x (steps, m, R) into OU states, in place.
+
+    x[k] becomes mu + (x[k-1] - mu) * decay + std * x[k], with x[-1] = mu.
+    IEEE sums and products commute, so the in-place order rounds exactly as
+    that expression does. Coefficients are widened to the R replicates
+    because full-width operands step faster than broadcast ones.
+    """
+    mu, decay, std = (np.repeat(c, x.shape[2], axis=1) for c in (mu, decay, std))
+    dev = np.empty_like(mu)
+    prev = mu
+    for xk in x:
+        np.subtract(prev, mu, out=dev)
+        dev *= decay
+        dev += mu
+        xk *= std
+        xk += dev
+        prev = xk
+
+
+def _may_reach(x, mu, C, y, threshold, th2):
+    """Replicates whose stored path may give some line a current hit.
+
+    Over a replicate's box lo <= x_k <= hi (all steps and the start) each
+    line has |C x + y| <= |C mid + y| + |C| half. The slack makes the
+    computed bound b cover the kernel's computed v = fl(fl(C x) + y) too,
+    so fl(v v) <= fl(b b) by monotone rounding, and a replicate with
+    b^2 < th2 on every line cannot hit. With unit roundoff u = 2^-53,
+    M = max(-lo, hi) = max(|lo|, |hi|) >= |x| and A = |C| M + |y| per
+    line, to first order in u:
+      - the kernel: gemm errs by at most m u |C| |x| in any summation order,
+        and adding y rounds once more: |v| <= |C x + y| + (m + 1) u A;
+      - the box: mid and half each round once, so
+        |x - mid| <= half + 2 u M;
+      - the bound: the two gemms lose 2 m u A and the abs, sums and the
+        slack's own addition about 5 u A.
+    That is (3 m + 8) u A. The slack 4 (m + 4) u (A + threshold) covers it
+    with room for the second-order terms and its own rounding. It scales
+    with A, not with the threshold alone, because C x and y can cancel.
+    The threshold term absorbs the absolute errors of gradual underflow
+    (2^-1075 per operation); a threshold too small for that has th2 = 0,
+    and then every replicate is a candidate. So is one whose bound is inf
+    or NaN.
+    """
+    lo = np.minimum(x.min(axis=0), mu)
+    hi = np.maximum(x.max(axis=0), mu)
+    abs_c = np.abs(C)
+    reach = abs_c @ np.maximum(-lo, hi) + np.abs(y) + threshold
+    slack = (2 * (C.shape[1] + 4) * np.finfo(float).eps) * reach
+    bound = np.abs(C @ (0.5 * (lo + hi)) + y) + abs_c @ (0.5 * (hi - lo)) + slack
+    bound *= bound
+    return ~(bound < th2).all(axis=0)
+
+
+def _peaks(x, mu, C, y, q, c1, c2):
+    """Peak squared current and peak temperature of each column of stored states.
+
+    `x` is (steps, m, W); every path starts at `mu`. NumPy's matmul takes a
+    gemv path when an operand is one wide, and gemv rounds differently
+    from gemm, so a lone column is priced twice over and C is at least two
+    rows tall: each column's currents are then the same bits in any block
+    or candidate set. The other coefficients are columns, widened here.
+    The (L, W) updates run in place but keep the operation order of
+    theta' = q theta + c1 u + c2 u'.
+    """
+    W = x.shape[2]
+    if W == 1:
+        x = np.repeat(x, 2, axis=2)
+    y, q, c1, c2, x0 = (np.repeat(c, x.shape[2], axis=1) for c in (y, q, c1, c2, mu))
+    u = (C @ x0 + y) ** 2
     theta = u.copy()
     cur = u.max(axis=0)
     tmp = cur.copy()
     u_next = np.empty_like(u)
     buf = np.empty_like(u)
-    for z in noise:
-        x = mu + (x - mu) * decay + std * z
-        np.matmul(C, x, out=u_next)
+    for xk in x:
+        np.matmul(C, xk, out=u_next)
         u_next += y
         u_next *= u_next
         theta *= q
@@ -175,7 +266,7 @@ def _block_peaks(noise, C, mu, decay, std, y, q, c1, c2):
         u, u_next = u_next, u
         np.maximum(cur, u.max(axis=0), out=cur)
         np.maximum(tmp, theta.max(axis=0), out=tmp)
-    return cur, tmp
+    return cur[:W], tmp[:W]
 
 
 def _estimate(mode: str, hits_arr: np.ndarray, threshold: float) -> McEstimate:

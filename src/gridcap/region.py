@@ -42,6 +42,9 @@ __all__ = [
 
 REGION_KINDS = ("deterministic", "current", "temperature_lb", "temperature_taylor")
 
+# (line, row) pairs bisected together by `_inside_rows`: 512 KiB per temporary.
+BISECT_BLOCK = 2**16
+
 
 @dataclass(frozen=True)
 class CapacityRegion:
@@ -188,6 +191,14 @@ def _slice_geometry(flow, free, fixed):
     return cols @ s, cols[:, u], cols[:, v]
 
 
+def _box(bbox):
+    """(umin, umax, vmin, vmax) as floats; ValueError unless both ranges increase."""
+    umin, umax, vmin, vmax = map(float, bbox)
+    if not (umin < umax and vmin < vmax):
+        raise ValueError("bbox must satisfy umin < umax and vmin < vmax")
+    return umin, umax, vmin, vmax
+
+
 def slice2d(region: CapacityRegion, flow, free, fixed, bbox) -> Slice2D:
     """Polygon of a region's 2-D slice over two free injections.
 
@@ -196,9 +207,7 @@ def slice2d(region: CapacityRegion, flow, free, fixed, bbox) -> Slice2D:
     EmptySlice when no point of the box satisfies every constraint.
     """
     base, du, dv = _slice_geometry(flow, free, fixed)
-    umin, umax, vmin, vmax = map(float, bbox)
-    if not (umin < umax and vmin < vmax):
-        raise ValueError("bbox must satisfy umin < umax and vmin < vmax")
+    umin, umax, vmin, vmax = _box(bbox)
     poly = [(umin, vmin), (umax, vmin), (umax, vmax), (umin, vmax)]
     # A slab that holds all four box corners with room to spare holds every
     # vertex clipped from the box, so both of its half-plane clips would
@@ -289,25 +298,32 @@ def _inside_rows(a, b):
     infinite term, and then sits at the end of the row or fills it). So
     bisection on the same rounded sums finds both ends exactly: the result
     is the full-grid test's, in O(lines x resolution x log resolution).
+    Lines are bisected in blocks of about BISECT_BLOCK (line, row) pairs,
+    so the temporaries stay small on networks with many lines.
     """
-    n = a.shape[1]
-    sign = np.where(a[:, -1] < a[:, 0], -1.0, 1.0)[:, None]
-
-    def first(pred):
-        # per (line, row): the smallest j in [0, n] from which pred holds
-        lo = np.zeros(b.shape, dtype=np.intp)
-        hi = np.full(b.shape, n, dtype=np.intp)
-        for _ in range(n.bit_length()):
-            mid = (lo + hi) // 2
-            hit = pred(sign * (np.take_along_axis(a, np.minimum(mid, n - 1), axis=1) + b))
-            open_ = lo < hi
-            hi = np.where(open_ & hit, mid, hi)
-            lo = np.where(open_ & ~hit, mid + 1, lo)
-        return lo
-
-    lo = first(lambda x: x > -1.0).max(axis=0)
-    hi = first(lambda x: ~(x < 1.0)).min(axis=0)
+    lo = np.zeros(b.shape[1], dtype=np.intp)
+    hi = np.full(b.shape[1], a.shape[1], dtype=np.intp)
+    step = max(1, BISECT_BLOCK // b.shape[1])
+    for start in range(0, a.shape[0], step):
+        ab, bb = a[start : start + step], b[start : start + step]
+        sign = np.where(ab[:, -1] < ab[:, 0], -1.0, 1.0)[:, None]
+        np.maximum(lo, _first_true(ab, bb, sign, lambda x: x > -1.0).max(axis=0), out=lo)
+        np.minimum(hi, _first_true(ab, bb, sign, lambda x: ~(x < 1.0)).min(axis=0), out=hi)
     return lo, np.maximum(hi, lo)
+
+
+def _first_true(a, b, sign, pred):
+    """Per (line, row): the smallest j in [0, n] with pred(sign (a[line, j] + b[line, row]))."""
+    n = a.shape[1]
+    lo = np.zeros(b.shape, dtype=np.intp)
+    hi = np.full(b.shape, n, dtype=np.intp)
+    for _ in range(n.bit_length()):
+        mid = (lo + hi) // 2
+        hit = pred(sign * (np.take_along_axis(a, np.minimum(mid, n - 1), axis=1) + b))
+        open_ = lo < hi
+        hi = np.where(open_ & hit, mid, hi)
+        lo = np.where(open_ & ~hit, mid + 1, lo)
+    return lo
 
 
 def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) -> RiskPartition:
@@ -315,8 +331,10 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
 
     The most-at-risk line minimizes the per-line overload rate
     (1 - |nu_ell|)^2 / (C_ell M_T C_ell^T) at that operating point; ties
-    within 1e-9 relative produce multi-line labels. Raises EmptySlice when
-    no cell center lies inside the deterministic slice.
+    within 1e-9 relative produce multi-line labels. `bbox` is
+    (umin, umax, vmin, vmax) with both ranges increasing, as for `slice2d`.
+    Raises EmptySlice when no cell center lies inside the deterministic
+    slice.
 
     Rates are priced at inside cells only, one line at a time: working
     memory is O(lines x resolution + inside cells x (1 + live lines / 64))
@@ -327,7 +345,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
         raise ValueError("resolution must be at least 1")
     flow = ctx.flow
     base, du, dv = _slice_geometry(flow, free, fixed)
-    umin, umax, vmin, vmax = map(float, bbox)
+    umin, umax, vmin, vmax = _box(bbox)
     cell_u = (umax - umin) / resolution
     cell_v = (vmax - vmin) / resolution
     uc = umin + cell_u * (np.arange(resolution) + 0.5)

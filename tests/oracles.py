@@ -9,7 +9,9 @@ both sides must use for discrete-vs-closed-form comparisons to converge.
 The dense slice and partition references are the exception: they are the
 straightforward full-grid and every-line forms of `risk_partition` and
 `slice2d`, sharing the slice geometry and the clipping step, so that the
-library's shortcuts can be required to give bit-identical results.
+library's shortcuts can be required to give bit-identical results. So is
+the full-width Monte Carlo kernel, which shares the random streams and the
+step coefficients and prices every replicate at every step.
 """
 from __future__ import annotations
 
@@ -18,7 +20,8 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
 from gridcap.errors import EmptySlice, NoStochasticLines
-from gridcap.injections import OuModel, SamplePath, rate_functional
+from gridcap._streams import fill_normal_blocks
+from gridcap.injections import OuModel, SamplePath, ou_step_coefficients, rate_functional
 from gridcap.ld_rates import line_variances
 from gridcap.region import (
     RegionSummary,
@@ -27,6 +30,7 @@ from gridcap.region import (
     _polygon_area,
     _slice_geometry,
 )
+from gridcap.thermal import filter_coefficients
 
 
 def constrained_quadratic_rate(ctx, line, a, n):
@@ -299,3 +303,46 @@ def dense_risk_partition(ctx, free, fixed, bbox, resolution):
         label_grid=label_grid,
         summaries=tuple(summaries),
     )
+
+
+def full_width_peaks(ctx, config):
+    """Peak squared current and peak temperature of every replicate.
+
+    The Monte Carlo kernel without its box filter: all replicates are drawn
+    and stepped as one block, and every line is priced at every step.
+    Needs at least two replicates and two lines, so that every matmul runs
+    on gemm, as in the library.
+    """
+    ou = ctx.ou
+    n, R = config.step_count, config.replicates
+    C = ctx.flow.stochastic_block
+    if R < 2 or C.shape[0] < 2:
+        raise ValueError("the full-width kernel needs two replicates and two lines")
+    dt = ou.horizon / n
+    decay, std = ou_step_coefficients(ou, dt)
+    q, c1, c2 = filter_coefficients(dt, ctx.tau)
+    noise = fill_normal_blocks(config.seed, 0, np.empty((R, n, ou.m))).transpose(1, 2, 0)
+    mu, decay, std, y, q, c1, c2 = (
+        np.repeat(np.asarray(c)[:, None], R, axis=1) for c in (ou.mean, decay, std, ctx.op.y, q, c1, c2)
+    )
+    x = mu
+    u = (C @ x + y) ** 2
+    theta = u.copy()
+    cur = u.max(axis=0)
+    tmp = cur.copy()
+    for z in noise:
+        x = mu + (x - mu) * decay + std * z
+        u_next = (C @ x + y) ** 2
+        theta = q * theta + c1 * u + c2 * u_next
+        u = u_next
+        cur = np.maximum(cur, u.max(axis=0))
+        tmp = np.maximum(tmp, theta.max(axis=0))
+    return cur, tmp
+
+
+def full_width_indicators(ctx, config, threshold):
+    """Current and temperature hits from `full_width_peaks`; a temperature hit needs a current hit."""
+    cur, tmp = full_width_peaks(ctx, config)
+    th2 = threshold * threshold
+    current = cur >= th2
+    return current, current & (tmp >= th2)

@@ -209,6 +209,17 @@ def test_region_partition_huge_box_prices_without_warnings(capsys):
     assert err.startswith("error:")
 
 
+def test_region_partition_inverted_box_exits_usage(capsys):
+    code, out, err = run(
+        capsys,
+        "region", "builtin:wheel3", "--kind", "deterministic", "--slice", "2,3",
+        "--bbox=2,-2,-2,2", "--partition", "--resolution", "40",
+    )
+    assert code == 2
+    assert out == ""
+    assert "bbox must satisfy umin < umax and vmin < vmax" in err
+
+
 def test_exact1d_reference_point(capsys):
     code, out, _ = run(
         capsys,
@@ -390,6 +401,18 @@ def test_mc_infinite_threshold_exits_invalid(capsys):
     out, err = capsys.readouterr()
     assert out == ""
     assert "finite" in err
+
+
+def test_mc_huge_noise_scale_prices_without_warnings(capsys):
+    # Squared currents overflow to inf, which counts as a hit.
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(
+            capsys, "mc", "builtin:wheel3", "--kind", "temperature", "--eps", "1e308", "--n", "50", "--steps", "10"
+        )
+    assert code == 0
+    assert err == ""
+    assert json.loads(out)["estimates"][0]["p_hat"] == 1
 
 
 @pytest.mark.parametrize("eps", [",", " , "])

@@ -1,21 +1,29 @@
 """Coupled overload simulation: determinism, coupling, intervals, slope fits."""
 
+from importlib import resources
+
 import numpy as np
 import pytest
 
-from conftest import make_context, single_line_context, wheel_context
+from conftest import make_context, random_context, single_line_context, wheel_context
+from gridcap._streams import fill_normal_blocks
 from gridcap.errors import InsufficientHits
 from gridcap.grid_model import GridNetwork
 from gridcap.injections import SamplePath, simulate_ou
+from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower
 from gridcap.thermal import xi_map
 from gridcap.montecarlo import (
     McConfig,
     Z_95,
+    _coefficients,
+    _ou_paths,
+    _peaks,
     decay_slope,
     overload_indicators,
     overload_probability,
     wilson_interval,
 )
+from oracles import full_width_indicators, full_width_peaks
 
 
 def test_wilson_interval_textbook_case():
@@ -196,6 +204,18 @@ def _oracle_peaks(ctx, replicates, steps, seed):
     return np.array(cur), np.array(tmp)
 
 
+def _wheel_distinct_tau():
+    """wheel3 with a distinct thermal constant on every line."""
+    net = GridNetwork(
+        node_count=3,
+        lines=((0, 1), (0, 2), (1, 2)),
+        susceptance=np.ones(3),
+        current_rating=np.ones(3),
+        thermal_constant=np.array([0.2, 0.5, 1.1]),
+    )
+    return make_context(net, 2, [0.3, 0.3], [1.0, 1.0], [1.0, 1.0], 0.6, 1.0)
+
+
 def _splitting_levels(peaks):
     """Squared thresholds halfway between neighbouring sorted peaks at a few quantiles."""
     ordered = np.sort(peaks)
@@ -208,15 +228,7 @@ def _splitting_levels(peaks):
 
 
 def test_kernel_matches_per_path_oracle():
-    # wheel3 with a distinct thermal constant on every line
-    net = GridNetwork(
-        node_count=3,
-        lines=((0, 1), (0, 2), (1, 2)),
-        susceptance=np.ones(3),
-        current_rating=np.ones(3),
-        thermal_constant=np.array([0.2, 0.5, 1.1]),
-    )
-    ctx = make_context(net, 2, [0.3, 0.3], [1.0, 1.0], [1.0, 1.0], 0.6, 1.0)
+    ctx = _wheel_distinct_tau()
     replicates, steps, seed = 64, 50, 4
     cur, tmp = _oracle_peaks(ctx, replicates, steps, seed)
     for level in _splitting_levels(cur):
@@ -237,3 +249,118 @@ def test_noise_block_cap_leaves_indicators_unchanged(monkeypatch):
     assert base.current.sum() > 0
     assert np.array_equal(base.current, capped.current)
     assert np.array_equal(base.temperature, capped.temperature)
+
+
+def _cancelling_feeder():
+    """Network whose stochastic and fixed injections of ~1e8 cancel to a small net flow.
+
+    Bus 1 is stochastic with mean 1e8 and bus 3, fed only through bus 1, is
+    fixed at -1e8 + 0.3; bus 2 is stochastic with mean 0.2. On the meshed
+    lines |y| ~ |C mean| ~ 1e8 while the currents stay below one.
+    """
+    net = GridNetwork(
+        node_count=4,
+        lines=((0, 1), (0, 2), (1, 2), (1, 3)),
+        susceptance=np.array([1.0, 2.0, 1.5, 3.0]),
+        current_rating=np.array([0.7, 1.0, 1.5, 1e9]),
+        thermal_constant=np.array([0.3, 0.5, 0.8, 0.4]),
+    )
+    ctx = make_context(net, 2, [1e8, 0.2], [1.0, 2.0], [1.0, 0.5], 0.05, 1.0, mu_D=[-1e8 + 0.3])
+    assert np.all(np.abs(ctx.op.y[:3]) > 1e7) and np.max(np.abs(ctx.op.nu)) < 1.0
+    return ctx
+
+
+def _cancelling_spur():
+    """Bus 1 stochastic with mean 1e8 feeds bus 2, fixed at -1e8 + 0.3, over a spur.
+
+    With one stochastic bus the box bound is tight, so on line (0, 1), where
+    |y| ~ |C mean| ~ 1.4e8 and the current is about 0.43, only the slack
+    covers the rounding of the cancelling sum.
+    """
+    net = GridNetwork(
+        node_count=3,
+        lines=((0, 1), (1, 2)),
+        susceptance=np.array([1.0, 2.0]),
+        current_rating=np.array([0.7, 1e9]),
+        thermal_constant=np.array([0.3, 0.5]),
+    )
+    return make_context(net, 1, [1e8], [1.0], [1.0], 0.05, 1.0, mu_D=[-1e8 + 0.3])
+
+
+def _peak_levels(peaks):
+    """Thresholds whose squares sit on replicates' own peaks, so those paths graze the limit."""
+    return [float(np.sqrt(np.quantile(peaks, qu, method="lower"))) for qu in (0.5, 0.9)]
+
+
+def _stored_paths(ctx, replicates, steps, seed):
+    mu, decay, std, *_ = _coefficients(ctx, steps)
+    z = fill_normal_blocks(seed, 0, np.empty((replicates, steps, ctx.ou.m)))
+    x = np.ascontiguousarray(z.transpose(1, 2, 0))
+    _ou_paths(x, mu, decay, std)
+    return x
+
+
+@pytest.mark.parametrize("make", [_wheel_distinct_tau, single_line_context])
+def test_kernel_peaks_independent_of_width(make):
+    # One-wide matmuls take NumPy's gemv path, which rounds differently
+    # from gemm: a column must get the same peaks alone or in any block.
+    ctx = make()
+    mu, _, _, C, y, q, c1, c2 = _coefficients(ctx, 50)
+    x = _stored_paths(ctx, 64, 50, 4)
+    cur, tmp = _peaks(x, mu, C, y, q, c1, c2)
+    for width in (1, 2, 3):
+        for start in range(0, 64 - width + 1, width):
+            sub = np.ascontiguousarray(x[:, :, start : start + width])
+            got_cur, got_tmp = _peaks(sub, mu, C, y, q, c1, c2)
+            assert np.array_equal(got_cur, cur[start : start + width])
+            assert np.array_equal(got_tmp, tmp[start : start + width])
+
+
+@pytest.mark.parametrize("make", [_wheel_distinct_tau, single_line_context])
+def test_indicators_equal_at_chunk_1_and_2048(make):
+    ctx = make()
+    mu, _, _, C, y, q, c1, c2 = _coefficients(ctx, 50)
+    cur, tmp = _peaks(_stored_paths(ctx, 200, 50, 9), mu, C, y, q, c1, c2)
+    for threshold in _peak_levels(cur) + _peak_levels(tmp):
+        wide = overload_indicators(ctx, McConfig(200, 50, 9, chunk=2048), threshold)
+        narrow = overload_indicators(ctx, McConfig(200, 50, 9, chunk=1), threshold)
+        assert wide.current.any()
+        assert np.array_equal(wide.current, narrow.current)
+        assert np.array_equal(wide.temperature, narrow.temperature)
+
+
+def _assert_matches_full_width(ctx, replicates, steps, seed):
+    cfg = McConfig(replicates, steps, seed)
+    cur, tmp = full_width_peaks(ctx, cfg)
+    for threshold in _peak_levels(cur) + _peak_levels(tmp):
+        want = full_width_indicators(ctx, cfg, threshold)
+        for chunk in (1, 7, 2048):
+            got = overload_indicators(ctx, McConfig(replicates, steps, seed, chunk=chunk), threshold)
+            assert np.array_equal(got.current, want[0]), (threshold, chunk)
+            assert np.array_equal(got.temperature, want[1]), (threshold, chunk)
+
+
+def test_matches_full_width_oracle_on_random_networks():
+    rng = np.random.default_rng(20260)
+    for k in range(20):
+        _assert_matches_full_width(random_context(rng), 64, 40, 100 + k)
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_cancelling_feeder, _cancelling_spur, lambda: wheel_context(tau=1e6, epsilon=0.6)],
+    ids=["cancelling_feeder", "cancelling_spur", "huge_tau"],
+)
+def test_matches_full_width_oracle_at_extremes(make):
+    _assert_matches_full_width(make(), 128, 60, 5)
+
+
+def test_benchmark_configuration_hit_counts():
+    # converted IEEE 14-bus case at eps 4e-4, 20,000 x 200 steps, seed 7
+    case = parse_matpower(resources.files("gridcap").joinpath("data", "case14.m").read_text())
+    defaults = AnalysisDefaults(epsilon=4e-4, p=1e-4, horizon=1.0, tau0=0.5)
+    doc = apply_imax_rule(
+        case, 1.5, (2, 3), (6, 9), gamma=1.0, vol=10.0, tau=0.5, defaults=defaults, zero_flow_rating=1.0
+    )
+    ind = overload_indicators(build_model(doc).ctx, McConfig(20_000, 200, 7))
+    assert (int(ind.current.sum()), int(ind.temperature.sum())) == (1856, 40)

@@ -446,6 +446,42 @@ def test_case14_partition_memory_budget():
     assert peak < 60e6
 
 
+@pytest.mark.parametrize("block", [1, 100, 7 * 48])
+def test_partition_blocked_bisection_matches_dense_oracle(monkeypatch, block):
+    # one line per block, several lines per block with a short last block
+    monkeypatch.setattr("gridcap.region.BISECT_BLOCK", block)
+    ring = _ring_with_chords()
+    assert _assert_partition_matches_dense(ring, (1, 30), np.zeros(59), (-8.0, 8.0, -8.0, 8.0), 48)
+    assert _assert_partition_matches_dense(wheel_context(), (1, 2), np.zeros(2), BOX, 7)
+    filled = sum(
+        _assert_partition_matches_dense(ctx, free, fixed, bbox, 17)
+        for ctx, free, fixed, bbox in _random_slices(np.random.default_rng(44), 10, uniform_gamma=True)
+    )
+    assert filled >= 3
+
+
+def test_many_line_partition_memory_budget():
+    # 1,500 lines at 400^2: a and b take 9.6 MB together, and bisecting
+    # every line at once peaked at 35 MB
+    edges = {(i, i + 1) for i in range(999)} | {(0, 999)} | {(i, i + 7) for i in range(500)}
+    net = GridNetwork(1000, tuple(sorted(edges)), np.ones(1500), np.full(1500, 10.0), np.full(1500, 0.5))
+    ctx = make_context(net, 3, np.zeros(3), np.ones(3), np.ones(3), 0.1, 1.0, np.zeros(996))
+    tracemalloc.start()
+    try:
+        part = risk_partition(ctx, (1, 500), np.zeros(999), (-150.0, 150.0, -150.0, 150.0), resolution=400)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert part.summaries[0].cells > 0
+    assert peak < 20e6
+
+
+def test_partition_rejects_inverted_bbox():
+    for bbox in ((2.0, -2.0, -2.0, 2.0), (-2.0, 2.0, 2.0, -2.0), (2.0, -2.0, 2.0, -2.0)):
+        with pytest.raises(ValueError, match="umin < umax and vmin < vmax"):
+            risk_partition(wheel_context(), (1, 2), np.zeros(2), bbox, resolution=40)
+
+
 def test_slice_matches_dense_clip_oracle():
     w = wheel_context()
     bm, free, fixed, bbox = _case14_map()

@@ -100,8 +100,10 @@ class BlowUp(GridCapError):
 
 
 class NoBoundaryHit(GridCapError):
-    """No shooting parameters inside the search box drive the temperature to
-    the overload level at the horizon."""
+    """The exact-rate solver found no certified shot inside its search box
+    (|state| < BLOWUP_BOUND) that drives the temperature to the overload level
+    at the horizon: the discrete start was not certified or its Newton
+    refinement did not settle."""
 
 
 class BoundCollapse(GridCapError):

@@ -38,12 +38,11 @@ control u = g' + gamma (g - mu) = p + gamma (g - mu) vanishes at the horizon,
 u(T) = 0. A 2-D Newton iteration on both conditions starts from the
 optimum of the discretized problem: there theta(T) = 1 is a single quadratic
 constraint on a positive definite quadratic action, and the global minimizer
-is certified by the root of a 1-D secular equation below a threshold set by
-the least generalized eigenvalue (More & Sorensen 1983; Polik & Terlaky,
-SIAM Review 2007). Where that start is not certified, the iteration does not
-converge or its result leaves an explicit search box, a coarse scan over p0
-with a Newton root in E(T) at each point locates the basin of the minimum
-instead.
+is the root of a 1-D secular equation at which the Lagrangian Hessian is
+still positive definite, certified by its Cholesky factorization (More &
+Sorensen 1983; Polik & Terlaky, SIAM Review 2007). This is the only path:
+where the start is not certified or the iteration does not converge,
+`exact_decay_rate` raises NoBoundaryHit rather than search elsewhere.
 
 The cubic form of the stationarity condition, used by `euler_residual`, is
 
@@ -79,7 +78,7 @@ BLOWUP_BOUND = 1e6
 #: g below this level counts as a collapse of f = g^2 toward the singularity.
 G_FLOOR = 1e-9
 
-#: Newton iterations allowed per root before falling back to a bracketed search.
+#: Newton iterations the refinement may take before it gives up.
 NEWTON_STEPS = 8
 
 #: A Newton iterate lands on the boundary once |theta(T) - 1| is this small.
@@ -254,16 +253,21 @@ def _integrate(
     y0 = [a * a, a, p0, 0.0] + [0.0, 0.0, 0.0] * sensitivities
     if sensitivities == 2:
         y0[9] = 1.0
-    sol = solve_ivp(
-        rhs,
-        (0.0, T),
-        y0,
-        method="DOP853",
-        rtol=rtol,
-        atol=[atol] * 4 + [np.inf] * (n - 4),
-        events=(collapse, escape),
-        dense_output=dense_output,
-    )
+    # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
+    # like e^{gamma T}), the error norm turns NaN and every step is rejected
+    # until the solver stops with status -1 or an event fires; either way the
+    # shot is reported as failed below, without a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        sol = solve_ivp(
+            rhs,
+            (0.0, T),
+            y0,
+            method="DOP853",
+            rtol=rtol,
+            atol=[atol] * 4 + [np.inf] * (n - 4),
+            events=(collapse, escape),
+            dense_output=dense_output,
+        )
     if sol.status != 0:
         reason = "collapse" if sol.t_events[0].size else "escape"
         return None, reason
@@ -330,141 +334,30 @@ def shoot(
     return _shot_result(problem, sol, e_end, samples)
 
 
-def _inside(problem: Exact1dProblem, p0: float, e_end: float, e_bound: float) -> bool:
-    """Whether the implied f''(0) stays within the search box."""
-    return abs(_shot_from_reduced(problem, p0, e_end)[1]) <= e_bound
-
-
-def _newton_boundary(problem: Exact1dProblem, p0: float, e_end: float, e_bound: float):
-    """Newton on E(T) for theta(T) = 1 at fixed p0, from the guess e_end.
-
-    Iterates on log theta(T), which is closer to linear in E(T) than theta(T)
-    itself. Returns (E(T), action), or None when an iterate leaves the search
-    box, stops being integrable or the iteration does not settle.
-    """
-    for _ in range(NEWTON_STEPS):
-        if not _inside(problem, p0, e_end, e_bound):
-            return None
-        sol, _ = _integrate(problem, p0, e_end, rtol=1e-9, atol=1e-11, sensitivities=1)
-        if sol is None:
-            return None
-        th, _, _, action, dth_de = sol.y[:5, -1]
-        if abs(th - 1.0) <= THETA_TOL:
-            return e_end, float(action)
-        if not th * dth_de > 0.0:
-            return None
-        e_end -= math.log(th) * th / dth_de
-    return None
-
-
-def _solve_boundary(problem: Exact1dProblem, p0: float, e_bound: float):
-    """Bracketed root of theta(T) = 1 in E(T) for a fixed p0; None when none.
-
-    The bracket grows geometrically from zero forcing, downward when the
-    unforced shot already overshoots, until the implied |f''(0)| would leave
-    the search box or the trajectory stops being integrable. Returns
-    (E(T), action) with the action from a tighter solve at the root.
-    """
-    from scipy.optimize import brentq
-
-    def terminal_theta(e_end):
-        sol, _ = _integrate(problem, p0, e_end, rtol=1e-9, atol=1e-11)
-        return np.nan if sol is None else sol.y[0, -1] - 1.0
-
-    lo, hi = 0.0, 0.5
-    flo = terminal_theta(lo)
-    if np.isnan(flo):
-        return None
-    fhi = terminal_theta(hi)
-    for _ in range(80):
-        if np.isnan(fhi) or flo * fhi <= 0:
-            break
-        if flo > 0:  # overshoots with no forcing: search damping E < 0
-            hi, fhi = lo, flo
-            lo = lo - 2.0 * max(0.5, abs(lo))
-            if not _inside(problem, p0, lo, e_bound):
-                return None
-            flo = terminal_theta(lo)
-            if np.isnan(flo):
-                return None
-        else:
-            lo, flo = hi, fhi
-            hi *= 2.0
-            if not _inside(problem, p0, hi, e_bound):
-                return None
-            fhi = terminal_theta(hi)
-    if np.isnan(fhi) or flo * fhi > 0:
-        return None
-    try:
-        e_end = brentq(terminal_theta, lo, hi, xtol=1e-13, rtol=4 * np.finfo(float).eps)
-    except ValueError:
-        return None
-    sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12)
-    if sol is None:
-        return None
-    return e_end, float(sol.y[3, -1])
-
-
-def _boundary_hit(problem: Exact1dProblem, p0: float, guess: float, e_bound: float):
-    """(E(T), action) with theta(T) = 1 at fixed p0: Newton from guess, else the bracket search."""
-    hit = _newton_boundary(problem, p0, guess, e_bound)
-    return hit if hit is not None else _solve_boundary(problem, p0, e_bound)
-
-
-def _refine(problem: Exact1dProblem, p0: float, e_end: float, p0_bounds, e_bound: float, action_best: float):
+def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
 
     u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
-    endpoint. Returns the converged (p0, E(T)), or None when an iterate leaves
-    p0_bounds or the search box, stops being integrable, does not settle, or
-    converges to a shot dearer than action_best.
+    endpoint. Returns the converged (p0, E(T)), or None when an iterate stops
+    being integrable, the Jacobian is singular or the iteration does not
+    settle within NEWTON_STEPS.
     """
     gam, a = problem.gamma, problem.level
-    p0_lo, p0_hi = p0_bounds
     for _ in range(NEWTON_STEPS):
         sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=2)
         if sol is None:
             return None
-        th, g, p, action, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
+        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
         resid = np.array([th - 1.0, p + gam * (g - a)])
         if abs(resid[0]) <= THETA_TOL and abs(resid[1]) <= CONTROL_TOL:
-            return (p0, e_end) if action <= action_best else None
+            return p0, e_end
         jac = np.array([[th_p, th_e], [p_p + gam * g_p, p_e + gam * g_e]])
         try:
             step = np.linalg.solve(jac, resid)
         except np.linalg.LinAlgError:
             return None
         p0, e_end = p0 - step[0], e_end - step[1]
-        if not (p0_lo <= p0 <= p0_hi and _inside(problem, p0, e_end, e_bound)):
-            return None
     return None
-
-
-def _minimize_action(problem: Exact1dProblem, bracket, x1_best: float, e_best: float, action_best: float,
-                     e_bound: float):
-    """Bounded minimization of the boundary-hitting action over x1 in bracket.
-
-    Returns (p0, E(T)) of the minimizer, or of the scan point (x1_best,
-    e_best) when the minimizer is no cheaper than action_best. Slopes with
-    no boundary hit are priced above action_best, finitely, since the
-    bounded search's parabolic steps turn an infinite value into NaN.
-    """
-    from scipy.optimize import minimize_scalar
-
-    a = problem.level
-    penalty = 2.0 * action_best + 1.0
-
-    def boundary_action(x1):
-        hit = _boundary_hit(problem, x1 / (2.0 * a), e_best, e_bound)
-        return penalty if hit is None else hit[1]
-
-    res = minimize_scalar(boundary_action, bounds=bracket, method="bounded", options={"xatol": 1e-6})
-    if not res.fun <= action_best:
-        return x1_best / (2.0 * a), e_best
-    hit = _boundary_hit(problem, res.x / (2.0 * a), e_best, e_bound)
-    if hit is None:
-        raise NoBoundaryHit("refinement lost the boundary root")
-    return res.x / (2.0 * a), hit[0]
 
 
 def _discrete_start(problem: Exact1dProblem):
@@ -476,22 +369,25 @@ def _discrete_start(problem: Exact1dProblem):
     q = e^{-d/tau}, and the midpoint rule gives the action as a positive
     multiple of 1/2 g^T H g - h^T g + const with H = B^T B tridiagonal and
     positive definite. Stationary points on theta(T) = 1 solve
-    (H - 2 lam W) g = h, W = diag(w_1..w_n). Below the certification
-    threshold lam_crit = lambda_min(W^{-1/2} H W^{-1/2}) / 2 the matrix is
-    positive definite and g^T W g grows with lam, so a root of the secular
-    equation g^T W g = 1 - q^n mu^2 - w_0 mu^2 there is the global minimizer
-    (S-lemma). Newton runs on the secular equation in the form
-    (g^T W g)^{-1/2}, which is concave in lam: its steps approach the root
-    monotonically from above, and a step that leaves the bracket
-    (0, lam_crit) bisects it instead.
+    (H - 2 lam W) g = h, W = diag(w_1..w_n). While H - 2 lam W is positive
+    definite, g^T W g grows with lam, and a root of the secular equation
+    g^T W g = 1 - q^n mu^2 - w_0 mu^2 there is the global minimizer (S-lemma).
+    Each solve factors H - 2 lam W by Cholesky, so a successful solve at the
+    root is the certificate; a failed factorization marks lam at or past the
+    threshold lam_crit where definiteness ends and lowers the upper end of
+    the bracket (0, hi), which starts at +inf. Newton runs on the secular
+    equation in the form (g^T W g)^{-1/2}, which is concave in lam below
+    lam_crit: its steps approach the root monotonically from above, and a
+    step that leaves the bracket bisects it instead.
 
     p0 = g'(0) and g''(T) come from second-order one-sided differences and
     E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)). E is read at the
     horizon rather than at the start because E(0) e^{T/tau} would multiply
-    the discretization error by e^{T/tau}. Returns None when the root does
-    not lie below lam_crit or the weights leave double precision.
+    the discretization error by e^{T/tau}. Returns None when no certified
+    root is reached within SECULAR_STEPS, or when d/tau is so small that the
+    one-step weight c1 rounds to zero or below.
     """
-    from scipy.linalg import eigh_tridiagonal, solve_banded
+    from scipy.linalg import solveh_banded
 
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     n = DISCRETE_STEPS
@@ -501,12 +397,13 @@ def _discrete_start(problem: Exact1dProblem):
     # one step: theta_{k+1} = q theta_k + c0 g_k^2 + c1 g_{k+1}^2
     c1 = 1.0 - decay * tau / d
     c0 = decay - c1
-    lag = q ** np.arange(n - 1.0, -1.0, -1.0)  # q^{n-1-k}: how much of step k survives to T
-    w = c1 * lag
-    w[:-1] += c0 * lag[1:]
-    target = 1.0 - a * a * lag[0] * (q + c0)  # what g_1..g_n must add to theta(T) = 1
-    if not np.all(w > np.finfo(float).tiny):
+    if not c1 > 0.0:  # d/tau lies below rounding, so theta(T) no longer resolves g
         return None
+    with np.errstate(under="ignore"):  # steps long before T leave nothing of theta(T) for large T/tau
+        lag = q ** np.arange(n - 1.0, -1.0, -1.0)  # q^{n-1-k}: how much of step k survives to T
+        w = c1 * lag
+        w[:-1] += c0 * lag[1:]
+    target = 1.0 - a * a * lag[0] * (q + c0)  # what g_1..g_n must add to theta(T) = 1
 
     # action residuals r_k = ap g_{k+1} + am g_k - gamma |mu| = (B g + c)_k
     ap, am = 1.0 / d + 0.5 * gam, -1.0 / d + 0.5 * gam
@@ -514,32 +411,21 @@ def _discrete_start(problem: Exact1dProblem):
     c[0] += am * a
     diag = np.full(n, ap * ap + am * am)
     diag[-1] = ap * ap
-    off = np.full(n - 1, ap * am)
     h = -ap * c  # h = -B^T c
     h[:-1] -= am * c[1:]
+    band = np.empty((2, n))  # upper banded storage: superdiagonal, then diagonal
+    band[0, 0] = 0.0
+    band[0, 1:] = ap * am
 
-    root_w = np.sqrt(w)
-    whitened_off = off / (root_w[:-1] * root_w[1:])
-    # W^{-1/2} H W^{-1/2} is scaled diagonally dominant, so bisection resolves
-    # its least eigenvalue to full relative accuracy once the absolute
-    # tolerance no longer scales with its (huge, for small tau) norm
-    try:
-        lam_min = eigh_tridiagonal(diag / w, whitened_off, eigvals_only=True, select="i", select_range=(0, 0),
-                                   tol=np.finfo(float).tiny)[0]
-    except np.linalg.LinAlgError:
-        return None
-    lam_crit = 0.5 * lam_min
-    band = np.zeros((3, n))
-    band[0, 1:] = off
-    band[2, :-1] = off
-
-    def solve(lam, rhs):
-        band[1] = diag - 2.0 * lam * w
-        return solve_banded((1, 1), band, rhs, check_finite=False)
-
-    lo, hi, lam = 0.0, lam_crit, 0.0
+    lo, hi, lam = 0.0, math.inf, 0.0
     for _ in range(SECULAR_STEPS):
-        g = solve(lam, h)
+        band[1] = diag - 2.0 * lam * w
+        try:
+            g = solveh_banded(band, h, check_finite=False)
+        except np.linalg.LinAlgError:  # H - 2 lam W is not positive definite: lam >= lam_crit
+            hi = lam
+            lam = 0.5 * (lo + hi)
+            continue
         wg = w * g
         norm2 = float(g @ wg)
         if abs(norm2 - target) <= 1e-10 * target:  # far tighter than the basin of _refine needs
@@ -549,7 +435,7 @@ def _discrete_start(problem: Exact1dProblem):
         else:
             hi = lam
         # (H - 2 lam W) dg/dlam = 2 W g, so d(g^T W g)/dlam = 4 (W g)^T (H - 2 lam W)^{-1} W g
-        slope = 4.0 * float(wg @ solve(lam, wg))
+        slope = 4.0 * float(wg @ solveh_banded(band, wg, check_finite=False))
         lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
@@ -558,52 +444,6 @@ def _discrete_start(problem: Exact1dProblem):
     p0 = (-3.0 * a + 4.0 * g[0] - g[1]) / (2.0 * d)
     gpp_end = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (d * d)
     return p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1])
-
-
-def _scan(problem: Exact1dProblem, search_box, scan_points: int):
-    """(p0, E(T)) of the cheapest boundary-hitting shot found by scanning x1 = f'(0).
-
-    At each of scan_points values of x1 the forcing E(T) that lands theta
-    on the limit at the horizon comes from Newton on E(T), warm-started by
-    extrapolating the roots of the previous grid points, or from a
-    bracketed root search where Newton fails. From the cheapest grid point
-    `_refine` solves both optimality conditions; if it leaves the grid cell
-    around that point, does not converge or ends dearer than the grid
-    point, a bounded 1-D minimization of the action over x1 in that cell
-    takes its place. Only |x2| up to the larger end of the x2 range of
-    `search_box` is searched.
-    """
-    (x1_lo, x1_hi), (x2_lo, x2_hi) = search_box
-    e_bound = max(abs(x2_lo), abs(x2_hi))
-    a = problem.level
-    # natural slope scale: reach the unit level from |mu| within the horizon
-    scale = (1.0 - a) / problem.horizon
-    lo = max(x1_lo, -4.0 * a * scale)
-    hi = min(x1_hi, 16.0 * a * scale)
-    if not lo < hi:
-        lo, hi = x1_lo, x1_hi
-
-    grid = np.linspace(lo, hi, scan_points)
-    roots = np.full(scan_points, np.nan)
-    actions = np.full(scan_points, np.inf)
-    for i, x1 in enumerate(grid):
-        # warm start: the polynomial through the last (up to) three roots
-        known = np.flatnonzero(np.isfinite(actions[:i]))[-3:]
-        guess = np.polyval(np.polyfit(grid[known], roots[known], known.size - 1), x1) if known.size else 0.0
-        hit = _boundary_hit(problem, x1 / (2.0 * a), guess, e_bound)
-        if hit is not None:
-            roots[i], actions[i] = hit
-    if not np.any(np.isfinite(actions)):
-        raise NoBoundaryHit(
-            "no shot inside the search box reaches the overload level at the horizon"
-        )
-    k = int(np.argmin(actions))
-    dx = grid[1] - grid[0]
-    bracket = (max(lo, grid[k] - dx), min(hi, grid[k] + dx))
-    found = _refine(problem, grid[k] / (2.0 * a), roots[k], np.divide(bracket, 2.0 * a), e_bound, actions[k])
-    if found is None:
-        found = _minimize_action(problem, bracket, grid[k], roots[k], actions[k], e_bound)
-    return found
 
 
 @dataclass(frozen=True)
@@ -616,45 +456,31 @@ class Exact1dResult:
     shot: ShotResult
 
 
-def exact_decay_rate(
-    problem: Exact1dProblem,
-    search_box=None,
-    scan_points: int = 21,
-    samples: int = 400,
-) -> Exact1dResult:
+def exact_decay_rate(problem: Exact1dProblem, samples: int = 400) -> Exact1dResult:
     """Temperature overload decay rate by shooting with Newton sensitivities.
 
     The start is the certified global optimum of the problem discretized on
-    DISCRETE_STEPS intervals: the root of its secular equation below the
-    certification threshold, with p0 = g'(0) and E(T) read off the discrete
-    path. From there a 2-D Newton iteration on (p0, E(T)) solves
+    DISCRETE_STEPS intervals: the root of its secular equation at which
+    H - 2 lam W still factors by Cholesky, with p0 = g'(0) and E(T) read off
+    the discrete path. From there a 2-D Newton iteration on (p0, E(T)) solves
     theta(T) = 1 together with the free-endpoint transversality condition
     u(T) = p(T) + gamma (g(T) - |mu|) = 0, which the minimal action
-    satisfies; it typically settles in two or three integrations.
+    satisfies; it typically settles in two or three integrations. A final
+    dense solve samples the optimal shot on `samples` intervals.
 
-    The scan over x1 = f'(0) of `_scan` takes over when the discrete root
-    does not lie below the threshold, the iteration does not converge, or
-    its result lies outside an explicitly given `search_box`.
-    `search_box` = ((x1_lo, x1_hi), (x2_lo, x2_hi)) bounds the initial
-    slopes (f'(0), f''(0)); the default None leaves them unbounded. The scan
-    searches x1 in [x1_lo, x1_hi] and |x2| up to max(|x2_lo|, |x2_hi|), with
-    `scan_points` grid points. Raises NoBoundaryHit when no shot the scan
-    tries lands on the limit at the horizon.
+    Raises NoBoundaryHit when the discrete start is not certified, or when
+    the iteration leaves the |state| < BLOWUP_BOUND search box, collapses
+    onto f = 0 or does not settle: no other minimizer is searched for.
     """
-    box = ((-math.inf, math.inf), (-math.inf, math.inf)) if search_box is None else search_box
-    (x1_lo, x1_hi), (x2_lo, x2_hi) = box
     start = _discrete_start(problem)
-    found = None if start is None else _refine(problem, *start, (-math.inf, math.inf), math.inf, math.inf)
-    if found is not None:
-        x1, x2 = _shot_from_reduced(problem, *found)
-        if not (x1_lo <= x1 <= x1_hi and x2_lo <= x2 <= x2_hi):
-            found = None
-    if found is None:
-        found = _scan(problem, box, scan_points)
-    p0, e_end = found
-    sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, dense_output=True)
+    found = None if start is None else _refine(problem, *start)
+    sol = None if found is None else _integrate(problem, *found, rtol=1e-10, atol=1e-12, dense_output=True)[0]
     if sol is None:
-        raise NoBoundaryHit("refinement lost the boundary root")
+        raise NoBoundaryHit(
+            f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload "
+            "level at the horizon"
+        )
+    p0, e_end = found
     x1, x2 = _shot_from_reduced(problem, p0, e_end)
     shot = _shot_result(problem, sol, e_end, samples)
     return Exact1dResult(value=shot.value, x1=float(x1), x2=float(x2), shot=shot)

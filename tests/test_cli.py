@@ -23,12 +23,17 @@ def run(capsys, *argv):
     return code, out, err
 
 
+def _subprocess_env():
+    """The environment with this gridcap's source tree first on PYTHONPATH."""
+    src = str(pathlib.Path(gridcap.__file__).resolve().parents[1])
+    return dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
+
+
 def test_import_loads_no_scipy():
     # SciPy is imported only by the exact-rate solver, when it runs.
-    src = str(pathlib.Path(gridcap.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join([src, os.environ.get("PYTHONPATH", "")]))
     code = "import sys, gridcap, gridcap.cli; print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
-    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True).stdout
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True).stdout
     assert out.strip() == "[]"
 
 
@@ -263,6 +268,17 @@ def test_exact1d_unreachable_level(capsys):
     )
     assert code == 4
     assert "search box" in err
+
+
+def test_exact1d_large_lag_ratio_exits_without_warnings():
+    # At T/tau = 700 the weights of the discretized problem span e^700 and
+    # underflow; the certified start must neither warn nor overflow.
+    argv = ["--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", "0.0014285714", "--T", "1"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", "exact1d", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 0
+    assert proc.stderr == ""
+    assert np.isclose(json.loads(proc.stdout)["rate"], 0.198135618, rtol=1e-8)
 
 
 def test_mc_single_noise_scale(capsys):

@@ -190,24 +190,23 @@ def cmd_region(args) -> int:
         raise ValueError("--epsilon not given and absent from document defaults")
     if p is None:
         raise ValueError("--p not given and absent from document defaults")
+    if args.partition and (args.slice is None or args.bbox is None):
+        raise ValueError("--partition requires --slice and --bbox")
+    if args.slice is not None and args.bbox is None:
+        raise ValueError("--slice requires --bbox")
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
     bm = build_model(doc, epsilon=epsilon, horizon=args.horizon)
-    region = build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0)
-    if args.partition:
-        if args.slice is None or args.bbox is None:
-            raise ValueError("--partition requires --slice and --bbox")
-        free = _free_indices(doc, args.slice)
-        part = risk_partition(bm.ctx, free, _base_injection_vector(doc)[1:], args.bbox, resolution=args.resolution)
+    if args.slice is None:
+        _emit(export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format), args.output)
+        return 0
+    free = _free_indices(doc, args.slice)
+    fixed = _base_injection_vector(doc)[1:]
+    if args.partition:  # labels the deterministic slice, so the --kind region is never built
+        part = risk_partition(bm.ctx, free, fixed, args.bbox, resolution=args.resolution)
         _emit(export_partition(part, args.format, line_terminals=bm.line_terminals), args.output)
-        return 0
-    if args.slice is not None:
-        if args.bbox is None:
-            raise ValueError("--slice requires --bbox")
-        free = _free_indices(doc, args.slice)
-        sl = slice2d(region, bm.flow, free, _base_injection_vector(doc)[1:], args.bbox)
+    else:
+        sl = slice2d(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), bm.flow, free, fixed, args.bbox)
         _emit(export_slice(sl, args.format), args.output)
-        return 0
-    _emit(export_region(region, args.format), args.output)
     return 0
 
 

@@ -115,6 +115,10 @@ class Exact1dProblem:
         for name in ("gamma", "vol", "tau", "horizon"):
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
+        for name in ("gamma", "vol"):  # the solver divides by vol^2 and scales by gamma^2
+            value = float(getattr(self, name))
+            if not 0.0 < value * value < math.inf:
+                raise ValueError(f"{name} = {value!r} is out of range: its square is 0 or not finite")
 
     @property
     def level(self) -> float:
@@ -211,13 +215,13 @@ def _integrate(
     e_end: float,
     rtol: float,
     atol: float,
-    sensitivities: int = 0,
+    sensitivities: bool = False,
     dense_output: bool = False,
 ):
     """Advance (theta, g, p, action) to the horizon; None marks an invalid shot.
 
-    `sensitivities` = 1 appends d(theta, g, p)/dE(T) (rows 4-6) and 2 also
-    d(theta, g, p)/dp0 (rows 7-9), integrated in the same call. They carry an
+    With `sensitivities` the rows d(theta, g, p)/dE(T) (4-6) and
+    d(theta, g, p)/dp0 (7-9) are integrated in the same call. They carry an
     infinite absolute tolerance, so only the shot itself steers the step size.
     """
     from scipy.integrate import solve_ivp
@@ -225,19 +229,17 @@ def _integrate(
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     l2 = problem.vol**2
     gam2 = gam * gam
-    n = 4 + 3 * sensitivities
 
     def rhs(t, u):
         u = u.tolist()
         th, g, p = u[0], u[1], u[2]
         weight = 2.0 * math.exp((t - T) / tau)
-        stiffness = gam2 + e_end * weight
         du = [(g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2]
-        for k in range(4, n, 3):
-            s_th, s_g, s_p = u[k], u[k + 1], u[k + 2]
-            du += [(2.0 * g * s_g - s_th) / tau, s_p, stiffness * s_g]
-        if n > 4:
-            du[6] += weight * g
+        if sensitivities:
+            stiffness = gam2 + e_end * weight
+            th_e, g_e, p_e, th_p, g_p, p_p = u[4:]
+            du += [(2.0 * g * g_e - th_e) / tau, p_e, stiffness * g_e + weight * g]
+            du += [(2.0 * g * g_p - th_p) / tau, p_p, stiffness * g_p]
         return du
 
     def collapse(t, u):
@@ -250,9 +252,8 @@ def _integrate(
 
     escape.terminal = True
 
-    y0 = [a * a, a, p0, 0.0] + [0.0, 0.0, 0.0] * sensitivities
-    if sensitivities == 2:
-        y0[9] = 1.0
+    # d/dp0 starts from (0, 0, 1), d/dE(T) from 0
+    y0 = [a * a, a, p0, 0.0] + ([0.0, 0.0, 0.0, 0.0, 0.0, 1.0] if sensitivities else [])
     # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
     # like e^{gamma T}), the error norm turns NaN and every step is rejected
     # until the solver stops with status -1 or an event fires; either way the
@@ -264,7 +265,7 @@ def _integrate(
             y0,
             method="DOP853",
             rtol=rtol,
-            atol=[atol] * 4 + [np.inf] * (n - 4),
+            atol=[atol] * 4 + [np.inf] * (len(y0) - 4),
             events=(collapse, escape),
             dense_output=dense_output,
         )
@@ -344,7 +345,7 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """
     gam, a = problem.gamma, problem.level
     for _ in range(NEWTON_STEPS):
-        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=2)
+        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=True)
         if sol is None:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]

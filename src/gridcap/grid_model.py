@@ -17,7 +17,8 @@ as a chain of matrices:
 With the stochastic injections occupying nodes 1..m, Cbar splits column-wise
 into [0 | C | C_D]: the slack column is identically zero, C acts on the
 stochastic injections and C_D on the deterministic ones. `DcFlowMatrices`
-stores B, Ct, Cbar, C and C_D; A, Dbeta and Bg are not kept.
+holds B, Ct and Cbar once, read-only, with C and C_D as column views of
+Cbar; A, Dbeta and Bg are not kept, and Bg is freed before Cbar is formed.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
@@ -166,11 +167,11 @@ class DcFlowMatrices:
     m : int
         Number of stochastic nodes; by convention they are nodes 1..m.
     laplacian, transfer, normalized : arrays
-        B, Ct and Cbar as described in the module docstring.
+        B, Ct and Cbar as described in the module docstring; read-only.
     stochastic_block : array, shape (L, m)
-        Columns 1..m of Cbar (the matrix C).
+        Columns 1..m of Cbar (the matrix C), a view sharing Cbar's memory.
     deterministic_block : array, shape (L, N-m)
-        Columns m+1..N of Cbar (the matrix C_D).
+        Columns m+1..N of Cbar (the matrix C_D), a view likewise.
     """
 
     network: GridNetwork
@@ -230,7 +231,10 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
 
     # row-scaling A by beta equals Dbeta A bit for bit, without the L x L diagonal
     Ct = (network.susceptance[:, None] * build_incidence(network)) @ Bg
+    del Bg
     Cbar = Ct / network.current_rating[:, None]
+    for a in (B, Ct, Cbar):
+        a.setflags(write=False)
 
     C = Cbar[:, 1 : m + 1]
     s = np.linalg.svd(C, compute_uv=False)
@@ -240,11 +244,11 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     return DcFlowMatrices(
         network=network,
         m=m,
-        laplacian=_readonly(B),
-        transfer=_readonly(Ct),
-        normalized=_readonly(Cbar),
-        stochastic_block=_readonly(C),
-        deterministic_block=_readonly(Cbar[:, m + 1 :]),
+        laplacian=B,
+        transfer=Ct,
+        normalized=Cbar,
+        stochastic_block=C,
+        deterministic_block=Cbar[:, m + 1 :],
     )
 
 

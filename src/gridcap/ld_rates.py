@@ -19,6 +19,7 @@ Small decay rates mean likely overloads: probability ~ exp(-rate/eps).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -83,15 +84,11 @@ class PsiContext:
     def tau(self) -> np.ndarray:
         return self.flow.network.thermal_constant
 
-    @property
+    @cached_property
     def stochastic_lines(self) -> tuple:
-        """Indices of lines with a non-zero stochastic sensitivity row."""
-        C = self.flow.stochastic_block
-        scale = np.max(np.abs(C))
-        if scale == 0.0:
-            return ()
-        keep = np.max(np.abs(C), axis=1) > ZERO_ROW_RTOL * scale
-        return tuple(int(i) for i in np.nonzero(keep)[0])
+        """Indices of lines with a non-zero stochastic sensitivity row, decided once."""
+        row_max = np.max(np.abs(self.flow.stochastic_block), axis=1)
+        return tuple(np.flatnonzero(row_max > ZERO_ROW_RTOL * row_max.max()).tolist())
 
 
 def _m_diag(ou: OuModel, t: float, horizon: float) -> np.ndarray:
@@ -131,7 +128,7 @@ def _line_variance(ctx: PsiContext, line: int) -> float:
 def psi(ctx: PsiContext, line: int, a: float) -> float:
     """Cheapest action driving line's normalized current to level a at the horizon."""
     denom = _line_variance(ctx, line)
-    return float((a - ctx.op.nu[line]) ** 2 / denom)
+    return float(np.square(a - ctx.op.nu[line]) / denom)  # x * x, as the report squares its arrays
 
 
 def _level_cost(level, nu_abs, denom):
@@ -143,22 +140,30 @@ def _level_cost(level, nu_abs, denom):
     return cost
 
 
+def _live_lines(ctx: PsiContext) -> np.ndarray:
+    """Stochastic line indices as an array; NoStochasticLines if there are none."""
+    lines = ctx.stochastic_lines
+    if not lines:
+        raise NoStochasticLines("no line responds to the stochastic injections")
+    return np.asarray(lines)
+
+
+def _argmin(idx: np.ndarray, rates: np.ndarray):
+    """Smallest rate and the lines of idx within ARGMIN_RTOL of it."""
+    best = float(np.min(rates))
+    cut = best * (1.0 + ARGMIN_RTOL) + 1e-300
+    return best, tuple(int(i) for i in idx[rates <= cut])
+
+
 def _min_levels(ctx: PsiContext, levels: np.ndarray):
     """Minimum over stochastic lines of psi at per-line symmetric levels.
 
     levels[ell] > 0 is the magnitude; the cheaper of +-levels[ell] is the side
     toward which nu_ell already points.
     """
-    lines = ctx.stochastic_lines
-    if not lines:
-        raise NoStochasticLines("no line responds to the stochastic injections")
-    idx = np.asarray(lines)
+    idx = _live_lines(ctx)
     denom = line_variances(ctx)[idx]
-    rates = _level_cost(levels[idx], np.abs(ctx.op.nu[idx]), denom)
-    best = float(np.min(rates))
-    cut = best * (1.0 + ARGMIN_RTOL) + 1e-300
-    argmin = tuple(int(i) for i, r in zip(idx, rates) if r <= cut)
-    return best, argmin
+    return _argmin(idx, _level_cost(levels[idx], np.abs(ctx.op.nu[idx]), denom))
 
 
 def current_decay_rate(ctx: PsiContext):
@@ -323,31 +328,24 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     When tau0 is omitted it is taken from the network's thermal constants if
     they are uniform; otherwise the first-order rate is left out with a note.
     """
-    denom = line_variances(ctx)
-    sigma2 = (ctx.flow.stochastic_block**2) @ ctx.ou.vol**2
-    nu = ctx.op.nu
-    net = ctx.flow.network
-    live = ctx.stochastic_lines
-    rows = []
-    for ell in live:
-        al = alpha(ctx, ell)
-        rows.append(
-            LineRates(
-                line=ell,
-                terminals=net.lines[ell],
-                psi_plus=float((1.0 - nu[ell]) ** 2 / denom[ell]),
-                psi_minus=float((1.0 + nu[ell]) ** 2 / denom[ell]),
-                alpha=al,
-                psi_alpha=float(_level_cost(al, abs(nu[ell]), denom[ell])),
-                sigma2=float(sigma2[ell]),
-            )
-        )
-    excluded = tuple(sorted(set(range(ctx.flow.line_count)).difference(live)))
-    current, current_argmin = current_decay_rate(ctx)
-    lb, lb_argmin = lb_decay_rate(ctx)
+    idx = _live_lines(ctx)
+    denom = line_variances(ctx)[idx]
+    sigma2 = ((ctx.flow.stochastic_block**2) @ ctx.ou.vol**2)[idx]
+    nu = ctx.op.nu[idx]
+    # 1 - (-nu) is 1 + nu bit for bit, so min(psi_plus, psi_minus) is the
+    # level-1 cost from |nu| that current_decay_rate prices
+    psi_plus = _level_cost(1.0, nu, denom)
+    psi_minus = _level_cost(1.0, -nu, denom)
+    levels = overload_threshold_equivalence(nu, ctx.tau[idx], ctx.horizon)
+    psi_alpha = _level_cost(levels, np.abs(nu), denom)
+    terminals = ctx.flow.network.lines
+    columns = zip(*(v.tolist() for v in (psi_plus, psi_minus, levels, psi_alpha, sigma2)))
+    rows = tuple(LineRates(ell, terminals[ell], *values) for ell, values in zip(idx.tolist(), columns))
+    excluded = tuple(sorted(set(range(ctx.flow.line_count)).difference(ctx.stochastic_lines)))
+    current, current_argmin = _argmin(idx, np.minimum(psi_plus, psi_minus))
+    lb, lb_argmin = _argmin(idx, psi_alpha)
 
-    taylor_rate = None
-    taylor_note = None
+    taylor_rate = taylor_note = None
     try:
         if tau0 is None:
             tau0 = _uniform(ctx.tau, "thermal constant", NonUniformTau)
@@ -357,7 +355,7 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
         tau0 = None
 
     return DecayRateReport(
-        lines=tuple(rows),
+        lines=rows,
         excluded=excluded,
         current_rate=current,
         current_argmin=current_argmin,

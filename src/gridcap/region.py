@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundCollapse, EmptySlice, NonUniformGamma, NonUniformTau, NoStochasticLines
+from .errors import BoundCollapse, EmptySlice, NonUniformGamma, NonUniformTau
 from .grid_model import _readonly
-from .ld_rates import PsiContext, _uniform, line_variances
+from .ld_rates import PsiContext, _live_lines, _uniform, line_variances
 
 __all__ = [
     "REGION_KINDS",
@@ -75,6 +75,13 @@ def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
     return np.sqrt(epsilon * np.log(1.0 / p) * line_variances(ctx))
 
 
+def _refuse_collapse(live: np.ndarray, collapsed: np.ndarray):
+    """BoundCollapse on the first line of `live` whose entry in `collapsed` is set."""
+    hit = np.flatnonzero(collapsed)
+    if hit.size:
+        raise BoundCollapse(int(live[hit[0]]))
+
+
 def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None) -> CapacityRegion:
     """Slab bounds for one region kind at given noise scale and target probability.
 
@@ -86,42 +93,33 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
-    L = ctx.flow.line_count
-    live = list(ctx.stochastic_lines)
-    bounds = np.ones(L)
-    tau_used = None
-    tau0_used = None
+    live = np.array(ctx.stochastic_lines, dtype=np.intp)
+    bounds = np.ones(ctx.flow.line_count)
     if kind != "deterministic":
-        beta = noise_margins(ctx, epsilon, p)
+        beta = noise_margins(ctx, epsilon, p)[live]
         if kind == "current":
-            bounds[live] = 1.0 - beta[live]
+            bounds[live] = 1.0 - beta
         elif kind == "temperature_lb":
-            tau_used = ctx.tau.copy()
-            q = np.exp(-ctx.horizon / ctx.tau)
+            q = np.exp(-ctx.horizon / ctx.tau[live])
             radicand = 1.0 - beta**2 * q * (1.0 - q)
-            for ell in live:
-                if radicand[ell] < 0.0:
-                    raise BoundCollapse(ell)
-                bounds[ell] = np.sqrt(radicand[ell]) - beta[ell] * (1.0 - q[ell])
+            _refuse_collapse(live, radicand < 0.0)
+            bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)
         else:  # temperature_taylor
             gamma = _uniform(ctx.ou.gamma, "mean-reversion rate", NonUniformGamma)
             if tau0 is None:
                 tau0 = _uniform(ctx.tau, "thermal constant", NonUniformTau)
             if tau0 < 0:
                 raise ValueError("tau0 must be non-negative")
-            tau0_used = float(tau0)
-            bounds[live] = 1.0 - beta[live] / np.sqrt(1.0 + 2.0 * tau0 * gamma)
-        for ell in live:
-            if bounds[ell] <= 0.0:
-                raise BoundCollapse(ell)
+            bounds[live] = 1.0 - beta / np.sqrt(1.0 + 2.0 * tau0 * gamma)
+        _refuse_collapse(live, bounds[live] <= 0.0)
     return CapacityRegion(
         kind=kind,
         bounds=bounds,
         epsilon=float(epsilon),
         p=float(p),
         horizon=ctx.horizon,
-        tau=tau_used,
-        tau0=tau0_used,
+        tau=ctx.tau if kind == "temperature_lb" else None,
+        tau0=float(tau0) if kind == "temperature_taylor" else None,
     )
 
 
@@ -351,9 +349,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     uc = umin + cell_u * (np.arange(resolution) + 0.5)
     vc = vmin + cell_v * (np.arange(resolution) + 0.5)
 
-    live = list(ctx.stochastic_lines)
-    if not live:
-        raise NoStochasticLines("no line couples to the stochastic injections")
+    live = _live_lines(ctx).tolist()
     denom = line_variances(ctx)
     # nu_ell at cell (i, j) is a[ell, j] + b[ell, i], rounded exactly as
     # (base + du u) + dv v is on the full grid

@@ -173,6 +173,17 @@ def test_region_collapse_exits_empty(capsys):
     assert "collapsed" in err
 
 
+def test_region_partition_ignores_a_collapsing_kind(capsys):
+    # The partition labels the deterministic slice, so a --kind whose region
+    # would collapse at this noise scale is never built.
+    argv = ["region", "builtin:wheel3", "--epsilon", "50", "--slice", "2,3", "--bbox=-1,1,-1,1", "--partition",
+            "--resolution", "20"]
+    code, out, _ = run(capsys, *argv, "--kind", "current")
+    assert code == 0
+    assert (code, out) == run(capsys, *argv, "--kind", "deterministic")[:2]
+    assert run(capsys, "region", "builtin:wheel3", "--epsilon", "50", "--kind", "current")[0] == 3
+
+
 def test_region_empty_slice_exits_empty(capsys):
     code, _, err = run(
         capsys,
@@ -279,6 +290,20 @@ def test_exact1d_large_lag_ratio_exits_without_warnings():
     assert proc.returncode == 0
     assert proc.stderr == ""
     assert np.isclose(json.loads(proc.stdout)["rate"], 0.198135618, rtol=1e-8)
+
+
+@pytest.mark.parametrize("option, value", [("--vol", "1e200"), ("--vol", "1e-170"), ("--gamma", "1e160")])
+def test_exact1d_out_of_range_square_exits_invalid(option, value):
+    # vol^2 or gamma^2 overflows or underflows; refused before the solver runs
+    params = {"--mu": "0.5", "--gamma": "1", "--vol": "1", "--tau": "0.5", "--T": "1", option: value}
+    argv = [token for pair in params.items() for token in pair]
+    proc = subprocess.run([sys.executable, "-m", "gridcap", "exact1d", *argv],
+                          env=_subprocess_env(), capture_output=True, text=True)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.count("\n") == 1
+    assert proc.stderr.startswith(f"error: {option[2:]} = ")
+    assert "Traceback" not in proc.stderr and "Warning" not in proc.stderr
 
 
 def test_mc_single_noise_scale(capsys):

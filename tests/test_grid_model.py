@@ -1,5 +1,7 @@
 """Network assembly: Laplacian, incidence, transfer chain, rank structure."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -234,3 +236,39 @@ def test_arrays_are_read_only():
     for arr in (net.susceptance, flow.transfer, flow.stochastic_block, op.nu):
         with pytest.raises(ValueError):
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
+
+
+def test_blocks_are_read_only_views_of_normalized():
+    # C and C_D are columns 1..m and m+1..N of Cbar, held once
+    flow = build_flow_matrices(_net([(0, 1), (0, 2), (1, 2), (2, 3)], 4), 2)
+    assert flow.stochastic_block.tobytes() == flow.normalized[:, 1:3].tobytes()
+    assert flow.deterministic_block.tobytes() == flow.normalized[:, 3:].tobytes()
+    for block in (flow.stochastic_block, flow.deterministic_block):
+        assert np.shares_memory(block, flow.normalized)
+    for arr in (flow.laplacian, flow.transfer, flow.normalized, flow.stochastic_block, flow.deterministic_block):
+        assert not arr.flags.writeable
+        with pytest.raises(ValueError):
+            arr[0, 0] = 1.0
+
+
+def test_assembly_memory_budget():
+    # 1,000-bus ring with 500 chords and 100 stochastic nodes. B is 8 MB, Ct
+    # and Cbar 12 MB each, and the grounded inverse 8 MB; copying any stored
+    # matrix on top of the assembly's temporaries breaks the budget.
+    n = 1000
+    rng = np.random.default_rng(11)
+    lines = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
+    while len(lines) < n + n // 2:
+        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        lines.add((i, j))
+    net = _net(sorted(lines), n, beta=rng.uniform(1.0, 5.0, len(lines)))
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        flow = build_flow_matrices(net, n // 10)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert flow.normalized.shape == (1500, n)
+    assert peak < 50e6

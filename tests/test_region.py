@@ -122,6 +122,23 @@ def test_bound_collapse_raised():
         build_region(ctx, "temperature_lb", 0.7, 1e-4)
 
 
+@pytest.mark.parametrize("kind, epsilon", [("current", 0.3), ("temperature_lb", 3.0), ("temperature_taylor", 0.3)])
+def test_bound_collapse_names_the_first_collapsing_line(kind, epsilon):
+    # Line 0 has room to spare, line 1 never feels the noise, line 2 collapses.
+    net = GridNetwork(
+        node_count=4,
+        lines=((0, 1), (0, 3), (1, 2)),
+        susceptance=np.ones(3),
+        current_rating=np.array([50.0, 1.0, 0.5]),
+        thermal_constant=np.full(3, 0.5),
+    )
+    ctx = make_context(net, 2, [0.1, 0.1], [1.0, 1.0], [1.0, 1.0], 0.1, 1.0, mu_D=[0.0])
+    assert ctx.stochastic_lines == (0, 2)
+    with pytest.raises(BoundCollapse) as info:
+        build_region(ctx, kind, epsilon, 1e-4, tau0=0.5)
+    assert info.value.line == 2
+
+
 def test_build_region_validation():
     w = wheel_context()
     with pytest.raises(ValueError):

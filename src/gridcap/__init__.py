@@ -77,6 +77,7 @@ from .exact1d import (
     functional_value,
     euler_residual,
     shoot,
+    certified_rate,
     exact_decay_rate,
 )
 from .region import (

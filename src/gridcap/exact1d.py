@@ -35,14 +35,22 @@ same DOP853 call as the shot. The first condition is theta(T) = 1. The
 second is the transversality condition of the free endpoint: g(T) is not
 prescribed and theta(T) does not depend on it pointwise, so the optimal
 control u = g' + gamma (g - mu) = p + gamma (g - mu) vanishes at the horizon,
-u(T) = 0. A 2-D Newton iteration on both conditions starts from the
-optimum of the discretized problem: there theta(T) = 1 is a single quadratic
+u(T) = 0.
+
+One discrete engine certifies the optimum. On a mesh that puts half its
+steps in the last min(T, 40 tau), theta(T) = 1 is a single quadratic
 constraint on a positive definite quadratic action, and the global minimizer
 is the root of a 1-D secular equation at which the Lagrangian Hessian is
 still positive definite, certified by its Cholesky factorization (More &
-Sorensen 1983; Polik & Terlaky, SIAM Review 2007). This is the only path:
-where the start is not certified or the iteration does not converge,
-`exact_decay_rate` raises NoBoundaryHit rather than search elsewhere.
+Sorensen 1983; Polik & Terlaky, SIAM Review 2007). It is solved at
+DISCRETE_STEPS and twice as many steps, and the rate, p0 and E(T) of the
+two levels are Richardson-extrapolated. `certified_rate` returns the
+extrapolated rate without integrating anything. `exact_decay_rate` starts
+the 2-D Newton iteration on both conditions from the extrapolated (p0, E(T))
+and samples its shot from the dense output of the converging integration.
+This is the only path: where either level is not certified, both raise
+NoBoundaryHit, and so does `exact_decay_rate` where the iteration does not
+converge, rather than search elsewhere.
 
 The cubic form of the stationarity condition, used by `euler_residual`, is
 
@@ -69,6 +77,7 @@ __all__ = [
     "functional_value",
     "euler_residual",
     "shoot",
+    "certified_rate",
     "exact_decay_rate",
 ]
 
@@ -87,11 +96,21 @@ THETA_TOL = 1e-11
 #: The refinement also needs the terminal control |u(T)| this small.
 CONTROL_TOL = 1e-9
 
-#: Intervals of the discretized problem whose certified optimum starts the refinement.
+#: Steps of the coarser of the two discretized problems whose certified optima are extrapolated.
 DISCRETE_STEPS = 400
+
+#: Half of the discrete steps cover the last min(T, BOUNDARY_LAYER tau) before the horizon.
+BOUNDARY_LAYER = 40.0
 
 #: Safeguarded Newton steps allowed on the secular equation of the discretized problem.
 SECULAR_STEPS = 60
+
+#: g^T W g may miss its target by this much, relatively, where lam itself is resolved to rounding.
+ROUNDED_ROOT_TOL = 1e-8
+
+_REFUSAL = (
+    f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload level at the horizon"
+)
 
 
 @dataclass(frozen=True)
@@ -339,19 +358,31 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
 
     u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
-    endpoint. Returns the converged (p0, E(T)), or None when an iterate stops
-    being integrable, the Jacobian is singular or the iteration does not
-    settle within NEWTON_STEPS.
+    endpoint. From the second integration on, the solver also keeps its dense
+    output, so the converged shot is sampled without another solve. Returns
+    (p0, E(T), dense solution) once |theta(T) - 1| <= THETA_TOL and
+    |u(T)| <= CONTROL_TOL. Returns None when an iterate stops being
+    integrable, the Jacobian is singular, NEWTON_STEPS run out, or a step no
+    longer lowers the residual max(|theta(T) - 1| / THETA_TOL,
+    |u(T)| / CONTROL_TOL): the iterates then jitter at the integration's own
+    error, and further steps cannot meet the tolerances.
     """
     gam, a = problem.gamma, problem.level
-    for _ in range(NEWTON_STEPS):
-        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=True)
+    last = math.inf
+    for k in range(NEWTON_STEPS):
+        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=True, dense_output=k > 0)
         if sol is None:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
         resid = np.array([th - 1.0, p + gam * (g - a)])
-        if abs(resid[0]) <= THETA_TOL and abs(resid[1]) <= CONTROL_TOL:
-            return p0, e_end
+        size = max(abs(resid[0]) / THETA_TOL, abs(resid[1]) / CONTROL_TOL)
+        if size <= 1.0:
+            if sol.sol is not None:
+                return p0, e_end, sol
+            continue  # the first shot already lands: integrate it again for its dense output
+        if not size < last:
+            return None
+        last = size
         jac = np.array([[th_p, th_e], [p_p + gam * g_p, p_e + gam * g_e]])
         try:
             step = np.linalg.solve(jac, resid)
@@ -361,62 +392,69 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     return None
 
 
-def _discrete_start(problem: Exact1dProblem):
-    """(p0, E(T)) read off the certified optimum of the discretized problem, or None.
+def _discrete_level(problem: Exact1dProblem, n: int):
+    """(rate, p0, E(T)) of the certified optimum of the problem discretized on n steps, or None.
 
-    The current path is sampled as g_k = g(k d), d = T/n, n = DISCRETE_STEPS,
-    with g_0 = |mu|. Taking g^2 linear on each step, the exact filter of
-    theta' = (g^2 - theta)/tau gives theta(T) = q^n mu^2 + sum_k w_k g_k^2,
-    q = e^{-d/tau}, and the midpoint rule gives the action as a positive
-    multiple of 1/2 g^T H g - h^T g + const with H = B^T B tridiagonal and
-    positive definite. Stationary points on theta(T) = 1 solve
-    (H - 2 lam W) g = h, W = diag(w_1..w_n). While H - 2 lam W is positive
-    definite, g^T W g grows with lam, and a root of the secular equation
-    g^T W g = 1 - q^n mu^2 - w_0 mu^2 there is the global minimizer (S-lemma).
-    Each solve factors H - 2 lam W by Cholesky, so a successful solve at the
-    root is the certificate; a failed factorization marks lam at or past the
-    threshold lam_crit where definiteness ends and lowers the upper end of
-    the bracket (0, hi), which starts at +inf. Newton runs on the secular
-    equation in the form (g^T W g)^{-1/2}, which is concave in lam below
-    lam_crit: its steps approach the root monotonically from above, and a
-    step that leaves the bracket bisects it instead.
+    The current path is sampled as g_k = g(t_k) on a two-zone mesh with g_0 =
+    |mu|: half of the n steps are spread evenly over the last
+    min(T, BOUNDARY_LAYER tau) and half over the rest, so the layer of width
+    ~tau before the horizon stays resolved at any T/tau; where
+    BOUNDARY_LAYER tau >= T the mesh is uniform. Taking g^2 linear on each step, the exact filter of
+    theta' = (g^2 - theta)/tau gives theta(T) = e^{-T/tau} mu^2 +
+    sum_k w_k g_k^2, and the midpoint rule gives the action as
+    1/(2 l^2) sum_k d_k r_k^2 with r_k = (g_{k+1} - g_k)/d_k +
+    gamma ((g_k + g_{k+1})/2 - |mu|), a positive definite quadratic
+    1/2 g^T H g - h^T g + const with H tridiagonal. Stationary points on
+    theta(T) = 1 solve (H - 2 lam W) g = h, W = diag(w_1..w_n). While
+    H - 2 lam W is positive definite, g^T W g grows with lam, and a root of
+    the secular equation g^T W g = 1 - e^{-T/tau} mu^2 - w_0 mu^2 there is the
+    global minimizer (S-lemma). Each solve factors H - 2 lam W by Cholesky,
+    so a successful solve at the root is the certificate; a failed
+    factorization marks lam at or past the threshold lam_crit where
+    definiteness ends and lowers the upper end of the bracket (0, hi), which
+    starts at +inf. Newton runs on the secular equation in the form
+    (g^T W g)^{-1/2}, which is concave in lam below lam_crit: its steps
+    approach the root monotonically from above, and a step that leaves the
+    bracket bisects it instead (More & Sorensen 1983; Polik & Terlaky, SIAM
+    Review 2007).
 
-    p0 = g'(0) and g''(T) come from second-order one-sided differences and
-    E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)). E is read at the
-    horizon rather than at the start because E(0) e^{T/tau} would multiply
-    the discretization error by e^{T/tau}. Returns None when no certified
-    root is reached within SECULAR_STEPS, or when d/tau is so small that the
-    one-step weight c1 rounds to zero or below.
+    p0 = g'(0) and g''(T) come from second-order one-sided differences in the
+    first and last zone, and E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)).
+    E is read at the horizon rather than at the start because E(0) e^{T/tau}
+    would multiply the discretization error by e^{T/tau}. All three carry an
+    O(d^2) error. Returns None when no certified root is reached within
+    SECULAR_STEPS, or when a step's d/tau is so small that its weight c1
+    rounds to zero or below.
     """
     from scipy.linalg import solveh_banded
 
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
-    n = DISCRETE_STEPS
-    d = T / n
-    decay = -math.expm1(-d / tau)
-    q = 1.0 - decay
-    # one step: theta_{k+1} = q theta_k + c0 g_k^2 + c1 g_{k+1}^2
+    layer, half = min(T, BOUNDARY_LAYER * tau), n // 2
+    d = np.repeat([(T - layer) / half, layer / (n - half)], [half, n - half]) if layer < T else np.full(n, T / n)
+    decay = -np.expm1(-d / tau)
+    # step k: theta_{k+1} = (1 - decay_k) theta_k + c0_k g_k^2 + c1_k g_{k+1}^2
     c1 = 1.0 - decay * tau / d
     c0 = decay - c1
-    if not c1 > 0.0:  # d/tau lies below rounding, so theta(T) no longer resolves g
+    if not np.min(c1) > 0.0:  # d/tau lies below rounding, so theta(T) no longer resolves g
         return None
+    remain = np.append(np.cumsum(d[:0:-1])[::-1], 0.0)  # T - t_{k+1}
     with np.errstate(under="ignore"):  # steps long before T leave nothing of theta(T) for large T/tau
-        lag = q ** np.arange(n - 1.0, -1.0, -1.0)  # q^{n-1-k}: how much of step k survives to T
-        w = c1 * lag
-        w[:-1] += c0 * lag[1:]
-    target = 1.0 - a * a * lag[0] * (q + c0)  # what g_1..g_n must add to theta(T) = 1
+        lag = np.exp(-remain / tau)  # how much of step k survives to T
+    w = c1 * lag
+    w[:-1] += c0[1:] * lag[1:]
+    target = 1.0 - a * a * lag[0] * (1.0 - decay[0] + c0[0])  # what g_1..g_n must add to theta(T) = 1
 
-    # action residuals r_k = ap g_{k+1} + am g_k - gamma |mu| = (B g + c)_k
+    # action residuals r_k = ap_k g_{k+1} + am_k g_k - gamma |mu| = (B g + c)_k, weighted by d_k
     ap, am = 1.0 / d + 0.5 * gam, -1.0 / d + 0.5 * gam
     c = np.full(n, -gam * a)
-    c[0] += am * a
-    diag = np.full(n, ap * ap + am * am)
-    diag[-1] = ap * ap
-    h = -ap * c  # h = -B^T c
-    h[:-1] -= am * c[1:]
+    c[0] += am[0] * a
+    diag = d * ap * ap
+    diag[:-1] += d[1:] * am[1:] * am[1:]
+    h = -d * ap * c  # h = -B^T D c
+    h[:-1] -= d[1:] * am[1:] * c[1:]
     band = np.empty((2, n))  # upper banded storage: superdiagonal, then diagonal
     band[0, 0] = 0.0
-    band[0, 1:] = ap * am
+    band[0, 1:] = d[1:] * ap[1:] * am[1:]
 
     lo, hi, lam = 0.0, math.inf, 0.0
     for _ in range(SECULAR_STEPS):
@@ -440,11 +478,43 @@ def _discrete_start(problem: Exact1dProblem):
         lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
+        if not lo < lam < hi:  # no float lies between: lam is resolved to rounding, and so is the root
+            if abs(norm2 - target) <= ROUNDED_ROOT_TOL * target:
+                break
+            return None
     else:
         return None
-    p0 = (-3.0 * a + 4.0 * g[0] - g[1]) / (2.0 * d)
-    gpp_end = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (d * d)
-    return p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1])
+    r = ap * g + am * np.append(a, g[:-1]) - gam * a
+    rate = 0.5 * float(d @ (r * r)) / problem.vol**2
+    p0 = (-3.0 * a + 4.0 * g[0] - g[1]) / (2.0 * d[0])
+    gpp_end = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (d[-1] * d[-1])
+    return rate, p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1])
+
+
+def _discrete_optimum(problem: Exact1dProblem):
+    """(rate, p0, E(T)) extrapolated from levels DISCRETE_STEPS and twice that, or None.
+
+    Each is (4 X_2n - X_n)/3, which cancels the O(d^2) error of both
+    levels. None unless both levels certify.
+    """
+    coarse = _discrete_level(problem, DISCRETE_STEPS)
+    fine = None if coarse is None else _discrete_level(problem, 2 * DISCRETE_STEPS)
+    if fine is None:
+        return None
+    return tuple((4.0 * x_fine - x_coarse) / 3.0 for x_coarse, x_fine in zip(coarse, fine))
+
+
+def certified_rate(problem: Exact1dProblem) -> float:
+    """Temperature overload decay rate from the certified discrete optimum alone.
+
+    The rate of the discretized problem at DISCRETE_STEPS and at twice as
+    many steps, Richardson-extrapolated as (4 R_2n - R_n)/3; no ODE is
+    integrated. Raises NoBoundaryHit when either level is not certified.
+    """
+    found = _discrete_optimum(problem)
+    if found is None:
+        raise NoBoundaryHit(_REFUSAL)
+    return float(found[0])
 
 
 @dataclass(frozen=True)
@@ -460,28 +530,26 @@ class Exact1dResult:
 def exact_decay_rate(problem: Exact1dProblem, samples: int = 400) -> Exact1dResult:
     """Temperature overload decay rate by shooting with Newton sensitivities.
 
-    The start is the certified global optimum of the problem discretized on
-    DISCRETE_STEPS intervals: the root of its secular equation at which
-    H - 2 lam W still factors by Cholesky, with p0 = g'(0) and E(T) read off
-    the discrete path. From there a 2-D Newton iteration on (p0, E(T)) solves
-    theta(T) = 1 together with the free-endpoint transversality condition
-    u(T) = p(T) + gamma (g(T) - |mu|) = 0, which the minimal action
-    satisfies; it typically settles in two or three integrations. A final
-    dense solve samples the optimal shot on `samples` intervals.
+    The start is the certified global optimum of the discretized problem,
+    with p0 = g'(0) and E(T) read off the discrete paths at DISCRETE_STEPS
+    and twice as many steps and extrapolated as (4 X_2n - X_n)/3. From there
+    a 2-D Newton iteration on (p0, E(T)) solves theta(T) = 1 together with
+    the free-endpoint transversality condition u(T) = p(T) + gamma (g(T) -
+    |mu|) = 0, which the minimal action satisfies; on the single-line table
+    it settles in two integrations. The second and later integrations keep
+    their dense output, so the optimal shot is sampled on `samples`
+    intervals from the converging one, with no further solve.
 
-    Raises NoBoundaryHit when the discrete start is not certified, or when
-    the iteration leaves the |state| < BLOWUP_BOUND search box, collapses
-    onto f = 0 or does not settle: no other minimizer is searched for.
+    Raises NoBoundaryHit when either discrete level is not certified, or
+    when the iteration leaves the |state| < BLOWUP_BOUND search box,
+    collapses onto f = 0 or does not settle: no other minimizer is searched
+    for.
     """
-    start = _discrete_start(problem)
-    found = None if start is None else _refine(problem, *start)
-    sol = None if found is None else _integrate(problem, *found, rtol=1e-10, atol=1e-12, dense_output=True)[0]
-    if sol is None:
-        raise NoBoundaryHit(
-            f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload "
-            "level at the horizon"
-        )
-    p0, e_end = found
+    start = _discrete_optimum(problem)
+    found = None if start is None else _refine(problem, *start[1:])
+    if found is None:
+        raise NoBoundaryHit(_REFUSAL)
+    p0, e_end, sol = found
     x1, x2 = _shot_from_reduced(problem, p0, e_end)
     shot = _shot_result(problem, sol, e_end, samples)
     return Exact1dResult(value=shot.value, x1=float(x1), x2=float(x2), shot=shot)

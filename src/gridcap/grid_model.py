@@ -17,8 +17,9 @@ as a chain of matrices:
 With the stochastic injections occupying nodes 1..m, Cbar splits column-wise
 into [0 | C | C_D]: the slack column is identically zero, C acts on the
 stochastic injections and C_D on the deterministic ones. `DcFlowMatrices`
-holds B, Ct and Cbar once, read-only, with C and C_D as column views of
-Cbar; A, Dbeta and Bg are not kept, and Bg is freed before Cbar is formed.
+holds Ct and Cbar once, read-only, with C and C_D as column views of Cbar;
+A, Dbeta, B and Bg are not kept. B is freed once Bhat is inverted and
+kappa_1 taken, and Bg before Cbar is formed.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
@@ -166,8 +167,9 @@ class DcFlowMatrices:
         constants.
     m : int
         Number of stochastic nodes; by convention they are nodes 1..m.
-    laplacian, transfer, normalized : arrays
-        B, Ct and Cbar as described in the module docstring; read-only.
+    transfer, normalized : arrays
+        Ct and Cbar as described in the module docstring; read-only. B is
+        released once Bhat is inverted; `build_laplacian` rebuilds it.
     stochastic_block : array, shape (L, m)
         Columns 1..m of Cbar (the matrix C), a view sharing Cbar's memory.
     deterministic_block : array, shape (L, N-m)
@@ -176,7 +178,6 @@ class DcFlowMatrices:
 
     network: GridNetwork
     m: int
-    laplacian: np.ndarray = field(repr=False)
     transfer: np.ndarray = field(repr=False)
     normalized: np.ndarray = field(repr=False)
     stochastic_block: np.ndarray = field(repr=False)
@@ -224,6 +225,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         kappa = float(np.linalg.norm(Bhat, 1)) * float(np.linalg.norm(Bg[1:, 1:], 1))
     except np.linalg.LinAlgError:
         kappa = np.inf
+    del B, Bhat
     if not kappa < 1.0 / RANK_RTOL:  # NaN fails this test too
         raise SingularReducedLaplacian(
             "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
@@ -233,7 +235,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     Ct = (network.susceptance[:, None] * build_incidence(network)) @ Bg
     del Bg
     Cbar = Ct / network.current_rating[:, None]
-    for a in (B, Ct, Cbar):
+    for a in (Ct, Cbar):
         a.setflags(write=False)
 
     C = Cbar[:, 1 : m + 1]
@@ -244,7 +246,6 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     return DcFlowMatrices(
         network=network,
         m=m,
-        laplacian=B,
         transfer=Ct,
         normalized=Cbar,
         stochastic_block=C,

@@ -1,5 +1,7 @@
 """Single-line temperature overload rate via the variational boundary problem."""
 
+import contextlib
+import time
 import warnings
 
 import numpy as np
@@ -11,6 +13,7 @@ from gridcap.errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
 from gridcap.exact1d import (
     Exact1dProblem,
     Exact1dResult,
+    certified_rate,
     euler_residual,
     exact_decay_rate,
     functional_value,
@@ -291,3 +294,69 @@ def test_rate_is_certified_or_refused(args):
     value, certified = certified_temperature_rate(*args, n=1600)
     assert certified
     assert np.isclose(res.value, value, rtol=1e-5)
+
+
+def test_certified_rate_at_extreme_lag_ratio():
+    # T/tau = 1e5: the two-zone mesh keeps half its steps in the last 40 tau,
+    # where explicit integration of theta' = (g^2 - theta)/tau would need ~19 s.
+    problem = _problem(1e-5)
+    certified_rate(_problem(0.5))  # scipy.linalg is loaded before the clock starts
+    start = time.perf_counter()
+    value = certified_rate(problem)
+    assert time.perf_counter() - start < 0.1
+    assert np.isclose(value, 0.1977498035, rtol=1e-7, atol=0.0)
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_certified_rate_matches_shot_on_reference_rows(counted_rows, tau):
+    res, _ = counted_rows[tau]
+    assert np.isclose(certified_rate(_problem(tau)), res.value, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("ratio", sorted(LARGE_LAG_RATIOS))
+def test_certified_rate_matches_shot_at_large_lag_ratios(ratio):
+    problem = _problem(1.0 / ratio)
+    assert np.isclose(certified_rate(problem), exact_decay_rate(problem).value, rtol=1e-8, atol=0.0)
+
+
+def test_certified_rate_refuses_an_uncertified_level():
+    # At tau = 1e308 the one-step weight c1 rounds below zero on every level.
+    with pytest.raises(NoBoundaryHit):
+        certified_rate(_problem(1e308))
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_row_makes_two_solves(counted_rows, tau):
+    # Started from the extrapolated discrete optimum, Newton lands after one
+    # step, and its second integration's dense output samples the shot.
+    _, calls = counted_rows[tau]
+    assert calls == 2
+
+
+@pytest.mark.parametrize("name", ["draw82", "draw104", "draw106"])
+def test_stalled_refinement_ends_early(monkeypatch, name):
+    # Newton reaches these optima within three steps, after which the residual
+    # jitters at the integration's own error. The first step that no longer
+    # lowers it ends the iteration, answered or refused, instead of running
+    # out NEWTON_STEPS.
+    calls = [0]
+    original = exact1d._integrate
+
+    def counting(*args, **kwargs):
+        calls[0] += 1
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(exact1d, "_integrate", counting)
+    with contextlib.suppress(NoBoundaryHit):
+        exact_decay_rate(Exact1dProblem(*CERTIFIED_OR_REFUSED[name]))
+    assert calls[0] <= 5
+
+
+def test_large_gamma_horizon_draw_is_answered():
+    # Draw 127 (gamma T = 14.9): the start from a single 400-step level missed
+    # theta(T) = 1 by 0.42 and collapsed; the extrapolated start converges.
+    args = CERTIFIED_OR_REFUSED["draw127"]
+    coarse, _ = certified_temperature_rate(*args, n=800)
+    fine, certified = certified_temperature_rate(*args, n=1600)
+    assert certified
+    assert np.isclose(exact_decay_rate(Exact1dProblem(*args)).value, (4.0 * fine - coarse) / 3.0, rtol=1e-7, atol=0.0)

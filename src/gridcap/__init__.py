@@ -118,6 +118,8 @@ from .io_formats import (
     region_from_json,
     export_slice,
     export_partition,
+    export_mc,
+    export_exact1d,
 )
 
 __version__ = "0.1.0"

@@ -14,7 +14,15 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["replicate_stream", "normal_block", "fill_normal_blocks"]
+__all__ = ["check_key", "replicate_stream", "normal_block", "fill_normal_blocks"]
+
+
+def check_key(seed: int, replicate: int) -> None:
+    """Refuse a (seed, replicate) pair that is not a Philox key: 0 <= seed < 2**64, replicate >= 0."""
+    if not 0 <= seed < 2**64:
+        raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
+    if replicate < 0:
+        raise ValueError(f"replicate must be non-negative, got {replicate}")
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -23,8 +31,7 @@ def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
     The Philox key is the pair itself, so streams for distinct replicates are
     statistically independent without any shared sequential state.
     """
-    if seed < 0 or replicate < 0:
-        raise ValueError("seed and replicate must be non-negative")
+    check_key(seed, replicate)
     key = np.array([seed, replicate], dtype=np.uint64)
     return np.random.Generator(np.random.Philox(key=key))
 
@@ -44,8 +51,7 @@ def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     `out` is a C-contiguous float64 array of shape (replicates, steps, dim).
     Returns `out`.
     """
-    if seed < 0 or start < 0:
-        raise ValueError("seed and replicate must be non-negative")
+    check_key(seed, start)
     bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state  # a just-keyed stream: zero counter, empty buffer

@@ -11,10 +11,11 @@ Subcommands::
 INPUT is a file path or ``builtin:NAME`` for a bundled network
 (``builtin:single-line``, ``builtin:wheel3``, ``builtin:case14``).
 
-Exit codes: 0 success; 2 invalid input or parameters; 3 structurally empty
-result (empty slice, no stochastic lines, no hits, collapsed bound);
-4 numerical failure. Machine-readable output goes to standard out (or
---output), diagnostics to standard error.
+Exit codes are defined in ``errors.py``: 0 success; 2 invalid input or
+parameters, an unreadable input file or an unwritable --output path;
+3 structurally empty result (empty slice, no stochastic lines, no hits,
+collapsed bound); 4 numerical failure. Output is rendered by ``io_formats``
+and goes to standard out (or --output), diagnostics to standard error.
 """
 from __future__ import annotations
 
@@ -24,37 +25,16 @@ import sys
 from dataclasses import replace
 from importlib import resources
 
-from .errors import (
-    BlowUp,
-    BoundCollapse,
-    DegenerateF,
-    EmptySlice,
-    GraphError,
-    InfeasibleStart,
-    InsufficientHits,
-    NegativeRadicand,
-    NoBoundaryHit,
-    NonPositiveTau,
-    NonPositiveVolatility,
-    NonUniformGamma,
-    NonUniformTau,
-    NoStochasticLines,
-    ParseError,
-    RankDeficiency,
-    RoleError,
-    SchemaError,
-    SingularReducedLaplacian,
-    ZeroBaseFlow,
-    ZeroVarianceLine,
-)
+import numpy as np
+
+from .errors import GridCapError
 from .exact1d import Exact1dProblem, exact_decay_rate
 from .io_formats import (
     AnalysisDefaults,
-    _base_injection_vector,
-    _f17,
-    _json_text,
     apply_imax_rule,
     build_model,
+    export_exact1d,
+    export_mc,
     export_partition,
     export_region,
     export_report,
@@ -66,31 +46,6 @@ from .io_formats import (
 from .ld_rates import full_report
 from .montecarlo import McConfig, decay_slope, overload_probability
 from .region import REGION_KINDS, build_region, risk_partition, slice2d
-
-INPUT_ERRORS = (
-    SchemaError,
-    RoleError,
-    GraphError,
-    ParseError,
-    ZeroBaseFlow,
-    InfeasibleStart,
-    NonPositiveVolatility,
-    NonPositiveTau,
-    NonUniformGamma,
-    NonUniformTau,
-    ZeroVarianceLine,
-    ValueError,
-    FileNotFoundError,
-)
-EMPTY_ERRORS = (EmptySlice, NoStochasticLines, InsufficientHits, BoundCollapse)
-NUMERIC_ERRORS = (
-    BlowUp,
-    NoBoundaryHit,
-    SingularReducedLaplacian,
-    RankDeficiency,
-    NegativeRadicand,
-    DegenerateF,
-)
 
 BUILTINS = {
     "single-line": "single_line.json",
@@ -107,14 +62,6 @@ def _read_input(spec: str) -> str:
         return resources.files("gridcap").joinpath("data", BUILTINS[name]).read_text()
     with open(spec) as handle:
         return handle.read()
-
-
-def _emit(text: str, output):
-    if output is None:
-        sys.stdout.write(text)
-    else:
-        with open(output, "w") as handle:
-            handle.write(text)
 
 
 def _parse_node_id(token: str):
@@ -167,7 +114,7 @@ def _free_indices(doc, text: str):
     return index[ids[0]], index[ids[1]]
 
 
-def cmd_rates(args) -> int:
+def cmd_rates(args) -> str:
     doc = parse_native(_read_input(args.input))
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
     if args.tau is not None:
@@ -177,12 +124,10 @@ def cmd_rates(args) -> int:
             doc = replace(doc, lines=tuple(replace(line, tau=args.tau) for line in doc.lines))
         tau0 = args.tau
     bm = build_model(doc, epsilon=args.epsilon, horizon=args.horizon)
-    report = full_report(bm.ctx, tau0=tau0)
-    _emit(export_report(report, args.format, line_terminals=bm.line_terminals), args.output)
-    return 0
+    return export_report(full_report(bm.ctx, tau0=tau0), args.format, line_terminals=bm.line_terminals)
 
 
-def cmd_region(args) -> int:
+def cmd_region(args) -> str:
     doc = parse_native(_read_input(args.input))
     epsilon = args.epsilon if args.epsilon is not None else doc.defaults.epsilon
     p = args.p if args.p is not None else doc.defaults.p
@@ -197,33 +142,22 @@ def cmd_region(args) -> int:
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
     bm = build_model(doc, epsilon=epsilon, horizon=args.horizon)
     if args.slice is None:
-        _emit(export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format), args.output)
-        return 0
+        return export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format)
     free = _free_indices(doc, args.slice)
-    fixed = _base_injection_vector(doc)[1:]
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
     if args.partition:  # labels the deterministic slice, so the --kind region is never built
         part = risk_partition(bm.ctx, free, fixed, args.bbox, resolution=args.resolution)
-        _emit(export_partition(part, args.format, line_terminals=bm.line_terminals), args.output)
-    else:
-        sl = slice2d(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), bm.flow, free, fixed, args.bbox)
-        _emit(export_slice(sl, args.format), args.output)
-    return 0
+        return export_partition(part, args.format, line_terminals=bm.line_terminals)
+    sl = slice2d(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), bm.flow, free, fixed, args.bbox)
+    return export_slice(sl, args.format)
 
 
-def cmd_exact1d(args) -> int:
+def cmd_exact1d(args) -> str:
     problem = Exact1dProblem(mu=args.mu, gamma=args.gamma, vol=args.vol, tau=args.tau, horizon=args.horizon)
-    result = exact_decay_rate(problem)
-    out = {
-        "rate": result.value,
-        "x1": result.x1,
-        "x2": result.x2,
-        "theta_end": result.shot.theta_end,
-    }
-    _emit(_json_text(out) + "\n", args.output)
-    return 0
+    return export_exact1d(exact_decay_rate(problem))
 
 
-def cmd_mc(args) -> int:
+def cmd_mc(args) -> str:
     doc = parse_native(_read_input(args.input))
     if args.eps is not None:
         eps_list = args.eps
@@ -232,47 +166,18 @@ def cmd_mc(args) -> int:
     else:
         raise ValueError("--eps not given and absent from document defaults")
     config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed)
-    fit = None
+    ctx = build_model(doc, epsilon=eps_list[0], horizon=args.horizon).ctx
     if len(eps_list) >= 2:
         # the fit runs one estimate per scale; report those rather than rerun them
-        bm = build_model(doc, epsilon=eps_list[0], horizon=args.horizon)
-        fit = decay_slope(bm.ctx, config, eps_list, mode=args.kind, threshold=args.threshold)
+        fit = decay_slope(ctx, config, eps_list, mode=args.kind, threshold=args.threshold)
         found = fit.estimates
     else:
-        ctxs = (build_model(doc, epsilon=eps, horizon=args.horizon).ctx for eps in eps_list)
-        found = [overload_probability(ctx, config, mode=args.kind, threshold=args.threshold) for ctx in ctxs]
-    estimates = list(zip(eps_list, found))
-    if args.format == "csv":
-        rows = ["epsilon,p_hat,ci_low,ci_high,hits,replicates"]
-        for eps, est in estimates:
-            rows.append(
-                f"{_f17(eps)},{_f17(est.p_hat)},{_f17(est.ci_low)},{_f17(est.ci_high)},{est.hits},{est.replicates}"
-            )
-        _emit("\n".join(rows) + "\n", args.output)
-        return 0
-    out = {
-        "mode": args.kind,
-        "threshold": args.threshold,
-        "seed": args.seed,
-        "estimates": [
-            {
-                "epsilon": eps,
-                "p_hat": est.p_hat,
-                "hits": est.hits,
-                "replicates": est.replicates,
-                "ci": [est.ci_low, est.ci_high],
-            }
-            for eps, est in estimates
-        ],
-        "fit": None
-        if fit is None
-        else {"slope": fit.slope, "rate": fit.rate, "intercept": fit.intercept, "residual": fit.residual},
-    }
-    _emit(_json_text(out) + "\n", args.output)
-    return 0
+        fit = None
+        found = [overload_probability(ctx, config, mode=args.kind, threshold=args.threshold)]
+    return export_mc(eps_list, found, args.seed, args.format, fit=fit)
 
 
-def cmd_convert(args) -> int:
+def cmd_convert(args) -> str:
     case = parse_matpower(_read_input(args.input))
     for warning in case.warnings:
         print(f"warning: {warning}", file=sys.stderr)
@@ -288,8 +193,7 @@ def cmd_convert(args) -> int:
         defaults=defaults,
         zero_flow_rating=args.zero_flow_rating,
     )
-    _emit(serialize_native(doc), args.output)
-    return 0
+    return serialize_native(doc)
 
 
 def _bbox(text: str):
@@ -387,13 +291,16 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
-    except EMPTY_ERRORS as exc:
+        text = args.func(args)
+        if args.output is None:
+            sys.stdout.write(text)
+        else:
+            with open(args.output, "w") as handle:
+                handle.write(text)
+    except GridCapError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except NUMERIC_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except INPUT_ERRORS as exc:
+        return exc.exit_code
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
+    return 0

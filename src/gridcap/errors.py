@@ -4,32 +4,59 @@ Every error raised by gridcap derives from :class:`GridCapError`, so callers
 can catch one base class. The subclasses mirror the distinct failure modes of
 the numerical pipeline: invalid inputs, degenerate linear algebra, infeasible
 operating points, and solver breakdowns.
+
+Each error also carries the exit status the ``gridcap`` command returns for
+it, through one of three category bases: :class:`InvalidInput` (2),
+:class:`EmptyResult` (3) and :class:`NumericalFailure` (4).
 """
 
 
 class GridCapError(Exception):
-    """Base class for all gridcap errors."""
+    """Base class for all gridcap errors.
+
+    Every concrete error derives from a category base that sets `exit_code`.
+    """
+
+    exit_code: int
+
+
+class InvalidInput(GridCapError):
+    """The input document or a parameter is invalid."""
+
+    exit_code = 2
+
+
+class EmptyResult(GridCapError):
+    """The question is well posed but its answer is structurally empty."""
+
+    exit_code = 3
+
+
+class NumericalFailure(GridCapError):
+    """A computation broke down numerically on valid input."""
+
+    exit_code = 4
 
 
 # --- input / document errors -------------------------------------------------
 
-class SchemaError(GridCapError):
+class SchemaError(InvalidInput):
     """A network document violates the JSON schema; message contains the path."""
 
 
-class RoleError(GridCapError):
+class RoleError(InvalidInput):
     """Node roles are inconsistent (for example zero or multiple slack nodes)."""
 
 
-class GraphError(GridCapError):
+class GraphError(InvalidInput):
     """The network graph is structurally invalid (for example disconnected)."""
 
 
-class ParseError(GridCapError):
+class ParseError(InvalidInput):
     """A MATPOWER case body could not be parsed; message contains the line."""
 
 
-class ZeroBaseFlow(GridCapError):
+class ZeroBaseFlow(InvalidInput):
     """A line carries no current at the deterministic base point, so the
     proportional rating rule cannot assign it a finite rating."""
 
@@ -40,73 +67,73 @@ class ZeroBaseFlow(GridCapError):
 
 # --- linear algebra / model errors -------------------------------------------
 
-class SingularReducedLaplacian(GridCapError):
+class SingularReducedLaplacian(NumericalFailure):
     """The grounded Laplacian is numerically singular: inversion fails or its
     1-norm condition number reaches 1/RANK_RTOL (wide susceptance ratios)."""
 
 
-class RankDeficiency(GridCapError):
+class RankDeficiency(NumericalFailure):
     """The stochastic block C lacks full column rank beyond tolerance, so
     some stochastic injections cannot be told apart through line currents."""
 
 
-class InfeasibleStart(GridCapError):
+class InfeasibleStart(InvalidInput):
     """The initial normalized currents are not strictly below the critical
     level, so no overload decay rate is defined."""
 
 
-class NonPositiveVolatility(GridCapError):
+class NonPositiveVolatility(InvalidInput):
     """A volatility function evaluated to a non-positive value."""
 
 
-class ZeroVarianceLine(GridCapError):
+class ZeroVarianceLine(InvalidInput):
     """A line's terminal current variance is zero; the line does not respond
     to the stochastic injections and has no finite decay rate."""
 
 
-class NoStochasticLines(GridCapError):
+class NoStochasticLines(EmptyResult):
     """No line is affected by the stochastic injections; every overload decay
     rate is infinite and only the deterministic region is informative."""
 
 
-class NonUniformGamma(GridCapError):
+class NonUniformGamma(InvalidInput):
     """A closed form valid only for a common mean-reversion rate was called
     with heterogeneous rates."""
 
 
-class NonUniformTau(GridCapError):
+class NonUniformTau(InvalidInput):
     """A closed form valid only for a common thermal time constant was called
     on a network with heterogeneous line constants."""
 
 
-class NonPositiveTau(GridCapError):
+class NonPositiveTau(InvalidInput):
     """A thermal time constant must be positive for the temperature map."""
 
 
 # --- solver errors -----------------------------------------------------------
 
-class NegativeRadicand(GridCapError):
+class NegativeRadicand(NumericalFailure):
     """The combination tau*theta' + theta went non-positive, so the square
     root in the temperature functional is undefined."""
 
 
-class DegenerateF(GridCapError):
+class DegenerateF(NumericalFailure):
     """The shooting trajectory's f component collapsed toward zero, which is
     a singularity of the variational system."""
 
 
-class BlowUp(GridCapError):
+class BlowUp(NumericalFailure):
     """A shooting trajectory left the configured bounding box."""
 
 
-class NoBoundaryHit(GridCapError):
+class NoBoundaryHit(NumericalFailure):
     """The exact-rate solver found no certified shot inside its search box
     (|state| < BLOWUP_BOUND) that drives the temperature to the overload level
     at the horizon: the discrete start was not certified or its Newton
     refinement did not settle."""
 
 
-class BoundCollapse(GridCapError):
+class BoundCollapse(EmptyResult):
     """A capacity-region bound dropped to zero or below: the parameters are so
     noisy that no admissible operating point exists for that line."""
 
@@ -115,10 +142,10 @@ class BoundCollapse(GridCapError):
         super().__init__(message or f"capacity bound collapsed on line {line}")
 
 
-class EmptySlice(GridCapError):
+class EmptySlice(EmptyResult):
     """A requested two-dimensional slice of a capacity region is empty."""
 
 
-class InsufficientHits(GridCapError):
+class InsufficientHits(EmptyResult):
     """Monte Carlo produced zero hits for some noise scale; the decay-slope
     fit needs a positive estimate at every scale."""

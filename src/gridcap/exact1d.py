@@ -68,7 +68,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
-from .thermal import TemperaturePath
+from .thermal import TemperaturePath, filter_coefficients
 
 __all__ = [
     "Exact1dProblem",
@@ -431,10 +431,8 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     layer, half = min(T, BOUNDARY_LAYER * tau), n // 2
     d = np.repeat([(T - layer) / half, layer / (n - half)], [half, n - half]) if layer < T else np.full(n, T / n)
-    decay = -np.expm1(-d / tau)
-    # step k: theta_{k+1} = (1 - decay_k) theta_k + c0_k g_k^2 + c1_k g_{k+1}^2
-    c1 = 1.0 - decay * tau / d
-    c0 = decay - c1
+    # step k: theta_{k+1} = q_k theta_k + c0_k g_k^2 + c1_k g_{k+1}^2
+    q, c0, c1 = filter_coefficients(d, tau)
     if not np.min(c1) > 0.0:  # d/tau lies below rounding, so theta(T) no longer resolves g
         return None
     remain = np.append(np.cumsum(d[:0:-1])[::-1], 0.0)  # T - t_{k+1}
@@ -442,7 +440,7 @@ def _discrete_level(problem: Exact1dProblem, n: int):
         lag = np.exp(-remain / tau)  # how much of step k survives to T
     w = c1 * lag
     w[:-1] += c0[1:] * lag[1:]
-    target = 1.0 - a * a * lag[0] * (1.0 - decay[0] + c0[0])  # what g_1..g_n must add to theta(T) = 1
+    target = 1.0 - a * a * lag[0] * (q[0] + c0[0])  # what g_1..g_n must add to theta(T) = 1
 
     # action residuals r_k = ap_k g_{k+1} + am_k g_k - gamma |mu| = (B g + c)_k, weighted by d_k
     ap, am = 1.0 / d + 0.5 * gam, -1.0 / d + 0.5 * gam

@@ -72,6 +72,8 @@ __all__ = [
     "region_from_json",
     "export_slice",
     "export_partition",
+    "export_mc",
+    "export_exact1d",
 ]
 
 SCHEMA_FORMAT = "gridcap-network"
@@ -690,27 +692,39 @@ def build_model(doc: NetworkDocument, epsilon: float = None, horizon: float = No
 # exports
 
 
-def _terminals_or_default(report_terminals, line_terminals, line):
-    if line_terminals is not None:
-        return tuple(line_terminals[line])
-    return tuple(report_terminals)
+def _wants_json(fmt: str) -> bool:
+    """True for "json", False for "csv"; every export shares this format check."""
+    if fmt not in ("json", "csv"):
+        raise ValueError(f"unknown format {fmt!r}")
+    return fmt == "json"
+
+
+def _csv_doc(header: str, rows) -> str:
+    return "\n".join([header, *rows]) + "\n"
+
+
+def _report_rows(report, line_terminals):
+    """(line report, from id, to id) per line; `line_terminals`, when given, overrides the report's ends."""
+    for lr in report.lines:
+        a, b = lr.terminals if line_terminals is None else line_terminals[lr.line]
+        yield lr, a, b
 
 
 def export_report(report, fmt: str = "json", line_terminals=None) -> str:
     """Render a decay-rate report as JSON or a per-line CSV table."""
-    if fmt == "json":
+    if _wants_json(fmt):
         lines = [
             {
                 "line": lr.line,
-                "from": _terminals_or_default(lr.terminals, line_terminals, lr.line)[0],
-                "to": _terminals_or_default(lr.terminals, line_terminals, lr.line)[1],
+                "from": a,
+                "to": b,
                 "psi_plus": lr.psi_plus,
                 "psi_minus": lr.psi_minus,
                 "alpha": lr.alpha,
                 "psi_alpha": lr.psi_alpha,
                 "sigma2": lr.sigma2,
             }
-            for lr in report.lines
+            for lr, a, b in _report_rows(report, line_terminals)
         ]
         out = {
             "lines": lines,
@@ -725,21 +739,19 @@ def export_report(report, fmt: str = "json", line_terminals=None) -> str:
             "tau0": report.tau0,
         }
         return _json_text(out) + "\n"
-    if fmt == "csv":
-        rows = ["line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2"]
-        for lr in report.lines:
-            a, b = _terminals_or_default(lr.terminals, line_terminals, lr.line)
-            rows.append(
-                f"{lr.line},{a},{b},{_f17(lr.psi_plus)},{_f17(lr.psi_minus)},"
-                f"{_f17(lr.alpha)},{_f17(lr.psi_alpha)},{_f17(lr.sigma2)}"
-            )
-        return "\n".join(rows) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return _csv_doc(
+        "line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2",
+        (
+            f"{lr.line},{a},{b},{_f17(lr.psi_plus)},{_f17(lr.psi_minus)},"
+            f"{_f17(lr.alpha)},{_f17(lr.psi_alpha)},{_f17(lr.sigma2)}"
+            for lr, a, b in _report_rows(report, line_terminals)
+        ),
+    )
 
 
 def export_region(region, fmt: str = "json") -> str:
     """Render a capacity region's per-line bounds."""
-    if fmt == "json":
+    if _wants_json(fmt):
         out = {
             "kind": region.kind,
             "bounds": [float(b) for b in region.bounds],
@@ -750,10 +762,7 @@ def export_region(region, fmt: str = "json") -> str:
             "tau0": region.tau0,
         }
         return _json_text(out) + "\n"
-    if fmt == "csv":
-        rows = ["line,bound"] + [f"{k},{_f17(b)}" for k, b in enumerate(region.bounds)]
-        return "\n".join(rows) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return _csv_doc("line,bound", (f"{k},{_f17(b)}" for k, b in enumerate(region.bounds)))
 
 
 def region_from_json(text: str):
@@ -776,8 +785,8 @@ def region_from_json(text: str):
 
 def export_slice(sl, fmt: str = "json") -> str:
     """Render a slice polygon as JSON or as u,v vertex rows."""
-    if fmt == "json":
-        ring = np.vstack([sl.vertices, sl.vertices[:1]])
+    ring = np.vstack([sl.vertices, sl.vertices[:1]])
+    if _wants_json(fmt):
         out = {
             "kind": sl.kind,
             "free": list(sl.free),
@@ -786,11 +795,7 @@ def export_slice(sl, fmt: str = "json") -> str:
             "vertices": [[float(x), float(y)] for x, y in ring],
         }
         return _json_text(out) + "\n"
-    if fmt == "csv":
-        ring = np.vstack([sl.vertices, sl.vertices[:1]])
-        rows = ["u,v"] + [f"{_f17(x)},{_f17(y)}" for x, y in ring]
-        return "\n".join(rows) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    return _csv_doc("u,v", (f"{_f17(x)},{_f17(y)}" for x, y in ring))
 
 
 def export_partition(part, fmt: str = "json", line_terminals=None) -> str:
@@ -799,7 +804,7 @@ def export_partition(part, fmt: str = "json", line_terminals=None) -> str:
     JSON carries per-label summaries (cells, area, centroid) plus the
     central label; CSV dumps one row per labeled grid cell for plotting.
     """
-    if fmt == "json":
+    if _wants_json(fmt):
         regions = []
         for s in part.summaries:
             terminals = [list(line_terminals[ell]) if line_terminals is not None else list(t) for ell, t in zip(s.label, s.terminals)]
@@ -820,15 +825,55 @@ def export_partition(part, fmt: str = "json", line_terminals=None) -> str:
             "regions": regions,
         }
         return _json_text(out) + "\n"
-    if fmt == "csv":
-        rows = ["i,j,u,v,label"]
-        grid = part.label_grid
-        for i in range(grid.shape[0]):
-            for j in range(grid.shape[1]):
-                idx = grid[i, j]
-                if idx < 0:
-                    continue
-                label = "+".join(str(ell) for ell in part.labels[idx])
-                rows.append(f"{i},{j},{_f17(part.u_centers[j])},{_f17(part.v_centers[i])},{label}")
-        return "\n".join(rows) + "\n"
-    raise ValueError(f"unknown format {fmt!r}")
+    rows = []
+    grid = part.label_grid
+    for i in range(grid.shape[0]):
+        for j in range(grid.shape[1]):
+            idx = grid[i, j]
+            if idx < 0:
+                continue
+            label = "+".join(str(ell) for ell in part.labels[idx])
+            rows.append(f"{i},{j},{_f17(part.u_centers[j])},{_f17(part.v_centers[i])},{label}")
+    return _csv_doc("i,j,u,v,label", rows)
+
+
+def export_mc(epsilons, estimates, seed: int, fmt: str = "json", fit=None) -> str:
+    """Render Monte Carlo estimates, one per noise scale, and an optional decay fit.
+
+    `estimates[k]` is the `McEstimate` at noise scale `epsilons[k]`; mode and
+    threshold are those of the estimates, and `seed` the base seed they used.
+    """
+    pairs = list(zip(epsilons, estimates))
+    if _wants_json(fmt):
+        out = {
+            "mode": estimates[0].mode,
+            "threshold": estimates[0].threshold,
+            "seed": seed,
+            "estimates": [
+                {
+                    "epsilon": eps,
+                    "p_hat": est.p_hat,
+                    "hits": est.hits,
+                    "replicates": est.replicates,
+                    "ci": [est.ci_low, est.ci_high],
+                }
+                for eps, est in pairs
+            ],
+            "fit": None
+            if fit is None
+            else {"slope": fit.slope, "rate": fit.rate, "intercept": fit.intercept, "residual": fit.residual},
+        }
+        return _json_text(out) + "\n"
+    return _csv_doc(
+        "epsilon,p_hat,ci_low,ci_high,hits,replicates",
+        (
+            f"{_f17(eps)},{_f17(est.p_hat)},{_f17(est.ci_low)},{_f17(est.ci_high)},{est.hits},{est.replicates}"
+            for eps, est in pairs
+        ),
+    )
+
+
+def export_exact1d(result) -> str:
+    """Render an exact single-line temperature rate and its shot as JSON."""
+    out = {"rate": result.value, "x1": result.x1, "x2": result.x2, "theta_end": result.shot.theta_end}
+    return _json_text(out) + "\n"

@@ -41,7 +41,7 @@ from .grid_model import _readonly
 from .injections import ou_step_coefficients
 from .ld_rates import PsiContext
 from .thermal import filter_coefficients
-from ._streams import fill_normal_blocks
+from ._streams import check_key, fill_normal_blocks
 
 __all__ = [
     "Z_95",
@@ -80,8 +80,7 @@ class McConfig:
             raise ValueError("replicates must be at least 1")
         if self.step_count < 1:
             raise ValueError("step_count must be at least 1")
-        if self.seed < 0:
-            raise ValueError("seed must be non-negative")
+        check_key(self.seed, 0)
         if self.chunk < 1:
             raise ValueError("chunk must be at least 1")
 

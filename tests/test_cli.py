@@ -13,6 +13,7 @@ import pytest
 
 import gridcap
 from gridcap.cli import main
+from gridcap.errors import GridCapError
 from gridcap.io_formats import parse_native
 from oracles import certified_temperature_rate
 
@@ -532,3 +533,54 @@ def test_subcommand_required():
     with pytest.raises(SystemExit) as exc:
         main([])
     assert exc.value.code == 2
+
+
+def _single_error_line(err):
+    return err.startswith("error:") and err.count("\n") == 1 and "Traceback" not in err
+
+
+def test_directory_input_exits_invalid(capsys, tmp_path):
+    code, out, err = run(capsys, "rates", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+
+
+def test_unwritable_output_exits_invalid(capsys, tmp_path):
+    code, out, err = run(capsys, "rates", "builtin:wheel3", "--output", str(tmp_path))
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+
+
+@pytest.mark.parametrize("seed, expected", [(2**64, 2), (2**64 - 1, 0)])
+def test_mc_seed_range(capsys, seed, expected):
+    code, out, err = run(capsys, "mc", "builtin:wheel3", "--seed", str(seed), "--n", "10", "--steps", "5")
+    assert code == expected
+    if expected == 0:
+        assert json.loads(out)["seed"] == seed
+    else:
+        assert out == ""
+        assert _single_error_line(err) and "seed" in err
+
+
+EXIT_CODES = {
+    2: {"InvalidInput", "SchemaError", "RoleError", "GraphError", "ParseError", "ZeroBaseFlow", "InfeasibleStart",
+        "NonPositiveVolatility", "NonPositiveTau", "NonUniformGamma", "NonUniformTau", "ZeroVarianceLine"},
+    3: {"EmptyResult", "EmptySlice", "NoStochasticLines", "InsufficientHits", "BoundCollapse"},
+    4: {"NumericalFailure", "BlowUp", "NoBoundaryHit", "SingularReducedLaplacian", "RankDeficiency",
+        "NegativeRadicand", "DegenerateF"},
+}
+
+
+def _subclasses(cls):
+    for sub in cls.__subclasses__():
+        yield sub
+        yield from _subclasses(sub)
+
+
+def test_every_error_carries_its_exit_code():
+    # A new error class must be placed in this table, under the code the CLI returns for it.
+    expected = {name: code for code, names in EXIT_CODES.items() for name in names}
+    found = {cls.__name__: getattr(cls, "exit_code", None) for cls in _subclasses(GridCapError)}
+    assert found == expected

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from gridcap._streams import fill_normal_blocks, normal_block
+from gridcap._streams import fill_normal_blocks, normal_block, replicate_stream
 
 
 @pytest.mark.parametrize("seed", [0, 29])
@@ -30,3 +30,12 @@ def test_fill_rejects_negative_keys():
         fill_normal_blocks(-1, 0, np.empty((1, 2, 2)))
     with pytest.raises(ValueError):
         fill_normal_blocks(0, -1, np.empty((1, 2, 2)))
+
+
+def test_seed_beyond_64_bits_is_refused():
+    # A Philox key word holds 64 bits; a wider seed is refused, not wrapped or overflowed.
+    with pytest.raises(ValueError):
+        replicate_stream(2**64, 0)
+    with pytest.raises(ValueError):
+        fill_normal_blocks(2**64, 0, np.empty((1, 2, 2)))
+    assert np.array_equal(fill_normal_blocks(2**64 - 1, 3, np.empty((1, 4, 2)))[0], normal_block(2**64 - 1, 3, 4, 2))

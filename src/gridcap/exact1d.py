@@ -108,6 +108,13 @@ SECULAR_STEPS = 60
 #: g^T W g may miss its target by this much, relatively, where lam itself is resolved to rounding.
 ROUNDED_ROOT_TOL = 1e-8
 
+#: Relative and absolute tolerances of every integration of the stationarity system.
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+
+#: Intervals on which an integrated shot is sampled.
+SHOT_SAMPLES = 400
+
 _REFUSAL = (
     f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload level at the horizon"
 )
@@ -232,8 +239,6 @@ def _integrate(
     problem: Exact1dProblem,
     p0: float,
     e_end: float,
-    rtol: float,
-    atol: float,
     sensitivities: bool = False,
     dense_output: bool = False,
 ):
@@ -283,8 +288,8 @@ def _integrate(
             (0.0, T),
             y0,
             method="DOP853",
-            rtol=rtol,
-            atol=[atol] * 4 + [np.inf] * (len(y0) - 4),
+            rtol=ODE_RTOL,
+            atol=[ODE_ATOL] * 4 + [np.inf] * (len(y0) - 4),
             events=(collapse, escape),
             dense_output=dense_output,
         )
@@ -310,10 +315,10 @@ class ShotResult:
     state_derivs: np.ndarray
 
 
-def _shot_result(problem: Exact1dProblem, sol, e_end: float, samples: int) -> ShotResult:
-    """Sample a dense solution of the reduced system as a ShotResult."""
+def _shot_result(problem: Exact1dProblem, sol, e_end: float) -> ShotResult:
+    """Sample a dense solution of the reduced system on SHOT_SAMPLES intervals as a ShotResult."""
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
-    t = np.linspace(0.0, T, samples + 1)
+    t = np.linspace(0.0, T, SHOT_SAMPLES + 1)
     th, g, p, cost = sol.sol(t)[:4]
     e = e_end * np.exp((t - T) / tau)
     gpp = gam**2 * (g - a) + 2.0 * e * g
@@ -332,26 +337,19 @@ def _shot_result(problem: Exact1dProblem, sol, e_end: float, samples: int) -> Sh
     )
 
 
-def shoot(
-    problem: Exact1dProblem,
-    x1: float,
-    x2: float,
-    samples: int = 400,
-    rtol: float = 1e-10,
-    atol: float = 1e-12,
-) -> ShotResult:
+def shoot(problem: Exact1dProblem, x1: float, x2: float) -> ShotResult:
     """Integrate the stationarity system from initial slopes (f'(0), f''(0)).
 
     Raises DegenerateF when the squared-current variable collapses to zero
     along the way and BlowUp when the trajectory escapes the bounding box.
     """
     p0, e_end = _initial_from_shot(problem, x1, x2)
-    sol, reason = _integrate(problem, p0, e_end, rtol, atol, dense_output=True)
+    sol, reason = _integrate(problem, p0, e_end, dense_output=True)
     if sol is None:
         if reason == "collapse":
             raise DegenerateF("f collapsed to zero along the shot")
         raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
-    return _shot_result(problem, sol, e_end, samples)
+    return _shot_result(problem, sol, e_end)
 
 
 def _refine(problem: Exact1dProblem, p0: float, e_end: float):
@@ -370,7 +368,7 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     gam, a = problem.gamma, problem.level
     last = math.inf
     for k in range(NEWTON_STEPS):
-        sol, _ = _integrate(problem, p0, e_end, rtol=1e-10, atol=1e-12, sensitivities=True, dense_output=k > 0)
+        sol, _ = _integrate(problem, p0, e_end, sensitivities=True, dense_output=k > 0)
         if sol is None:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
@@ -525,7 +523,7 @@ class Exact1dResult:
     shot: ShotResult
 
 
-def exact_decay_rate(problem: Exact1dProblem, samples: int = 400) -> Exact1dResult:
+def exact_decay_rate(problem: Exact1dProblem) -> Exact1dResult:
     """Temperature overload decay rate by shooting with Newton sensitivities.
 
     The start is the certified global optimum of the discretized problem,
@@ -535,7 +533,7 @@ def exact_decay_rate(problem: Exact1dProblem, samples: int = 400) -> Exact1dResu
     the free-endpoint transversality condition u(T) = p(T) + gamma (g(T) -
     |mu|) = 0, which the minimal action satisfies; on the single-line table
     it settles in two integrations. The second and later integrations keep
-    their dense output, so the optimal shot is sampled on `samples`
+    their dense output, so the optimal shot is sampled on SHOT_SAMPLES
     intervals from the converging one, with no further solve.
 
     Raises NoBoundaryHit when either discrete level is not certified, or
@@ -549,5 +547,5 @@ def exact_decay_rate(problem: Exact1dProblem, samples: int = 400) -> Exact1dResu
         raise NoBoundaryHit(_REFUSAL)
     p0, e_end, sol = found
     x1, x2 = _shot_from_reduced(problem, p0, e_end)
-    shot = _shot_result(problem, sol, e_end, samples)
+    shot = _shot_result(problem, sol, e_end)
     return Exact1dResult(value=shot.value, x1=float(x1), x2=float(x2), shot=shot)

@@ -189,6 +189,8 @@ def parse_native(text: str) -> NetworkDocument:
         raw = json.loads(text)
     except json.JSONDecodeError as exc:
         raise SchemaError(f"$: not valid JSON ({exc})") from None
+    except RecursionError:
+        raise SchemaError("$: JSON nested too deeply to decode") from None
     _expect(isinstance(raw, dict), "$", "expected an object")
     _check_keys(raw, "$", {"format", "version", "nodes", "lines", "defaults"})
     _expect(raw.get("format") == SCHEMA_FORMAT, "$.format", f"expected {SCHEMA_FORMAT!r}")
@@ -397,8 +399,6 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
     scalars = {}
     warnings = []
     field = None
-    rows = None
-    row_lines = None
     for ln, raw in enumerate(lines, start=1):
         body = _strip_comment(raw)
         if field is None:
@@ -440,8 +440,6 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
                 if field in _MP_FIELDS:
                     matrices[field] = (rows, row_lines)
                 field = None
-                rows = None
-                row_lines = None
     if field is not None:
         raise ParseError(f"line {len(lines)}: unterminated matrix mpc.{field}")
 

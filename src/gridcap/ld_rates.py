@@ -14,6 +14,12 @@ terminal variance. Everything else here is assembled from psi:
   * the endpoint calculus Phi behind that first-order correction,
   * the minimizing injection and current paths.
 
+Whether the noise reaches a line is decided once per PsiContext, by one
+rule: line ell is excluded when its row of C peaks at or below ZERO_ROW_RTOL
+times C's largest entry. An excluded line has variance 0 exactly, noise
+margin beta 0 and region bound 1, and no network rate or partition label;
+psi and the optimal paths raise ZeroVarianceLine on it (its rate is infinite).
+
 Small decay rates mean likely overloads: probability ~ exp(-rate/eps).
 """
 from __future__ import annotations
@@ -30,7 +36,7 @@ from .errors import (
     RankDeficiency,
     ZeroVarianceLine,
 )
-from .grid_model import DcFlowMatrices, OperatingPoint
+from .grid_model import DcFlowMatrices, OperatingPoint, _readonly
 from .injections import OuModel, SamplePath, uniform_grid
 from .thermal import overload_threshold_equivalence
 
@@ -62,6 +68,13 @@ ZERO_ROW_RTOL = 1e-12
 ARGMIN_RTOL = 1e-9
 
 
+def _uniform(values: np.ndarray, what: str, error):
+    v0 = float(values.flat[0])
+    if np.any(np.abs(values - v0) > 1e-12 * max(1.0, abs(v0))):
+        raise error(f"{what} must be uniform for this closed form")
+    return v0
+
+
 @dataclass(frozen=True)
 class PsiContext:
     """Network, operating point, and injection model bundled for rate queries."""
@@ -90,6 +103,27 @@ class PsiContext:
         row_max = np.max(np.abs(self.flow.stochastic_block), axis=1)
         return tuple(np.flatnonzero(row_max > ZERO_ROW_RTOL * row_max.max()).tolist())
 
+    @cached_property
+    def line_variances(self) -> np.ndarray:
+        """C_ell M_T C_ell^T for every line, exactly 0.0 off `stochastic_lines`; read-only."""
+        variances = (self.flow.stochastic_block**2) @ _m_diag(self.ou, self.horizon, self.horizon)
+        variances[~np.isin(np.arange(variances.size), self.stochastic_lines)] = 0.0
+        return _readonly(variances)
+
+    def first_order(self, tau0=None):
+        """(1 + 2 tau0 gamma, tau0): the first-order-in-tau factor on the current rate.
+
+        Checks in order: tau0 defaults to the uniform thermal constant, else
+        NonUniformTau; tau0 >= 0, else ValueError; gamma is uniform, else
+        NonUniformGamma.
+        """
+        if tau0 is None:
+            tau0 = _uniform(self.tau, "thermal constant", NonUniformTau)
+        if tau0 < 0:
+            raise ValueError("tau0 must be non-negative")
+        gamma = _uniform(self.ou.gamma, "mean-reversion rate", NonUniformGamma)
+        return 1.0 + 2.0 * tau0 * gamma, tau0
+
 
 def _m_diag(ou: OuModel, t: float, horizon: float) -> np.ndarray:
     g = ou.gamma
@@ -104,22 +138,25 @@ def m_matrix(ou: OuModel, t: float, horizon=None) -> np.ndarray:
     return np.diag(_m_diag(ou, t, horizon))
 
 
+def _m_diag_derivative(ou: OuModel, t: float, horizon: float) -> np.ndarray:
+    g = ou.gamma
+    return ou.vol**2 * (1.0 + np.exp(-2.0 * g * t)) * np.exp(g * (t - horizon))
+
+
 def m_matrix_derivative(ou: OuModel, t: float, horizon=None) -> np.ndarray:
     """Time derivative of M_t, used for the slopes of optimal current paths."""
     horizon = ou.horizon if horizon is None else horizon
-    g = ou.gamma
-    return np.diag(ou.vol**2 * (1.0 + np.exp(-2.0 * g * t)) * np.exp(g * (t - horizon)))
+    return np.diag(_m_diag_derivative(ou, t, horizon))
 
 
 def line_variances(ctx: PsiContext) -> np.ndarray:
-    """C_ell M_T C_ell^T for every line: the denominator of psi."""
-    mT = _m_diag(ctx.ou, ctx.horizon, ctx.horizon)
-    return (ctx.flow.stochastic_block**2) @ mT
+    """C_ell M_T C_ell^T for every line, the denominator of psi: `ctx.line_variances`."""
+    return ctx.line_variances
 
 
 def _line_variance(ctx: PsiContext, line: int) -> float:
-    """One line's C_ell M_T C_ell^T; ZeroVarianceLine if the noise cannot move it."""
-    denom = float(line_variances(ctx)[line])
+    """One line's C_ell M_T C_ell^T; ZeroVarianceLine if the line is excluded."""
+    denom = float(ctx.line_variances[line])
     if denom <= 0.0:
         raise ZeroVarianceLine(f"line {line} has zero terminal current variance")
     return denom
@@ -162,7 +199,7 @@ def _min_levels(ctx: PsiContext, levels: np.ndarray):
     toward which nu_ell already points.
     """
     idx = _live_lines(ctx)
-    denom = line_variances(ctx)[idx]
+    denom = ctx.line_variances[idx]
     return _argmin(idx, _level_cost(levels[idx], np.abs(ctx.op.nu[idx]), denom))
 
 
@@ -214,24 +251,13 @@ def lb_decay_rate(ctx: PsiContext):
     return _min_levels(ctx, levels)
 
 
-def _uniform(values: np.ndarray, what: str, error):
-    v0 = float(values.flat[0])
-    if np.any(np.abs(values - v0) > 1e-12 * max(1.0, abs(v0))):
-        raise error(f"{what} must be uniform for this closed form")
-    return v0
-
-
 def taylor_decay_rate(ctx: PsiContext, tau0: float) -> float:
     """First-order-in-tau temperature decay rate for uniform parameters.
 
     Valid only for a common mean-reversion rate gamma; then the correction is
     multiplicative: (1 + 2 tau0 gamma) times the current rate.
     """
-    if tau0 < 0:
-        raise ValueError("tau0 must be non-negative")
-    gamma = _uniform(ctx.ou.gamma, "mean-reversion rate", NonUniformGamma)
-    rate, _ = current_decay_rate(ctx)
-    return (1.0 + 2.0 * tau0 * gamma) * rate
+    return ctx.first_order(tau0)[0] * current_decay_rate(ctx)[0]
 
 
 @dataclass(frozen=True)
@@ -246,19 +272,14 @@ class CurrentEndpoints:
 
 def optimal_current_endpoints(ctx: PsiContext, line: int, a: float) -> CurrentEndpoints:
     """Endpoint data of the optimal current path toward level a on a line."""
-    denom = _line_variance(ctx, line)
-    C = ctx.flow.stochastic_block
+    gain = (a - ctx.op.nu[line]) / _line_variance(ctx, line)
+    C, T = ctx.flow.stochastic_block, ctx.horizon
     cl = C[line]
-    gain = (a - ctx.op.nu[line]) / denom
-    T = ctx.horizon
-    end = gain * C @ (_m_diag(ctx.ou, T, T) * cl) + ctx.op.nu
-    d0 = np.diag(m_matrix_derivative(ctx.ou, 0.0, T))
-    dT = np.diag(m_matrix_derivative(ctx.ou, T, T))
     return CurrentEndpoints(
         start=ctx.op.nu.copy(),
-        end=end,
-        start_slope=gain * C @ (d0 * cl),
-        end_slope=gain * C @ (dT * cl),
+        end=gain * C @ (_m_diag(ctx.ou, T, T) * cl) + ctx.op.nu,
+        start_slope=gain * C @ (_m_diag_derivative(ctx.ou, 0.0, T) * cl),
+        end_slope=gain * C @ (_m_diag_derivative(ctx.ou, T, T) * cl),
     )
 
 
@@ -329,7 +350,7 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     they are uniform; otherwise the first-order rate is left out with a note.
     """
     idx = _live_lines(ctx)
-    denom = line_variances(ctx)[idx]
+    denom = ctx.line_variances[idx]
     sigma2 = ((ctx.flow.stochastic_block**2) @ ctx.ou.vol**2)[idx]
     nu = ctx.op.nu[idx]
     # 1 - (-nu) is 1 + nu bit for bit, so min(psi_plus, psi_minus) is the
@@ -347,9 +368,8 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
 
     taylor_rate = taylor_note = None
     try:
-        if tau0 is None:
-            tau0 = _uniform(ctx.tau, "thermal constant", NonUniformTau)
-        taylor_rate = taylor_decay_rate(ctx, tau0)
+        factor, tau0 = ctx.first_order(tau0)
+        taylor_rate = factor * current
     except (NonUniformTau, NonUniformGamma) as exc:
         taylor_note = str(exc)
         tau0 = None

@@ -111,13 +111,13 @@ class McEstimate:
     ci_high: float
 
 
-def wilson_interval(hits: int, n: int, z: float = Z_95):
-    """Wilson score interval for a binomial proportion."""
+def wilson_interval(hits: int, n: int):
+    """Wilson score interval for a binomial proportion at 95 % (z = Z_95)."""
     if n < 1:
         raise ValueError("n must be at least 1")
     if not 0 <= hits <= n:
         raise ValueError("hits must lie in [0, n]")
-    p = hits / n
+    p, z = hits / n, Z_95
     denom = 1.0 + z * z / n
     center = (p + z * z / (2 * n)) / denom
     half = (z / denom) * np.sqrt(p * (1 - p) / n + z * z / (4 * n * n))
@@ -268,21 +268,6 @@ def _peaks(x, mu, C, y, q, c1, c2):
     return cur[:W], tmp[:W]
 
 
-def _estimate(mode: str, hits_arr: np.ndarray, threshold: float) -> McEstimate:
-    n = hits_arr.size
-    hits = int(np.count_nonzero(hits_arr))
-    lo, hi = wilson_interval(hits, n)
-    return McEstimate(
-        mode=mode,
-        threshold=threshold,
-        replicates=n,
-        hits=hits,
-        p_hat=hits / n,
-        ci_low=lo,
-        ci_high=hi,
-    )
-
-
 def overload_probability(
     ctx: PsiContext, config: McConfig, mode: str = "current", threshold: float = 1.0
 ) -> McEstimate:
@@ -290,8 +275,10 @@ def overload_probability(
     if mode not in ("current", "temperature"):
         raise ValueError(f"unknown mode {mode!r}")
     ind = overload_indicators(ctx, config, threshold)
-    hits_arr = ind.current if mode == "current" else ind.temperature
-    return _estimate(mode, hits_arr, ind.threshold)
+    n = config.replicates
+    hits = int(np.count_nonzero(ind.current if mode == "current" else ind.temperature))
+    lo, hi = wilson_interval(hits, n)
+    return McEstimate(mode=mode, threshold=ind.threshold, replicates=n, hits=hits, p_hat=hits / n, ci_low=lo, ci_high=hi)
 
 
 @dataclass(frozen=True)

@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import BoundCollapse, EmptySlice, NonUniformGamma, NonUniformTau
+from .errors import BoundCollapse, EmptySlice
 from .grid_model import _readonly
-from .ld_rates import PsiContext, _live_lines, _uniform, line_variances
+from .ld_rates import ARGMIN_RTOL, PsiContext, _live_lines
 
 __all__ = [
     "REGION_KINDS",
@@ -65,14 +65,14 @@ class CapacityRegion:
 def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
     """Per-line margin beta the noise claims: the amount r drops below 1.
 
-    beta_ell^2 = eps log(1/p) C_ell M_T C_ell^T. Lines outside the noise span
-    get beta = 0.
+    beta_ell^2 = eps log(1/p) C_ell M_T C_ell^T. Lines the noise does not
+    reach (off `ctx.stochastic_lines`) have variance 0 and get beta = 0.
     """
     if not epsilon > 0:
         raise ValueError("epsilon must be strictly positive")
     if not 0.0 < p < 1.0:
         raise ValueError("p must lie strictly between 0 and 1")
-    return np.sqrt(epsilon * np.log(1.0 / p) * line_variances(ctx))
+    return np.sqrt(epsilon * np.log(1.0 / p) * ctx.line_variances)
 
 
 def _refuse_collapse(live: np.ndarray, collapsed: np.ndarray):
@@ -86,32 +86,27 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
     """Slab bounds for one region kind at given noise scale and target probability.
 
     The lower-bound kind reads per-line thermal constants from the network;
-    the first-order kind needs uniform gamma and a single tau0 (defaulting to
-    the network's constant when that is uniform). Raises BoundCollapse when
-    a bound drops to zero or below: the noise is too strong for any
-    admissible operating point on that line.
+    the first-order kind takes its factor and tau0 from `ctx.first_order`.
+    epsilon and p are checked as in `noise_margins` for every kind. Raises
+    BoundCollapse when a bound drops to zero or below: the noise is too
+    strong for any admissible operating point on that line.
     """
     if kind not in REGION_KINDS:
         raise ValueError(f"unknown region kind {kind!r}")
     live = np.array(ctx.stochastic_lines, dtype=np.intp)
+    beta = noise_margins(ctx, epsilon, p)[live]
     bounds = np.ones(ctx.flow.line_count)
-    if kind != "deterministic":
-        beta = noise_margins(ctx, epsilon, p)[live]
-        if kind == "current":
-            bounds[live] = 1.0 - beta
-        elif kind == "temperature_lb":
-            q = np.exp(-ctx.horizon / ctx.tau[live])
-            radicand = 1.0 - beta**2 * q * (1.0 - q)
-            _refuse_collapse(live, radicand < 0.0)
-            bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)
-        else:  # temperature_taylor
-            gamma = _uniform(ctx.ou.gamma, "mean-reversion rate", NonUniformGamma)
-            if tau0 is None:
-                tau0 = _uniform(ctx.tau, "thermal constant", NonUniformTau)
-            if tau0 < 0:
-                raise ValueError("tau0 must be non-negative")
-            bounds[live] = 1.0 - beta / np.sqrt(1.0 + 2.0 * tau0 * gamma)
-        _refuse_collapse(live, bounds[live] <= 0.0)
+    if kind == "current":
+        bounds[live] = 1.0 - beta
+    elif kind == "temperature_lb":
+        q = np.exp(-ctx.horizon / ctx.tau[live])
+        radicand = 1.0 - beta**2 * q * (1.0 - q)
+        _refuse_collapse(live, radicand < 0.0)
+        bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)
+    elif kind == "temperature_taylor":
+        factor, tau0 = ctx.first_order(tau0)
+        bounds[live] = 1.0 - beta / np.sqrt(factor)
+    _refuse_collapse(live, bounds[live] <= 0.0)
     return CapacityRegion(
         kind=kind,
         bounds=bounds,
@@ -329,7 +324,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
 
     The most-at-risk line minimizes the per-line overload rate
     (1 - |nu_ell|)^2 / (C_ell M_T C_ell^T) at that operating point; ties
-    within 1e-9 relative produce multi-line labels. `bbox` is
+    within ARGMIN_RTOL relative produce multi-line labels. `bbox` is
     (umin, umax, vmin, vmax) with both ranges increasing, as for `slice2d`.
     Raises EmptySlice when no cell center lies inside the deterministic
     slice.
@@ -350,7 +345,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     vc = vmin + cell_v * (np.arange(resolution) + 0.5)
 
     live = _live_lines(ctx).tolist()
-    denom = line_variances(ctx)
+    denom = ctx.line_variances
     # nu_ell at cell (i, j) is a[ell, j] + b[ell, i], rounded exactly as
     # (base + du u) + dv v is on the full grid
     a = base[:, None] + du[:, None] * uc
@@ -381,7 +376,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     best = rate(live[0]).copy()
     for ell in live[1:]:
         np.minimum(best, rate(ell), out=best)
-    threshold = best * (1.0 + 1e-9)
+    threshold = best * (1.0 + ARGMIN_RTOL)
     # Key each inside cell by its argmin set packed into bytes, most
     # significant byte first, so keys sort like the integer bitmask
     # sum_k 2^k over tied live lines k, for any number of lines.

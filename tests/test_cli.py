@@ -584,3 +584,19 @@ def test_every_error_carries_its_exit_code():
     expected = {name: code for code, names in EXIT_CODES.items() for name in names}
     found = {cls.__name__: getattr(cls, "exit_code", None) for cls in _subclasses(GridCapError)}
     assert found == expected
+
+
+def test_region_validates_p_for_every_kind(capsys):
+    code, out, err = run(capsys, "region", "builtin:wheel3", "--kind", "deterministic", "--p", "5", "--epsilon", "0")
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+
+
+def test_deeply_nested_json_exits_invalid(capsys, tmp_path):
+    doc = tmp_path / "deep.json"
+    doc.write_text("[" * 100_000 + "]" * 100_000)
+    code, out, err = run(capsys, "rates", str(doc))
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)

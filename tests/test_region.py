@@ -1,13 +1,14 @@
 """Capacity regions: slab bounds, 2-D slices, and the risk partition."""
 
 import tracemalloc
+from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
 from conftest import make_context, random_context, single_line_context, wheel_context
-from gridcap.errors import BoundCollapse, EmptySlice, NonUniformGamma
+from gridcap.errors import BoundCollapse, EmptySlice, NonUniformGamma, ZeroVarianceLine
 from gridcap.grid_model import GridNetwork
 from gridcap.io_formats import (
     AnalysisDefaults,
@@ -16,7 +17,14 @@ from gridcap.io_formats import (
     export_partition,
     parse_matpower,
 )
-from gridcap.ld_rates import current_decay_rate, lb_decay_rate, line_variances
+from gridcap.ld_rates import (
+    current_decay_rate,
+    full_report,
+    lb_decay_rate,
+    line_variances,
+    optimal_paths,
+    psi,
+)
 from oracles import dense_risk_partition, dense_slice_vertices
 from gridcap.region import (
     REGION_KINDS,
@@ -519,3 +527,52 @@ def test_slice_matches_dense_clip_oracle():
                 continue
             built += _assert_slice_matches_dense(region, ctx.flow, free, fixed, bbox)
     assert built >= 40
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+@pytest.mark.parametrize("epsilon, p", [(0.0, 1e-4), (0.1, 5.0), (0.1, 0.0)])
+def test_every_kind_validates_epsilon_and_p(kind, epsilon, p):
+    with pytest.raises(ValueError):
+        build_region(wheel_context(), kind, epsilon, p)
+
+
+def _contexts_with_excluded_lines():
+    """(ctx, free, fixed, bbox): the converted case14 map, then 300 random networks.
+
+    Each random slice is a small box around the operating point, so its
+    cells lie inside the deterministic slice.
+    """
+    bm, free, fixed, bbox = _case14_map()
+    yield bm.ctx, free, fixed, bbox
+    rng = np.random.default_rng(1)
+    for _ in range(300):
+        ctx = random_context(rng)
+        fixed = np.concatenate([ctx.ou.mean, ctx.op.mu_D])
+        u, v = fixed[:2]
+        yield ctx, (1, 2), fixed, (u - 1e-3, u + 1e-3, v - 1e-3, v + 1e-3)
+
+
+def test_excluded_lines_are_excluded_everywhere():
+    # A line whose C row is zero to ZERO_ROW_RTOL (case14's line 13 has a row
+    # max of 2.8e-17) is left out of the report; psi, the margins, every
+    # region kind and the partition must treat it the same way.
+    seen = 0
+    for ctx, free, fixed, bbox in _contexts_with_excluded_lines():
+        excluded = full_report(ctx).excluded
+        if not excluded:
+            continue
+        seen += len(excluded)
+        beta = noise_margins(ctx, 1e-6, 0.5)
+        # the first-order kind needs a uniform gamma; gamma does not move C, so the exclusions hold
+        uniform = replace(ctx, ou=replace(ctx.ou, gamma=np.full_like(ctx.ou.gamma, ctx.ou.gamma[0])))
+        regions = [build_region(uniform, kind, 1e-6, 0.5, tau0=0.5) for kind in REGION_KINDS]
+        labelled = set().union(*risk_partition(ctx, free, fixed, bbox, resolution=8).labels)
+        for ell in excluded:
+            with pytest.raises(ZeroVarianceLine):
+                psi(ctx, ell, 1.0)
+            with pytest.raises(ZeroVarianceLine):
+                optimal_paths(ctx, ell, 1.0, 4)
+            assert beta[ell] == 0.0
+            assert [region.bounds[ell] for region in regions] == [1.0] * len(REGION_KINDS)
+            assert ell not in labelled
+    assert seen == 295  # case14's line 13 and 294 lines of the random networks

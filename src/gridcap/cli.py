@@ -45,7 +45,7 @@ from .io_formats import (
 )
 from .ld_rates import full_report
 from .montecarlo import McConfig, decay_slope, overload_probability
-from .region import REGION_KINDS, build_region, risk_partition, slice2d
+from .region import REGION_KINDS, _check_noise, build_region, risk_partition, slice2d
 
 BUILTINS = {
     "single-line": "single_line.json",
@@ -141,6 +141,7 @@ def cmd_region(args) -> str:
         raise ValueError("--slice requires --bbox")
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
     bm = build_model(doc, epsilon=epsilon, horizon=args.horizon)
+    _check_noise(epsilon, p)  # also on the --partition path, which builds no region
     if args.slice is None:
         return export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format)
     free = _free_indices(doc, args.slice)

@@ -14,12 +14,18 @@ as a chain of matrices:
     Cbar   rows of Ct divided by the line ratings, so Y = Cbar S is the
            normalized current
 
-With the stochastic injections occupying nodes 1..m, Cbar splits column-wise
-into [0 | C | C_D]: the slack column is identically zero, C acts on the
-stochastic injections and C_D on the deterministic ones. `DcFlowMatrices`
-holds Ct and Cbar once, read-only, with C and C_D as column views of Cbar;
-A, Dbeta, B and Bg are not kept. B is freed once Bhat is inverted and
-kappa_1 taken, and Bg before Cbar is formed.
+A has two nonzeros per row, so row ell of Ct, for line ell from i to j, is
+
+    Ct[ell] = beta_ell (Bg[i] - Bg[j]),
+
+one subtraction of two rows of Bhat^-1 (row 0 of Bg is zero) scaled by the
+susceptance. The assembly forms Ct that way: A, Dbeta and the zero-padded Bg
+are never formed, and no matrix product runs. With the stochastic injections
+occupying nodes 1..m, Cbar splits column-wise into [0 | C | C_D]: the slack
+column is identically zero, C acts on the stochastic injections and C_D on
+the deterministic ones. `DcFlowMatrices` holds Ct and Cbar once, read-only,
+with C and C_D as column views of Cbar. B is freed once Bhat is inverted and
+kappa_1 taken, and Bhat^-1 before Cbar is formed.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
@@ -218,11 +224,10 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     B = build_laplacian(network)
 
     Bhat = B[1:, 1:]
-    Bg = np.zeros((n, n))
     try:
-        Bg[1:, 1:] = np.linalg.inv(Bhat)
+        Bhat_inv = np.linalg.inv(Bhat)
         # Python floats: a huge product becomes inf without a RuntimeWarning
-        kappa = float(np.linalg.norm(Bhat, 1)) * float(np.linalg.norm(Bg[1:, 1:], 1))
+        kappa = float(np.linalg.norm(Bhat, 1)) * float(np.linalg.norm(Bhat_inv, 1))
     except np.linalg.LinAlgError:
         kappa = np.inf
     del B, Bhat
@@ -231,9 +236,14 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
             "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
         )
 
-    # row-scaling A by beta equals Dbeta A bit for bit, without the L x L diagonal
-    Ct = (network.susceptance[:, None] * build_incidence(network)) @ Bg
-    del Bg
+    # Ct[ell] = beta_ell (Bg[i] - Bg[j]) (module docstring); lines have i < j, so
+    # only i can be the slack. Subtracting into each row in place needs no
+    # temporary the size of Ct.
+    Ct = np.zeros((network.line_count, n))
+    for row, (i, j) in zip(Ct[:, 1:], network.lines):
+        np.subtract(Bhat_inv[i - 1] if i else 0.0, Bhat_inv[j - 1], out=row)
+    del Bhat_inv
+    Ct *= network.susceptance[:, None]
     Cbar = Ct / network.current_rating[:, None]
     for a in (Ct, Cbar):
         a.setflags(write=False)

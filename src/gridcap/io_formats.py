@@ -155,28 +155,44 @@ class NetworkDocument:
 # native format
 
 
-def _expect(cond, path, message):
-    if not cond:
-        raise SchemaError(f"{path}: {message}")
+_DOCUMENT_KEYS = frozenset({"format", "version", "nodes", "lines", "defaults"})
+_NODE_KEYS = {
+    "slack": frozenset({"id", "role"}),
+    "stochastic": frozenset({"id", "role", "gamma", "vol", "mean"}),
+    "deterministic": frozenset({"id", "role", "injection", "controllable"}),
+}
+_LINE_FIELDS = ("from", "to", "susceptance", "rating", "tau")
+_LINE_KEYS = frozenset(_LINE_FIELDS)
+_DEFAULTS_KEYS = frozenset({"epsilon", "p", "horizon", "tau0"})
 
 
-def _number(value, path, allow_int=True):
+def _schema_error(message, *where) -> SchemaError:
+    """SchemaError at the JSON path `where` names: ("nodes", 3, "gamma") is $.nodes[3].gamma.
+
+    The path is built here, once a check has failed, so valid documents never pay for it.
+    """
+    path = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in where)
+    return SchemaError(f"${path}: {message}")
+
+
+def _number(value, *where) -> float:
+    """`value` as a finite float; `where` locates it for `_schema_error`."""
     if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise SchemaError(f"{path}: expected a number")
+        raise _schema_error("expected a number", *where)
     # Python's json accepts NaN, Infinity and out-of-range literals like 1e999
     try:
         number = float(value)
     except OverflowError:
         number = math.inf
     if not math.isfinite(number):
-        raise SchemaError(f"{path}: expected a finite number, got {number!r}")
+        raise _schema_error(f"expected a finite number, got {number!r}", *where)
     return number
 
 
-def _check_keys(obj, path, allowed):
-    for key in obj:
-        if key not in allowed:
-            raise SchemaError(f"{path}.{key}: unknown key")
+def _check_keys(obj, allowed, *where):
+    if not allowed.issuperset(obj):
+        unknown = next(key for key in obj if key not in allowed)
+        raise _schema_error("unknown key", *where, unknown)
 
 
 def parse_native(text: str) -> NetworkDocument:
@@ -191,44 +207,55 @@ def parse_native(text: str) -> NetworkDocument:
         raise SchemaError(f"$: not valid JSON ({exc})") from None
     except RecursionError:
         raise SchemaError("$: JSON nested too deeply to decode") from None
-    _expect(isinstance(raw, dict), "$", "expected an object")
-    _check_keys(raw, "$", {"format", "version", "nodes", "lines", "defaults"})
-    _expect(raw.get("format") == SCHEMA_FORMAT, "$.format", f"expected {SCHEMA_FORMAT!r}")
-    _expect(raw.get("version") == SCHEMA_VERSION, "$.version", f"expected {SCHEMA_VERSION}")
-    _expect(isinstance(raw.get("nodes"), list) and raw["nodes"], "$.nodes", "expected a non-empty array")
-    _expect(isinstance(raw.get("lines"), list) and raw["lines"], "$.lines", "expected a non-empty array")
+    if not isinstance(raw, dict):
+        raise _schema_error("expected an object")
+    _check_keys(raw, _DOCUMENT_KEYS)
+    if not raw.get("format") == SCHEMA_FORMAT:
+        raise _schema_error(f"expected {SCHEMA_FORMAT!r}", "format")
+    if not raw.get("version") == SCHEMA_VERSION:
+        raise _schema_error(f"expected {SCHEMA_VERSION}", "version")
+    for table in ("nodes", "lines"):
+        if not (isinstance(raw.get(table), list) and raw[table]):
+            raise _schema_error("expected a non-empty array", table)
 
     nodes = []
     seen_ids = set()
     for k, entry in enumerate(raw["nodes"]):
-        path = f"$.nodes[{k}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        _expect("id" in entry, path, "missing id")
+        if not isinstance(entry, dict):
+            raise _schema_error("expected an object", "nodes", k)
+        if "id" not in entry:
+            raise _schema_error("missing id", "nodes", k)
         nid = entry["id"]
-        _expect(isinstance(nid, (str, int)) and not isinstance(nid, bool), f"{path}.id", "id must be a string or integer")
-        _expect(nid not in seen_ids, f"{path}.id", f"duplicate id {nid!r}")
+        if isinstance(nid, bool) or not isinstance(nid, (str, int)):
+            raise _schema_error("id must be a string or integer", "nodes", k, "id")
+        if nid in seen_ids:
+            raise _schema_error(f"duplicate id {nid!r}", "nodes", k, "id")
         seen_ids.add(nid)
         role = entry.get("role")
-        _expect(role in ROLES, f"{path}.role", f"role must be one of {ROLES}")
+        if role not in ROLES:
+            raise _schema_error(f"role must be one of {ROLES}", "nodes", k, "role")
+        _check_keys(entry, _NODE_KEYS[role], "nodes", k)
         if role == "slack":
-            _check_keys(entry, path, {"id", "role"})
             nodes.append(NodeSpec(id=nid, role=role))
         elif role == "stochastic":
-            _check_keys(entry, path, {"id", "role", "gamma", "vol", "mean"})
             for field in ("gamma", "vol", "mean"):
-                _expect(field in entry, path, f"missing {field}")
-            gamma = _number(entry["gamma"], f"{path}.gamma")
-            vol = _number(entry["vol"], f"{path}.vol")
-            mean = _number(entry["mean"], f"{path}.mean")
-            _expect(gamma > 0, f"{path}.gamma", "must be positive")
-            _expect(vol > 0, f"{path}.vol", "must be positive")
+                if field not in entry:
+                    raise _schema_error(f"missing {field}", "nodes", k)
+            gamma = _number(entry["gamma"], "nodes", k, "gamma")
+            vol = _number(entry["vol"], "nodes", k, "vol")
+            mean = _number(entry["mean"], "nodes", k, "mean")
+            if not gamma > 0:
+                raise _schema_error("must be positive", "nodes", k, "gamma")
+            if not vol > 0:
+                raise _schema_error("must be positive", "nodes", k, "vol")
             nodes.append(NodeSpec(id=nid, role=role, gamma=gamma, vol=vol, mean=mean))
         else:
-            _check_keys(entry, path, {"id", "role", "injection", "controllable"})
-            _expect("injection" in entry, path, "missing injection")
-            injection = _number(entry["injection"], f"{path}.injection")
+            if "injection" not in entry:
+                raise _schema_error("missing injection", "nodes", k)
+            injection = _number(entry["injection"], "nodes", k, "injection")
             controllable = entry.get("controllable", False)
-            _expect(isinstance(controllable, bool), f"{path}.controllable", "must be a boolean")
+            if not isinstance(controllable, bool):
+                raise _schema_error("must be a boolean", "nodes", k, "controllable")
             nodes.append(NodeSpec(id=nid, role=role, injection=injection, controllable=controllable))
 
     slack_count = sum(1 for n in nodes if n.role == "slack")
@@ -240,31 +267,40 @@ def parse_native(text: str) -> NetworkDocument:
     lines = []
     seen_pairs = set()
     for k, entry in enumerate(raw["lines"]):
-        path = f"$.lines[{k}]"
-        _expect(isinstance(entry, dict), path, "expected an object")
-        _check_keys(entry, path, {"from", "to", "susceptance", "rating", "tau"})
-        for field in ("from", "to", "susceptance", "rating", "tau"):
-            _expect(field in entry, path, f"missing {field}")
+        if not isinstance(entry, dict):
+            raise _schema_error("expected an object", "lines", k)
+        _check_keys(entry, _LINE_KEYS, "lines", k)
+        for field in _LINE_FIELDS:
+            if field not in entry:
+                raise _schema_error(f"missing {field}", "lines", k)
         f, t = entry["from"], entry["to"]
-        _expect(f in seen_ids, f"{path}.from", f"unknown node id {f!r}")
-        _expect(t in seen_ids, f"{path}.to", f"unknown node id {t!r}")
-        _expect(f != t, path, "self-loop")
+        if f not in seen_ids:
+            raise _schema_error(f"unknown node id {f!r}", "lines", k, "from")
+        if t not in seen_ids:
+            raise _schema_error(f"unknown node id {t!r}", "lines", k, "to")
+        if f == t:
+            raise _schema_error("self-loop", "lines", k)
         pair = frozenset((f, t))
-        _expect(pair not in seen_pairs, path, "duplicate line")
+        if pair in seen_pairs:
+            raise _schema_error("duplicate line", "lines", k)
         seen_pairs.add(pair)
-        susceptance = _number(entry["susceptance"], f"{path}.susceptance")
-        _expect(susceptance > 0, f"{path}.susceptance", "must be positive")
+        susceptance = _number(entry["susceptance"], "lines", k, "susceptance")
+        if not susceptance > 0:
+            raise _schema_error("must be positive", "lines", k, "susceptance")
         rating = entry["rating"]
         if rating != "auto":
-            rating = _number(rating, f"{path}.rating")
-            _expect(rating > 0, f"{path}.rating", "must be positive or \"auto\"")
-        tau = _number(entry["tau"], f"{path}.tau")
-        _expect(tau > 0, f"{path}.tau", "must be positive")
+            rating = _number(rating, "lines", k, "rating")
+            if not rating > 0:
+                raise _schema_error('must be positive or "auto"', "lines", k, "rating")
+        tau = _number(entry["tau"], "lines", k, "tau")
+        if not tau > 0:
+            raise _schema_error("must be positive", "lines", k, "tau")
         lines.append(LineSpec(from_id=f, to_id=t, susceptance=susceptance, rating=rating, tau=tau))
 
     defaults_raw = raw.get("defaults", {})
-    _expect(isinstance(defaults_raw, dict), "$.defaults", "expected an object")
-    _check_keys(defaults_raw, "$.defaults", {"epsilon", "p", "horizon", "tau0"})
+    if not isinstance(defaults_raw, dict):
+        raise _schema_error("expected an object", "defaults")
+    _check_keys(defaults_raw, _DEFAULTS_KEYS, "defaults")
     defaults = {}
     for field, check, requirement in (
         ("epsilon", lambda v: v >= 0, "must be non-negative"),
@@ -273,8 +309,9 @@ def parse_native(text: str) -> NetworkDocument:
         ("tau0", lambda v: v >= 0, "must be non-negative"),
     ):
         if field in defaults_raw:
-            value = _number(defaults_raw[field], f"$.defaults.{field}")
-            _expect(check(value), f"$.defaults.{field}", requirement)
+            value = _number(defaults_raw[field], "defaults", field)
+            if not check(value):
+                raise _schema_error(requirement, "defaults", field)
             defaults[field] = value
 
     position = {n.id: k for k, n in enumerate(nodes)}
@@ -299,21 +336,46 @@ def _f17(x) -> str:
     return format(x, ".17g")
 
 
+# json.dumps of a str is this encoder's output
+_json_string = json.encoder.encode_basestring_ascii
+
+
+def _json_key(key) -> str:
+    return _json_string(key) if type(key) is str else json.dumps(key)
+
+
 def _json_text(obj, indent=0) -> str:
-    pad = " " * indent
+    """Indented JSON text: %.17g floats, flat arrays on one line, nested ones one item per line.
+
+    Plain floats, ints and strings are told apart by type() before the
+    isinstance chain, which subclasses and NumPy scalars take.
+    """
+    kind = type(obj)
+    if kind is float:
+        return _f17(obj)
+    if kind is int:
+        return str(obj)
+    if kind is str:
+        return _json_string(obj)
     if isinstance(obj, dict):
         if not obj:
             return "{}"
-        items = [f'{pad}  {json.dumps(k)}: {_json_text(v, indent + 2)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+        lead = "\n" + " " * (indent + 2)
+        items = [f"{_json_key(k)}: {_json_text(v, indent + 2)}" for k, v in obj.items()]
+        return "{" + lead + ("," + lead).join(items) + "\n" + " " * indent + "}"
     if isinstance(obj, (list, tuple)):
         if not obj:
             return "[]"
-        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
-        if flat:
-            return "[" + ", ".join(_json_text(v) for v in obj) + "]"
-        items = [f"{pad}  {_json_text(v, indent + 2)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+        kinds = set(map(type, obj))
+        if kinds == {float}:
+            text = ", ".join([format(v, ".17g") for v in obj])
+            if "n" not in text:  # only "inf" and "nan" have an n; _f17 refuses them below
+                return "[" + text + "]"
+        if not any(issubclass(k, (dict, list, tuple)) for k in kinds):
+            return "[" + ", ".join([_json_text(v) for v in obj]) + "]"
+        lead = "\n" + " " * (indent + 2)
+        items = [_json_text(v, indent + 2) for v in obj]
+        return "[" + lead + ("," + lead).join(items) + "\n" + " " * indent + "]"
     if isinstance(obj, bool) or obj is None:
         return json.dumps(obj)
     if isinstance(obj, (int, np.integer)):

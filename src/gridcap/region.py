@@ -62,16 +62,21 @@ class CapacityRegion:
         object.__setattr__(self, "bounds", _readonly(self.bounds))
 
 
+def _check_noise(epsilon: float, p: float):
+    """Refuse a noise scale or target probability that prices no region."""
+    if not epsilon > 0:
+        raise ValueError("epsilon must be strictly positive")
+    if not 0.0 < p < 1.0:
+        raise ValueError("p must lie strictly between 0 and 1")
+
+
 def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
     """Per-line margin beta the noise claims: the amount r drops below 1.
 
     beta_ell^2 = eps log(1/p) C_ell M_T C_ell^T. Lines the noise does not
     reach (off `ctx.stochastic_lines`) have variance 0 and get beta = 0.
     """
-    if not epsilon > 0:
-        raise ValueError("epsilon must be strictly positive")
-    if not 0.0 < p < 1.0:
-        raise ValueError("p must lie strictly between 0 and 1")
+    _check_noise(epsilon, p)
     return np.sqrt(epsilon * np.log(1.0 / p) * ctx.line_variances)
 
 

@@ -1,0 +1,83 @@
+"""Layer micro-benchmarks on a seeded 1,000-bus ring-with-chords grid.
+
+Times the three layers a grid screen spends most of its time in: the
+transfer assembly, the JSON report export and the document parser. The file
+name does not start with ``test_``, so the default test run does not collect
+it. Run it with::
+
+    pytest tests/bench_grid_screen.py --benchmark-only
+"""
+import numpy as np
+import pytest
+
+from gridcap.grid_model import build_flow_matrices
+from gridcap.io_formats import (
+    SCHEMA_VERSION,
+    AnalysisDefaults,
+    LineSpec,
+    NetworkDocument,
+    NodeSpec,
+    build_model,
+    export_report,
+    parse_native,
+    resolve_auto_ratings,
+    serialize_native,
+)
+from gridcap.ld_rates import full_report
+
+BUSES = 1000
+
+
+def ring_with_chords(seed: int, n: int) -> NetworkDocument:
+    """Ring 1-2-...-n-1 plus n/2 random chords; bus 1 is the slack, n/10 buses are stochastic.
+
+    Ratings are 1.5 times the base flow, so every line starts at 2/3 of its rating.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(k, k + 1) for k in range(1, n)] + [(1, n)]
+    seen = set(pairs)
+    while len(pairs) < n + n // 2:
+        a, b = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            pairs.append((a, b))
+    stochastic = set(rng.choice(np.arange(2, n + 1), size=n // 10, replace=False).tolist())
+    injection = rng.uniform(-1.0, 1.0, size=n + 1)
+    nodes = [NodeSpec(id=1, role="slack")]
+    for bus in range(2, n + 1):
+        if bus in stochastic:
+            nodes.append(NodeSpec(id=bus, role="stochastic", gamma=1.0, vol=0.1, mean=float(injection[bus])))
+        else:
+            nodes.append(NodeSpec(id=bus, role="deterministic", injection=float(injection[bus])))
+    lines = tuple(
+        LineSpec(from_id=a, to_id=b, susceptance=float(s), rating="auto", tau=0.5)
+        for (a, b), s in zip(pairs, rng.uniform(1.0, 5.0, size=len(pairs)))
+    )
+    defaults = AnalysisDefaults(epsilon=0.01, p=1e-4, horizon=1.0, tau0=0.5)
+    doc = NetworkDocument(version=SCHEMA_VERSION, nodes=tuple(nodes), lines=lines, defaults=defaults)
+    return resolve_auto_ratings(doc, 1.5, zero_flow_rating=1.0)
+
+
+@pytest.fixture(scope="module")
+def grid():
+    doc = ring_with_chords(seed=0, n=BUSES)
+    bm = build_model(doc)
+    return doc, bm, full_report(bm.ctx)
+
+
+def test_build_flow_matrices(benchmark, grid):
+    _, bm, _ = grid
+    flow = benchmark(build_flow_matrices, bm.network, bm.flow.m)
+    assert flow.transfer.shape == (bm.network.line_count, BUSES)
+
+
+def test_export_report(benchmark, grid):
+    _, bm, report = grid
+    text = benchmark(export_report, report, "json", line_terminals=bm.line_terminals)
+    assert text.startswith("{")
+
+
+def test_parse_native(benchmark, grid):
+    doc, _, _ = grid
+    text = serialize_native(doc)
+    assert benchmark(parse_native, text) == doc

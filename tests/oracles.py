@@ -12,8 +12,14 @@ straightforward full-grid and every-line forms of `risk_partition` and
 library's shortcuts can be required to give bit-identical results. So is
 the full-width Monte Carlo kernel, which shares the random streams and the
 step coefficients and prices every replicate at every step.
+
+`reference_json_text` is the plain recursive JSON writer, one isinstance
+chain per value; the exporters' writer must match its bytes.
 """
 from __future__ import annotations
+
+import json
+import math
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
@@ -346,3 +352,38 @@ def full_width_indicators(ctx, config, threshold):
     th2 = threshold * threshold
     current = cur >= th2
     return current, current & (tmp >= th2)
+
+
+def _reference_f17(x) -> str:
+    x = float(x)
+    # JSON has no literal for inf or nan; CSV refuses them too
+    if not math.isfinite(x):
+        raise ValueError(f"cannot export the non-finite value {x!r}")
+    return format(x, ".17g")
+
+
+def reference_json_text(obj, indent=0) -> str:
+    """Indented JSON text: %.17g floats, flat arrays on one line, nested ones one item per line."""
+    pad = " " * indent
+    if isinstance(obj, dict):
+        if not obj:
+            return "{}"
+        items = [f'{pad}  {json.dumps(k)}: {reference_json_text(v, indent + 2)}' for k, v in obj.items()]
+        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
+    if isinstance(obj, (list, tuple)):
+        if not obj:
+            return "[]"
+        flat = all(not isinstance(v, (dict, list, tuple)) for v in obj)
+        if flat:
+            return "[" + ", ".join(reference_json_text(v) for v in obj) + "]"
+        items = [f"{pad}  {reference_json_text(v, indent + 2)}" for v in obj]
+        return "[\n" + ",\n".join(items) + f"\n{pad}]"
+    if isinstance(obj, bool) or obj is None:
+        return json.dumps(obj)
+    if isinstance(obj, (int, np.integer)):
+        return str(int(obj))
+    if isinstance(obj, (float, np.floating)):
+        return _reference_f17(obj)
+    if isinstance(obj, str):
+        return json.dumps(obj)
+    raise TypeError(f"cannot serialize {type(obj).__name__}")

@@ -593,6 +593,17 @@ def test_region_validates_p_for_every_kind(capsys):
     assert _single_error_line(err)
 
 
+@pytest.mark.parametrize("option, value", [("--epsilon", "0"), ("--p", "5")])
+def test_region_partition_validates_epsilon_and_p(capsys, option, value):
+    # the partition builds no --kind region, yet its epsilon and p are checked as the region's are
+    argv = ["region", "builtin:wheel3", "--kind", "current", "--epsilon", "0.1", "--p", "1e-4", option, value,
+            "--slice", "2,3", "--bbox=-1,1,-1,1", "--partition", "--resolution", "4"]
+    code, out, err = run(capsys, *argv)
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+
+
 def test_deeply_nested_json_exits_invalid(capsys, tmp_path):
     doc = tmp_path / "deep.json"
     doc.write_text("[" * 100_000 + "]" * 100_000)

@@ -1,25 +1,42 @@
 """Serialization: native documents, grid case files, reports, and exports."""
 
+import copy
 import json
+import math
+from collections import OrderedDict
+from typing import NamedTuple
 
 import numpy as np
 import pytest
 from importlib import resources
 
-from conftest import wheel_context
+from conftest import random_network, wheel_context
+from oracles import reference_json_text
+from gridcap import io_formats
 from gridcap.errors import (
+    EmptySlice,
     GraphError,
+    NonUniformGamma,
+    NonUniformTau,
+    NoStochasticLines,
     ParseError,
     RoleError,
     SchemaError,
     ZeroBaseFlow,
 )
+from gridcap.exact1d import Exact1dProblem, exact_decay_rate
 from gridcap.io_formats import (
     SCHEMA_FORMAT,
     SCHEMA_VERSION,
     AnalysisDefaults,
+    LineSpec,
+    NetworkDocument,
+    NodeSpec,
+    _json_text,
     apply_imax_rule,
     build_model,
+    export_exact1d,
+    export_mc,
     export_partition,
     export_region,
     export_report,
@@ -32,6 +49,7 @@ from gridcap.io_formats import (
     serialize_native,
 )
 from gridcap.ld_rates import full_report
+from gridcap.montecarlo import McConfig, decay_slope
 from gridcap.region import build_region, risk_partition, slice2d
 
 BOX = (-2.0, 2.0, -2.0, 2.0)
@@ -167,6 +185,142 @@ def test_disconnected_document_names_unreachable_ids():
 def test_invalid_json_is_a_schema_error():
     with pytest.raises(SchemaError):
         parse_native("{not json")
+
+
+# One valid document with a node of each role; each case edits one field.
+PARSE_BASE = {
+    "format": "gridcap-network",
+    "version": 1,
+    "nodes": [
+        {"id": 1, "role": "slack"},
+        {"id": 2, "role": "stochastic", "gamma": 1, "vol": 1, "mean": 0.3},
+        {"id": "d", "role": "deterministic", "injection": -0.2, "controllable": True},
+    ],
+    "lines": [
+        {"from": 1, "to": 2, "susceptance": 1, "rating": 1, "tau": 0.5},
+        {"from": 1, "to": "d", "susceptance": 1, "rating": "auto", "tau": 0.5},
+        {"from": 2, "to": "d", "susceptance": 1, "rating": 1, "tau": 0.5},
+    ],
+    "defaults": {"epsilon": 0.1, "p": 0.0001, "horizon": 1, "tau0": 0.5},
+}
+DROP = object()
+INF = float("inf")
+NAN = float("nan")
+
+
+def _edited(path, value):
+    """PARSE_BASE as JSON text with the entry at `path` set to `value` (DROP deletes it)."""
+    if not path:
+        return json.dumps(value)
+    doc = copy.deepcopy(PARSE_BASE)
+    *head, last = path
+    target = doc
+    for key in head:
+        target = target[key]
+    if value is DROP:
+        del target[last]
+    else:
+        target[last] = value
+    return json.dumps(doc)
+
+
+def test_parse_base_is_valid():
+    assert parse_native(json.dumps(PARSE_BASE)).stochastic_ids == (2,)
+
+
+# The messages are pinned byte for byte: a reader matches on them.
+@pytest.mark.parametrize(
+    "path, value, error, message",
+    [
+    ((), [], SchemaError, "$: expected an object"),
+    (("zzz",), 1, SchemaError, "$.zzz: unknown key"),
+    (("format",), "other", SchemaError, "$.format: expected 'gridcap-network'"),
+    (("format",), DROP, SchemaError, "$.format: expected 'gridcap-network'"),
+    (("version",), 2, SchemaError, "$.version: expected 1"),
+    (("version",), "1", SchemaError, "$.version: expected 1"),
+    (("nodes",), [], SchemaError, "$.nodes: expected a non-empty array"),
+    (("nodes",), {}, SchemaError, "$.nodes: expected a non-empty array"),
+    (("lines",), DROP, SchemaError, "$.lines: expected a non-empty array"),
+    (("lines",), [], SchemaError, "$.lines: expected a non-empty array"),
+    (("nodes", 1), 5, SchemaError, "$.nodes[1]: expected an object"),
+    (("nodes", 1, "id"), DROP, SchemaError, "$.nodes[1]: missing id"),
+    (("nodes", 1, "id"), 2.5, SchemaError, "$.nodes[1].id: id must be a string or integer"),
+    (("nodes", 1, "id"), True, SchemaError, "$.nodes[1].id: id must be a string or integer"),
+    (("nodes", 1, "id"), None, SchemaError, "$.nodes[1].id: id must be a string or integer"),
+    (("nodes", 1, "id"), 1, SchemaError, "$.nodes[1].id: duplicate id 1"),
+    (("nodes", 2, "id"), 2, SchemaError, "$.nodes[2].id: duplicate id 2"),
+    (("nodes", 1, "role"), "boss", SchemaError, "$.nodes[1].role: role must be one of ('slack', 'stochastic', 'deterministic')"),
+    (("nodes", 1, "role"), DROP, SchemaError, "$.nodes[1].role: role must be one of ('slack', 'stochastic', 'deterministic')"),
+    (("nodes", 0, "gamma"), 1, SchemaError, "$.nodes[0].gamma: unknown key"),
+    (("nodes", 1, "zzz"), 1, SchemaError, "$.nodes[1].zzz: unknown key"),
+    (("nodes", 2, "zzz"), 1, SchemaError, "$.nodes[2].zzz: unknown key"),
+    (("nodes", 1, "gamma"), DROP, SchemaError, "$.nodes[1]: missing gamma"),
+    (("nodes", 1, "vol"), DROP, SchemaError, "$.nodes[1]: missing vol"),
+    (("nodes", 1, "mean"), DROP, SchemaError, "$.nodes[1]: missing mean"),
+    (("nodes", 1, "gamma"), "1", SchemaError, "$.nodes[1].gamma: expected a number"),
+    (("nodes", 1, "gamma"), True, SchemaError, "$.nodes[1].gamma: expected a number"),
+    (("nodes", 1, "gamma"), None, SchemaError, "$.nodes[1].gamma: expected a number"),
+    (("nodes", 1, "gamma"), INF, SchemaError, "$.nodes[1].gamma: expected a finite number, got inf"),
+    (("nodes", 1, "gamma"), NAN, SchemaError, "$.nodes[1].gamma: expected a finite number, got nan"),
+    (("nodes", 1, "gamma"), 10**400, SchemaError, "$.nodes[1].gamma: expected a finite number, got inf"),
+    (("nodes", 1, "gamma"), 0, SchemaError, "$.nodes[1].gamma: must be positive"),
+    (("nodes", 1, "gamma"), -1.5, SchemaError, "$.nodes[1].gamma: must be positive"),
+    (("nodes", 1, "vol"), [1], SchemaError, "$.nodes[1].vol: expected a number"),
+    (("nodes", 1, "vol"), -INF, SchemaError, "$.nodes[1].vol: expected a finite number, got -inf"),
+    (("nodes", 1, "vol"), 0.0, SchemaError, "$.nodes[1].vol: must be positive"),
+    (("nodes", 1, "mean"), "x", SchemaError, "$.nodes[1].mean: expected a number"),
+    (("nodes", 1, "mean"), NAN, SchemaError, "$.nodes[1].mean: expected a finite number, got nan"),
+    (("nodes", 2, "injection"), DROP, SchemaError, "$.nodes[2]: missing injection"),
+    (("nodes", 2, "injection"), "x", SchemaError, "$.nodes[2].injection: expected a number"),
+    (("nodes", 2, "injection"), INF, SchemaError, "$.nodes[2].injection: expected a finite number, got inf"),
+    (("nodes", 2, "controllable"), 1, SchemaError, "$.nodes[2].controllable: must be a boolean"),
+    (("nodes", 2, "controllable"), "yes", SchemaError, "$.nodes[2].controllable: must be a boolean"),
+    (("nodes", 0, "role"), "stochastic", SchemaError, "$.nodes[0]: missing gamma"),
+    (("nodes", 1, "role"), "slack", SchemaError, "$.nodes[1].gamma: unknown key"),
+    (("lines", 0), "x", SchemaError, "$.lines[0]: expected an object"),
+    (("lines", 0, "zzz"), 1, SchemaError, "$.lines[0].zzz: unknown key"),
+    (("lines", 0, "from"), DROP, SchemaError, "$.lines[0]: missing from"),
+    (("lines", 0, "to"), DROP, SchemaError, "$.lines[0]: missing to"),
+    (("lines", 0, "susceptance"), DROP, SchemaError, "$.lines[0]: missing susceptance"),
+    (("lines", 0, "rating"), DROP, SchemaError, "$.lines[0]: missing rating"),
+    (("lines", 0, "tau"), DROP, SchemaError, "$.lines[0]: missing tau"),
+    (("lines", 0, "from"), 9, SchemaError, "$.lines[0].from: unknown node id 9"),
+    (("lines", 1, "to"), "q", SchemaError, "$.lines[1].to: unknown node id 'q'"),
+    (("lines", 0, "to"), 1, SchemaError, "$.lines[0]: self-loop"),
+    (("lines", 2, "to"), 1, SchemaError, "$.lines[2]: duplicate line"),
+    (("lines", 2, "from"), "d", SchemaError, "$.lines[2]: self-loop"),
+    (("lines", 0, "susceptance"), "x", SchemaError, "$.lines[0].susceptance: expected a number"),
+    (("lines", 0, "susceptance"), 0, SchemaError, "$.lines[0].susceptance: must be positive"),
+    (("lines", 0, "susceptance"), -1, SchemaError, "$.lines[0].susceptance: must be positive"),
+    (("lines", 0, "susceptance"), NAN, SchemaError, "$.lines[0].susceptance: expected a finite number, got nan"),
+    (("lines", 0, "rating"), "x", SchemaError, "$.lines[0].rating: expected a number"),
+    (("lines", 0, "rating"), 0, SchemaError, '$.lines[0].rating: must be positive or "auto"'),
+    (("lines", 0, "rating"), INF, SchemaError, "$.lines[0].rating: expected a finite number, got inf"),
+    (("lines", 0, "tau"), 0, SchemaError, "$.lines[0].tau: must be positive"),
+    (("lines", 0, "tau"), False, SchemaError, "$.lines[0].tau: expected a number"),
+    (("lines", 0, "tau"), 10**400, SchemaError, "$.lines[0].tau: expected a finite number, got inf"),
+    (("defaults",), [], SchemaError, "$.defaults: expected an object"),
+    (("defaults", "zzz"), 1, SchemaError, "$.defaults.zzz: unknown key"),
+    (("defaults", "epsilon"), -1, SchemaError, "$.defaults.epsilon: must be non-negative"),
+    (("defaults", "epsilon"), "x", SchemaError, "$.defaults.epsilon: expected a number"),
+    (("defaults", "epsilon"), INF, SchemaError, "$.defaults.epsilon: expected a finite number, got inf"),
+    (("defaults", "p"), 0, SchemaError, "$.defaults.p: must lie strictly between 0 and 1"),
+    (("defaults", "p"), 1, SchemaError, "$.defaults.p: must lie strictly between 0 and 1"),
+    (("defaults", "p"), None, SchemaError, "$.defaults.p: expected a number"),
+    (("defaults", "horizon"), 0, SchemaError, "$.defaults.horizon: must be positive"),
+    (("defaults", "horizon"), NAN, SchemaError, "$.defaults.horizon: expected a finite number, got nan"),
+    (("defaults", "tau0"), -0.5, SchemaError, "$.defaults.tau0: must be non-negative"),
+    (("defaults", "tau0"), True, SchemaError, "$.defaults.tau0: expected a number"),
+    (("lines",), [{"from": 1, "to": 2, "susceptance": 1, "rating": 1, "tau": 0.5}], GraphError, "network is disconnected; unreachable nodes ['d']"),
+    (("nodes", 1), {"id": 2, "role": "slack"}, RoleError, "expected exactly one slack node, found 2"),
+    (("nodes", 1), {"id": 2, "role": "deterministic", "injection": 0.1}, RoleError, "at least one stochastic node is required"),
+    ],
+)
+def test_parse_error_messages(path, value, error, message):
+    with pytest.raises(error) as err:
+        parse_native(_edited(path, value))
+    assert type(err.value) is error
+    assert str(err.value) == message
 
 
 def test_build_model_respects_overrides():
@@ -369,3 +523,194 @@ def test_partition_exports():
 def test_schema_constants():
     assert SCHEMA_FORMAT == "gridcap-network"
     assert SCHEMA_VERSION == 1
+
+
+# ---------------------------------------------------------------------------
+# the JSON writer against its reference
+
+
+class _Pair(NamedTuple):
+    first: object
+    second: object
+
+
+WRITER_VALUES = [
+    0.1,
+    -0.0,
+    5e-324,
+    1.7976931348623157e308,
+    np.float64(0.1),
+    np.float32(0.1),
+    np.int64(-7),
+    np.int8(3),
+    2**70,
+    True,
+    False,
+    None,
+    "",
+    'quote " slash \\ newline \n tab \t',
+    "café ☃ \U0001f600",
+    [],
+    {},
+    (),
+    [[]],
+    [{}],
+    [1, 2.5, True, None, "x", np.float64(2.0), np.int32(4)],
+    [np.float64(1.5), np.float64(-2.25)],
+    (0.5, 1.5),
+    [[0.5, 1.5], [2.5], [], [[1.0, [2.0]]]],
+    {"a": {"b": {"c": [1.0, {"d": []}]}}, "e": {}},
+    {1: "int key", 2.5: "float key", None: "null key", True: "bool key"},
+    OrderedDict([("z", 1), ("a", [0.1, 0.2])]),
+    _Pair(1.0, [2.0, 3.0]),
+    [_Pair(1.0, 2.0), 3.0],
+    [0.1 * k for k in range(200)],
+]
+
+
+@pytest.mark.parametrize("obj", WRITER_VALUES, ids=range(len(WRITER_VALUES)))
+def test_json_writer_matches_reference(obj):
+    assert _json_text(obj) == reference_json_text(obj)
+    assert _json_text(obj, indent=4) == reference_json_text(obj, indent=4)
+
+
+@pytest.mark.parametrize(
+    "obj, error",
+    [
+        (math.inf, ValueError),
+        (np.float64(-np.inf), ValueError),
+        ([1.0, math.nan, math.inf], ValueError),
+        ([[1.0, -math.inf], math.nan], ValueError),
+        ({"a": [0.5, math.nan]}, ValueError),
+        ([np.float32(np.nan)], ValueError),
+        (object(), TypeError),
+        ([np.bool_(True)], TypeError),
+        ([object(), math.nan], TypeError),
+        ({"a": {1, 2}}, TypeError),
+    ],
+)
+def test_json_writer_refusals_match_reference(obj, error):
+    with pytest.raises(error) as new:
+        _json_text(obj)
+    with pytest.raises(error) as ref:
+        reference_json_text(obj)
+    assert str(new.value) == str(ref.value)
+
+
+def _assert_writers_agree(monkeypatch, export):
+    """`export()` gives the same bytes with the library's writer and with the reference."""
+    text = export()
+    with monkeypatch.context() as patch:
+        patch.setattr(io_formats, "_json_text", reference_json_text)
+        assert export() == text
+
+
+def _assert_model_exports_agree(monkeypatch, bm, free, bbox, epsilon, p, mc_epsilons=()):
+    """Every JSON export of one built model, compared with the reference writer."""
+    ctx = bm.ctx
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    exports = [
+        lambda: serialize_native(bm.document),
+        lambda: export_report(full_report(ctx), line_terminals=bm.line_terminals),
+        lambda: export_report(full_report(ctx)),
+    ]
+    for kind in ("deterministic", "current", "temperature_lb", "temperature_taylor"):
+        try:
+            region = build_region(ctx, kind, epsilon, p)
+        except (NonUniformGamma, NonUniformTau):
+            continue
+        exports.append(lambda region=region: export_region(region))
+        try:
+            sl = slice2d(region, bm.flow, free, fixed, bbox)
+        except EmptySlice:
+            continue
+        exports.append(lambda sl=sl: export_slice(sl))
+    try:
+        part = risk_partition(ctx, free, fixed, bbox, resolution=16)
+    except (EmptySlice, NoStochasticLines):
+        part = None
+    if part is not None:
+        exports.append(lambda: export_partition(part, line_terminals=bm.line_terminals))
+        exports.append(lambda: export_partition(part))
+    if mc_epsilons:
+        config = McConfig(replicates=400, step_count=20, seed=3)
+        fit = decay_slope(ctx, config, mc_epsilons)
+        exports.append(lambda: export_mc(mc_epsilons, fit.estimates, 3, fit=fit))
+        exports.append(lambda: export_mc(mc_epsilons[:1], fit.estimates[:1], 3))
+    for export in exports:
+        _assert_writers_agree(monkeypatch, export)
+    return len(exports)
+
+
+def test_exports_match_reference_writer_wheel3(monkeypatch):
+    bm = build_model(parse_native(_data("wheel3.json")))
+    count = _assert_model_exports_agree(monkeypatch, bm, (1, 2), (-1.0, 1.0, -1.0, 1.0), 0.1, 1e-4, (0.5, 0.8))
+    assert count == 15
+
+
+def test_exports_match_reference_writer_case14(monkeypatch):
+    case = parse_matpower(_data("case14.m"))
+    doc = apply_imax_rule(
+        case, 1.5, [2, 3], [6, 9], gamma=1.0, vol=10.0, tau=0.5,
+        defaults=AnalysisDefaults(epsilon=0.0004, p=0.0001, horizon=1.0, tau0=0.5), zero_flow_rating=1.0,
+    )
+    bm = build_model(doc)
+    free = (bm.node_ids.index(6), bm.node_ids.index(9))
+    # the window around the deterministic slice, padded by 5 %
+    det = build_region(bm.ctx, "deterministic", 0.0004, 1e-4)
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    ring = slice2d(det, bm.flow, free, fixed, (-10.0, 10.0, -10.0, 10.0)).vertices
+    (umin, vmin), (umax, vmax) = ring.min(axis=0), ring.max(axis=0)
+    pad_u, pad_v = 0.05 * (umax - umin), 0.05 * (vmax - vmin)
+    bbox = (umin - pad_u, umax + pad_u, vmin - pad_v, vmax + pad_v)
+    count = _assert_model_exports_agree(monkeypatch, bm, free, bbox, 1e-6, 1e-4, (0.02, 0.04))
+    assert count == 15
+
+
+def test_exact1d_export_matches_reference_writer(monkeypatch):
+    result = exact_decay_rate(Exact1dProblem(mu=0.5, gamma=0.5, vol=1.0, tau=0.3, horizon=1.0))
+    _assert_writers_agree(monkeypatch, lambda: export_exact1d(result))
+
+
+def _random_document(rng, uniform):
+    """A document on `random_network`'s graph: int, str and non-ASCII node ids, small injections.
+
+    With `uniform`, every node shares one gamma and every line one tau, so the small-lag kind prices.
+    """
+    net = random_network(rng)
+    n = net.node_count
+    m = int(rng.integers(1, n))
+    ids = [k if k % 3 == 0 else (f"bus-{k}" if k % 3 == 1 else f"né\"{k}") for k in range(n)]
+    gamma = rng.uniform(0.3, 2.0, size=n)
+    tau = net.thermal_constant
+    if uniform:
+        gamma[:] = gamma[0]
+        tau = np.full(net.line_count, tau[0])
+    nodes = [NodeSpec(id=ids[0], role="slack")]
+    for k in range(1, n):
+        if k <= m:
+            nodes.append(NodeSpec(id=ids[k], role="stochastic", gamma=float(gamma[k]),
+                                  vol=float(rng.uniform(0.5, 1.5)), mean=float(rng.uniform(-0.05, 0.05))))
+        else:
+            nodes.append(NodeSpec(id=ids[k], role="deterministic", injection=float(rng.uniform(-0.05, 0.05)),
+                                  controllable=bool(rng.integers(0, 2))))
+    lines = tuple(
+        LineSpec(from_id=ids[i], to_id=ids[j], susceptance=float(b), rating=float(r), tau=float(t))
+        for (i, j), b, r, t in zip(net.lines, net.susceptance, net.current_rating, tau)
+    )
+    defaults = AnalysisDefaults(epsilon=float(rng.uniform(1e-3, 1e-2)), p=1e-4, horizon=1.0, tau0=0.5)
+    return NetworkDocument(version=SCHEMA_VERSION, nodes=tuple(nodes), lines=lines, defaults=defaults)
+
+
+def test_exports_match_reference_writer_random_documents(monkeypatch):
+    rng = np.random.default_rng(2024)
+    counts = []
+    for draw in range(60):
+        doc = _random_document(rng, uniform=draw % 2 == 0)
+        assert parse_native(serialize_native(doc)) == doc
+        bm = build_model(doc)
+        u, v = np.concatenate([bm.ou.mean, bm.op.mu_D])[:2]  # injections at the free nodes 1 and 2
+        bbox = (u - 1.0, u + 1.0, v - 1.0, v + 1.0)
+        counts.append(_assert_model_exports_agree(monkeypatch, bm, (1, 2), bbox, doc.defaults.epsilon, 1e-4))
+    # every draw exports its report, regions, slices and partition; uniform draws add the small-lag kind
+    assert counts == [13, 11] * 30

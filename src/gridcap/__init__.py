@@ -15,7 +15,6 @@ from .errors import (
     SingularReducedLaplacian,
     RankDeficiency,
     InfeasibleStart,
-    NonPositiveVolatility,
     ZeroVarianceLine,
     NoStochasticLines,
     NonUniformGamma,
@@ -40,19 +39,16 @@ from .grid_model import (
 )
 from .injections import (
     OuModel,
-    DiffusionModel,
     SamplePath,
     uniform_grid,
     ou_step_coefficients,
     simulate_ou,
-    simulate_diffusion,
     rate_functional,
 )
 from .thermal import (
     TemperaturePath,
     filter_coefficients,
     xi_map,
-    peak_temperature,
     overload_threshold_equivalence,
 )
 from .ld_rates import (
@@ -115,7 +111,6 @@ from .io_formats import (
     build_model,
     export_report,
     export_region,
-    region_from_json,
     export_slice,
     export_partition,
     export_mc,

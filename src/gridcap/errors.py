@@ -82,10 +82,6 @@ class InfeasibleStart(InvalidInput):
     level, so no overload decay rate is defined."""
 
 
-class NonPositiveVolatility(InvalidInput):
-    """A volatility function evaluated to a non-positive value."""
-
-
 class ZeroVarianceLine(InvalidInput):
     """A line's terminal current variance is zero; the line does not respond
     to the stochastic injections and has no finite decay rate."""

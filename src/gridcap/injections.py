@@ -1,14 +1,15 @@
 """Stochastic power injections and the pathwise action functional.
 
-Injections are modeled as an m-dimensional diffusion started at its mean:
+Injections are an m-dimensional Ornstein-Uhlenbeck process started at its
+mean:
 
-    dX(t) = b(X(t)) dt + sqrt(eps) L(X(t)) dW(t),    X(0) = mu
+    dX_i(t) = gamma_i (mu_i - X_i(t)) dt + sqrt(eps) l_i dW_i(t),    X(0) = mu
 
-The mean-reverting special case (`OuModel`) has b(x) = D(mu - x) with
-D = diag(gamma) and constant volatilities, and admits exact one-step
-transition sampling. The action functional
+with mean-reversion rates gamma_i > 0 and constant volatilities l_i > 0.
+`OuModel` holds those parameters and admits exact one-step transition
+sampling. The action functional
 
-    I(g) = 1/2 sum_i integral ((g_i' - b_i(g_i)) / l_i(g_i))^2 dt
+    I(g) = 1/2 sum_i integral ((g_i' - gamma_i (mu_i - g_i)) / l_i)^2 dt
 
 scores how unlikely a path is: the probability that the noisy system tracks
 g decays like exp(-I(g)/eps) as eps -> 0. Its discretization here is the
@@ -21,16 +22,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from ._streams import normal_block
-from .errors import NonPositiveVolatility
 from .grid_model import _readonly
 
 __all__ = [
     "OuModel",
-    "DiffusionModel",
     "SamplePath",
     "uniform_grid",
     "simulate_ou",
-    "simulate_diffusion",
     "rate_functional",
 ]
 
@@ -87,41 +85,6 @@ class OuModel:
 
     def drift(self, x: np.ndarray) -> np.ndarray:
         return self.gamma * (self.mean - x)
-
-
-@dataclass(frozen=True)
-class DiffusionModel:
-    """General per-coordinate diffusion with callable drift and volatility.
-
-    `drift` and `vol` are tuples of vectorized callables, one per coordinate;
-    each must accept an ndarray of states and return the same shape. The
-    drift must vanish at the mean so that the mean is a rest point.
-    """
-
-    drift: tuple
-    vol: tuple
-    mean: np.ndarray
-    noise_scale: float
-    horizon: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "mean", _vector(self.mean, "mean"))
-        object.__setattr__(self, "drift", tuple(self.drift))
-        object.__setattr__(self, "vol", tuple(self.vol))
-        if len(self.drift) != self.m or len(self.vol) != self.m:
-            raise ValueError("need one drift and one vol callable per coordinate")
-        if not self.noise_scale >= 0:
-            raise ValueError("noise_scale must be non-negative")
-        if not self.horizon > 0:
-            raise ValueError("horizon must be strictly positive")
-        for i in range(self.m):
-            b0 = float(self.drift[i](np.asarray(self.mean[i])))
-            if abs(b0) > 1e-12:
-                raise ValueError(f"drift {i} does not vanish at the mean: b(mu)={b0:g}")
-
-    @property
-    def m(self) -> int:
-        return self.mean.shape[0]
 
 
 @dataclass(frozen=True)
@@ -196,46 +159,18 @@ def simulate_ou(model: OuModel, step_count: int, seed: int, replicate: int = 0) 
     return SamplePath(times, model.mean + dev)
 
 
-def simulate_diffusion(model: DiffusionModel, step_count: int, seed: int, replicate: int = 0) -> SamplePath:
-    """Sample one path of a general diffusion with the Euler scheme."""
-    times = uniform_grid(model.horizon, step_count)
-    dt = times[1] - times[0]
-    sqdt = np.sqrt(model.noise_scale * dt)
-    z = normal_block(seed, replicate, step_count, model.m)
-    x = np.empty((step_count + 1, model.m))
-    x[0] = model.mean
-    for k in range(step_count):
-        cur = x[k]
-        nxt = np.empty(model.m)
-        for i in range(model.m):
-            li = float(model.vol[i](cur[i]))
-            if li <= 0:
-                raise NonPositiveVolatility(f"vol {i} is {li:g} at state {cur[i]:g}")
-            nxt[i] = cur[i] + float(model.drift[i](cur[i])) * dt + sqdt * li * z[k, i]
-        x[k + 1] = nxt
-    return SamplePath(times, x)
+def rate_functional(path: SamplePath, model: OuModel) -> float:
+    """Discretized action of a path under the model's OU drift and volatilities.
 
-
-def rate_functional(path: SamplePath, model) -> float:
-    """Discretized action of a path under the model's drift and volatility.
-
-    The derivative is a forward difference on each interval and the drift and
-    volatility are evaluated at the interval's trapezoid average of the two
-    endpoint states, which keeps the quadrature second-order accurate. For
-    affine drifts the average equals the trapezoid rule on the drift itself.
+    The derivative is a forward difference on each interval and the drift
+    gamma (mu - g) is evaluated at the interval's trapezoid average of the two
+    endpoint states; for this affine drift that equals the trapezoid rule on
+    the drift itself, which keeps the quadrature second-order accurate.
     Every rate oracle in the test suite reuses this exact discretization.
     """
     g = path.values
     dt = path.step
     diff = (g[1:] - g[:-1]) / dt
     mid = 0.5 * (g[1:] + g[:-1])
-    if isinstance(model, OuModel):
-        resid = (diff - model.gamma * (model.mean - mid)) / model.vol
-    else:
-        resid = np.empty_like(diff)
-        for i in range(model.m):
-            li = np.asarray(model.vol[i](mid[:, i]), dtype=float)
-            if np.any(li <= 0):
-                raise NonPositiveVolatility(f"vol {i} non-positive along the path")
-            resid[:, i] = (diff[:, i] - model.drift[i](mid[:, i])) / li
+    resid = (diff - model.gamma * (model.mean - mid)) / model.vol
     return float(0.5 * np.sum(resid**2) * dt)

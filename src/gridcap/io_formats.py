@@ -19,7 +19,8 @@ A versioned JSON document::
       "defaults": {"epsilon": 0.1, "p": 0.0001, "horizon": 1.0, "tau0": 0.5}
     }
 
-Node ids are strings or integers. Exactly one node is the slack; every other
+Node ids, in a node's `id` and a line's `from` and `to` alike, are strings or
+integers, never booleans. Exactly one node is the slack; every other
 node is either stochastic (mean-reverting injection with its own gamma, vol,
 mean) or deterministic (fixed injection), and deterministic nodes may be
 flagged controllable for slice axes. A rating of "auto" is resolved by
@@ -69,7 +70,6 @@ __all__ = [
     "build_model",
     "export_report",
     "export_region",
-    "region_from_json",
     "export_slice",
     "export_partition",
     "export_mc",
@@ -189,6 +189,13 @@ def _number(value, *where) -> float:
     return number
 
 
+def _node_id(value, *where):
+    """`value` as a node id: a string, or an integer that is not a bool; `where` locates it."""
+    if isinstance(value, bool) or not isinstance(value, (str, int)):
+        raise _schema_error("id must be a string or integer", *where)
+    return value
+
+
 def _check_keys(obj, allowed, *where):
     if not allowed.issuperset(obj):
         unknown = next(key for key in obj if key not in allowed)
@@ -225,9 +232,7 @@ def parse_native(text: str) -> NetworkDocument:
             raise _schema_error("expected an object", "nodes", k)
         if "id" not in entry:
             raise _schema_error("missing id", "nodes", k)
-        nid = entry["id"]
-        if isinstance(nid, bool) or not isinstance(nid, (str, int)):
-            raise _schema_error("id must be a string or integer", "nodes", k, "id")
+        nid = _node_id(entry["id"], "nodes", k, "id")
         if nid in seen_ids:
             raise _schema_error(f"duplicate id {nid!r}", "nodes", k, "id")
         seen_ids.add(nid)
@@ -273,7 +278,8 @@ def parse_native(text: str) -> NetworkDocument:
         for field in _LINE_FIELDS:
             if field not in entry:
                 raise _schema_error(f"missing {field}", "lines", k)
-        f, t = entry["from"], entry["to"]
+        f = _node_id(entry["from"], "lines", k, "from")
+        t = _node_id(entry["to"], "lines", k, "to")
         if f not in seen_ids:
             raise _schema_error(f"unknown node id {f!r}", "lines", k, "from")
         if t not in seen_ids:
@@ -823,24 +829,6 @@ def export_region(region, fmt: str = "json") -> str:
         }
         return _json_text(out) + "\n"
     return _csv_doc("line,bound", (f"{k},{_f17(b)}" for k, b in enumerate(region.bounds)))
-
-
-def region_from_json(text: str):
-    """Rebuild a capacity region from its JSON export (exact round trip)."""
-    from .region import REGION_KINDS, CapacityRegion
-
-    raw = json.loads(text)
-    if not isinstance(raw, dict) or raw.get("kind") not in REGION_KINDS:
-        raise SchemaError("$.kind: not a capacity region export")
-    return CapacityRegion(
-        kind=raw["kind"],
-        bounds=np.asarray(raw["bounds"], dtype=float),
-        epsilon=raw["epsilon"],
-        p=raw["p"],
-        horizon=raw["horizon"],
-        tau=None if raw.get("tau") is None else np.asarray(raw["tau"], dtype=float),
-        tau0=raw.get("tau0"),
-    )
 
 
 def export_slice(sl, fmt: str = "json") -> str:

@@ -45,7 +45,6 @@ __all__ = [
     "LineRates",
     "DecayRateReport",
     "m_matrix",
-    "m_matrix_derivative",
     "line_variances",
     "psi",
     "current_decay_rate",
@@ -127,7 +126,9 @@ class PsiContext:
 
 def _m_diag(ou: OuModel, t: float, horizon: float) -> np.ndarray:
     g = ou.gamma
-    return ou.vol**2 * (-np.expm1(-2.0 * g * t)) * np.exp(g * (t - horizon)) / g
+    # gamma t overflowing to inf at a huge horizon gives the exact limit l^2/gamma
+    with np.errstate(over="ignore"):
+        return ou.vol**2 * (-np.expm1(-2.0 * g * t)) * np.exp(g * (t - horizon)) / g
 
 
 def m_matrix(ou: OuModel, t: float, horizon=None) -> np.ndarray:
@@ -141,12 +142,6 @@ def m_matrix(ou: OuModel, t: float, horizon=None) -> np.ndarray:
 def _m_diag_derivative(ou: OuModel, t: float, horizon: float) -> np.ndarray:
     g = ou.gamma
     return ou.vol**2 * (1.0 + np.exp(-2.0 * g * t)) * np.exp(g * (t - horizon))
-
-
-def m_matrix_derivative(ou: OuModel, t: float, horizon=None) -> np.ndarray:
-    """Time derivative of M_t, used for the slopes of optimal current paths."""
-    horizon = ou.horizon if horizon is None else horizon
-    return np.diag(_m_diag_derivative(ou, t, horizon))
 
 
 def line_variances(ctx: PsiContext) -> np.ndarray:

@@ -26,6 +26,7 @@ import numpy as np
 from .errors import BoundCollapse, EmptySlice
 from .grid_model import _readonly
 from .ld_rates import ARGMIN_RTOL, PsiContext, _live_lines
+from .thermal import _horizon_decay
 
 __all__ = [
     "REGION_KINDS",
@@ -104,7 +105,7 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
     if kind == "current":
         bounds[live] = 1.0 - beta
     elif kind == "temperature_lb":
-        q = np.exp(-ctx.horizon / ctx.tau[live])
+        q = _horizon_decay(ctx.horizon, ctx.tau[live])[0]
         radicand = 1.0 - beta**2 * q * (1.0 - q)
         _refuse_collapse(live, radicand < 0.0)
         bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)

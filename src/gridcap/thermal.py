@@ -23,7 +23,6 @@ __all__ = [
     "TemperaturePath",
     "filter_coefficients",
     "xi_map",
-    "peak_temperature",
     "overload_threshold_equivalence",
 ]
 
@@ -85,9 +84,16 @@ def xi_map(current: SamplePath, tau, theta0=None) -> TemperaturePath:
     return TemperaturePath(current.times, theta)
 
 
-def peak_temperature(current: SamplePath, tau, theta0=None) -> np.ndarray:
-    """Maximum temperature per line over the grid."""
-    return xi_map(current, tau, theta0).values.max(axis=0)
+def _horizon_decay(horizon: float, tau):
+    """q = e^{-horizon/tau}, the share of Theta(0) left at the horizon, and 1 - q.
+
+    A huge horizon or a tiny tau overflows horizon/tau to inf; the limits
+    q = 0 and 1 - q = 1 are then exact, so that overflow is not reported.
+    """
+    with np.errstate(over="ignore"):
+        x = horizon / np.asarray(tau, dtype=float)
+    # -expm1 keeps 1 - q accurate, and nonzero, when x is tiny
+    return np.exp(-x), -np.expm1(-x)
 
 
 def overload_threshold_equivalence(nu, tau, horizon: float):
@@ -102,6 +108,5 @@ def overload_threshold_equivalence(nu, tau, horizon: float):
     if np.any(tau <= 0):
         raise NonPositiveTau("thermal constants must be strictly positive")
     nu = np.asarray(nu, dtype=float)
-    q = np.exp(-horizon / tau)
-    # -expm1 keeps 1 - q accurate, and nonzero, when horizon / tau is tiny
-    return np.sqrt((1.0 - nu**2 * q) / -np.expm1(-horizon / tau))
+    q, one_minus_q = _horizon_decay(horizon, tau)
+    return np.sqrt((1.0 - nu**2 * q) / one_minus_q)

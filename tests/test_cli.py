@@ -457,6 +457,36 @@ def test_mc_huge_noise_scale_prices_without_warnings(capsys):
     assert json.loads(out)["estimates"][0]["p_hat"] == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("rates", "builtin:wheel3", "--horizon", "1e308"),
+        ("rates", "builtin:wheel3", "--tau", "1e-320"),
+    ],
+)
+def test_rates_extreme_horizon_or_lag_prices_limits_without_warnings(capsys, argv):
+    # horizon / tau overflows to inf: q = e^{-T/tau} is 0 and alpha is 1 exactly
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, *argv)
+    assert code == 0
+    assert err == ""
+    rep = json.loads(out)
+    assert [line["alpha"] for line in rep["lines"]] == [1, 1, 1]
+    assert rep["lb_rate"] == rep["current_rate"]
+
+
+def test_region_huge_horizon_thermal_bound_meets_current_bound(capsys):
+    # q = 0 makes the temperature lower-bound slab the current slab
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "region", "builtin:wheel3", "--kind", "temperature_lb", "--horizon", "1e308")
+    assert code == 0
+    assert err == ""
+    _, current, _ = run(capsys, "region", "builtin:wheel3", "--kind", "current", "--horizon", "1e308")
+    assert json.loads(out)["bounds"] == json.loads(current)["bounds"]
+
+
 @pytest.mark.parametrize("eps", [",", " , "])
 def test_mc_empty_noise_scale_list_exits_usage(capsys, eps):
     with pytest.raises(SystemExit) as exc:
@@ -566,7 +596,7 @@ def test_mc_seed_range(capsys, seed, expected):
 
 EXIT_CODES = {
     2: {"InvalidInput", "SchemaError", "RoleError", "GraphError", "ParseError", "ZeroBaseFlow", "InfeasibleStart",
-        "NonPositiveVolatility", "NonPositiveTau", "NonUniformGamma", "NonUniformTau", "ZeroVarianceLine"},
+        "NonPositiveTau", "NonUniformGamma", "NonUniformTau", "ZeroVarianceLine"},
     3: {"EmptyResult", "EmptySlice", "NoStochasticLines", "InsufficientHits", "BoundCollapse"},
     4: {"NumericalFailure", "BlowUp", "NoBoundaryHit", "SingularReducedLaplacian", "RankDeficiency",
         "NegativeRadicand", "DegenerateF"},

@@ -4,14 +4,11 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from gridcap.errors import NonPositiveVolatility
 from gridcap.injections import (
-    DiffusionModel,
     OuModel,
     SamplePath,
     ou_step_coefficients,
     rate_functional,
-    simulate_diffusion,
     simulate_ou,
     uniform_grid,
 )
@@ -123,66 +120,6 @@ def test_rate_functional_linear_path_closed_form():
     path = SamplePath(times, mu + v * times[:, None])
     exact = v**2 * ((1 + gamma * T) ** 3 - 1) / (6 * gamma * vol**2)
     assert np.isclose(rate_functional(path, model), exact, rtol=1e-7)
-
-
-def test_rate_functional_generic_branch_matches_ou_branch():
-    ou = OuModel(
-        gamma=np.array([0.5, 2.0]),
-        vol=np.array([1.0, 0.3]),
-        mean=np.array([0.5, -0.2]),
-        noise_scale=0.1,
-        horizon=1.0,
-    )
-    generic = DiffusionModel(
-        drift=(lambda x: 0.5 * (0.5 - x), lambda x: 2.0 * (-0.2 - x)),
-        vol=(lambda x: np.full_like(np.asarray(x, float), 1.0), lambda x: np.full_like(np.asarray(x, float), 0.3)),
-        mean=ou.mean,
-        noise_scale=0.1,
-        horizon=1.0,
-    )
-    path = simulate_ou(ou, 128, seed=3)
-    assert np.isclose(rate_functional(path, ou), rate_functional(path, generic), rtol=1e-12)
-
-
-def test_euler_scheme_matches_exact_moments():
-    model = _model(gamma=0.5, vol=1.0, mu=0.5, eps=0.2, T=1.0)
-    generic = DiffusionModel(
-        drift=(lambda x: 0.5 * (0.5 - x),),
-        vol=(lambda x: np.ones_like(np.asarray(x, float)),),
-        mean=model.mean,
-        noise_scale=0.2,
-        horizon=1.0,
-    )
-    n = 1200
-    xT = np.array(
-        [simulate_diffusion(generic, 400, seed=21, replicate=r).values[-1, 0] for r in range(n)]
-    )
-    var = 0.2 * (1.0 - np.exp(-1.0)) / 1.0
-    assert abs(xT.mean() - 0.5) < 4 * np.sqrt(var / n)
-    assert 0.85 < xT.var() / var < 1.15
-
-
-def test_diffusion_drift_must_vanish_at_mean():
-    with pytest.raises(ValueError):
-        DiffusionModel(
-            drift=(lambda x: x + 1.0,),
-            vol=(lambda x: np.ones_like(np.asarray(x, float)),),
-            mean=np.zeros(1),
-            noise_scale=0.1,
-            horizon=1.0,
-        )
-
-
-def test_nonpositive_volatility_rejected_at_simulation():
-    generic = DiffusionModel(
-        drift=(lambda x: 10.0 - np.asarray(x, float),),
-        vol=(lambda x: np.asarray(x, float) - 10.0,),
-        mean=np.full(1, 10.0),
-        noise_scale=0.1,
-        horizon=1.0,
-    )
-    with pytest.raises(NonPositiveVolatility):
-        simulate_diffusion(generic, 8, seed=0)
 
 
 def test_model_validation():

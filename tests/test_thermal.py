@@ -11,7 +11,6 @@ from gridcap.injections import SamplePath, uniform_grid
 from gridcap.thermal import (
     filter_coefficients,
     overload_threshold_equivalence,
-    peak_temperature,
     xi_map,
 )
 
@@ -88,14 +87,6 @@ def test_temperature_stays_in_convex_hull_of_inputs():
     run_min = np.minimum.accumulate(u, axis=0)
     assert np.all(theta <= run_max + 1e-12)
     assert np.all(theta >= run_min - 1e-12)
-
-
-def test_peak_temperature_matches_map_maximum():
-    rng = np.random.default_rng(4)
-    times = uniform_grid(1.0, 50)
-    cur = SamplePath(times, rng.normal(size=(51, 2)))
-    theta = xi_map(cur, 0.4)
-    assert np.array_equal(peak_temperature(cur, 0.4), theta.values.max(axis=0))
 
 
 def test_threshold_level_closes_the_loop():

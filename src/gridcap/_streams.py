@@ -55,6 +55,9 @@ def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state  # a just-keyed stream: zero counter, empty buffer
+    # plain ints spare the state setter a NumPy scalar per element it reads
+    fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
+    fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
     for i in range(out.shape[0]):
         key[1] = start + i

@@ -434,7 +434,9 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     if not np.min(c1) > 0.0:  # d/tau lies below rounding, so theta(T) no longer resolves g
         return None
     remain = np.append(np.cumsum(d[:0:-1])[::-1], 0.0)  # T - t_{k+1}
-    with np.errstate(under="ignore"):  # steps long before T leave nothing of theta(T) for large T/tau
+    # steps long before T leave nothing of theta(T) for large T/tau; where
+    # remain/tau overflows, the limit lag = 0 is exact
+    with np.errstate(over="ignore", under="ignore"):
         lag = np.exp(-remain / tau)  # how much of step k survives to T
     w = c1 * lag
     w[:-1] += c0[1:] * lag[1:]

@@ -10,18 +10,22 @@ one reused buffer and transposed into a second, (steps, m, R), where the
 OU recursion then runs in place, so that buffer holds the stored paths.
 Each replicate's path box (its lowest and highest state per coordinate
 over all steps and the start) bounds every line's current from above,
-with a slack that covers all rounding; replicates whose bound stays below
-the threshold on every line cannot hit. Overloads are rare, so usually
-only a few replicates are candidates, and only their columns go through
-the exact kernel: currents, the thermal recursion and the peaks, priced
-lines-major as (L, W) arrays from the stored paths. A block holds at most
+with a slack that covers all rounding, and a grace factor extends the
+bound to the line's temperature. This gives an (L, R) reach mask: a line
+whose bound stays below the threshold cannot hit on that replicate, in
+current or in temperature. Overloads are rare, so usually only a few
+replicates are candidates (some line reaches), and on them only a few
+lines reach. Only the candidates' columns go through the exact kernel,
+and only on the lines that some candidate in the block reaches:
+currents, the thermal recursion and the peaks, priced lines-major as
+(lines, W) arrays from the stored paths. A block holds at most
 `McConfig.chunk` replicates and at most NOISE_BLOCK_BYTES of noise;
 neither cap changes any result.
 
-Each column's currents come from the same gemm, whatever the block width
-or the candidate count: NumPy's matmul takes a gemv path when an operand
-is one wide, so the kernel prices a lone column twice over and C is kept
-at least two rows tall.
+Each (line, column) pair's current comes from the same gemm, whatever the
+block width, the candidate count or the lines priced: NumPy's matmul
+takes a gemv path when an operand is one wide, so the kernel prices a
+lone column or a lone line twice over.
 
 A temperature overload is counted only on a replicate with a current
 overload, so the temperature event is a subset of the current event by
@@ -150,10 +154,16 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
             x = paths[: R * n * m].reshape(n, m, R)
             np.copyto(x, z.transpose(1, 2, 0))
             _ou_paths(x, mu, decay, std)
-            cand = np.flatnonzero(_may_reach(x, mu, C, y, threshold, th2))
+            reach = _may_reach(x, mu, C, y, threshold, th2)
+            cand = np.flatnonzero(reach.any(axis=0))
             if not cand.size:
                 continue
-            cur, tmp = _peaks(x if cand.size == R else np.take(x, cand, axis=2), mu, C, y, q, c1, c2)
+            lines = np.flatnonzero(reach.any(axis=1))
+            if lines.size == 1:  # keep C two rows tall (see `_peaks`)
+                lines = np.repeat(lines, 2)
+            cur, tmp = _peaks(
+                x if cand.size == R else np.take(x, cand, axis=2), mu, *(c[lines] for c in (C, y, q, c1, c2))
+            )
             cur_hit = cur >= th2
             cur_hits[start + cand] = cur_hit
             tmp_hits[start + cand] = cur_hit & (tmp >= th2)
@@ -163,19 +173,14 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
 def _coefficients(ctx: PsiContext, step_count: int):
     """The kernel's coefficients: mu, decay, std, C, y, q, c1, c2.
 
-    All but C are columns. A network with one line gets a copy of it as a
-    second row of C, so matmul never takes its gemv path on the line side
-    (see `_peaks`).
+    All but C are columns.
     """
     ou = ctx.ou
     dt = ou.horizon / step_count
     decay, std = ou_step_coefficients(ou, dt)
     q, c1, c2 = filter_coefficients(dt, ctx.tau)
-    C, y = ctx.flow.stochastic_block, ctx.op.y
-    if C.shape[0] == 1:
-        C, y, q, c1, c2 = (np.concatenate([v, v]) for v in (C, y, q, c1, c2))
-    mu, decay, std, y, q, c1, c2 = (np.asarray(c)[:, None] for c in (ou.mean, decay, std, y, q, c1, c2))
-    return mu, decay, std, C, y, q, c1, c2
+    mu, decay, std, y, q, c1, c2 = (np.asarray(c)[:, None] for c in (ou.mean, decay, std, ctx.op.y, q, c1, c2))
+    return mu, decay, std, ctx.flow.stochastic_block, y, q, c1, c2
 
 
 def _ou_paths(x, mu, decay, std):
@@ -199,13 +204,16 @@ def _ou_paths(x, mu, decay, std):
 
 
 def _may_reach(x, mu, C, y, threshold, th2):
-    """Replicates whose stored path may give some line a current hit.
+    """The (L, R) mask of the line-replicate pairs that may reach th2.
 
-    Over a replicate's box lo <= x_k <= hi (all steps and the start) each
-    line has |C x + y| <= |C mid + y| + |C| half. The slack makes the
+    A pair outside the mask can give neither a current hit nor a
+    temperature at th2: its replicate is no candidate if no line reaches,
+    and otherwise the kernel skips its line. Over a replicate's box
+    lo <= x_k <= hi (all steps and the start) each line has
+    |C x + y| <= |C mid + y| + |C| half. The slack makes the
     computed bound b cover the kernel's computed v = fl(fl(C x) + y) too,
-    so fl(v v) <= fl(b b) by monotone rounding, and a replicate with
-    b^2 < th2 on every line cannot hit. With unit roundoff u = 2^-53,
+    so fl(v v) <= fl(b b) by monotone rounding, and a line with
+    b^2 < th2 cannot hit. With unit roundoff u = 2^-53,
     M = max(-lo, hi) = max(|lo|, |hi|) >= |x| and A = |C| M + |y| per
     line, to first order in u:
       - the kernel: gemm errs by at most m u |C| |x| in any summation order,
@@ -221,15 +229,35 @@ def _may_reach(x, mu, C, y, threshold, th2):
     (2^-1075 per operation); a threshold too small for that has th2 = 0,
     and then every replicate is a candidate. So is one whose bound is inf
     or NaN.
+
+    A skipped line's temperature must stay below th2 too. Its computed
+    squared currents w_k are at most B = fl(b b); the kernel starts at
+    theta_0 = w_0 and steps theta' = fl(fl(fl(q theta) + fl(c1 w)) +
+    fl(c2 w')). The stored weights are non-negative and their exact sum S
+    lies within u of 1: `filter_coefficients` rounds 1 - em and em - c2
+    once each, and the rest cancels. By monotone rounding
+    theta_k <= B P_k, with P_0 = 1 and
+      P_{k+1} <= (1 + u)^3 (q P_k + c1 + c2) <= (1 + u)^3 S P_k <= (1 + 8 u) P_k,
+    which leaves room for S up to 1 + 4 u. So theta <= B (1 + 8 u)^n after
+    n steps, and a line is skipped only if B G < th2 with the grace
+    G = fl((1 + 8 u)^(n + 2)) >= 1 + 8 (n + 2) u: its two spare factors
+    cover the rounding of G, and fl(B G) < th2 implies B G < th2 because
+    th2 is a float. Below the normal range each product also errs by up
+    to 2^-1075, three per step. For th2 >= 2^-900 that cannot matter: if
+    B >= 2^-910 the spare factors leave 14 u B, far above
+    3 (n + 1) 2^-1075, and a smaller B keeps theta below 2^-909. A smaller
+    th2 gets an infinite grace, and every pair reaches.
     """
     lo = np.minimum(x.min(axis=0), mu)
     hi = np.maximum(x.max(axis=0), mu)
     abs_c = np.abs(C)
     reach = abs_c @ np.maximum(-lo, hi) + np.abs(y) + threshold
-    slack = (2 * (C.shape[1] + 4) * np.finfo(float).eps) * reach
+    eps = np.finfo(float).eps
+    slack = (2 * (C.shape[1] + 4) * eps) * reach
     bound = np.abs(C @ (0.5 * (lo + hi)) + y) + abs_c @ (0.5 * (hi - lo)) + slack
     bound *= bound
-    return ~(bound < th2).all(axis=0)
+    bound *= (1 + 4 * eps) ** (x.shape[0] + 2) if th2 >= 2.0**-900 else np.inf
+    return ~(bound < th2)
 
 
 def _peaks(x, mu, C, y, q, c1, c2):
@@ -237,9 +265,10 @@ def _peaks(x, mu, C, y, q, c1, c2):
 
     `x` is (steps, m, W); every path starts at `mu`. NumPy's matmul takes a
     gemv path when an operand is one wide, and gemv rounds differently
-    from gemm, so a lone column is priced twice over and C is at least two
-    rows tall: each column's currents are then the same bits in any block
-    or candidate set. The other coefficients are columns, widened here.
+    from gemm, so a lone column is priced twice over, and the caller passes
+    C at least two rows tall: each (line, column) current is then the same
+    bits in any block, candidate set or set of lines priced. The other
+    coefficients are columns, widened here.
     The (L, W) updates run in place but keep the operation order of
     theta' = q theta + c1 u + c2 u'.
     """

@@ -487,6 +487,16 @@ def test_region_huge_horizon_thermal_bound_meets_current_bound(capsys):
     assert json.loads(out)["bounds"] == json.loads(current)["bounds"]
 
 
+def test_exact1d_overflowing_lag_exits_refusal_without_warnings():
+    # T / tau overflows to inf in the discrete levels' lags; lag = 0 is the exact limit
+    argv = ["exact1d", "--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", "0.5", "--T", "1e308"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+
+
 @pytest.mark.parametrize("eps", [",", " , "])
 def test_mc_empty_noise_scale_list_exits_usage(capsys, eps):
     with pytest.raises(SystemExit) as exc:

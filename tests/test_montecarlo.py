@@ -16,6 +16,7 @@ from gridcap.montecarlo import (
     McConfig,
     Z_95,
     _coefficients,
+    _may_reach,
     _ou_paths,
     _peaks,
     decay_slope,
@@ -364,3 +365,117 @@ def test_benchmark_configuration_hit_counts():
     )
     ind = overload_indicators(build_model(doc).ctx, McConfig(20_000, 200, 7))
     assert (int(ind.current.sum()), int(ind.temperature.sum())) == (1856, 40)
+
+
+def _priced(x, mu, C, y, q, c1, c2, lines):
+    """`_peaks` on the rows `lines` of every line-indexed coefficient."""
+    return _peaks(x, mu, *(c[lines] for c in (C, y, q, c1, c2)))
+
+
+def _assert_line_subsets_keep_bits(ctx, replicates=24, steps=40, seed=3):
+    # A line priced alone (twice over) gives its own peaks; if every row keeps
+    # its bits, a subset's peaks are the maximum of its lines' at any width,
+    # and all lines together give the full C's peaks.
+    mu, _, _, C, y, q, c1, c2 = _coefficients(ctx, steps)
+    x = _stored_paths(ctx, replicates, steps, seed)
+    L = C.shape[0]
+    alone = [_priced(x, mu, C, y, q, c1, c2, [k, k]) for k in range(L)]
+    for got, want in zip(_peaks(x, mu, C, y, q, c1, c2), zip(*alone)):
+        assert np.array_equal(got, np.max(want, axis=0))
+    for lines in ([0, 0], [L - 1, L - 1], [0, L - 1], list(range(L))):
+        want = [np.max([alone[k][j] for k in lines], axis=0) for j in (0, 1)]
+        for width in (1, 2, 3, replicates):
+            for start in range(0, replicates - width + 1, width):
+                sub = np.ascontiguousarray(x[:, :, start : start + width])
+                got_cur, got_tmp = _priced(sub, mu, C, y, q, c1, c2, lines)
+                assert np.array_equal(got_cur, want[0][start : start + width]), (lines, width, start)
+                assert np.array_equal(got_tmp, want[1][start : start + width]), (lines, width, start)
+
+
+@pytest.mark.parametrize("make", [_wheel_distinct_tau, single_line_context])
+def test_pricing_a_line_subset_keeps_its_bits(make):
+    _assert_line_subsets_keep_bits(make())
+
+
+def test_pricing_a_line_subset_keeps_its_bits_on_random_networks():
+    rng = np.random.default_rng(1717)
+    for k in range(8):
+        _assert_line_subsets_keep_bits(random_context(rng), seed=k)
+
+
+def _case14_context(epsilon):
+    """The benchmark's converted IEEE 14-bus case at noise scale epsilon."""
+    case = parse_matpower(resources.files("gridcap").joinpath("data", "case14.m").read_text())
+    defaults = AnalysisDefaults(epsilon=epsilon, p=1e-4, horizon=1.0, tau0=0.5)
+    doc = apply_imax_rule(
+        case, 1.5, (2, 3), (6, 9), gamma=1.0, vol=10.0, tau=0.5, defaults=defaults, zero_flow_rating=1.0
+    )
+    return build_model(doc).ctx
+
+
+def _grazing_levels(peaks, count):
+    """Thresholds whose squares equal one of the `count` highest peaks exactly."""
+    levels = []
+    for peak in np.sort(peaks)[-count:]:
+        root = float(np.sqrt(peak))
+        for t in (root, float(np.nextafter(root, 0.0)), float(np.nextafter(root, np.inf))):
+            if t * t == peak:
+                levels.append(t)
+                break
+    return levels
+
+
+@pytest.mark.parametrize("epsilon", [4e-3, 4e-2])
+def test_line_pruned_kernel_matches_full_width_oracle_on_case14(epsilon):
+    ctx = _case14_context(epsilon)
+    replicates, steps, seed = 200, 80, 3
+    config = McConfig(replicates, steps, seed)
+    _assert_matches_full_width(ctx, replicates, steps, seed)
+    # at the levels on the replicates' own peaks, from one line to several
+    # reach, but never all of them
+    mu, _, _, C, y, *_ = _coefficients(ctx, steps)
+    x = _stored_paths(ctx, replicates, steps, seed)
+    cur, tmp = full_width_peaks(ctx, config)
+    reached = [int(_may_reach(x, mu, C, y, t, t * t).any(axis=1).sum()) for t in _peak_levels(cur) + _peak_levels(tmp)]
+    assert min(reached) == 1 and 2 < max(reached) < C.shape[0], reached
+    # at the highest peaks one line reaches, and a replicate hits only if its
+    # current keeps the bits it has among all lines
+    levels = _grazing_levels(cur, 40)
+    assert len(levels) >= 30
+    for threshold in levels:
+        want = full_width_indicators(ctx, config, threshold)
+        got = overload_indicators(ctx, config, threshold)
+        assert np.array_equal(got.current, want[0]), threshold
+        assert np.array_equal(got.temperature, want[1]), threshold
+
+
+def test_temperature_rounding_above_a_lines_current_still_counts():
+    # Line (0, 2) carries a constant deterministic current; with a long
+    # thermal lag its computed temperature creeps thousands of ulps above its
+    # squared current. At a threshold between the two, the line's current
+    # cannot reach the limit, yet its temperature decides the temperature hits
+    # of replicates that line (0, 1) overloads in current only.
+    net = GridNetwork(
+        node_count=3,
+        lines=((0, 1), (0, 2)),
+        susceptance=np.ones(2),
+        current_rating=np.ones(2),
+        thermal_constant=np.array([10.0, 1e3]),
+    )
+    ctx = make_context(net, 1, [0.0], [1.0], [1.0], 0.5, 1.0, mu_D=[0.65])
+    replicates, steps, seed = 64, 2000, 1
+    mu, _, _, C, y, q, c1, c2 = _coefficients(ctx, steps)
+    x = _stored_paths(ctx, replicates, steps, seed)
+    _, tmp_a = _priced(x, mu, C, y, q, c1, c2, [0, 0])
+    cur_b, tmp_b = (float(v[0]) for v in _priced(x, mu, C, y, q, c1, c2, [1, 1]))
+    threshold = float(np.sqrt(tmp_b))
+    while threshold * threshold > tmp_b:
+        threshold = float(np.nextafter(threshold, 0.0))
+    th2 = threshold * threshold
+    assert th2 > cur_b * (1 + 1000 * 2.0**-53)
+    want = full_width_indicators(ctx, McConfig(replicates, steps, seed), threshold)
+    assert np.any(want[1] & (tmp_a < th2))
+    for chunk in (7, 2048):
+        got = overload_indicators(ctx, McConfig(replicates, steps, seed, chunk=chunk), threshold)
+        assert np.array_equal(got.current, want[0])
+        assert np.array_equal(got.temperature, want[1])

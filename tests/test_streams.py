@@ -39,3 +39,13 @@ def test_seed_beyond_64_bits_is_refused():
     with pytest.raises(ValueError):
         fill_normal_blocks(2**64, 0, np.empty((1, 2, 2)))
     assert np.array_equal(fill_normal_blocks(2**64 - 1, 3, np.empty((1, 4, 2)))[0], normal_block(2**64 - 1, 3, 4, 2))
+
+
+@pytest.mark.parametrize("seed", [0, 2**64 - 1])
+@pytest.mark.parametrize("start", [2**63 - 2, 2**63 - 1, 2**63])
+def test_fill_equals_normal_block_at_extreme_keys(seed, start):
+    # the filler resets each stream from plain ints; key words at and above
+    # 2**63 must reach Philox as the same unsigned 64-bit words
+    out = fill_normal_blocks(seed, start, np.empty((3, 5, 2)))
+    for i in range(3):
+        assert np.array_equal(out[i], normal_block(seed, start + i, 5, 2))

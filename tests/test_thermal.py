@@ -1,6 +1,7 @@
 """Thermal lag evaluator: exactness, convexity, and the threshold level."""
 
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -32,6 +33,17 @@ def test_filter_coefficients_form_convex_weights():
         q, c1, c2 = filter_coefficients(dt, tau)
         assert q >= 0 and c1 >= 0 and c2 >= 0
         assert np.isclose(q + c1 + c2, 1.0, rtol=1e-12)
+
+
+def test_filter_weights_sum_to_one_within_a_rounding():
+    # The Monte Carlo kernel's grace for skipped lines assumes non-negative
+    # weights whose exact sum lies within u = 2^-53 of 1.
+    rng = np.random.default_rng(8)
+    ratios = np.concatenate([np.logspace(-320, 4, 600), rng.uniform(0.0, 3.0, 300), 10 ** rng.uniform(-20, -12, 300)])
+    for x in ratios:
+        weights = [float(w) for w in filter_coefficients(float(x), 1.0)]
+        assert min(weights) >= 0.0, x
+        assert abs(sum(map(Fraction, weights)) - 1) <= Fraction(1, 2**53), x
 
 
 def test_small_step_coefficients_stable():

@@ -46,7 +46,6 @@ from .injections import (
     rate_functional,
 )
 from .thermal import (
-    TemperaturePath,
     filter_coefficients,
     xi_map,
     overload_threshold_equivalence,

@@ -18,11 +18,11 @@ __all__ = ["check_key", "replicate_stream", "normal_block", "fill_normal_blocks"
 
 
 def check_key(seed: int, replicate: int) -> None:
-    """Refuse a (seed, replicate) pair that is not a Philox key: 0 <= seed < 2**64, replicate >= 0."""
+    """Refuse a (seed, replicate) pair that is not a Philox key: both in [0, 2**64)."""
     if not 0 <= seed < 2**64:
         raise ValueError(f"seed must lie in [0, 2**64), got {seed}")
-    if replicate < 0:
-        raise ValueError(f"replicate must be non-negative, got {replicate}")
+    if not 0 <= replicate < 2**64:
+        raise ValueError(f"replicate must lie in [0, 2**64), got {replicate}")
 
 
 def replicate_stream(seed: int, replicate: int) -> np.random.Generator:
@@ -52,6 +52,7 @@ def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     Returns `out`.
     """
     check_key(seed, start)
+    check_key(seed, start + max(out.shape[0], 1) - 1)  # the last replicate's key
     bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state  # a just-keyed stream: zero counter, empty buffer

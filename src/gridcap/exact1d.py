@@ -68,7 +68,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
-from .thermal import TemperaturePath, filter_coefficients
+from .injections import SamplePath
+from .thermal import filter_coefficients
 
 __all__ = [
     "Exact1dProblem",
@@ -152,7 +153,7 @@ class Exact1dProblem:
         return abs(self.mu)
 
 
-def functional_value(theta_path: TemperaturePath, problem: Exact1dProblem) -> float:
+def functional_value(theta_path: SamplePath, problem: Exact1dProblem) -> float:
     """Action of a temperature path, by quadrature of the defining integrand.
 
     theta must be sampled on a uniform grid with at least three points; the
@@ -160,14 +161,10 @@ def functional_value(theta_path: TemperaturePath, problem: Exact1dProblem) -> fl
     when tau theta' + theta fails to stay positive, since the integrand takes
     its square root.
     """
-    times = np.asarray(theta_path.times, dtype=float)
-    theta = np.asarray(theta_path.values, dtype=float).reshape(times.shape[0], -1)[:, 0]
-    if times.shape[0] < 3:
+    if theta_path.step_count < 2:
         raise ValueError("need at least three grid points")
-    steps = np.diff(times)
-    dt = float(steps[0])
-    if not np.allclose(steps, dt, rtol=1e-9, atol=0.0):
-        raise ValueError("grid must be uniform")
+    theta = theta_path.values[:, 0]
+    dt = theta_path.step
 
     def ddt(v):
         out = np.empty_like(v)
@@ -307,7 +304,7 @@ class ShotResult:
     time derivatives; `value` is the accumulated action up to the horizon.
     """
 
-    theta: TemperaturePath
+    theta: SamplePath
     theta_end: float
     value: float
     times: np.ndarray
@@ -328,7 +325,7 @@ def _shot_result(problem: Exact1dProblem, sol, e_end: float) -> ShotResult:
     fpp = 2.0 * p**2 + 2.0 * g * gpp
     fppp = 6.0 * p * gpp + 2.0 * g * gppp
     return ShotResult(
-        theta=TemperaturePath(t, th[:, None]),
+        theta=SamplePath(t, th[:, None]),
         theta_end=float(th[-1]),
         value=float(cost[-1]),
         times=t,

@@ -23,9 +23,9 @@ susceptance. The assembly forms Ct that way: A, Dbeta and the zero-padded Bg
 are never formed, and no matrix product runs. With the stochastic injections
 occupying nodes 1..m, Cbar splits column-wise into [0 | C | C_D]: the slack
 column is identically zero, C acts on the stochastic injections and C_D on
-the deterministic ones. `DcFlowMatrices` holds Ct and Cbar once, read-only,
-with C and C_D as column views of Cbar. B is freed once Bhat is inverted and
-kappa_1 taken, and Bhat^-1 before Cbar is formed.
+the deterministic ones. `DcFlowMatrices` stores Cbar alone, read-only, with C
+and C_D as column views of it; its `transfer` property rebuilds Ct. B is freed
+once Bhat is inverted and kappa_1 taken, and Bhat^-1 before Cbar is formed.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
@@ -173,9 +173,9 @@ class DcFlowMatrices:
         constants.
     m : int
         Number of stochastic nodes; by convention they are nodes 1..m.
-    transfer, normalized : arrays
-        Ct and Cbar as described in the module docstring; read-only. B is
-        released once Bhat is inverted; `build_laplacian` rebuilds it.
+    normalized : array, shape (L, N+1)
+        Cbar (module docstring), read-only: the one L x (N+1) matrix stored.
+        `transfer` rebuilds Ct from it and `build_laplacian` rebuilds B.
     stochastic_block : array, shape (L, m)
         Columns 1..m of Cbar (the matrix C), a view sharing Cbar's memory.
     deterministic_block : array, shape (L, N-m)
@@ -184,10 +184,16 @@ class DcFlowMatrices:
 
     network: GridNetwork
     m: int
-    transfer: np.ndarray = field(repr=False)
     normalized: np.ndarray = field(repr=False)
     stochastic_block: np.ndarray = field(repr=False)
     deterministic_block: np.ndarray = field(repr=False)
+
+    @property
+    def transfer(self) -> np.ndarray:
+        """Ct = Cbar diag(rating), built afresh and read-only on each access."""
+        Ct = self.normalized * self.network.current_rating[:, None]
+        Ct.setflags(write=False)
+        return Ct
 
     @property
     def node_count(self) -> int:
@@ -239,14 +245,13 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     # Ct[ell] = beta_ell (Bg[i] - Bg[j]) (module docstring); lines have i < j, so
     # only i can be the slack. Subtracting into each row in place needs no
     # temporary the size of Ct.
-    Ct = np.zeros((network.line_count, n))
-    for row, (i, j) in zip(Ct[:, 1:], network.lines):
+    Cbar = np.zeros((network.line_count, n))
+    for row, (i, j) in zip(Cbar[:, 1:], network.lines):
         np.subtract(Bhat_inv[i - 1] if i else 0.0, Bhat_inv[j - 1], out=row)
     del Bhat_inv
-    Ct *= network.susceptance[:, None]
-    Cbar = Ct / network.current_rating[:, None]
-    for a in (Ct, Cbar):
-        a.setflags(write=False)
+    Cbar *= network.susceptance[:, None]  # Ct
+    Cbar /= network.current_rating[:, None]
+    Cbar.setflags(write=False)
 
     C = Cbar[:, 1 : m + 1]
     s = np.linalg.svd(C, compute_uv=False)
@@ -256,7 +261,6 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     return DcFlowMatrices(
         network=network,
         m=m,
-        transfer=Ct,
         normalized=Cbar,
         stochastic_block=C,
         deterministic_block=Cbar[:, m + 1 :],

@@ -28,6 +28,7 @@ __all__ = [
     "OuModel",
     "SamplePath",
     "uniform_grid",
+    "ou_step_coefficients",
     "simulate_ou",
     "rate_functional",
 ]

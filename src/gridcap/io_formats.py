@@ -459,7 +459,8 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
     Only the columns this package needs are read: bus id, bus type, and Pd;
     generator bus and Pg; branch endpoints and reactance. Other mpc fields
     are skipped and reported in the warnings list. Raises ParseError with a
-    line reference for malformed numbers, zero reactances, and references to
+    line reference for malformed numbers, non-finite values in the columns
+    read, non-integer bus ids and types, zero reactances, and references to
     undefined buses.
     """
     lines = text.splitlines()
@@ -488,6 +489,8 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
                         scalars[name] = float(value)
                     except ValueError:
                         raise ParseError(f"line {ln}: cannot parse mpc.{name} value {value!r}") from None
+                    if not math.isfinite(scalars[name]):
+                        raise ParseError(f"line {ln}: mpc.{name} value {value!r} is not a finite number")
                 else:
                     warnings.append(f"ignored field {name}")
                 continue
@@ -511,7 +514,9 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
     if field is not None:
         raise ParseError(f"line {len(lines)}: unterminated matrix mpc.{field}")
 
-    def numeric(fname, min_cols):
+    def numeric(fname, min_cols, int_cols):
+        """Rows of mpc.fname; the first min_cols columns, which hold all that is read,
+        must be finite, and the int_cols among them integers."""
         if fname not in matrices:
             raise ParseError(f"line 1: missing mpc.{fname}")
         out = []
@@ -521,9 +526,16 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
             values = []
             for col, tok in enumerate(tokens, start=1):
                 try:
-                    values.append(float(tok))
+                    value = float(tok)
                 except ValueError:
                     raise ParseError(f"line {ln}, column {col}: cannot parse {tok!r}") from None
+                if col <= min_cols and not math.isfinite(value):
+                    raise ParseError(f"line {ln}, column {col}: {tok!r} is not a finite number")
+                if col in int_cols:
+                    if value != int(value):
+                        raise ParseError(f"line {ln}, column {col}: {tok!r} is not an integer")
+                    value = int(value)
+                values.append(value)
             out.append((values, ln))
         return out
 
@@ -535,21 +547,21 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
 
     buses = []
     bus_ids = set()
-    for values, ln in numeric("bus", 3):
-        bid = int(values[0])
+    for values, ln in numeric("bus", 3, (1, 2)):
+        bid = values[0]
         if bid in bus_ids:
             raise ParseError(f"line {ln}: duplicate bus {bid}")
         bus_ids.add(bid)
-        buses.append((bid, int(values[1]), values[2]))
+        buses.append(tuple(values[:3]))
     gens = []
-    for values, ln in numeric("gen", 2):
-        bid = int(values[0])
+    for values, ln in numeric("gen", 2, (1,)):
+        bid = values[0]
         if bid not in bus_ids:
             raise ParseError(f"line {ln}: generator references undefined bus {bid}")
         gens.append((bid, values[1]))
     branches = []
-    for values, ln in numeric("branch", 4):
-        f, t = int(values[0]), int(values[1])
+    for values, ln in numeric("branch", 4, (1, 2)):
+        f, t = values[:2]
         for bid in (f, t):
             if bid not in bus_ids:
                 raise ParseError(f"line {ln}: branch references undefined bus {bid}")
@@ -670,10 +682,10 @@ def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float
         raise ValueError("K must be strictly greater than 1")
     if not doc.has_auto_ratings():
         return doc
-    placeholder = [1.0 if line.rating == "auto" else line.rating for line in doc.lines]
-    network, order = _document_network(doc, placeholder)
+    # with every rating 1.0, Cbar is Ct bit for bit, so Cbar s is the base flow
+    network, order = _document_network(doc, [1.0] * len(doc.lines))
     flow = build_flow_matrices(network, len(doc.stochastic_ids))
-    base_flow = flow.transfer @ _base_injection_vector(doc)
+    base_flow = flow.normalized @ _base_injection_vector(doc)
     scale = np.max(np.abs(base_flow)) if base_flow.size else 0.0
     flow_of_pos = {pos: base_flow[k] for k, pos in enumerate(order)}
     lines = []
@@ -769,15 +781,9 @@ def _csv_doc(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
-def _report_rows(report, line_terminals):
-    """(line report, from id, to id) per line; `line_terminals`, when given, overrides the report's ends."""
-    for lr in report.lines:
-        a, b = lr.terminals if line_terminals is None else line_terminals[lr.line]
-        yield lr, a, b
-
-
-def export_report(report, fmt: str = "json", line_terminals=None) -> str:
-    """Render a decay-rate report as JSON or a per-line CSV table."""
+def export_report(report, fmt: str = "json", *, line_terminals) -> str:
+    """Render a decay-rate report as JSON or CSV, naming line ell by `line_terminals[ell]`."""
+    rows = [(lr, *line_terminals[lr.line]) for lr in report.lines]
     if _wants_json(fmt):
         lines = [
             {
@@ -790,7 +796,7 @@ def export_report(report, fmt: str = "json", line_terminals=None) -> str:
                 "psi_alpha": lr.psi_alpha,
                 "sigma2": lr.sigma2,
             }
-            for lr, a, b in _report_rows(report, line_terminals)
+            for lr, a, b in rows
         ]
         out = {
             "lines": lines,
@@ -810,7 +816,7 @@ def export_report(report, fmt: str = "json", line_terminals=None) -> str:
         (
             f"{lr.line},{a},{b},{_f17(lr.psi_plus)},{_f17(lr.psi_minus)},"
             f"{_f17(lr.alpha)},{_f17(lr.psi_alpha)},{_f17(lr.sigma2)}"
-            for lr, a, b in _report_rows(report, line_terminals)
+            for lr, a, b in rows
         ),
     )
 
@@ -846,20 +852,20 @@ def export_slice(sl, fmt: str = "json") -> str:
     return _csv_doc("u,v", (f"{_f17(x)},{_f17(y)}" for x, y in ring))
 
 
-def export_partition(part, fmt: str = "json", line_terminals=None) -> str:
+def export_partition(part, fmt: str = "json", *, line_terminals) -> str:
     """Render a risk partition: labeled sub-region summaries or a grid dump.
 
-    JSON carries per-label summaries (cells, area, centroid) plus the
-    central label; CSV dumps one row per labeled grid cell for plotting.
+    JSON carries per-label summaries (cells, area, centroid, line ends from
+    `line_terminals`) plus the central label; CSV dumps one row per labeled
+    grid cell for plotting.
     """
     if _wants_json(fmt):
         regions = []
         for s in part.summaries:
-            terminals = [list(line_terminals[ell]) if line_terminals is not None else list(t) for ell, t in zip(s.label, s.terminals)]
             regions.append(
                 {
                     "lines": list(s.label),
-                    "terminals": terminals,
+                    "terminals": [list(line_terminals[ell]) for ell in s.label],
                     "cells": s.cells,
                     "area": s.area,
                     "centroid": list(s.centroid),

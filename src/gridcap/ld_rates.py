@@ -76,7 +76,7 @@ def _uniform(values: np.ndarray, what: str, error):
 
 @dataclass(frozen=True)
 class PsiContext:
-    """Network, operating point, and injection model bundled for rate queries."""
+    """Network, operating point, and injection model for rate queries; op.mu must equal ou.mean."""
 
     flow: DcFlowMatrices
     op: OperatingPoint
@@ -87,6 +87,8 @@ class PsiContext:
             raise ValueError("injection model dimension does not match the network")
         if self.op.nu.shape[0] != self.flow.line_count:
             raise ValueError("operating point does not match the network")
+        if not np.array_equal(self.op.mu, self.ou.mean):
+            raise ValueError("operating point mu and injection model mean must be the same schedule")
 
     @property
     def horizon(self) -> float:
@@ -308,7 +310,6 @@ class LineRates:
     """Per-line decay-rate summary for reporting."""
 
     line: int
-    terminals: tuple
     psi_plus: float
     psi_minus: float
     alpha: float
@@ -354,9 +355,8 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     psi_minus = _level_cost(1.0, -nu, denom)
     levels = overload_threshold_equivalence(nu, ctx.tau[idx], ctx.horizon)
     psi_alpha = _level_cost(levels, np.abs(nu), denom)
-    terminals = ctx.flow.network.lines
     columns = zip(*(v.tolist() for v in (psi_plus, psi_minus, levels, psi_alpha, sigma2)))
-    rows = tuple(LineRates(ell, terminals[ell], *values) for ell, values in zip(idx.tolist(), columns))
+    rows = tuple(LineRates(ell, *values) for ell, values in zip(idx.tolist(), columns))
     excluded = tuple(sorted(set(range(ctx.flow.line_count)).difference(ctx.stochastic_lines)))
     current, current_argmin = _argmin(idx, np.minimum(psi_plus, psi_minus))
     lb, lb_argmin = _argmin(idx, psi_alpha)

@@ -255,7 +255,6 @@ class RegionSummary:
     """One labeled sub-region of a risk partition."""
 
     label: tuple
-    terminals: tuple
     cells: int
     area: float
     centroid: tuple
@@ -342,8 +341,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
-    flow = ctx.flow
-    base, du, dv = _slice_geometry(flow, free, fixed)
+    base, du, dv = _slice_geometry(ctx.flow, free, fixed)
     umin, umax, vmin, vmax = _box(bbox)
     cell_u = (umax - umin) / resolution
     cell_v = (vmax - vmin) / resolution
@@ -406,14 +404,12 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     # centroid sums the same values in the same order as a full-grid mask
     groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
     cell_area = cell_u * cell_v
-    net = flow.network
     summaries = []
     for label, cells in zip(labels, groups):
         count = len(cells)
         summaries.append(
             RegionSummary(
                 label=label,
-                terminals=tuple(net.lines[ell] for ell in label),
                 cells=count,
                 area=count * cell_area,
                 centroid=(float(uc[jj[cells]].mean()), float(vc[ii[cells]].mean())),

@@ -11,36 +11,16 @@ between grid points, so constant currents are reproduced without error.
 """
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import NonPositiveTau
-from .grid_model import _readonly
 from .injections import SamplePath
 
 __all__ = [
-    "TemperaturePath",
     "filter_coefficients",
     "xi_map",
     "overload_threshold_equivalence",
 ]
-
-
-@dataclass(frozen=True)
-class TemperaturePath:
-    """Per-line normalized temperatures on a uniform grid; values (n+1, L)."""
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = _readonly(self.times)
-        values = _readonly(self.values)
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("one value row per grid point required")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
 
 
 def filter_coefficients(dt: float, tau):
@@ -61,8 +41,8 @@ def filter_coefficients(dt: float, tau):
     return q, c1, c2
 
 
-def xi_map(current: SamplePath, tau, theta0=None) -> TemperaturePath:
-    """Advance the thermal lag along a normalized current path.
+def xi_map(current: SamplePath, tau, theta0=None) -> SamplePath:
+    """Advance the thermal lag along a normalized current path; temperatures on its grid.
 
     Parameters
     ----------
@@ -81,7 +61,7 @@ def xi_map(current: SamplePath, tau, theta0=None) -> TemperaturePath:
     theta[0] = u[0] if theta0 is None else np.broadcast_to(np.asarray(theta0, dtype=float), (L,))
     for k in range(n1 - 1):
         theta[k + 1] = q * theta[k] + c1 * u[k] + c2 * u[k + 1]
-    return TemperaturePath(current.times, theta)
+    return SamplePath(current.times, theta)
 
 
 def _horizon_decay(horizon: float, tau):

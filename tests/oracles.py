@@ -292,7 +292,6 @@ def dense_risk_partition(ctx, free, fixed, bbox, resolution):
         summaries.append(
             RegionSummary(
                 label=label,
-                terminals=tuple(flow.network.lines[ell] for ell in label),
                 cells=count,
                 area=count * cell_area,
                 centroid=(float(U[sel].mean()), float(V[sel].mean())),

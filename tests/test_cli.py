@@ -16,6 +16,7 @@ from gridcap.cli import main
 from gridcap.errors import GridCapError
 from gridcap.io_formats import parse_native
 from oracles import certified_temperature_rate
+from test_io_formats import TINY_CASE
 
 
 def run(capsys, *argv):
@@ -651,3 +652,69 @@ def test_deeply_nested_json_exits_invalid(capsys, tmp_path):
     assert code == 2
     assert out == ""
     assert _single_error_line(err)
+
+
+def _wheel3_without_defaults(tmp_path):
+    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
+    del doc["defaults"]
+    path = tmp_path / "wheel3-bare.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (["rates", "{doc}", "--horizon", "1"], "epsilon not given and absent from document defaults"),
+        (["rates", "{doc}", "--epsilon", "0.1"], "horizon not given and absent from document defaults"),
+        (["region", "{doc}", "--kind", "current", "--p", "1e-4", "--horizon", "1"],
+         "--epsilon not given and absent from document defaults"),
+        (["region", "{doc}", "--kind", "current", "--epsilon", "0.1", "--horizon", "1"],
+         "--p not given and absent from document defaults"),
+        (["region", "{doc}", "--kind", "current", "--epsilon", "0.1", "--p", "1e-4"],
+         "horizon not given and absent from document defaults"),
+        (["mc", "{doc}", "--horizon", "1", "--n", "10", "--steps", "5"], "--eps not given and absent from document defaults"),
+    ],
+)
+def test_missing_parameter_without_document_defaults_exits_usage(capsys, tmp_path, argv, message):
+    doc = _wheel3_without_defaults(tmp_path)
+    code, out, err = run(capsys, *(doc if a == "{doc}" else a for a in argv))
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+@pytest.mark.parametrize(
+    "axes, message",
+    [
+        ("2", "--slice takes exactly two node ids, e.g. --slice 6,9"),
+        ("2,9", "unknown node id 9"),
+        ("1,2", "node 1 is the slack and cannot be a slice axis"),
+    ],
+)
+@pytest.mark.parametrize("partition", [(), ("--partition",)])
+def test_bad_slice_axes_exit_usage(capsys, axes, message, partition):
+    argv = ["region", "builtin:wheel3", "--kind", "current", "--slice", axes, "--bbox=-1,1,-1,1", *partition]
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def test_rates_negative_tau_exits_usage(capsys):
+    code, out, err = run(capsys, "rates", "builtin:wheel3", "--tau", "-1")
+    assert (code, out, err) == (2, "", "error: --tau must be non-negative\n")
+
+
+@pytest.mark.parametrize(
+    "bus, message",
+    [
+        ("1e400", "line 7, column 1: '1e400' is not a finite number"),
+        ("nan", "line 7, column 1: 'nan' is not a finite number"),
+        ("3.5", "line 7, column 1: '3.5' is not an integer"),
+    ],
+)
+def test_convert_refuses_bad_bus_ids(capsys, tmp_path, bus, message):
+    # int() of these ids raised OverflowError, raised ValueError with no
+    # location, or truncated to an existing bus; each must exit 2 at its token
+    path = tmp_path / "case3.m"
+    path.write_text(TINY_CASE.replace("  2 1 30", f"  {bus} 1 30", 1))
+    code, out, err = run(capsys, "convert", str(path), "--K", "1.5", "--stochastic", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err

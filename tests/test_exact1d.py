@@ -19,8 +19,7 @@ from gridcap.exact1d import (
     functional_value,
     shoot,
 )
-from gridcap.injections import uniform_grid
-from gridcap.thermal import TemperaturePath
+from gridcap.injections import SamplePath, uniform_grid
 from oracles import certified_temperature_rate
 
 # mu=0.5, gamma=0.5, l=1, T=1; rates certified against an independent
@@ -142,7 +141,7 @@ def test_negative_radicand_in_quadrature():
     times = uniform_grid(1.0, 20)
     theta = 0.25 * (1.0 - 5.0 * times)
     with pytest.raises(NegativeRadicand):
-        functional_value(TemperaturePath(times, theta[:, None]), p)
+        functional_value(SamplePath(times, theta[:, None]), p)
 
 
 def test_residual_shape_contract():

@@ -58,10 +58,10 @@ def test_transfer_matches_direct_angle_solution():
         B = build_laplacian(net)
         Bg = np.zeros((n, n))
         Bg[1:, 1:] = np.linalg.inv(B[1:, 1:])
-        # the assembly is beta_ell (Bg[i] - Bg[j]) for each line (i, j), bit for bit
+        # the assembly is beta_ell (Bg[i] - Bg[j]) / rating_ell for each line (i, j), bit for bit
         tails, heads = np.array(net.lines).T
         rows = net.susceptance[:, None] * (Bg[tails] - Bg[heads])
-        assert flow.transfer.tobytes() == rows.tobytes()
+        assert flow.normalized.tobytes() == (rows / net.current_rating[:, None]).tobytes()
         # and the dense chain Dbeta A Bg up to rounding
         chain = np.diag(net.susceptance) @ build_incidence(net) @ Bg
         assert np.max(np.abs(flow.transfer - chain)) <= 1e-13 * np.max(np.abs(chain))
@@ -256,9 +256,9 @@ def test_blocks_are_read_only_views_of_normalized():
 
 
 def test_assembly_memory_budget():
-    # 1,000-bus ring with 500 chords and 100 stochastic nodes. B is 8 MB, Ct
-    # and Cbar 12 MB each, and the grounded inverse 8 MB; copying any stored
-    # matrix on top of the assembly's temporaries breaks the budget.
+    # 1,000-bus ring with 500 chords and 100 stochastic nodes. B is 8 MB, Cbar
+    # 12 MB and the grounded inverse 8 MB; copying any stored matrix on top of
+    # the assembly's temporaries breaks the budget.
     n = 1000
     rng = np.random.default_rng(11)
     lines = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}

@@ -389,6 +389,43 @@ def test_malformed_cases_raise_parse_errors(mangle, phrase):
     assert phrase in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = abc;", "line 4: cannot parse mpc.baseMVA value 'abc'"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", "line 1: baseMVA must be positive"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = -5;", "line 1: baseMVA must be positive"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;", "line 4: mpc.baseMVA value 'Inf' is not a finite number"),
+        ("  2 3 0.01 0.07 0 0 0 0 0 0 1 -360 360;\n];\n", "  2 3 0.01 0.07 0 0 0 0 0 0 1 -360 360;\n",
+         "line 16: unterminated matrix mpc.branch"),
+        ("mpc.bus = [", "mpc.buses = [", "line 1: missing mpc.bus"),
+        ("  2 1 30  0 0 0 1 1.0 0 135 1 1.1 0.9;", "  2 1;", "line 7: mpc.bus row needs at least 3 columns"),
+        ("  2 1 30  0 0 0 1 1.0 0 135 1 1.1 0.9;", "  2 1 30  0 0 0 1 1.0 0 1x5 1 1.1 0.9;",
+         "line 7, column 10: cannot parse '1x5'"),
+        ("  2 1 30", "  inf 1 30", "line 7, column 1: 'inf' is not a finite number"),
+        ("  2 1 30", "  nan 1 30", "line 7, column 1: 'nan' is not a finite number"),
+        ("  2 1 30", "  3.5 1 30", "line 7, column 1: '3.5' is not an integer"),
+        ("  1 3 0 ", "  1 3.9 0 ", "line 6, column 2: '3.9' is not an integer"),
+        ("  2 1 30", "  2 1 nan", "line 7, column 3: 'nan' is not a finite number"),
+        ("  1 80 0", "  1.5 80 0", "line 11, column 1: '1.5' is not an integer"),
+        ("  1 80 0", "  1 -inf 0", "line 11, column 2: '-inf' is not a finite number"),
+        ("  1 2 0.01 0.05", "  1 2.5 0.01 0.05", "line 14, column 2: '2.5' is not an integer"),
+        ("  1 3 0.01 0.06", "  1 3 0.01 inf", "line 15, column 4: 'inf' is not a finite number"),
+    ],
+)
+def test_matpower_parse_errors_name_line_and_column(old, new, message):
+    assert TINY_CASE.count(old) == 1
+    with pytest.raises(ParseError) as err:
+        parse_matpower(TINY_CASE.replace(old, new))
+    assert str(err.value) == message
+
+
+def test_matpower_unread_columns_may_be_infinite():
+    # only the columns the reader uses must be finite; a MATPOWER limit left at Inf is ignored
+    case = parse_matpower(TINY_CASE.replace("1 80 0 0 0 1.0 100 1 200 0;", "1 80 0 0 0 1.0 100 1 Inf 0;"))
+    assert case == parse_matpower(TINY_CASE)
+
+
 def test_parse_error_reports_location():
     bad = TINY_CASE.replace("1 2 0.01 0.05", "1 2 0.01 0.0")
     with pytest.raises(ParseError) as err:
@@ -467,7 +504,7 @@ def test_build_model_refuses_unresolved_auto():
 def test_report_exports():
     ctx = wheel_context()
     rep = full_report(ctx)
-    out = json.loads(export_report(rep))
+    out = json.loads(export_report(rep, line_terminals=ctx.flow.network.lines))
     assert len(out["lines"]) == 3
     assert out["current_argmin"] == [0, 1]
     assert np.isclose(out["current_rate"], rep.current_rate, rtol=1e-15)
@@ -477,7 +514,7 @@ def test_report_exports():
     assert len(lines) == 4
     assert lines[1].startswith("0,1,2,")
     with pytest.raises(ValueError):
-        export_report(rep, "xml")
+        export_report(rep, "xml", line_terminals=ctx.flow.network.lines)
 
 
 def test_region_export_round_trip_bit_exact():
@@ -509,14 +546,14 @@ def test_slice_export_closes_the_ring():
 def test_partition_exports():
     ctx = wheel_context()
     part = risk_partition(ctx, (1, 2), np.zeros(2), BOX, resolution=20)
-    out = json.loads(export_partition(part))
+    out = json.loads(export_partition(part, line_terminals=ctx.flow.network.lines))
     assert out["central"] == list(part.central_label)
     assert out["resolution"] == 20
     assert [tuple(r["lines"]) for r in out["regions"]] == [s.label for s in part.summaries]
     ext = {0: (1, 2), 1: (1, 3), 2: (2, 3)}
     named = json.loads(export_partition(part, line_terminals=ext))
     assert named["regions"][0]["terminals"] == [list(ext[ell]) for ell in part.summaries[0].label]
-    rows = export_partition(part, "csv").strip().split("\n")
+    rows = export_partition(part, "csv", line_terminals=ctx.flow.network.lines).strip().split("\n")
     assert rows[0] == "i,j,u,v,label"
     assert len(rows) - 1 == int(np.count_nonzero(part.label_grid >= 0))
     assert any("+" in r.rsplit(",", 1)[1] for r in rows[1:])  # tie labels joined
@@ -614,7 +651,7 @@ def _assert_model_exports_agree(monkeypatch, bm, free, bbox, epsilon, p, mc_epsi
     exports = [
         lambda: serialize_native(bm.document),
         lambda: export_report(full_report(ctx), line_terminals=bm.line_terminals),
-        lambda: export_report(full_report(ctx)),
+        lambda: export_report(full_report(ctx), line_terminals=ctx.flow.network.lines),
     ]
     for kind in ("deterministic", "current", "temperature_lb", "temperature_taylor"):
         try:
@@ -633,7 +670,7 @@ def _assert_model_exports_agree(monkeypatch, bm, free, bbox, epsilon, p, mc_epsi
         part = None
     if part is not None:
         exports.append(lambda: export_partition(part, line_terminals=bm.line_terminals))
-        exports.append(lambda: export_partition(part))
+        exports.append(lambda: export_partition(part, line_terminals=ctx.flow.network.lines))
     if mc_epsilons:
         config = McConfig(replicates=400, step_count=20, seed=3)
         fit = decay_slope(ctx, config, mc_epsilons)

@@ -5,9 +5,10 @@ import pytest
 
 from conftest import make_context, random_context, single_line_context, wheel_context
 from gridcap.errors import NonUniformGamma, ZeroVarianceLine
-from gridcap.grid_model import GridNetwork
-from gridcap.injections import SamplePath, rate_functional, uniform_grid
+from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
+from gridcap.injections import OuModel, SamplePath, rate_functional, uniform_grid
 from gridcap.ld_rates import (
+    PsiContext,
     _m_diag_derivative,
     alpha,
     current_decay_rate,
@@ -259,7 +260,6 @@ def test_zero_coupling_line_excluded():
     assert rep.excluded == (1,)
     assert [row.line for row in rep.lines] == [0, 2]
     for row in rep.lines:
-        assert row.terminals == net.lines[row.line]
         assert row.psi_plus == psi(ctx, row.line, 1.0)
         assert row.psi_minus == psi(ctx, row.line, -1.0)
 
@@ -273,7 +273,6 @@ def test_full_report_is_consistent():
         assert np.isclose(row.psi_plus, psi(ctx, row.line, 1.0), rtol=1e-12)
         assert np.isclose(row.psi_minus, psi(ctx, row.line, -1.0), rtol=1e-12)
         assert np.isclose(row.alpha, alpha(ctx, row.line), rtol=1e-12)
-        assert row.terminals == ctx.flow.network.lines[row.line]
         assert row.sigma2 > 0
     assert np.isclose(rep.current_rate, WHEEL_IC, rtol=1e-12)
     assert rep.current_argmin == (0, 1)
@@ -296,3 +295,16 @@ def test_report_minima_are_the_table_minima_bit_for_bit():
         assert (rep.current_rate, rep.current_argmin) == current_decay_rate(ctx)
         for row in rep.lines:
             assert (row.psi_plus, row.psi_minus) == (psi(ctx, row.line, 1.0), psi(ctx, row.line, -1.0))
+
+
+def test_context_refuses_two_different_schedules():
+    # op.mu and ou.mean are one schedule held twice: the closed forms price
+    # from op.nu while Monte Carlo and the optimal paths start at ou.mean, so
+    # a context whose copies disagree is refused rather than answered twice
+    flow = single_line_context().flow
+    op = operating_point(flow, [0.3])
+    ou = OuModel(gamma=[0.5], vol=[1.0], mean=[0.9], noise_scale=0.05, horizon=1.0)
+    with pytest.raises(ValueError, match="same schedule"):
+        PsiContext(flow, op, ou)
+    ctx = PsiContext(flow, op, OuModel(gamma=[0.5], vol=[1.0], mean=[0.3], noise_scale=0.05, horizon=1.0))
+    assert full_report(ctx).current_rate == min(psi(ctx, 0, 1.0), psi(ctx, 0, -1.0))

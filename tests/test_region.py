@@ -266,7 +266,6 @@ def test_partition_covers_the_slice_with_tie_diagonal():
     assert sum(cells) == int(np.count_nonzero(part.label_grid >= 0))
     total_area = sum(s.area for s in part.summaries)
     assert abs(total_area - 9.0) < 0.05
-    assert by_label[(0,)].terminals == ((0, 1),)
 
 
 def test_partition_labels_match_pointwise_rates():

@@ -49,3 +49,16 @@ def test_fill_equals_normal_block_at_extreme_keys(seed, start):
     out = fill_normal_blocks(seed, start, np.empty((3, 5, 2)))
     for i in range(3):
         assert np.array_equal(out[i], normal_block(seed, start + i, 5, 2))
+
+
+def test_replicate_beyond_64_bits_is_refused():
+    # the replicate is the second Philox key word: 2**64 and beyond are refused
+    # with ValueError, for the first replicate and for the last one a fill reaches
+    with pytest.raises(ValueError, match=r"replicate must lie in \[0, 2\*\*64\), got 18446744073709551616"):
+        replicate_stream(0, 2**64)
+    with pytest.raises(ValueError, match="got 18446744073709551616"):
+        fill_normal_blocks(0, 2**64, np.empty((1, 3, 1)))
+    with pytest.raises(ValueError, match="got 18446744073709551616"):
+        fill_normal_blocks(0, 2**64 - 1, np.empty((2, 3, 1)))
+    last = fill_normal_blocks(0, 2**64 - 1, np.empty((1, 3, 1)))
+    assert np.array_equal(last[0], normal_block(0, 2**64 - 1, 3, 1))

@@ -461,7 +461,8 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
     are skipped and reported in the warnings list. Raises ParseError with a
     line reference for malformed numbers, non-finite values in the columns
     read, non-integer bus ids and types, zero reactances, and references to
-    undefined buses.
+    undefined buses. A matrix entry's column is its position in the row; a
+    non-positive baseMVA is placed at the character column of its value.
     """
     lines = text.splitlines()
     matrices = {}
@@ -486,11 +487,12 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
                 value = rest.rstrip(";").strip()
                 if name in _MP_FIELDS:
                     try:
-                        scalars[name] = float(value)
+                        number = float(value)
                     except ValueError:
                         raise ParseError(f"line {ln}: cannot parse mpc.{name} value {value!r}") from None
-                    if not math.isfinite(scalars[name]):
+                    if not math.isfinite(number):
                         raise ParseError(f"line {ln}: mpc.{name} value {value!r} is not a finite number")
+                    scalars[name] = (number, f"line {ln}, column {m.start(2) + 1}")
                 else:
                     warnings.append(f"ignored field {name}")
                 continue
@@ -541,9 +543,9 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
 
     if "baseMVA" not in scalars:
         raise ParseError("line 1: missing mpc.baseMVA")
-    base_mva = scalars["baseMVA"]
+    base_mva, where = scalars["baseMVA"]
     if not base_mva > 0:
-        raise ParseError("line 1: baseMVA must be positive")
+        raise ParseError(f"{where}: baseMVA must be positive")
 
     buses = []
     bus_ids = set()

@@ -247,17 +247,39 @@ def _may_reach(x, mu, C, y, threshold, th2):
     B >= 2^-910 the spare factors leave 14 u B, far above
     3 (n + 1) 2^-1075, and a smaller B keeps theta below 2^-909. A smaller
     th2 gets an infinite grace, and every pair reaches.
+
+    The bound is formed in place in two (L, R) arrays, in the operation
+    order of
+      bound = |C mid + y| + |C| half + (2 (m + 4) eps) (|C| M + |y| + threshold).
     """
-    lo = np.minimum(x.min(axis=0), mu)
-    hi = np.maximum(x.max(axis=0), mu)
+    shape = (C.shape[0], x.shape[2])
+    bound, term = np.empty(shape), np.empty(shape)
+    lo = x.min(axis=0)
+    np.minimum(lo, mu, out=lo)
+    hi = x.max(axis=0)
+    np.maximum(hi, mu, out=hi)
+    box = np.add(lo, hi)
+    box *= 0.5  # mid
+    np.matmul(C, box, out=bound)
+    bound += y
+    np.abs(bound, out=bound)
     abs_c = np.abs(C)
-    reach = abs_c @ np.maximum(-lo, hi) + np.abs(y) + threshold
+    np.subtract(hi, lo, out=box)
+    box *= 0.5  # half
+    np.matmul(abs_c, box, out=term)
+    bound += term
+    np.negative(lo, out=box)
+    np.maximum(box, hi, out=box)  # M
+    np.matmul(abs_c, box, out=term)
+    term += np.abs(y)
+    term += threshold
     eps = np.finfo(float).eps
-    slack = (2 * (C.shape[1] + 4) * eps) * reach
-    bound = np.abs(C @ (0.5 * (lo + hi)) + y) + abs_c @ (0.5 * (hi - lo)) + slack
+    term *= 2 * (C.shape[1] + 4) * eps  # slack
+    bound += term
     bound *= bound
     bound *= (1 + 4 * eps) ** (x.shape[0] + 2) if th2 >= 2.0**-900 else np.inf
-    return ~(bound < th2)
+    reach = bound < th2
+    return np.logical_not(reach, out=reach)
 
 
 def _peaks(x, mu, C, y, q, c1, c2):

@@ -14,7 +14,10 @@ the full-width Monte Carlo kernel, which shares the random streams and the
 step coefficients and prices every replicate at every step.
 
 `reference_json_text` is the plain recursive JSON writer, one isinstance
-chain per value; the exporters' writer must match its bytes.
+chain per value; the exporters' writer must match its bytes. Likewise
+`reference_laplacian` is the line-by-line Laplacian and `reach_bound` the
+Monte Carlo path-box bound written as one expression; the library's
+vectorized and in-place forms must match their bits.
 """
 from __future__ import annotations
 
@@ -351,6 +354,32 @@ def full_width_indicators(ctx, config, threshold):
     th2 = threshold * threshold
     current = cur >= th2
     return current, current & (tmp >= th2)
+
+
+def reach_bound(x, mu, C, y, threshold, th2):
+    """The squared, graced path-box bound that `montecarlo._may_reach` compares with th2."""
+    lo = np.minimum(x.min(axis=0), mu)
+    hi = np.maximum(x.max(axis=0), mu)
+    abs_c = np.abs(C)
+    reach = abs_c @ np.maximum(-lo, hi) + np.abs(y) + threshold
+    eps = np.finfo(float).eps
+    slack = (2 * (C.shape[1] + 4) * eps) * reach
+    bound = np.abs(C @ (0.5 * (lo + hi)) + y) + abs_c @ (0.5 * (hi - lo)) + slack
+    bound *= bound
+    bound *= (1 + 4 * eps) ** (x.shape[0] + 2) if th2 >= 2.0**-900 else np.inf
+    return bound
+
+
+def reference_laplacian(network):
+    """Susceptance-weighted Laplacian built one line at a time, in line order."""
+    n = network.node_count
+    B = np.zeros((n, n))
+    for (i, j), beta in zip(network.lines, network.susceptance):
+        B[i, j] -= beta
+        B[j, i] -= beta
+        B[i, i] += beta
+        B[j, j] += beta
+    return B
 
 
 def _reference_f17(x) -> str:

@@ -39,6 +39,28 @@ def test_import_loads_no_scipy():
     assert out.strip() == "[]"
 
 
+def test_assembly_loads_no_scipy():
+    # The grounded Laplacian is inverted with NumPy alone: converted case14,
+    # and a 400-bus ring above INVERSE_BLOCK.
+    code = (
+        "import sys, numpy as np\n"
+        "from importlib import resources\n"
+        "from gridcap.grid_model import GridNetwork, build_flow_matrices\n"
+        "from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower\n"
+        "case = parse_matpower(resources.files('gridcap').joinpath('data', 'case14.m').read_text())\n"
+        "defaults = AnalysisDefaults(epsilon=4e-4, p=1e-4, horizon=1.0, tau0=0.5)\n"
+        "build_model(apply_imax_rule(case, 1.5, (2, 3), (6, 9), gamma=1.0, vol=10.0, tau=0.5,\n"
+        "                            defaults=defaults, zero_flow_rating=1.0))\n"
+        "n = 400\n"
+        "lines = sorted([(k, k + 1) for k in range(n - 1)] + [(0, n - 1)])\n"
+        "build_flow_matrices(GridNetwork(n, lines, np.ones(n), np.ones(n), np.ones(n)), 1)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True).stdout
+    assert out.strip() == "[]"
+
+
 def test_rates_single_line_report(capsys):
     code, out, _ = run(capsys, "rates", "builtin:single-line", "--tau", "0.6")
     assert code == 0
@@ -406,6 +428,30 @@ def test_convert_bundled_case(capsys, tmp_path):
     code2, out2, _ = run(capsys, "rates", str(path))
     assert code2 == 0
     assert json.loads(out2)["current_rate"] > 0
+
+
+def test_case14_rates_independent_of_blas_threads(capsys, tmp_path):
+    # The 13 non-slack buses are inverted in one LAPACK block, and the report's
+    # products are small, so OpenBLAS's thread count does not reach the bytes.
+    # A 1,000-bus grid's flow map differs in its last bits between 1 and 2
+    # threads (README, Determinism).
+    code, out, _ = run(
+        capsys,
+        "convert", "builtin:case14",
+        "--K", "1.5", "--stochastic", "2,3", "--controllable", "6,9",
+        "--gamma", "1", "--vol", "10", "--tau", "0.5", "--zero-flow-rating", "1",
+        "--epsilon", "0.0004", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5",
+    )
+    assert code == 0
+    path = tmp_path / "case14.json"
+    path.write_text(out)
+    reports = [
+        subprocess.run([sys.executable, "-m", "gridcap", "rates", str(path)], capture_output=True, text=True,
+                       check=True, env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS=threads)).stdout
+        for threads in ("1", "2")
+    ]
+    assert reports[0] == reports[1]
+    assert reports[0] == run(capsys, "rates", str(path))[1]
 
 
 def test_convert_zero_flow_requires_flag(capsys):

@@ -1,6 +1,7 @@
 """Network assembly: Laplacian, incidence, transfer chain, rank structure."""
 
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -10,12 +11,14 @@ from hypothesis import strategies as st
 from conftest import random_network, wheel_context
 from gridcap.errors import GraphError, InfeasibleStart, SingularReducedLaplacian
 from gridcap.grid_model import (
+    INVERSE_BLOCK,
     GridNetwork,
     build_flow_matrices,
     build_incidence,
     build_laplacian,
     operating_point,
 )
+from oracles import reference_laplacian
 
 
 def _net(lines, n, beta=None, rating=None, tau=None):
@@ -27,6 +30,17 @@ def _net(lines, n, beta=None, rating=None, tau=None):
         current_rating=np.ones(L) if rating is None else np.asarray(rating, float),
         thermal_constant=np.ones(L) if tau is None else np.asarray(tau, float),
     )
+
+
+def _ring_with_chords(n, seed, beta=(1.0, 5.0)):
+    """Ring 0-1-...-(n-1)-0 plus n // 2 random chords, susceptances U(beta), ratings U(0.5, 2)."""
+    rng = np.random.default_rng(seed)
+    lines = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
+    while len(lines) < n + n // 2:
+        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
+        lines.add((i, j))
+    L = len(lines)
+    return _net(sorted(lines), n, beta=rng.uniform(*beta, L), rating=rng.uniform(0.5, 2.0, L))
 
 
 def test_single_line_transfer_is_minus_one():
@@ -102,6 +116,13 @@ def test_laplacian_structure():
     assert B[0, 0] == 5.0 and B[1, 1] == 7.0 and B[2, 2] == 8.0
 
 
+def test_laplacian_matches_line_loop_oracle():
+    rng = np.random.default_rng(5)
+    nets = [random_network(rng, max_nodes=12, max_extra=20) for _ in range(40)]
+    for net in nets + [_ring_with_chords(1000, 11)]:
+        assert build_laplacian(net).tobytes() == reference_laplacian(net).tobytes()
+
+
 def test_incidence_kernel_is_constant_vector():
     rng = np.random.default_rng(3)
     for _ in range(10):
@@ -158,6 +179,70 @@ def test_ill_conditioned_reduced_laplacian(ratio, singular):
     else:
         flow = build_flow_matrices(net, 2)
         assert np.allclose(flow.stochastic_block, [[-1.0, -1.0], [0.0, -1.0]], atol=1e-6)
+    # the same series pair ahead of a ring too large to invert in one block:
+    # 0 -ratio- 1 -1- 2, and nodes 2..n-1 on a unit ring with chords
+    ring = _ring_with_chords(3 * INVERSE_BLOCK, 17, beta=(1.0, 1.0))
+    lines = [(0, 1), (1, 2)] + [(i + 2, j + 2) for i, j in ring.lines]
+    big = _net(lines, ring.node_count + 2, beta=[ratio] + [1.0] * (len(lines) - 1))
+    if singular:
+        with pytest.raises(SingularReducedLaplacian):
+            build_flow_matrices(big, 2)
+    else:
+        flow = build_flow_matrices(big, 2)
+        assert np.allclose(flow.stochastic_block[:2], [[-1.0, -1.0], [0.0, -1.0]], atol=1e-6)
+
+
+def test_degenerate_blocked_inverse_refused_without_warnings():
+    # alternating susceptances 1e200 and 1 overflow the block products; the
+    # non-finite inverse fails the kappa test quietly
+    net = _ring_with_chords(300, 5)
+    beta = np.where(np.arange(net.line_count) % 2, 1e200, 1.0)
+    net = _net(net.lines, net.node_count, beta=beta)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(SingularReducedLaplacian):
+            build_flow_matrices(net, 1)
+
+
+@pytest.mark.parametrize("n", [INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 300, 1000])
+def test_blocked_inverse_matches_dense_inverse_and_angle_solve(n):
+    net = _ring_with_chords(n, n)
+    flow = build_flow_matrices(net, n // 10)
+    B = reference_laplacian(net)
+    Bhat = B[1:, 1:]
+    Bg = np.zeros((n, n))
+    Bg[1:, 1:] = np.linalg.inv(Bhat)
+    tails, heads = np.array(net.lines).T
+    rows = net.susceptance[:, None] * (Bg[tails] - Bg[heads]) / net.current_rating[:, None]
+    if n - 1 <= INVERSE_BLOCK:  # one block: the bits of np.linalg.inv
+        assert flow.normalized.tobytes() == rows.tobytes()
+    scale = np.max(np.abs(rows))
+    assert np.max(np.abs(flow.normalized - rows)) <= 1e-12 * scale
+    assert build_flow_matrices(net, n // 10).normalized.tobytes() == flow.normalized.tobytes()
+    # line flows of the angles solved directly for random injections
+    rng = np.random.default_rng(n)
+    S = rng.normal(size=(n - 1, 4))
+    theta = np.zeros((n, 4))
+    theta[1:] = np.linalg.solve(Bhat, S)
+    f = net.susceptance[:, None] * (theta[tails] - theta[heads]) / net.current_rating[:, None]
+    assert np.max(np.abs(flow.normalized[:, 1:] @ S - f)) <= 1e-10 * np.max(np.abs(f))
+
+
+def test_inverse_blocks_stay_within_block_size(monkeypatch):
+    original = np.linalg.inv
+    shapes = []
+
+    def recording(a, *args, **kwargs):
+        shapes.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "inv", recording)
+    for n in (INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 300):
+        shapes.clear()
+        build_flow_matrices(_ring_with_chords(n, n), 1)
+        # the blocks handed to LAPACK split Bhat's n - 1 rows between them
+        assert all(rows == cols <= INVERSE_BLOCK for rows, cols in shapes)
+        assert sum(rows for rows, _ in shapes) == n - 1
 
 
 def test_operating_point_wheel_values():
@@ -260,12 +345,7 @@ def test_assembly_memory_budget():
     # 12 MB and the grounded inverse 8 MB; copying any stored matrix on top of
     # the assembly's temporaries breaks the budget.
     n = 1000
-    rng = np.random.default_rng(11)
-    lines = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
-    while len(lines) < n + n // 2:
-        i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
-        lines.add((i, j))
-    net = _net(sorted(lines), n, beta=rng.uniform(1.0, 5.0, len(lines)))
+    net = _ring_with_chords(n, 11)
     tracemalloc.start()
     try:
         tracemalloc.reset_peak()

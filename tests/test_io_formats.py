@@ -393,8 +393,8 @@ def test_malformed_cases_raise_parse_errors(mangle, phrase):
     "old, new, message",
     [
         ("mpc.baseMVA = 100;", "mpc.baseMVA = abc;", "line 4: cannot parse mpc.baseMVA value 'abc'"),
-        ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", "line 1: baseMVA must be positive"),
-        ("mpc.baseMVA = 100;", "mpc.baseMVA = -5;", "line 1: baseMVA must be positive"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = 0;", "line 4, column 15: baseMVA must be positive"),
+        ("mpc.baseMVA = 100;", "mpc.baseMVA = -5;", "line 4, column 15: baseMVA must be positive"),
         ("mpc.baseMVA = 100;", "mpc.baseMVA = Inf;", "line 4: mpc.baseMVA value 'Inf' is not a finite number"),
         ("  2 3 0.01 0.07 0 0 0 0 0 0 1 -360 360;\n];\n", "  2 3 0.01 0.07 0 0 0 0 0 0 1 -360 360;\n",
          "line 16: unterminated matrix mpc.branch"),

@@ -1,5 +1,6 @@
 """Coupled overload simulation: determinism, coupling, intervals, slope fits."""
 
+import tracemalloc
 from importlib import resources
 
 import numpy as np
@@ -24,7 +25,7 @@ from gridcap.montecarlo import (
     overload_probability,
     wilson_interval,
 )
-from oracles import full_width_indicators, full_width_peaks
+from oracles import full_width_indicators, full_width_peaks, reach_bound
 
 
 def test_wilson_interval_textbook_case():
@@ -479,3 +480,59 @@ def test_temperature_rounding_above_a_lines_current_still_counts():
         got = overload_indicators(ctx, McConfig(replicates, steps, seed, chunk=chunk), threshold)
         assert np.array_equal(got.current, want[0])
         assert np.array_equal(got.temperature, want[1])
+
+
+def _assert_reach_keeps_bits(ctx, replicates, steps, seed):
+    # th2 set to bound entries themselves: a bound one ulp off its oracle
+    # flips that entry of the mask
+    mu, _, _, C, y, *_ = _coefficients(ctx, steps)
+    x = _stored_paths(ctx, replicates, steps, seed)
+    for width in (1, 2, 7, replicates):
+        sub = np.ascontiguousarray(x[:, :, :width])
+        for threshold in (0.05, 1.0, 3.0):
+            bound = reach_bound(sub, mu, C, y, threshold, 1.0)
+            levels = np.unique(np.quantile(bound, np.linspace(0.0, 1.0, 9), method="nearest"))
+            for th2 in [*levels, threshold * threshold]:
+                want = ~(reach_bound(sub, mu, C, y, threshold, th2) < th2)
+                got = _may_reach(sub, mu, C, y, threshold, th2)
+                assert got.tobytes() == want.tobytes(), (width, threshold, th2)
+        for threshold, th2 in ((1e-300, 0.0), (1e200, np.inf)):
+            with np.errstate(over="ignore", invalid="ignore"):  # as in `overload_indicators`
+                got = _may_reach(sub, mu, C, y, threshold, th2)
+                want = ~(reach_bound(sub, mu, C, y, threshold, th2) < th2)
+            assert got.tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize(
+    "make",
+    [_wheel_distinct_tau, single_line_context, _cancelling_feeder, _cancelling_spur, lambda: _case14_context(4e-3)],
+    ids=["wheel_distinct_tau", "single_line", "cancelling_feeder", "cancelling_spur", "case14"],
+)
+def test_reach_mask_matches_expression_oracle(make):
+    _assert_reach_keeps_bits(make(), 48, 30, 5)
+
+
+def test_reach_mask_matches_expression_oracle_on_random_networks():
+    rng = np.random.default_rng(4242)
+    for k in range(6):
+        _assert_reach_keeps_bits(random_context(rng), 24, 20, k)
+
+
+def test_reach_mask_memory_budget():
+    # converted case14 in one 2,048-replicate block of 200 steps: the bound
+    # needs two (L, R) float arrays, where the expression form held four or
+    # more at once
+    ctx = _case14_context(4e-4)
+    replicates, steps = 2048, 200
+    mu, _, _, C, y, *_ = _coefficients(ctx, steps)
+    x = _stored_paths(ctx, replicates, steps, 7)
+    tracemalloc.start()
+    try:
+        tracemalloc.reset_peak()
+        base = tracemalloc.get_traced_memory()[0]
+        reach = _may_reach(x, mu, C, y, 1.0, 1.0)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert reach.tobytes() == (~(reach_bound(x, mu, C, y, 1.0, 1.0) < 1.0)).tobytes()
+    assert peak < 3 * C.shape[0] * replicates * 8

@@ -102,16 +102,23 @@ def _noise_scales(text: str):
 
 
 def _free_indices(doc, text: str):
-    ids = _id_list(text)
-    if len(ids) != 2:
+    """Node indices of the two --slice ids; each token names the document's string id, else its integer."""
+    tokens = [tok.strip() for tok in text.split(",") if tok.strip()]
+    if len(tokens) != 2:
         raise ValueError("--slice takes exactly two node ids, e.g. --slice 6,9")
     index = doc.index_of
-    for nid in ids:
-        if nid not in index:
-            raise ValueError(f"unknown node id {nid!r}")
-        if index[nid] == 0:
-            raise ValueError(f"node {nid!r} is the slack and cannot be a slice axis")
-    return index[ids[0]], index[ids[1]]
+    free = []
+    for token in tokens:
+        number = _parse_node_id(token)
+        named = [nid for nid in dict.fromkeys((token, number)) if nid in index]
+        if len(named) == 2:
+            raise ValueError(f"--slice {token} is ambiguous: the document has node ids {token!r} and {number!r}")
+        if not named:
+            raise ValueError(f"unknown node id {number!r}")
+        if index[named[0]] == 0:
+            raise ValueError(f"node {named[0]!r} is the slack and cannot be a slice axis")
+        free.append(index[named[0]])
+    return tuple(free)
 
 
 def cmd_rates(args) -> str:
@@ -129,12 +136,8 @@ def cmd_rates(args) -> str:
 
 def cmd_region(args) -> str:
     doc = parse_native(_read_input(args.input))
-    epsilon = args.epsilon if args.epsilon is not None else doc.defaults.epsilon
-    p = args.p if args.p is not None else doc.defaults.p
-    if epsilon is None:
-        raise ValueError("--epsilon not given and absent from document defaults")
-    if p is None:
-        raise ValueError("--p not given and absent from document defaults")
+    epsilon = doc.defaults.setting("epsilon", args.epsilon, "--epsilon")
+    p = doc.defaults.setting("p", args.p, "--p")
     if args.partition and (args.slice is None or args.bbox is None):
         raise ValueError("--partition requires --slice and --bbox")
     if args.slice is not None and args.bbox is None:
@@ -160,12 +163,7 @@ def cmd_exact1d(args) -> str:
 
 def cmd_mc(args) -> str:
     doc = parse_native(_read_input(args.input))
-    if args.eps is not None:
-        eps_list = args.eps
-    elif doc.defaults.epsilon is not None:
-        eps_list = [doc.defaults.epsilon]
-    else:
-        raise ValueError("--eps not given and absent from document defaults")
+    eps_list = args.eps or [doc.defaults.setting("epsilon", flag="--eps")]  # --eps is never an empty list
     config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed)
     ctx = build_model(doc, epsilon=eps_list[0], horizon=args.horizon).ctx
     if len(eps_list) >= 2:

@@ -300,14 +300,13 @@ def _integrate(
 class ShotResult:
     """One integration of the stationarity system from given initial slopes.
 
-    `states` rows are y = [theta, f, f', f''] on `times`, `state_derivs` their
-    time derivatives; `value` is the accumulated action up to the horizon.
+    `states` rows are y = [theta, f, f', f''] on `theta.times`, `state_derivs`
+    their time derivatives; `value` is the accumulated action up to the horizon.
     """
 
     theta: SamplePath
     theta_end: float
     value: float
-    times: np.ndarray
     states: np.ndarray
     state_derivs: np.ndarray
 
@@ -328,7 +327,6 @@ def _shot_result(problem: Exact1dProblem, sol, e_end: float) -> ShotResult:
         theta=SamplePath(t, th[:, None]),
         theta_end=float(th[-1]),
         value=float(cost[-1]),
-        times=t,
         states=np.column_stack([th, f, fp, fpp]),
         state_derivs=np.column_stack([(f - th) / tau, fp, fpp, fppp]),
     )

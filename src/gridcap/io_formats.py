@@ -19,6 +19,10 @@ A versioned JSON document::
       "defaults": {"epsilon": 0.1, "p": 0.0001, "horizon": 1.0, "tau0": 0.5}
     }
 
+The `defaults` rules (epsilon >= 0, 0 < p < 1, horizon > 0, tau0 >= 0) live on
+`AnalysisDefaults`, which refuses a breaking value with the parser's message;
+so `gridcap convert` exits 2 on such a setting rather than write it.
+
 Node ids, in a node's `id` and a line's `from` and `to` alike, are strings or
 integers, never booleans. Exactly one node is the slack; every other
 node is either stochastic (mean-reverting injection with its own gamma, vol,
@@ -44,6 +48,7 @@ import json
 import math
 import re
 from dataclasses import dataclass, replace
+from operator import attrgetter
 
 import numpy as np
 
@@ -102,12 +107,35 @@ class LineSpec:
     tau: float
 
 
+_DEFAULT_RULES = {
+    "epsilon": (lambda v: v >= 0, "must be non-negative"),
+    "p": (lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
+    "horizon": (lambda v: v > 0, "must be positive"),
+    "tau0": (lambda v: v >= 0, "must be non-negative"),
+}
+
+
 @dataclass(frozen=True)
 class AnalysisDefaults:
+    """Analysis settings, None where absent; a set value breaking its `_DEFAULT_RULES` rule is refused."""
+
     epsilon: float = None
     p: float = None
     horizon: float = None
     tau0: float = None
+
+    def __post_init__(self):
+        for name, (holds, requirement) in _DEFAULT_RULES.items():
+            value = getattr(self, name)
+            if value is not None and not holds(_number(value, "defaults", name)):
+                raise _schema_error(requirement, "defaults", name)
+
+    def setting(self, name: str, override=None, flag: str = None):
+        """`override` if given, else the default `name`; ValueError naming `flag` (else `name`) if neither is set."""
+        value = getattr(self, name) if override is None else override
+        if value is None:
+            raise ValueError(f"{flag or name} not given and absent from document defaults")
+        return value
 
 
 @dataclass(frozen=True)
@@ -163,7 +191,7 @@ _NODE_KEYS = {
 }
 _LINE_FIELDS = ("from", "to", "susceptance", "rating", "tau")
 _LINE_KEYS = frozenset(_LINE_FIELDS)
-_DEFAULTS_KEYS = frozenset({"epsilon", "p", "horizon", "tau0"})
+_DEFAULTS_KEYS = frozenset(_DEFAULT_RULES)
 
 
 def _schema_error(message, *where) -> SchemaError:
@@ -307,18 +335,8 @@ def parse_native(text: str) -> NetworkDocument:
     if not isinstance(defaults_raw, dict):
         raise _schema_error("expected an object", "defaults")
     _check_keys(defaults_raw, _DEFAULTS_KEYS, "defaults")
-    defaults = {}
-    for field, check, requirement in (
-        ("epsilon", lambda v: v >= 0, "must be non-negative"),
-        ("p", lambda v: 0 < v < 1, "must lie strictly between 0 and 1"),
-        ("horizon", lambda v: v > 0, "must be positive"),
-        ("tau0", lambda v: v >= 0, "must be non-negative"),
-    ):
-        if field in defaults_raw:
-            value = _number(defaults_raw[field], "defaults", field)
-            if not check(value):
-                raise _schema_error(requirement, "defaults", field)
-            defaults[field] = value
+    # a null is refused here, where AnalysisDefaults would read it as absent
+    defaults = AnalysisDefaults(**{name: _number(value, "defaults", name) for name, value in defaults_raw.items()})
 
     position = {n.id: k for k, n in enumerate(nodes)}
     unreachable = _unreachable(len(nodes), [(position[ln.from_id], position[ln.to_id]) for ln in lines])
@@ -330,7 +348,7 @@ def parse_native(text: str) -> NetworkDocument:
         version=SCHEMA_VERSION,
         nodes=tuple(nodes),
         lines=tuple(lines),
-        defaults=AnalysisDefaults(**defaults),
+        defaults=defaults,
     )
 
 
@@ -417,9 +435,7 @@ def serialize_native(doc: NetworkDocument) -> str:
     ]
     out = {"format": SCHEMA_FORMAT, "version": doc.version, "nodes": nodes, "lines": lines}
     defaults = {
-        field: getattr(doc.defaults, field)
-        for field in ("epsilon", "p", "horizon", "tau0")
-        if getattr(doc.defaults, field) is not None
+        name: getattr(doc.defaults, name) for name in _DEFAULT_RULES if getattr(doc.defaults, name) is not None
     }
     if defaults:
         out["defaults"] = defaults
@@ -682,6 +698,8 @@ def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float
     """Replace "auto" ratings by K times the absolute deterministic base flow."""
     if not K > 1:
         raise ValueError("K must be strictly greater than 1")
+    if zero_flow_rating is not None and not zero_flow_rating > 0:
+        raise ValueError("zero_flow_rating must be positive")
     if not doc.has_auto_ratings():
         return doc
     # with every rating 1.0, Cbar is Ct bit for bit, so Cbar s is the base flow
@@ -710,17 +728,19 @@ class BuiltModel:
     """Ready-to-analyze model assembled from a document.
 
     `line_terminals` gives each internal line's endpoints as original node
-    ids, in internal line order.
+    ids, in internal line order. Nothing is stored twice: `network`, `flow`,
+    `op` and `ou` are read from `ctx`, and `node_ids` from `document`.
     """
 
     document: NetworkDocument
-    network: GridNetwork
-    flow: object
-    op: object
-    ou: OuModel
     ctx: PsiContext
-    node_ids: tuple
     line_terminals: tuple
+
+    network = property(attrgetter("ctx.flow.network"))
+    flow = property(attrgetter("ctx.flow"))
+    op = property(attrgetter("ctx.op"))
+    ou = property(attrgetter("ctx.ou"))
+    node_ids = property(attrgetter("document.node_ids"))
 
 
 def build_model(doc: NetworkDocument, epsilon: float = None, horizon: float = None) -> BuiltModel:
@@ -731,16 +751,9 @@ def build_model(doc: NetworkDocument, epsilon: float = None, horizon: float = No
     """
     if doc.has_auto_ratings():
         raise SchemaError('document has unresolved "auto" ratings; apply a rating rule first')
-    if epsilon is None:
-        epsilon = doc.defaults.epsilon
-    if horizon is None:
-        horizon = doc.defaults.horizon
-    if epsilon is None:
-        raise ValueError("epsilon not given and absent from document defaults")
-    if horizon is None:
-        raise ValueError("horizon not given and absent from document defaults")
-    ratings = [line.rating for line in doc.lines]
-    network, _ = _document_network(doc, ratings)
+    epsilon = doc.defaults.setting("epsilon", epsilon)
+    horizon = doc.defaults.setting("horizon", horizon)
+    network, _ = _document_network(doc, [line.rating for line in doc.lines])
     m = len(doc.stochastic_ids)
     flow = build_flow_matrices(network, m)
     stoch = [n for n in doc.nodes if n.role == "stochastic"]
@@ -753,19 +766,9 @@ def build_model(doc: NetworkDocument, epsilon: float = None, horizon: float = No
         noise_scale=float(epsilon),
         horizon=float(horizon),
     )
-    ctx = PsiContext(flow, op, ou)
     node_ids = doc.node_ids
     terminals = tuple((node_ids[i], node_ids[j]) for i, j in network.lines)
-    return BuiltModel(
-        document=doc,
-        network=network,
-        flow=flow,
-        op=op,
-        ou=ou,
-        ctx=ctx,
-        node_ids=node_ids,
-        line_terminals=terminals,
-    )
+    return BuiltModel(document=doc, ctx=PsiContext(flow, op, ou), line_terminals=terminals)
 
 
 # ---------------------------------------------------------------------------

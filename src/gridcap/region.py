@@ -144,7 +144,6 @@ class Slice2D:
     """
 
     free: tuple
-    fixed: np.ndarray
     bbox: tuple
     vertices: np.ndarray
     kind: str
@@ -236,7 +235,6 @@ def slice2d(region: CapacityRegion, flow, free, fixed, bbox) -> Slice2D:
         raise EmptySlice("slice polygon is degenerate")
     return Slice2D(
         free=(int(free[0]), int(free[1])),
-        fixed=np.asarray(fixed, dtype=float),
         bbox=(umin, umax, vmin, vmax),
         vertices=verts,
         kind=region.kind,

@@ -463,6 +463,31 @@ def test_convert_zero_flow_requires_flag(capsys):
     assert "zero base flow" in err
 
 
+@pytest.mark.parametrize(
+    "option, value, message",
+    [
+        ("--epsilon", "-1", "$.defaults.epsilon: must be non-negative"),
+        ("--p", "0", "$.defaults.p: must lie strictly between 0 and 1"),
+        ("--p", "5", "$.defaults.p: must lie strictly between 0 and 1"),
+        ("--horizon", "0", "$.defaults.horizon: must be positive"),
+        ("--horizon", "-1", "$.defaults.horizon: must be positive"),
+        ("--tau0", "-0.5", "$.defaults.tau0: must be non-negative"),
+        ("--zero-flow-rating", "0", "zero_flow_rating must be positive"),
+        ("--zero-flow-rating", "-3", "zero_flow_rating must be positive"),
+    ],
+)
+def test_convert_refuses_what_its_parser_would_refuse(capsys, tmp_path, option, value, message):
+    output = tmp_path / "case14.json"
+    code, out, err = run(
+        capsys,
+        "convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3", "--zero-flow-rating", "1",
+        f"{option}={value}", "--output", str(output),
+    )
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n")
+    assert not output.exists()
+
+
 @pytest.mark.parametrize("literal", ["NaN", "Infinity", "-Infinity", "1e999"])
 def test_non_finite_input_exits_invalid(capsys, tmp_path, literal):
     text = resources.files("gridcap").joinpath("data", "wheel3.json").read_text()
@@ -741,6 +766,37 @@ def test_bad_slice_axes_exit_usage(capsys, axes, message, partition):
     argv = ["region", "builtin:wheel3", "--kind", "current", "--slice", axes, "--bbox=-1,1,-1,1", *partition]
     code, out, err = run(capsys, *argv)
     assert (code, out, err) == (2, "", f"error: {message}\n")
+
+
+def _wheel3_with_ids(tmp_path, ids):
+    """wheel3 with its nodes 1, 2, 3 renamed to `ids`, in lines too."""
+    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
+    rename = dict(zip((1, 2, 3), ids))
+    for node in doc["nodes"]:
+        node["id"] = rename[node["id"]]
+    for line in doc["lines"]:
+        line["from"], line["to"] = rename[line["from"]], rename[line["to"]]
+    path = tmp_path / "wheel3-renamed.json"
+    path.write_text(json.dumps(doc))
+    return str(path)
+
+
+@pytest.mark.parametrize("partition", [(), ("--partition", "--resolution", "8")])
+def test_slice_names_numeric_looking_string_ids(capsys, tmp_path, partition):
+    argv = ["--kind", "current", "--slice", "2,3", "--bbox=-2,2,-2,2", *partition]
+    code, out, err = run(capsys, "region", _wheel3_with_ids(tmp_path, ("1", "2", "3")), *argv)
+    assert (code, err) == (0, "")
+    # the same slice as builtin:wheel3's, with its line ends named by the string ids
+    expected = json.loads(run(capsys, "region", "builtin:wheel3", *argv)[1])
+    for region in expected.get("regions", ()):
+        region["terminals"] = [[str(a), str(b)] for a, b in region["terminals"]]
+    assert json.loads(out) == expected
+
+
+def test_slice_token_naming_a_string_and_an_integer_id_exits_usage(capsys, tmp_path):
+    doc = _wheel3_with_ids(tmp_path, (1, 2, "2"))
+    code, out, err = run(capsys, "region", doc, "--kind", "current", "--slice", "2,3", "--bbox=-2,2,-2,2")
+    assert (code, out, err) == (2, "", "error: --slice 2 is ambiguous: the document has node ids '2' and 2\n")
 
 
 def test_rates_negative_tau_exits_usage(capsys):

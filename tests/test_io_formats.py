@@ -1,13 +1,17 @@
 """Serialization: native documents, grid case files, reports, and exports."""
 
 import copy
+import dataclasses
 import json
 import math
 from collections import OrderedDict
+from dataclasses import replace
 from typing import NamedTuple
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 from importlib import resources
 
 from conftest import random_network, wheel_context
@@ -228,9 +232,7 @@ def test_parse_base_is_valid():
 
 
 # The messages are pinned byte for byte: a reader matches on them.
-@pytest.mark.parametrize(
-    "path, value, error, message",
-    [
+PARSE_ERRORS = [
     ((), [], SchemaError, "$: expected an object"),
     (("zzz",), 1, SchemaError, "$.zzz: unknown key"),
     (("format",), "other", SchemaError, "$.format: expected 'gridcap-network'"),
@@ -318,13 +320,54 @@ def test_parse_base_is_valid():
     (("lines", 0, "from"), True, SchemaError, "$.lines[0].from: id must be a string or integer"),
     (("lines", 0, "from"), 1.0, SchemaError, "$.lines[0].from: id must be a string or integer"),
     (("lines", 1, "to"), None, SchemaError, "$.lines[1].to: id must be a string or integer"),
-    ],
-)
+]
+
+
+@pytest.mark.parametrize("path, value, error, message", PARSE_ERRORS)
 def test_parse_error_messages(path, value, error, message):
     with pytest.raises(error) as err:
         parse_native(_edited(path, value))
     assert type(err.value) is error
     assert str(err.value) == message
+
+
+SETTINGS = tuple(f.name for f in dataclasses.fields(AnalysisDefaults))
+# Every $.defaults.<setting> row but the null one: AnalysisDefaults reads None as an absent setting.
+DEFAULTS_ERRORS = [
+    (path[1], value, message)
+    for path, value, _, message in PARSE_ERRORS
+    if path[:1] == ("defaults",) and path[1:2] and path[1] in SETTINGS and value is not None
+]
+
+
+def test_defaults_errors_cover_every_setting():
+    assert {name for name, _, _ in DEFAULTS_ERRORS} == set(SETTINGS)
+
+
+@pytest.mark.parametrize("name, value, message", DEFAULTS_ERRORS)
+def test_defaults_type_refuses_what_the_parser_refuses(name, value, message):
+    with pytest.raises(SchemaError) as err:
+        AnalysisDefaults(**{name: value})
+    assert type(err.value) is SchemaError
+    assert str(err.value) == message
+
+
+_setting_values = st.one_of(st.floats(), st.floats(0.0, 1.0), st.integers(-2, 2))
+
+
+@given(st.fixed_dictionaries({}, optional={name: _setting_values for name in SETTINGS}))
+def test_defaults_type_and_parser_accept_the_same_settings(values):
+    # NaN and infinities reach the parser as the NaN and Infinity literals Python's json writes
+    text = _edited(("defaults",), values)
+    try:
+        defaults = AnalysisDefaults(**values)
+    except SchemaError:
+        with pytest.raises(SchemaError):
+            parse_native(text)
+        return
+    assert parse_native(text).defaults == defaults
+    doc = replace(parse_native(json.dumps(PARSE_BASE)), defaults=defaults)
+    assert parse_native(serialize_native(doc)) == doc
 
 
 def test_build_model_respects_overrides():
@@ -487,6 +530,13 @@ def test_resolve_auto_ratings_requires_headroom():
     doc = apply_imax_rule(case, 2.0, [2], [], 0.8, 1.0, 0.4, DEFAULTS)
     with pytest.raises(ValueError):
         resolve_auto_ratings(doc, 1.0)
+
+
+@pytest.mark.parametrize("rating", [0.0, -3.0, math.nan])
+def test_resolve_auto_ratings_refuses_non_positive_zero_flow_rating(rating):
+    doc = replace(parse_native(json.dumps(PARSE_BASE)), defaults=DEFAULTS)
+    with pytest.raises(ValueError, match="^zero_flow_rating must be positive$"):
+        resolve_auto_ratings(doc, 1.5, zero_flow_rating=rating)
 
 
 def test_build_model_refuses_unresolved_auto():

@@ -44,13 +44,18 @@ is the root of a 1-D secular equation at which the Lagrangian Hessian is
 still positive definite, certified by its Cholesky factorization (More &
 Sorensen 1983; Polik & Terlaky, SIAM Review 2007). It is solved at
 DISCRETE_STEPS and twice as many steps, and the rate, p0 and E(T) of the
-two levels are Richardson-extrapolated. `certified_rate` returns the
-extrapolated rate without integrating anything. `exact_decay_rate` starts
-the 2-D Newton iteration on both conditions from the extrapolated (p0, E(T))
-and samples its shot from the dense output of the converging integration.
-This is the only path: where either level is not certified, both raise
-NoBoundaryHit, and so does `exact_decay_rate` where the iteration does not
-converge, rather than search elsewhere.
+two levels are Richardson-extrapolated. Where either level is not
+certified, or the two levels' rates differ by more than EXTRAPOLATION_RTOL
+relative (the meshes do not yet resolve the optimum, so the extrapolation
+cannot be trusted), the problem is refused with NoBoundaryHit.
+`certified_rate` returns the extrapolated rate, and `exact_decay_rate`
+returns the same rate with the initial slopes (x1, x2) read off the
+extrapolated (p0, E(T)); neither integrates anything. The attaining shot
+is integrated only when `Exact1dResult.shot` is read: a 2-D Newton
+iteration on both conditions starts from the extrapolated (p0, E(T)) and
+samples the shot from the dense output of the converging integration. It
+raises NoBoundaryHit where the iteration does not converge, rather than
+search elsewhere.
 
 The cubic form of the stationarity condition, used by `euler_residual`, is
 
@@ -63,7 +68,8 @@ constant path f = mu^2 spuriously non-stationary.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -99,6 +105,9 @@ CONTROL_TOL = 1e-9
 
 #: Steps of the coarser of the two discretized problems whose certified optima are extrapolated.
 DISCRETE_STEPS = 400
+
+#: The two levels' rates may differ by this much, relatively, for their extrapolation to be trusted.
+EXTRAPOLATION_RTOL = 1e-3
 
 #: Half of the discrete steps cover the last min(T, BOUNDARY_LAYER tau) before the horizon.
 BOUNDARY_LAYER = 40.0
@@ -485,15 +494,24 @@ def _discrete_level(problem: Exact1dProblem, n: int):
 
 
 def _discrete_optimum(problem: Exact1dProblem):
-    """(rate, p0, E(T)) extrapolated from levels DISCRETE_STEPS and twice that, or None.
+    """(rate, p0, E(T)) extrapolated from levels DISCRETE_STEPS and twice that.
 
     Each is (4 X_2n - X_n)/3, which cancels the O(d^2) error of both
-    levels. None unless both levels certify.
+    levels. Raises NoBoundaryHit unless both levels certify and their rates
+    R_n, R_2n satisfy |R_2n - R_n| <= EXTRAPOLATION_RTOL R_2n: a wider gap
+    means the coarse level is not yet in the O(d^2) regime the
+    extrapolation assumes.
     """
     coarse = _discrete_level(problem, DISCRETE_STEPS)
     fine = None if coarse is None else _discrete_level(problem, 2 * DISCRETE_STEPS)
     if fine is None:
-        return None
+        raise NoBoundaryHit(_REFUSAL)
+    if not abs(fine[0] - coarse[0]) <= EXTRAPOLATION_RTOL * fine[0]:
+        raise NoBoundaryHit(
+            f"the certified optima on {DISCRETE_STEPS} and {2 * DISCRETE_STEPS} steps differ by "
+            f"{abs(fine[0] - coarse[0]) / fine[0]:.2g} relative, more than the {EXTRAPOLATION_RTOL:g} "
+            "within which their extrapolation is trusted"
+        )
     return tuple((4.0 * x_fine - x_coarse) / 3.0 for x_coarse, x_fine in zip(coarse, fine))
 
 
@@ -502,47 +520,54 @@ def certified_rate(problem: Exact1dProblem) -> float:
 
     The rate of the discretized problem at DISCRETE_STEPS and at twice as
     many steps, Richardson-extrapolated as (4 R_2n - R_n)/3; no ODE is
-    integrated. Raises NoBoundaryHit when either level is not certified.
+    integrated. Raises NoBoundaryHit when either level is not certified or
+    the two levels differ by more than EXTRAPOLATION_RTOL relative.
     """
-    found = _discrete_optimum(problem)
-    if found is None:
-        raise NoBoundaryHit(_REFUSAL)
-    return float(found[0])
+    return float(_discrete_optimum(problem)[0])
 
 
 @dataclass(frozen=True)
 class Exact1dResult:
-    """Minimal action over boundary-hitting shots, with the attaining shot."""
+    """Certified minimal action with the initial slopes of its minimizer; the attaining shot on demand.
+
+    `value` is `certified_rate(problem)`. (x1, x2) = (f'(0), f''(0)) and
+    `start` = (p0, E(T)) are the extrapolated discrete optimum's. `shot` is
+    integrated on first access: a 2-D Newton iteration from `start` solves
+    theta(T) = 1 and the transversality condition u(T) = 0, and the
+    converging integration's dense output is sampled on SHOT_SAMPLES
+    intervals. On the single-line table that takes two integrations. Reading
+    `shot` raises NoBoundaryHit when the iteration leaves the
+    |state| < BLOWUP_BOUND search box, collapses onto f = 0 or does not
+    settle.
+    """
 
     value: float
     x1: float
     x2: float
-    shot: ShotResult
+    problem: Exact1dProblem
+    start: tuple = field(repr=False)
+
+    @cached_property
+    def shot(self) -> ShotResult:
+        found = _refine(self.problem, *self.start)
+        if found is None:
+            raise NoBoundaryHit(_REFUSAL)
+        _, e_end, sol = found
+        return _shot_result(self.problem, sol, e_end)
 
 
 def exact_decay_rate(problem: Exact1dProblem) -> Exact1dResult:
-    """Temperature overload decay rate by shooting with Newton sensitivities.
+    """Temperature overload decay rate from the certified discrete optimum, with its initial slopes.
 
-    The start is the certified global optimum of the discretized problem,
-    with p0 = g'(0) and E(T) read off the discrete paths at DISCRETE_STEPS
-    and twice as many steps and extrapolated as (4 X_2n - X_n)/3. From there
-    a 2-D Newton iteration on (p0, E(T)) solves theta(T) = 1 together with
-    the free-endpoint transversality condition u(T) = p(T) + gamma (g(T) -
-    |mu|) = 0, which the minimal action satisfies; on the single-line table
-    it settles in two integrations. The second and later integrations keep
-    their dense output, so the optimal shot is sampled on SHOT_SAMPLES
-    intervals from the converging one, with no further solve.
+    The rate is `certified_rate(problem)`, bit for bit. p0 = g'(0) and E(T),
+    read off the discrete paths at DISCRETE_STEPS and twice as many steps
+    and extrapolated as (4 X_2n - X_n)/3, give x1 = f'(0) and x2 = f''(0) in
+    closed form. No ODE is integrated until the result's `shot` is read.
 
-    Raises NoBoundaryHit when either discrete level is not certified, or
-    when the iteration leaves the |state| < BLOWUP_BOUND search box,
-    collapses onto f = 0 or does not settle: no other minimizer is searched
-    for.
+    Raises NoBoundaryHit when either discrete level is not certified or the
+    two levels differ by more than EXTRAPOLATION_RTOL relative: no other
+    minimizer is searched for.
     """
-    start = _discrete_optimum(problem)
-    found = None if start is None else _refine(problem, *start[1:])
-    if found is None:
-        raise NoBoundaryHit(_REFUSAL)
-    p0, e_end, sol = found
+    rate, p0, e_end = _discrete_optimum(problem)
     x1, x2 = _shot_from_reduced(problem, p0, e_end)
-    shot = _shot_result(problem, sol, e_end)
-    return Exact1dResult(value=shot.value, x1=float(x1), x2=float(x2), shot=shot)
+    return Exact1dResult(value=float(rate), x1=float(x1), x2=float(x2), problem=problem, start=(p0, e_end))

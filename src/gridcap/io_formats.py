@@ -476,9 +476,11 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
     generator bus and Pg; branch endpoints and reactance. Other mpc fields
     are skipped and reported in the warnings list. Raises ParseError with a
     line reference for malformed numbers, non-finite values in the columns
-    read, non-integer bus ids and types, zero reactances, and references to
-    undefined buses. A matrix entry's column is its position in the row; a
-    non-positive baseMVA is placed at the character column of its value.
+    read, non-integer bus ids and types, zero reactances, references to
+    undefined buses, branches from a bus to itself, and parallel branches
+    (a second branch between the same two buses, in either direction). A
+    matrix entry's column is its position in the row; a non-positive
+    baseMVA is placed at the character column of its value.
     """
     lines = text.splitlines()
     matrices = {}
@@ -578,11 +580,19 @@ def parse_matpower(text: str) -> MatpowerCaseSubset:
             raise ParseError(f"line {ln}: generator references undefined bus {bid}")
         gens.append((bid, values[1]))
     branches = []
+    first = {}  # unordered bus pair -> (from, to, case-file line) of its branch
     for values, ln in numeric("branch", 4, (1, 2)):
         f, t = values[:2]
         for bid in (f, t):
             if bid not in bus_ids:
                 raise ParseError(f"line {ln}: branch references undefined bus {bid}")
+        if f == t:
+            raise ParseError(f"line {ln}: branch {f}-{t} joins bus {f} to itself")
+        pair = (min(f, t), max(f, t))
+        if pair in first:
+            f0, t0, ln0 = first[pair]
+            raise ParseError(f"line {ln}: branch {f}-{t} parallels branch {f0}-{t0} on line {ln0}")
+        first[pair] = (f, t, ln)
         x = values[3]
         if x == 0.0:
             raise ParseError(f"line {ln}, column 4: zero reactance on branch {f}-{t}")

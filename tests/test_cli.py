@@ -569,6 +569,18 @@ def test_exact1d_overflowing_lag_exits_refusal_without_warnings():
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+def test_exact1d_wide_level_gap_exits_refusal():
+    # gamma T = 1.3e4: the 400- and 800-step optima differ by 26 %, so the rate is refused, not extrapolated
+    argv = ["exact1d", "--mu", "0.7704599936516205", "--gamma", "141.79158793113598", "--vol", "2699.5271719058974",
+            "--tau", "0.2001630826045529", "--T", "91.79489154037428"]
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: the certified optima on 400 ")
+    assert "Traceback" not in proc.stderr
+
+
 @pytest.mark.parametrize("eps", [",", " , "])
 def test_mc_empty_noise_scale_list_exits_usage(capsys, eps):
     with pytest.raises(SystemExit) as exc:
@@ -817,6 +829,25 @@ def test_convert_refuses_bad_bus_ids(capsys, tmp_path, bus, message):
     # location, or truncated to an existing bus; each must exit 2 at its token
     path = tmp_path / "case3.m"
     path.write_text(TINY_CASE.replace("  2 1 30", f"  {bus} 1 30", 1))
+    code, out, err = run(capsys, "convert", str(path), "--K", "1.5", "--stochastic", "2")
+    assert (code, out) == (2, "")
+    assert err.endswith(f"error: {message}\n") and "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "branch, message",
+    [
+        ("3 2", "line 17: branch 3-2 parallels branch 2-3 on line 16"),
+        ("3 3", "line 17: branch 3-3 joins bus 3 to itself"),
+    ],
+    ids=["parallel", "self_loop"],
+)
+def test_convert_refuses_parallel_branch_and_self_loop(capsys, tmp_path, branch, message):
+    # Refused by the case parser at the branch's case-file line with bus ids,
+    # not by the network check in internal node indices
+    last = "  2 3 0.01 0.07 0 0 0 0 0 0 1 -360 360;\n"
+    path = tmp_path / "case3.m"
+    path.write_text(TINY_CASE.replace(last, f"{last}  {branch} 0.01 0.08 0 0 0 0 0 0 1 -360 360;\n", 1))
     code, out, err = run(capsys, "convert", str(path), "--K", "1.5", "--stochastic", "2")
     assert (code, out) == (2, "")
     assert err.endswith(f"error: {message}\n") and "Traceback" not in err

@@ -1,6 +1,8 @@
 """Single-line temperature overload rate via the variational boundary problem."""
 
 import contextlib
+import subprocess
+import sys
 import time
 import warnings
 
@@ -21,6 +23,7 @@ from gridcap.exact1d import (
 )
 from gridcap.injections import SamplePath, uniform_grid
 from oracles import certified_temperature_rate
+from test_cli import _subprocess_env
 
 # mu=0.5, gamma=0.5, l=1, T=1; rates certified against an independent
 # globally-convergent quadratic solver (see test_matches_certified_oracle).
@@ -156,7 +159,7 @@ def test_residual_shape_contract():
 
 
 def _counted(problem):
-    """exact_decay_rate(problem) with the number of solve_ivp calls it made."""
+    """exact_decay_rate(problem), its shot read once, and the solve_ivp calls of the rate and of the shot."""
     original = scipy.integrate.solve_ivp
     calls = [0]
 
@@ -166,12 +169,15 @@ def _counted(problem):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(scipy.integrate, "solve_ivp", counting)
-        return exact_decay_rate(problem), calls[0]
+        res = exact_decay_rate(problem)
+        rate_calls = calls[0]
+        res.shot
+        return res, rate_calls, calls[0] - rate_calls
 
 
 @pytest.fixture(scope="module")
 def counted_rows():
-    """Each benchmark row's result with the number of solve_ivp calls it made."""
+    """Each benchmark row's result with the solve_ivp calls of its rate and of its shot."""
     return {tau: _counted(_problem(tau)) for tau in sorted(REFERENCE_RATES)}
 
 
@@ -179,7 +185,7 @@ def counted_rows():
 def test_optimum_satisfies_transversality(counted_rows, tau):
     # The terminal value is free, so the optimal control
     # u = g' + gamma (g - |mu|) vanishes at the horizon.
-    res, _ = counted_rows[tau]
+    res, _, _ = counted_rows[tau]
     f, fp = res.shot.states[-1, 1], res.shot.states[-1, 2]
     g = np.sqrt(f)
     p = fp / (2.0 * g)
@@ -189,25 +195,28 @@ def test_optimum_satisfies_transversality(counted_rows, tau):
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_solve_budget(counted_rows, tau):
     # Every solve is looked up on scipy.integrate at call time, so the
-    # patched counter sees all of them.
-    res, calls = counted_rows[tau]
+    # patched counter would see any; the rate is the certified discrete
+    # optimum's, bit for bit, and integrates nothing.
+    res, rate_calls, _ = counted_rows[tau]
+    assert res.value == certified_rate(_problem(tau))
     assert np.isclose(res.value, REFERENCE_RATES[tau], rtol=1e-9)
-    assert 0 < calls <= 150
+    assert rate_calls == 0
 
 
 def test_refinement_failure_raises(monkeypatch):
-    # There is no second engine: a refinement that does not settle is reported.
+    # There is no second engine: a shot whose refinement does not settle is reported.
     monkeypatch.setattr(exact1d, "_refine", lambda *args: None)
+    res = exact_decay_rate(_problem(0.3))
     with pytest.raises(NoBoundaryHit, match="search box"):
-        exact_decay_rate(_problem(0.3))
+        res.shot
 
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_warm_start_budget(counted_rows, tau):
-    # Started at the certified discrete optimum, the refinement needs a few
-    # Newton solves and the final dense solve, and no scan.
-    _, calls = counted_rows[tau]
-    assert calls <= 8
+    # Started at the certified discrete optimum, the shot's refinement needs
+    # a few Newton solves and the final dense solve, and no scan.
+    _, _, shot_calls = counted_rows[tau]
+    assert shot_calls <= 8
 
 
 # (mu, gamma, vol, tau, horizon) whose optimum once lay outside the scan:
@@ -258,11 +267,18 @@ def test_small_lags_match_certified_oracle(tau):
 LARGE_LAG_RATIOS = {600: 0.1982005042, 1000: 0.1980189177, 5000: 0.1978014015}
 
 
+@pytest.fixture(scope="module")
+def counted_large_lags():
+    """Each large-lag-ratio result with the solve_ivp calls of its rate and of its shot."""
+    return {ratio: _counted(_problem(1.0 / ratio)) for ratio in sorted(LARGE_LAG_RATIOS)}
+
+
 @pytest.mark.parametrize("ratio", sorted(LARGE_LAG_RATIOS))
-def test_large_lag_ratio_starts_certified(ratio):
-    res, calls = _counted(_problem(1.0 / ratio))
+def test_large_lag_ratio_starts_certified(counted_large_lags, ratio):
+    res, rate_calls, shot_calls = counted_large_lags[ratio]
     assert np.isclose(res.value, LARGE_LAG_RATIOS[ratio], rtol=1e-8)
-    assert calls <= 8
+    assert rate_calls == 0
+    assert shot_calls <= 8
 
 
 # (mu, gamma, vol, tau, horizon). Draws 82, 104, 106 and 127 of
@@ -270,7 +286,9 @@ def test_large_lag_ratio_starts_certified(ratio):
 # vol = 10^U(-.7, .7), T = 10^U(-1, 1), tau = T 10^U(-2.3, 2): a scan over
 # initial slopes returned 3-9 times the certified rate on each. At tau = 1e308
 # the one-step filter weight 1 - (1 - e^{-d/tau}) tau/d rounds below zero. At
-# gamma T = 13000 the d/dp0 sensitivity overflows along the first shot.
+# gamma T = 13000 the two discrete levels' rates differ by 26 %, so their
+# extrapolation is refused (the d/dp0 sensitivity also overflows along the
+# first shot).
 CERTIFIED_OR_REFUSED = {
     "draw82": (0.3852289862805758, 3.5781993962842273, 0.7119847195296184, 0.05003434084824712, 3.985455561533374),
     "draw104": (0.6530955954544738, 4.471276445163399, 1.0377930723525155, 0.08386650712660974, 4.172698567668809),
@@ -282,6 +300,14 @@ CERTIFIED_OR_REFUSED = {
 }
 
 
+def _extrapolated_oracle(args):
+    """The oracle's (800, 1600)-step Richardson extrapolation; a single n = 1600 level is 2-3e-5 off at gamma T ~ 15."""
+    coarse, _ = certified_temperature_rate(*args, n=800)
+    fine, certified = certified_temperature_rate(*args, n=1600)
+    assert certified
+    return (4.0 * fine - coarse) / 3.0
+
+
 @pytest.mark.parametrize("args", CERTIFIED_OR_REFUSED.values(), ids=CERTIFIED_OR_REFUSED.keys())
 def test_rate_is_certified_or_refused(args):
     with warnings.catch_warnings():
@@ -290,9 +316,39 @@ def test_rate_is_certified_or_refused(args):
             res = exact_decay_rate(Exact1dProblem(*args))
         except NoBoundaryHit:
             return
-    value, certified = certified_temperature_rate(*args, n=1600)
-    assert certified
-    assert np.isclose(res.value, value, rtol=1e-5)
+    assert np.isclose(res.value, _extrapolated_oracle(args), rtol=1e-5)
+
+
+def test_wide_level_gap_is_refused():
+    # The 400- and 800-step rates are 2.025e-5 and 2.751e-5, 26 % apart, and
+    # their extrapolation 2.993e-5 lies 7 % above the 3,200-step level.
+    problem = Exact1dProblem(*CERTIFIED_OR_REFUSED["sensitivity_overflow"])
+    with pytest.raises(NoBoundaryHit, match="differ by 0.26 relative"):
+        certified_rate(problem)
+    with pytest.raises(NoBoundaryHit, match="differ by 0.26 relative"):
+        exact_decay_rate(problem)
+
+
+def test_table_rows_load_no_ode_solver():
+    # A fresh interpreter prices the six rows without importing
+    # scipy.integrate; with it imported and its solve_ivp counted, they
+    # still make no call.
+    code = (
+        "import sys\n"
+        "from gridcap.exact1d import Exact1dProblem, exact_decay_rate\n"
+        f"taus = {sorted(REFERENCE_RATES)!r}\n"
+        "rows = [Exact1dProblem(0.5, 0.5, 1.0, tau, 1.0) for tau in taus]\n"
+        "first = [exact_decay_rate(p).value for p in rows]\n"
+        "loaded = 'scipy.integrate' in sys.modules\n"
+        "import scipy.integrate\n"
+        "original, calls = scipy.integrate.solve_ivp, []\n"
+        "scipy.integrate.solve_ivp = lambda *a, **k: calls.append(1) or original(*a, **k)\n"
+        "again = [exact_decay_rate(p).value for p in rows]\n"
+        "print(loaded, len(calls), first == again)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True).stdout
+    assert out.split() == ["False", "0", "True"]
 
 
 def test_certified_rate_at_extreme_lag_ratio():
@@ -308,14 +364,14 @@ def test_certified_rate_at_extreme_lag_ratio():
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_certified_rate_matches_shot_on_reference_rows(counted_rows, tau):
-    res, _ = counted_rows[tau]
-    assert np.isclose(certified_rate(_problem(tau)), res.value, rtol=1e-8, atol=0.0)
+    res, _, _ = counted_rows[tau]
+    assert np.isclose(certified_rate(_problem(tau)), res.shot.value, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("ratio", sorted(LARGE_LAG_RATIOS))
-def test_certified_rate_matches_shot_at_large_lag_ratios(ratio):
-    problem = _problem(1.0 / ratio)
-    assert np.isclose(certified_rate(problem), exact_decay_rate(problem).value, rtol=1e-8, atol=0.0)
+def test_certified_rate_matches_shot_at_large_lag_ratios(counted_large_lags, ratio):
+    res, _, _ = counted_large_lags[ratio]
+    assert np.isclose(certified_rate(_problem(1.0 / ratio)), res.shot.value, rtol=1e-8, atol=0.0)
 
 
 def test_certified_rate_refuses_an_uncertified_level():
@@ -326,18 +382,18 @@ def test_certified_rate_refuses_an_uncertified_level():
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_makes_two_solves(counted_rows, tau):
-    # Started from the extrapolated discrete optimum, Newton lands after one
-    # step, and its second integration's dense output samples the shot.
-    _, calls = counted_rows[tau]
-    assert calls == 2
+    # Started from the extrapolated discrete optimum, the shot's Newton lands
+    # after one step, and its second integration's dense output samples it.
+    _, _, shot_calls = counted_rows[tau]
+    assert shot_calls == 2
 
 
 @pytest.mark.parametrize("name", ["draw82", "draw104", "draw106"])
 def test_stalled_refinement_ends_early(monkeypatch, name):
-    # Newton reaches these optima within three steps, after which the residual
-    # jitters at the integration's own error. The first step that no longer
-    # lowers it ends the iteration, answered or refused, instead of running
-    # out NEWTON_STEPS.
+    # The shot's Newton reaches these optima within three steps, after which
+    # the residual jitters at the integration's own error. The first step
+    # that no longer lowers it ends the iteration, answered or refused,
+    # instead of running out NEWTON_STEPS.
     calls = [0]
     original = exact1d._integrate
 
@@ -346,8 +402,10 @@ def test_stalled_refinement_ends_early(monkeypatch, name):
         return original(*args, **kwargs)
 
     monkeypatch.setattr(exact1d, "_integrate", counting)
+    res = exact_decay_rate(Exact1dProblem(*CERTIFIED_OR_REFUSED[name]))
+    assert calls[0] == 0
     with contextlib.suppress(NoBoundaryHit):
-        exact_decay_rate(Exact1dProblem(*CERTIFIED_OR_REFUSED[name]))
+        res.shot
     assert calls[0] <= 5
 
 
@@ -355,7 +413,4 @@ def test_large_gamma_horizon_draw_is_answered():
     # Draw 127 (gamma T = 14.9): the start from a single 400-step level missed
     # theta(T) = 1 by 0.42 and collapsed; the extrapolated start converges.
     args = CERTIFIED_OR_REFUSED["draw127"]
-    coarse, _ = certified_temperature_rate(*args, n=800)
-    fine, certified = certified_temperature_rate(*args, n=1600)
-    assert certified
-    assert np.isclose(exact_decay_rate(Exact1dProblem(*args)).value, (4.0 * fine - coarse) / 3.0, rtol=1e-7, atol=0.0)
+    assert np.isclose(exact_decay_rate(Exact1dProblem(*args)).value, _extrapolated_oracle(args), rtol=1e-7, atol=0.0)

@@ -520,7 +520,7 @@ def test_rating_rule_role_checks():
         apply_imax_rule(case, 1.5, [9], [], 0.8, 1.0, 0.4, DEFAULTS)
     with pytest.raises(RoleError):
         apply_imax_rule(case, 1.5, [1], [], 0.8, 1.0, 0.4, DEFAULTS)
-    no_slack = TINY_CASE.replace("1 3 0", "1 1 0")
+    no_slack = TINY_CASE.replace("1 3 0", "1 1 0", 1)  # the bus row only: the branch 1-3 would become a self-loop
     with pytest.raises(RoleError):
         apply_imax_rule(parse_matpower(no_slack), 1.5, [2], [], 0.8, 1.0, 0.4, DEFAULTS)
 

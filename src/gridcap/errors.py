@@ -123,10 +123,11 @@ class BlowUp(NumericalFailure):
 
 
 class NoBoundaryHit(NumericalFailure):
-    """The exact-rate solver found no certified shot inside its search box
-    (|state| < BLOWUP_BOUND) that drives the temperature to the overload level
-    at the horizon: the discrete start was not certified or its Newton
-    refinement did not settle."""
+    """The exact-rate solver certified no answer: the problem discretized on
+    one of its two levels has no certified optimum, the two levels' rates
+    differ by more than their extrapolation trusts, or the attaining shot's
+    Newton refinement did not settle inside its search box
+    (|state| < BLOWUP_BOUND)."""
 
 
 class BoundCollapse(EmptyResult):

@@ -41,10 +41,11 @@ One discrete engine certifies the optimum. On a mesh that puts half its
 steps in the last min(T, 40 tau), theta(T) = 1 is a single quadratic
 constraint on a positive definite quadratic action, and the global minimizer
 is the root of a 1-D secular equation at which the Lagrangian Hessian is
-still positive definite, certified by its Cholesky factorization (More &
-Sorensen 1983; Polik & Terlaky, SIAM Review 2007). It is solved at
-DISCRETE_STEPS and twice as many steps, and the rate, p0 and E(T) of the
-two levels are Richardson-extrapolated. Where either level is not
+still positive definite, certified by its LDL^T factorization in LAPACK
+?ptsv, whose pivots are all positive exactly when the Hessian is positive
+definite (More & Sorensen 1983; Polik & Terlaky, SIAM Review 2007). It is
+solved at DISCRETE_STEPS and twice as many steps, and the rate, p0 and E(T)
+of the two levels are Richardson-extrapolated. Where either level is not
 certified, or the two levels' rates differ by more than EXTRAPOLATION_RTOL
 relative (the meshes do not yet resolve the optimum, so the extrapolation
 cannot be trusted), the problem is refused with NoBoundaryHit.
@@ -410,9 +411,11 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     theta(T) = 1 solve (H - 2 lam W) g = h, W = diag(w_1..w_n). While
     H - 2 lam W is positive definite, g^T W g grows with lam, and a root of
     the secular equation g^T W g = 1 - e^{-T/tau} mu^2 - w_0 mu^2 there is the
-    global minimizer (S-lemma). Each solve factors H - 2 lam W by Cholesky,
-    so a successful solve at the root is the certificate; a failed
-    factorization marks lam at or past the threshold lam_crit where
+    global minimizer (S-lemma). Each step factors H - 2 lam W = L D L^T once
+    with LAPACK ?ptsv, which solves for g, and reuses the factors for the
+    slope. The pivots D are all positive exactly when H - 2 lam W is
+    positive definite, so a successful solve at the root is the certificate;
+    a non-positive pivot marks lam at or past the threshold lam_crit where
     definiteness ends and lowers the upper end of the bracket (0, hi), which
     starts at +inf. Newton runs on the secular equation in the form
     (g^T W g)^{-1/2}, which is concave in lam below lam_crit: its steps
@@ -428,7 +431,7 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     SECULAR_STEPS, or when a step's d/tau is so small that its weight c1
     rounds to zero or below.
     """
-    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dptsv, dpttrs
 
     tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
     layer, half = min(T, BOUNDARY_LAYER * tau), n // 2
@@ -454,16 +457,15 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     diag[:-1] += d[1:] * am[1:] * am[1:]
     h = -d * ap * c  # h = -B^T D c
     h[:-1] -= d[1:] * am[1:] * c[1:]
-    band = np.empty((2, n))  # upper banded storage: superdiagonal, then diagonal
-    band[0, 0] = 0.0
-    band[0, 1:] = d[1:] * ap[1:] * am[1:]
+    off = d[1:] * ap[1:] * am[1:]  # superdiagonal of H and of H - 2 lam W
 
     lo, hi, lam = 0.0, math.inf, 0.0
     for _ in range(SECULAR_STEPS):
-        band[1] = diag - 2.0 * lam * w
-        try:
-            g = solveh_banded(band, h, check_finite=False)
-        except np.linalg.LinAlgError:  # H - 2 lam W is not positive definite: lam >= lam_crit
+        # factors H - 2 lam W = L D L^T and solves for g; the factors are kept for the slope
+        pivots, lower, g, info = dptsv(diag - 2.0 * lam * w, off, h, overwrite_d=1)
+        if info < 0:
+            raise ValueError(f"illegal value in argument {-info} of LAPACK dptsv")
+        if info > 0:  # a pivot is not positive, so neither is H - 2 lam W: lam >= lam_crit
             hi = lam
             lam = 0.5 * (lo + hi)
             continue
@@ -476,7 +478,7 @@ def _discrete_level(problem: Exact1dProblem, n: int):
         else:
             hi = lam
         # (H - 2 lam W) dg/dlam = 2 W g, so d(g^T W g)/dlam = 4 (W g)^T (H - 2 lam W)^{-1} W g
-        slope = 4.0 * float(wg @ solveh_banded(band, wg, check_finite=False))
+        slope = 4.0 * float(wg @ dpttrs(pivots, lower, wg)[0])
         lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
@@ -502,10 +504,13 @@ def _discrete_optimum(problem: Exact1dProblem):
     means the coarse level is not yet in the O(d^2) regime the
     extrapolation assumes.
     """
-    coarse = _discrete_level(problem, DISCRETE_STEPS)
-    fine = None if coarse is None else _discrete_level(problem, 2 * DISCRETE_STEPS)
-    if fine is None:
-        raise NoBoundaryHit(_REFUSAL)
+    levels = []
+    for n in (DISCRETE_STEPS, 2 * DISCRETE_STEPS):
+        level = _discrete_level(problem, n)
+        if level is None:
+            raise NoBoundaryHit(f"no certified optimum of the problem discretized on {n} steps")
+        levels.append(level)
+    coarse, fine = levels
     if not abs(fine[0] - coarse[0]) <= EXTRAPOLATION_RTOL * fine[0]:
         raise NoBoundaryHit(
             f"the certified optima on {DISCRETE_STEPS} and {2 * DISCRETE_STEPS} steps differ by "

@@ -294,15 +294,16 @@ def test_exact1d_reachable_beyond_former_box(capsys):
 
 
 def test_exact1d_unreachable_level(capsys):
-    # Reaching theta(T) = 1 within T = 1e-3 at tau = 1e4 needs |g'| beyond
-    # the 1e6 state bound, so every shot is rejected.
+    # Reaching theta(T) = 1 within T = 1e-3 at tau = 1e4 takes a current of
+    # order 3e3. The 400-step level reaches no certified secular root (the
+    # 800-step level does), so the rate is refused and no shot is integrated.
     code, _, err = run(
         capsys,
         "exact1d",
         "--mu", "0.1", "--gamma", "0.1", "--vol", "1", "--tau", "1e4", "--T", "1e-3",
     )
     assert code == 4
-    assert "search box" in err
+    assert "no certified optimum of the problem discretized on 400 steps" in err
 
 
 def test_exact1d_large_lag_ratio_exits_without_warnings():

@@ -380,6 +380,65 @@ def test_certified_rate_refuses_an_uncertified_level():
         certified_rate(_problem(1e308))
 
 
+# tau -> (value, x1, x2) of exact_decay_rate on each table row, bit for bit:
+# a faster secular solve must not move them.
+TABLE_ROW_BITS = {
+    0.1: (0.22862878713875448, 0.5815108849471636, 0.6761024140970677),
+    0.2: (0.2684491596369167, 0.7049337656154453, 0.9758630245927663),
+    0.3: (0.3170987829654316, 0.8343372151594272, 1.3177188390762193),
+    0.4: (0.3726869653049885, 0.9595905961254703, 1.6918053708529335),
+    0.5: (0.43360683793641625, 1.0784994010589373, 2.098542809529905),
+    0.6: (0.49876667521204315, 1.1912222763876084, 2.5361266688644974),
+}
+
+
+@pytest.mark.parametrize("tau", sorted(TABLE_ROW_BITS))
+def test_table_row_bits(tau):
+    res = exact_decay_rate(_problem(tau))
+    assert (res.value, res.x1, res.x2) == TABLE_ROW_BITS[tau]
+
+
+def test_reused_ptsv_factors_match_two_banded_solves():
+    # ?ptsv is ?pttrf then ?pttrs, so one dptsv and a dpttrs on its factors
+    # give the bits of two solveh_banded calls, and refuse the same matrices.
+    from scipy.linalg import solveh_banded
+    from scipy.linalg.lapack import dptsv, dpttrs
+
+    rng = np.random.default_rng(3)
+    refused = 0
+    for n in [4, 40, 400, 800] * 5:
+        # diagonally dominant, so positive definite, unless shifted down
+        off = rng.uniform(-0.5, 0.5, n - 1)
+        h, wg = rng.standard_normal(n), rng.standard_normal(n)
+        for shift in (0.0, rng.uniform(0.5, 2.5)):
+            diag = rng.uniform(1.0, 3.0, n) - shift
+            band = np.vstack([np.append(0.0, off), diag])
+            pivots, lower, g, info = dptsv(diag, off, h)
+            try:
+                expected = solveh_banded(band, h, check_finite=False)
+            except np.linalg.LinAlgError:
+                assert shift > 0.0 and info > 0
+                refused += 1
+                continue
+            assert info == 0
+            assert np.array_equal(g, expected)
+            assert np.array_equal(dpttrs(pivots, lower, wg)[0], solveh_banded(band, wg, check_finite=False))
+    assert 10 <= refused < 20
+
+
+@pytest.mark.xfail(
+    strict=True,
+    raises=NoBoundaryHit,
+    reason="at T/tau = 1e6 the secular root is lost to rounding on 800 steps and more: lam is pinned between "
+           "adjacent floats while g^T W g misses its target by more than ROUNDED_ROOT_TOL (CHANGES.md FOUND "
+           "on _discrete_level; ROADMAP item 10)",
+)
+def test_lag_ratio_of_a_million_is_answered():
+    # The rate falls toward the current rate 0.19774709 as T/tau grows.
+    value = certified_rate(_problem(1e-6))
+    assert 0.19774708 < value < certified_rate(_problem(1e-5))
+
+
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_makes_two_solves(counted_rows, tau):
     # Started from the extrapolated discrete optimum, the shot's Newton lands

@@ -20,9 +20,6 @@ from .errors import (
     NonUniformGamma,
     NonUniformTau,
     NonPositiveTau,
-    NegativeRadicand,
-    DegenerateF,
-    BlowUp,
     NoBoundaryHit,
     BoundCollapse,
     EmptySlice,
@@ -33,7 +30,6 @@ from .grid_model import (
     DcFlowMatrices,
     OperatingPoint,
     build_laplacian,
-    build_incidence,
     build_flow_matrices,
     operating_point,
 )
@@ -42,12 +38,9 @@ from .injections import (
     SamplePath,
     uniform_grid,
     ou_step_coefficients,
-    simulate_ou,
-    rate_functional,
 )
 from .thermal import (
     filter_coefficients,
-    xi_map,
     overload_threshold_equivalence,
 )
 from .ld_rates import (
@@ -69,9 +62,6 @@ from .exact1d import (
     Exact1dProblem,
     Exact1dResult,
     ShotResult,
-    functional_value,
-    euler_residual,
-    shoot,
     certified_rate,
     exact_decay_rate,
 )

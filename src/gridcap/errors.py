@@ -108,20 +108,6 @@ class NonPositiveTau(InvalidInput):
 
 # --- solver errors -----------------------------------------------------------
 
-class NegativeRadicand(NumericalFailure):
-    """The combination tau*theta' + theta went non-positive, so the square
-    root in the temperature functional is undefined."""
-
-
-class DegenerateF(NumericalFailure):
-    """The shooting trajectory's f component collapsed toward zero, which is
-    a singularity of the variational system."""
-
-
-class BlowUp(NumericalFailure):
-    """A shooting trajectory left the configured bounding box."""
-
-
 class NoBoundaryHit(NumericalFailure):
     """The exact-rate solver certified no answer: the problem discretized on
     one of its two levels has no certified optimum, the two levels' rates

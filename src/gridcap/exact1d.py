@@ -57,14 +57,6 @@ iteration on both conditions starts from the extrapolated (p0, E(T)) and
 samples the shot from the dense output of the converging integration. It
 raises NoBoundaryHit where the iteration does not converge, rather than
 search elsewhere.
-
-The cubic form of the stationarity condition, used by `euler_residual`, is
-
-    4 gamma^2 f^3 + 2 tau f^2 f''' - 2 f^2 f'' + f (f')^2 - 4 tau f f' f''
-      + 2 tau (f')^3 - 2 gamma^2 mu f^{3/2} (2 f + tau f') = 0
-
-whose final term vanishes only for mu = 0; dropping it would make the
-constant path f = mu^2 spuriously non-stationary.
 """
 from __future__ import annotations
 
@@ -74,7 +66,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
+from .errors import NoBoundaryHit
 from .injections import SamplePath
 from .thermal import filter_coefficients
 
@@ -82,9 +74,6 @@ __all__ = [
     "Exact1dProblem",
     "ShotResult",
     "Exact1dResult",
-    "functional_value",
-    "euler_residual",
-    "shoot",
     "certified_rate",
     "exact_decay_rate",
 ]
@@ -163,79 +152,6 @@ class Exact1dProblem:
         return abs(self.mu)
 
 
-def functional_value(theta_path: SamplePath, problem: Exact1dProblem) -> float:
-    """Action of a temperature path, by quadrature of the defining integrand.
-
-    theta must be sampled on a uniform grid with at least three points; the
-    derivatives are second-order finite differences. Raises NegativeRadicand
-    when tau theta' + theta fails to stay positive, since the integrand takes
-    its square root.
-    """
-    if theta_path.step_count < 2:
-        raise ValueError("need at least three grid points")
-    theta = theta_path.values[:, 0]
-    dt = theta_path.step
-
-    def ddt(v):
-        out = np.empty_like(v)
-        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
-        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
-        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
-        return out
-
-    f = problem.tau * ddt(theta) + theta
-    if np.min(f) <= 0.0:
-        raise NegativeRadicand(
-            f"tau*theta' + theta reaches {np.min(f):.3g}; the current magnitude is undefined"
-        )
-    g = np.sqrt(f)
-    resid = (ddt(g) + problem.gamma * (g - problem.level)) / problem.vol
-    return float(0.5 * np.trapezoid(resid**2, dx=dt))
-
-
-def euler_residual(problem: Exact1dProblem, y, y_prime) -> np.ndarray:
-    """Residual of the stationarity system at states y = [theta, f, f', f''].
-
-    Accepts single states (shape (4,)) or stacked rows (n, 4); y_prime holds
-    the time derivatives [theta', f', f'', f''']. Component 1 checks the
-    definition f = tau theta' + theta, components 2 and 3 the chain
-    consistency of the derivatives, and component 4 the quartic stationarity
-    condition of the action.
-    """
-    y = np.atleast_2d(np.asarray(y, dtype=float))
-    yp = np.atleast_2d(np.asarray(y_prime, dtype=float))
-    if y.shape != yp.shape or y.shape[-1] != 4:
-        raise ValueError("y and y_prime must both have four components")
-    f = y[:, 1]
-    if np.min(np.abs(f)) < 1e-12:
-        raise DegenerateF("f vanished; the stationarity condition divides by f")
-    tau, gam, mu = problem.tau, problem.gamma, problem.level
-    d1, d2 = y[:, 2], y[:, 3]
-    d3 = yp[:, 3]
-    r = np.empty_like(y)
-    r[:, 0] = y[:, 1] - tau * yp[:, 0] - y[:, 0]
-    r[:, 1] = yp[:, 1] - y[:, 2]
-    r[:, 2] = yp[:, 2] - y[:, 3]
-    r[:, 3] = (
-        4.0 * gam**2 * f**3
-        + 2.0 * tau * f**2 * d3
-        - 2.0 * f**2 * d2
-        + f * d1**2
-        - 4.0 * tau * f * d1 * d2
-        + 2.0 * tau * d1**3
-        - 2.0 * gam**2 * mu * f**1.5 * (2.0 * f + tau * d1)
-    )
-    return r[0] if r.shape[0] == 1 and np.asarray(y_prime).ndim == 1 else r
-
-
-def _initial_from_shot(problem: Exact1dProblem, x1: float, x2: float):
-    """Map (f'(0), f''(0)) to the reduced parameters (p0, E at horizon)."""
-    a = problem.level
-    p0 = x1 / (2.0 * a)
-    e0 = (x2 - 2.0 * p0**2) / (4.0 * a**2)
-    return p0, e0 * np.exp(problem.horizon / problem.tau)
-
-
 def _shot_from_reduced(problem: Exact1dProblem, p0: float, e_end: float):
     a = problem.level
     e0 = e_end * np.exp(-problem.horizon / problem.tau)
@@ -249,7 +165,10 @@ def _integrate(
     sensitivities: bool = False,
     dense_output: bool = False,
 ):
-    """Advance (theta, g, p, action) to the horizon; None marks an invalid shot.
+    """Advance (theta, g, p, action) to the horizon; the solver's result.
+
+    A status other than 0 marks an invalid shot: the collapse event (first
+    in `t_events`) or the escape event fired, or the step size failed.
 
     With `sensitivities` the rows d(theta, g, p)/dE(T) (4-6) and
     d(theta, g, p)/dp0 (7-9) are integrated in the same call. They carry an
@@ -288,7 +207,7 @@ def _integrate(
     # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
     # like e^{gamma T}), the error norm turns NaN and every step is rejected
     # until the solver stops with status -1 or an event fires; either way the
-    # shot is reported as failed below, without a RuntimeWarning.
+    # status marks the shot as failed, without a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
         sol = solve_ivp(
             rhs,
@@ -300,10 +219,7 @@ def _integrate(
             events=(collapse, escape),
             dense_output=dense_output,
         )
-    if sol.status != 0:
-        reason = "collapse" if sol.t_events[0].size else "escape"
-        return None, reason
-    return sol, None
+    return sol
 
 
 @dataclass(frozen=True)
@@ -342,21 +258,6 @@ def _shot_result(problem: Exact1dProblem, sol, e_end: float) -> ShotResult:
     )
 
 
-def shoot(problem: Exact1dProblem, x1: float, x2: float) -> ShotResult:
-    """Integrate the stationarity system from initial slopes (f'(0), f''(0)).
-
-    Raises DegenerateF when the squared-current variable collapses to zero
-    along the way and BlowUp when the trajectory escapes the bounding box.
-    """
-    p0, e_end = _initial_from_shot(problem, x1, x2)
-    sol, reason = _integrate(problem, p0, e_end, dense_output=True)
-    if sol is None:
-        if reason == "collapse":
-            raise DegenerateF("f collapsed to zero along the shot")
-        raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
-    return _shot_result(problem, sol, e_end)
-
-
 def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
 
@@ -373,8 +274,8 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     gam, a = problem.gamma, problem.level
     last = math.inf
     for k in range(NEWTON_STEPS):
-        sol, _ = _integrate(problem, p0, e_end, sensitivities=True, dense_output=k > 0)
-        if sol is None:
+        sol = _integrate(problem, p0, e_end, sensitivities=True, dense_output=k > 0)
+        if sol.status != 0:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
         resid = np.array([th - 1.0, p + gam * (g - a)])
@@ -421,7 +322,8 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     (g^T W g)^{-1/2}, which is concave in lam below lam_crit: its steps
     approach the root monotonically from above, and a step that leaves the
     bracket bisects it instead (More & Sorensen 1983; Polik & Terlaky, SIAM
-    Review 2007).
+    Review 2007). So does a slope that is not positive and finite, as where
+    g and W g underflow for |mu| of about 1e-165 and below.
 
     p0 = g'(0) and g''(T) come from second-order one-sided differences in the
     first and last zone, and E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)).
@@ -479,7 +381,8 @@ def _discrete_level(problem: Exact1dProblem, n: int):
             hi = lam
         # (H - 2 lam W) dg/dlam = 2 W g, so d(g^T W g)/dlam = 4 (W g)^T (H - 2 lam W)^{-1} W g
         slope = 4.0 * float(wg @ dpttrs(pivots, lower, wg)[0])
-        lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
+        if 0.0 < slope < math.inf:  # else lam stays on an end of the bracket, which is then bisected
+            lam += 2.0 * norm2 * (1.0 - math.sqrt(norm2 / target)) / slope
         if not lo < lam < hi:
             lam = 0.5 * (lo + hi)
         if not lo < lam < hi:  # no float lies between: lam is resolved to rounding, and so is the root

@@ -62,7 +62,6 @@ __all__ = [
     "DcFlowMatrices",
     "OperatingPoint",
     "build_laplacian",
-    "build_incidence",
     "build_flow_matrices",
     "operating_point",
 ]
@@ -163,19 +162,6 @@ def build_laplacian(network: GridNetwork) -> np.ndarray:
     # index order, so each diagonal entry rounds as the line-by-line sum does
     np.fill_diagonal(B, np.bincount(ends.ravel(), weights=np.repeat(beta, 2), minlength=n))
     return B
-
-
-def build_incidence(network: GridNetwork) -> np.ndarray:
-    """Oriented edge-vertex incidence matrix A.
-
-    Row ell has +1 at the line's tail i and -1 at its head j. For a
-    connected graph the kernel of A is spanned by the all-ones vector.
-    """
-    A = np.zeros((network.line_count, network.node_count))
-    for ell, (i, j) in enumerate(network.lines):
-        A[ell, i] = 1.0
-        A[ell, j] = -1.0
-    return A
 
 
 def _spd_inverse(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:

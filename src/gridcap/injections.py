@@ -1,4 +1,4 @@
-"""Stochastic power injections and the pathwise action functional.
+"""Stochastic power injections and the paths they trace.
 
 Injections are an m-dimensional Ornstein-Uhlenbeck process started at its
 mean:
@@ -6,14 +6,10 @@ mean:
     dX_i(t) = gamma_i (mu_i - X_i(t)) dt + sqrt(eps) l_i dW_i(t),    X(0) = mu
 
 with mean-reversion rates gamma_i > 0 and constant volatilities l_i > 0.
-`OuModel` holds those parameters and admits exact one-step transition
-sampling. The action functional
-
-    I(g) = 1/2 sum_i integral ((g_i' - gamma_i (mu_i - g_i)) / l_i)^2 dt
-
-scores how unlikely a path is: the probability that the noisy system tracks
-g decays like exp(-I(g)/eps) as eps -> 0. Its discretization here is the
-single quadrature shared by every oracle in the test suite.
+`OuModel` holds those parameters, and `ou_step_coefficients` gives the exact
+one-step transition that the batched Monte Carlo kernel in `montecarlo`
+advances. `SamplePath` holds a path on a uniform time grid, such as the
+optimal paths of `ld_rates` and the attaining shot of `exact1d`.
 """
 from __future__ import annotations
 
@@ -21,7 +17,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._streams import normal_block
 from .grid_model import _readonly
 
 __all__ = [
@@ -29,8 +24,6 @@ __all__ = [
     "SamplePath",
     "uniform_grid",
     "ou_step_coefficients",
-    "simulate_ou",
-    "rate_functional",
 ]
 
 
@@ -142,36 +135,3 @@ def ou_step_coefficients(model: OuModel, dt: float):
     # -expm1 keeps the variance accurate when gamma*dt is tiny
     var = model.noise_scale * model.vol**2 * (-np.expm1(-2.0 * model.gamma * dt)) / (2.0 * model.gamma)
     return decay, np.sqrt(var)
-
-
-def simulate_ou(model: OuModel, step_count: int, seed: int, replicate: int = 0) -> SamplePath:
-    """Sample one path of the mean-reverting model with exact transitions.
-
-    Deterministic given (seed, replicate): the noise block is indexed by
-    (step, coordinate) inside that replicate's own stream.
-    """
-    times = uniform_grid(model.horizon, step_count)
-    decay, std = ou_step_coefficients(model, times[1] - times[0])
-    z = normal_block(seed, replicate, step_count, model.m)
-    dev = np.empty((step_count + 1, model.m))
-    dev[0] = 0.0
-    for k in range(step_count):
-        dev[k + 1] = dev[k] * decay + std * z[k]
-    return SamplePath(times, model.mean + dev)
-
-
-def rate_functional(path: SamplePath, model: OuModel) -> float:
-    """Discretized action of a path under the model's OU drift and volatilities.
-
-    The derivative is a forward difference on each interval and the drift
-    gamma (mu - g) is evaluated at the interval's trapezoid average of the two
-    endpoint states; for this affine drift that equals the trapezoid rule on
-    the drift itself, which keeps the quadrature second-order accurate.
-    Every rate oracle in the test suite reuses this exact discretization.
-    """
-    g = path.values
-    dt = path.step
-    diff = (g[1:] - g[:-1]) / dt
-    mid = 0.5 * (g[1:] + g[:-1])
-    resid = (diff - model.gamma * (model.mean - mid)) / model.vol
-    return float(0.5 * np.sum(resid**2) * dt)

@@ -5,20 +5,21 @@ Each line's normalized temperature follows the first-order lag
     tau * Theta'(t) + Theta(t) = Y(t)^2
 
 so Theta is an exponentially weighted average of the squared current's past.
-Overload means Theta reaching 1, the normalized thermal limit. The discrete
-evaluator below advances the ODE exactly for inputs whose square is linear
-between grid points, so constant currents are reproduced without error.
+Overload means Theta reaching 1, the normalized thermal limit.
+`filter_coefficients` gives the one-step weights that advance the ODE
+exactly for inputs whose square is linear between grid points, so constant
+currents are reproduced without error. The Monte Carlo kernel steps every
+line's temperature with them, and the exact solver's discretized problem
+writes theta(T) through them.
 """
 from __future__ import annotations
 
 import numpy as np
 
 from .errors import NonPositiveTau
-from .injections import SamplePath
 
 __all__ = [
     "filter_coefficients",
-    "xi_map",
     "overload_threshold_equivalence",
 ]
 
@@ -39,29 +40,6 @@ def filter_coefficients(dt: float, tau):
     c2 = 1.0 - em / x
     c1 = em - c2
     return q, c1, c2
-
-
-def xi_map(current: SamplePath, tau, theta0=None) -> SamplePath:
-    """Advance the thermal lag along a normalized current path; temperatures on its grid.
-
-    Parameters
-    ----------
-    current : SamplePath
-        Normalized line currents, values (n+1, L).
-    tau : scalar or array (L,)
-        Thermal time constants.
-    theta0 : scalar or array (L,), optional
-        Initial temperatures; defaults to the squared initial currents,
-        the stationary value for a system that sat at its start point.
-    """
-    u = current.values**2
-    n1, L = u.shape
-    q, c1, c2 = filter_coefficients(current.step, np.broadcast_to(np.asarray(tau, dtype=float), (L,)))
-    theta = np.empty((n1, L))
-    theta[0] = u[0] if theta0 is None else np.broadcast_to(np.asarray(theta0, dtype=float), (L,))
-    for k in range(n1 - 1):
-        theta[k + 1] = q * theta[k] + c1 * u[k] + c2 * u[k + 1]
-    return SamplePath(current.times, theta)
 
 
 def _horizon_decay(horizon: float, tau):

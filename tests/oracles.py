@@ -3,8 +3,21 @@
 Everything here is built from first principles with generic numerical
 methods (dense quadratic programming, banded eigensolvers, root finding) so
 that agreement with the library is evidence, not circularity. The only
-shared ingredient is the path-cost quadrature of `rate_functional`, which
-both sides must use for discrete-vs-closed-form comparisons to converge.
+shared ingredient is the path-cost quadrature `rate_functional`, which every
+discrete-vs-closed-form comparison prices paths with, so that they converge.
+
+The per-path forms of what the package computes in batches live here too,
+because no code in the package runs them and the tests compare against
+them. `simulate_ou` steps one OU path at a time and `xi_map` runs the
+thermal recursion along one current path; the batched Monte Carlo kernel
+shares only the random streams and the step weights with them.
+`build_incidence` forms the incidence matrix A that the flow assembly never
+forms, so the transfer matrix can be checked as the product Dbeta A Bg.
+`shoot`, `functional_value` and `euler_residual` check the exact-rate
+engine from the variational side: a shot from given initial slopes, the
+action of a temperature path by quadrature of its own integrand, and the
+residual of the stationarity system. They raise this module's own
+`NegativeRadicand`, `DegenerateF` and `BlowUp`.
 
 The dense slice and partition references are the exception: they are the
 straightforward full-grid and every-line forms of `risk_partition` and
@@ -29,8 +42,10 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
 from gridcap.errors import EmptySlice, NoStochasticLines
-from gridcap._streams import fill_normal_blocks
-from gridcap.injections import OuModel, SamplePath, ou_step_coefficients, rate_functional
+from gridcap._streams import fill_normal_blocks, normal_block
+from gridcap.exact1d import BLOWUP_BOUND, Exact1dProblem, ShotResult, _integrate, _shot_result
+from gridcap.grid_model import GridNetwork
+from gridcap.injections import OuModel, SamplePath, ou_step_coefficients, uniform_grid
 from gridcap.ld_rates import line_variances
 from gridcap.region import (
     RegionSummary,
@@ -40,6 +55,89 @@ from gridcap.region import (
     _slice_geometry,
 )
 from gridcap.thermal import filter_coefficients
+
+
+class NegativeRadicand(ArithmeticError):
+    """The combination tau*theta' + theta went non-positive, so the square
+    root in the temperature functional is undefined."""
+
+
+class DegenerateF(ArithmeticError):
+    """The shooting trajectory's f component collapsed toward zero, which is
+    a singularity of the variational system."""
+
+
+class BlowUp(ArithmeticError):
+    """A shooting trajectory left the configured bounding box."""
+
+
+def simulate_ou(model: OuModel, step_count: int, seed: int, replicate: int = 0) -> SamplePath:
+    """Sample one path of the mean-reverting model with exact transitions.
+
+    Deterministic given (seed, replicate): the noise block is indexed by
+    (step, coordinate) inside that replicate's own stream.
+    """
+    times = uniform_grid(model.horizon, step_count)
+    decay, std = ou_step_coefficients(model, times[1] - times[0])
+    z = normal_block(seed, replicate, step_count, model.m)
+    dev = np.empty((step_count + 1, model.m))
+    dev[0] = 0.0
+    for k in range(step_count):
+        dev[k + 1] = dev[k] * decay + std * z[k]
+    return SamplePath(times, model.mean + dev)
+
+
+def rate_functional(path: SamplePath, model: OuModel) -> float:
+    """Discretized action of a path under the model's OU drift and volatilities.
+
+    The derivative is a forward difference on each interval and the drift
+    gamma (mu - g) is evaluated at the interval's trapezoid average of the two
+    endpoint states; for this affine drift that equals the trapezoid rule on
+    the drift itself, which keeps the quadrature second-order accurate.
+    Every rate oracle in the test suite reuses this exact discretization.
+    """
+    g = path.values
+    dt = path.step
+    diff = (g[1:] - g[:-1]) / dt
+    mid = 0.5 * (g[1:] + g[:-1])
+    resid = (diff - model.gamma * (model.mean - mid)) / model.vol
+    return float(0.5 * np.sum(resid**2) * dt)
+
+
+def xi_map(current: SamplePath, tau, theta0=None) -> SamplePath:
+    """Advance the thermal lag along a normalized current path; temperatures on its grid.
+
+    Parameters
+    ----------
+    current : SamplePath
+        Normalized line currents, values (n+1, L).
+    tau : scalar or array (L,)
+        Thermal time constants.
+    theta0 : scalar or array (L,), optional
+        Initial temperatures; defaults to the squared initial currents,
+        the stationary value for a system that sat at its start point.
+    """
+    u = current.values**2
+    n1, L = u.shape
+    q, c1, c2 = filter_coefficients(current.step, np.broadcast_to(np.asarray(tau, dtype=float), (L,)))
+    theta = np.empty((n1, L))
+    theta[0] = u[0] if theta0 is None else np.broadcast_to(np.asarray(theta0, dtype=float), (L,))
+    for k in range(n1 - 1):
+        theta[k + 1] = q * theta[k] + c1 * u[k] + c2 * u[k + 1]
+    return SamplePath(current.times, theta)
+
+
+def build_incidence(network: GridNetwork) -> np.ndarray:
+    """Oriented edge-vertex incidence matrix A.
+
+    Row ell has +1 at the line's tail i and -1 at its head j. For a
+    connected graph the kernel of A is spanned by the all-ones vector.
+    """
+    A = np.zeros((network.line_count, network.node_count))
+    for ell, (i, j) in enumerate(network.lines):
+        A[ell, i] = 1.0
+        A[ell, j] = -1.0
+    return A
 
 
 def constrained_quadratic_rate(ctx, line, a, n):
@@ -208,6 +306,100 @@ def certified_temperature_rate(mu, gamma, vol, tau, horizon, n):
     resid = ap * g + am * gprev - gamma * a
     value = 0.5 * scale * float(resid @ resid)
     return value, lam_star < lam_crit
+
+
+def functional_value(theta_path: SamplePath, problem: Exact1dProblem) -> float:
+    """Action of a temperature path, by quadrature of the defining integrand.
+
+    theta must be sampled on a uniform grid with at least three points; the
+    derivatives are second-order finite differences. Raises NegativeRadicand
+    when tau theta' + theta fails to stay positive, since the integrand takes
+    its square root.
+    """
+    if theta_path.step_count < 2:
+        raise ValueError("need at least three grid points")
+    theta = theta_path.values[:, 0]
+    dt = theta_path.step
+
+    def ddt(v):
+        out = np.empty_like(v)
+        out[1:-1] = (v[2:] - v[:-2]) / (2.0 * dt)
+        out[0] = (-3.0 * v[0] + 4.0 * v[1] - v[2]) / (2.0 * dt)
+        out[-1] = (3.0 * v[-1] - 4.0 * v[-2] + v[-3]) / (2.0 * dt)
+        return out
+
+    f = problem.tau * ddt(theta) + theta
+    if np.min(f) <= 0.0:
+        raise NegativeRadicand(
+            f"tau*theta' + theta reaches {np.min(f):.3g}; the current magnitude is undefined"
+        )
+    g = np.sqrt(f)
+    resid = (ddt(g) + problem.gamma * (g - problem.level)) / problem.vol
+    return float(0.5 * np.trapezoid(resid**2, dx=dt))
+
+
+def euler_residual(problem: Exact1dProblem, y, y_prime) -> np.ndarray:
+    """Residual of the stationarity system at states y = [theta, f, f', f''].
+
+    Accepts single states (shape (4,)) or stacked rows (n, 4); y_prime holds
+    the time derivatives [theta', f', f'', f''']. Component 1 checks the
+    definition f = tau theta' + theta, components 2 and 3 the chain
+    consistency of the derivatives, and component 4 the quartic stationarity
+    condition of the action, in the cubic form
+
+        4 gamma^2 f^3 + 2 tau f^2 f''' - 2 f^2 f'' + f (f')^2 - 4 tau f f' f''
+          + 2 tau (f')^3 - 2 gamma^2 mu f^{3/2} (2 f + tau f') = 0
+
+    whose final term vanishes only for mu = 0; dropping it would make the
+    constant path f = mu^2 spuriously non-stationary.
+    """
+    y = np.atleast_2d(np.asarray(y, dtype=float))
+    yp = np.atleast_2d(np.asarray(y_prime, dtype=float))
+    if y.shape != yp.shape or y.shape[-1] != 4:
+        raise ValueError("y and y_prime must both have four components")
+    f = y[:, 1]
+    if np.min(np.abs(f)) < 1e-12:
+        raise DegenerateF("f vanished; the stationarity condition divides by f")
+    tau, gam, mu = problem.tau, problem.gamma, problem.level
+    d1, d2 = y[:, 2], y[:, 3]
+    d3 = yp[:, 3]
+    r = np.empty_like(y)
+    r[:, 0] = y[:, 1] - tau * yp[:, 0] - y[:, 0]
+    r[:, 1] = yp[:, 1] - y[:, 2]
+    r[:, 2] = yp[:, 2] - y[:, 3]
+    r[:, 3] = (
+        4.0 * gam**2 * f**3
+        + 2.0 * tau * f**2 * d3
+        - 2.0 * f**2 * d2
+        + f * d1**2
+        - 4.0 * tau * f * d1 * d2
+        + 2.0 * tau * d1**3
+        - 2.0 * gam**2 * mu * f**1.5 * (2.0 * f + tau * d1)
+    )
+    return r[0] if r.shape[0] == 1 and np.asarray(y_prime).ndim == 1 else r
+
+
+def _initial_from_shot(problem: Exact1dProblem, x1: float, x2: float):
+    """Map (f'(0), f''(0)) to the reduced parameters (p0, E at horizon)."""
+    a = problem.level
+    p0 = x1 / (2.0 * a)
+    e0 = (x2 - 2.0 * p0**2) / (4.0 * a**2)
+    return p0, e0 * np.exp(problem.horizon / problem.tau)
+
+
+def shoot(problem: Exact1dProblem, x1: float, x2: float) -> ShotResult:
+    """Integrate the stationarity system from initial slopes (f'(0), f''(0)).
+
+    Raises DegenerateF when the squared-current variable collapses to zero
+    along the way and BlowUp when the trajectory escapes the bounding box.
+    """
+    p0, e_end = _initial_from_shot(problem, x1, x2)
+    sol = _integrate(problem, p0, e_end, dense_output=True)
+    if sol.status != 0:
+        if sol.t_events[0].size:  # the collapse event fired
+            raise DegenerateF("f collapsed to zero along the shot")
+        raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
+    return _shot_result(problem, sol, e_end)
 
 
 def ou_terminal_moments(model: OuModel):

@@ -16,7 +16,7 @@ import pytest
 from importlib import resources
 
 from conftest import random_context, random_network, single_line_context
-from oracles import constrained_quadratic_rate
+from oracles import build_incidence, constrained_quadratic_rate, rate_functional
 from gridcap import (
     AnalysisDefaults,
     Exact1dProblem,
@@ -25,7 +25,6 @@ from gridcap import (
     PsiContext,
     ZeroVarianceLine,
     apply_imax_rule,
-    build_incidence,
     build_laplacian,
     build_model,
     build_region,
@@ -39,7 +38,6 @@ from gridcap import (
     overload_indicators,
     parse_matpower,
     psi,
-    rate_functional,
     risk_partition,
     slice2d,
     taylor_decay_rate,

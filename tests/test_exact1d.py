@@ -11,18 +11,23 @@ import pytest
 import scipy.integrate
 
 from gridcap import exact1d
-from gridcap.errors import BlowUp, DegenerateF, NegativeRadicand, NoBoundaryHit
+from gridcap.errors import NoBoundaryHit
 from gridcap.exact1d import (
     Exact1dProblem,
     Exact1dResult,
     certified_rate,
-    euler_residual,
     exact_decay_rate,
+)
+from gridcap.injections import SamplePath, uniform_grid
+from oracles import (
+    BlowUp,
+    DegenerateF,
+    NegativeRadicand,
+    certified_temperature_rate,
+    euler_residual,
     functional_value,
     shoot,
 )
-from gridcap.injections import SamplePath, uniform_grid
-from oracles import certified_temperature_rate
 from test_cli import _subprocess_env
 
 # mu=0.5, gamma=0.5, l=1, T=1; rates certified against an independent
@@ -129,6 +134,12 @@ def test_problem_validation():
 def test_runaway_shot_raises():
     with pytest.raises(BlowUp):
         shoot(_problem(0.5), 5.0, 200.0)
+
+
+def test_collapsing_shot_raises():
+    # g' = x1 / (2 |mu|) = -5 drives g = sqrt(f) from 0.5 to 0 near t = 0.1
+    with pytest.raises(DegenerateF):
+        shoot(_problem(0.5), -5.0, 0.0)
 
 
 def test_degenerate_f_rejected_in_residual():
@@ -372,6 +383,14 @@ def test_certified_rate_matches_shot_on_reference_rows(counted_rows, tau):
 def test_certified_rate_matches_shot_at_large_lag_ratios(counted_large_lags, ratio):
     res, _, _ = counted_large_lags[ratio]
     assert np.isclose(certified_rate(_problem(1.0 / ratio)), res.shot.value, rtol=1e-8, atol=0.0)
+
+
+@pytest.mark.parametrize("mu", [1e-165, 1e-200, 5e-324])
+def test_underflowing_secular_slope_is_refused(mu):
+    # g and W g scale with |mu|, so the Newton slope underflows to 0; the
+    # step bisects the bracket instead of dividing by it, and no root is certified.
+    with pytest.raises(NoBoundaryHit, match="no certified optimum"):
+        exact_decay_rate(_problem(0.5, mu=mu))
 
 
 def test_certified_rate_refuses_an_uncertified_level():

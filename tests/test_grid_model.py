@@ -14,11 +14,10 @@ from gridcap.grid_model import (
     INVERSE_BLOCK,
     GridNetwork,
     build_flow_matrices,
-    build_incidence,
     build_laplacian,
     operating_point,
 )
-from oracles import reference_laplacian
+from oracles import build_incidence, reference_laplacian
 
 
 def _net(lines, n, beta=None, rating=None, tau=None):

@@ -8,10 +8,9 @@ from gridcap.injections import (
     OuModel,
     SamplePath,
     ou_step_coefficients,
-    rate_functional,
-    simulate_ou,
     uniform_grid,
 )
+from oracles import rate_functional, simulate_ou
 
 
 def _model(m=1, gamma=0.5, vol=1.0, mu=0.5, eps=0.1, T=1.0):

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_context, random_context, single_line_context, wheel_context
 from gridcap.errors import NonUniformGamma, ZeroVarianceLine
 from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
-from gridcap.injections import OuModel, SamplePath, rate_functional, uniform_grid
+from gridcap.injections import OuModel, SamplePath, uniform_grid
 from gridcap.ld_rates import (
     PsiContext,
     _m_diag_derivative,
@@ -23,7 +23,7 @@ from gridcap.ld_rates import (
     taylor_decay_rate,
     taylor_phi,
 )
-from oracles import constrained_quadratic_rate
+from oracles import constrained_quadratic_rate, rate_functional
 
 # Single line, mu=0.5, gamma=0.5, l=1, tau=0.6, T=1.
 SINGLE_IC = 0.1977470883586658

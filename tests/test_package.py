@@ -28,3 +28,29 @@ def test_package_reexports_only_listed_names():
             if hasattr(module, "__all__"):
                 unlisted += [f"{node.module}.{a.name}" for a in node.names if a.name not in module.__all__]
     assert unlisted == []
+
+
+PUBLIC_NAMES = [
+    "AnalysisDefaults", "BoundCollapse", "BuiltModel", "CapacityRegion", "DcFlowMatrices", "DecayFit",
+    "DecayRateReport", "EmptySlice", "Exact1dProblem", "Exact1dResult", "GraphError", "GridCapError",
+    "GridNetwork", "InfeasibleStart", "InsufficientHits", "LineRates", "MatpowerCaseSubset", "McConfig",
+    "McEstimate", "McIndicators", "NetworkDocument", "NoBoundaryHit", "NoStochasticLines", "NonPositiveTau",
+    "NonUniformGamma", "NonUniformTau", "OperatingPoint", "OuModel", "ParseError", "PsiContext", "REGION_KINDS",
+    "RankDeficiency", "RiskPartition", "RoleError", "SamplePath", "SchemaError", "ShotResult",
+    "SingularReducedLaplacian", "Slice2D", "ZeroBaseFlow", "ZeroVarianceLine", "alpha", "apply_imax_rule",
+    "build_flow_matrices", "build_laplacian", "build_model", "build_region", "certified_rate", "contains",
+    "current_decay_rate", "current_path", "decay_slope", "exact_decay_rate", "export_exact1d", "export_mc",
+    "export_partition", "export_region", "export_report", "export_slice", "filter_coefficients", "full_report",
+    "lb_decay_rate", "line_variances", "m_matrix", "net_injections", "noise_margins", "operating_point",
+    "optimal_paths", "ou_step_coefficients", "overload_indicators", "overload_probability",
+    "overload_threshold_equivalence", "parse_matpower", "parse_native", "psi", "resolve_auto_ratings",
+    "risk_partition", "serialize_native", "slice2d", "taylor_decay_rate", "uniform_grid", "wilson_interval",
+]
+
+
+def test_public_surface_is_pinned():
+    # adding or dropping a public name is a visible edit to PUBLIC_NAMES
+    tree = ast.parse(pathlib.Path(gridcap.__file__).read_text())
+    names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names]
+    assert sorted(names) == PUBLIC_NAMES
+    assert len(PUBLIC_NAMES) == 82

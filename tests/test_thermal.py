@@ -12,8 +12,8 @@ from gridcap.injections import SamplePath, uniform_grid
 from gridcap.thermal import (
     filter_coefficients,
     overload_threshold_equivalence,
-    xi_map,
 )
+from oracles import xi_map
 
 
 @pytest.mark.parametrize("dt,tau", [(0.1, 0.5), (0.01, 2.0), (0.5, 0.1)])

@@ -3,7 +3,7 @@
 Each (seed, replicate) pair owns an independent Philox stream, and draws
 inside a replicate are indexed by position (step, coordinate). Because a
 stream never depends on how work is scheduled, simulations are bit-identical
-across runs and across thread counts.
+across runs and across worker counts.
 
 `fill_normal_blocks` draws the blocks of consecutive replicates with one
 generator whose Philox key, counter and buffer are reset per replicate,

@@ -164,7 +164,7 @@ def cmd_exact1d(args) -> str:
 def cmd_mc(args) -> str:
     doc = parse_native(_read_input(args.input))
     eps_list = args.eps or [doc.defaults.setting("epsilon", flag="--eps")]  # --eps is never an empty list
-    config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed)
+    config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed, workers=args.threads)
     ctx = build_model(doc, epsilon=eps_list[0], horizon=args.horizon).ctx
     if len(eps_list) >= 2:
         # the fit runs one estimate per scale; report those rather than rerun them
@@ -211,7 +211,8 @@ def build_parser() -> argparse.ArgumentParser:
         "--threads",
         type=_positive_int,
         default=None,
-        help="reserved concurrency cap; results are identical for any value",
+        help="cap on the processes a Monte Carlo estimate is split over (default: the usable CPUs); "
+        "results are identical for any value",
     )
     sub = parser.add_subparsers(dest="command", required=True)
 

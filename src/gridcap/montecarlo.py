@@ -3,7 +3,15 @@
 Replicates are simulated with exact mean-reverting transitions, one
 counter-based random stream per replicate keyed by (seed, replicate). The
 estimate is therefore bit-identical for any chunk size and any number of
-worker threads: chunking only groups replicates for vectorized stepping.
+worker processes: chunking only groups replicates for vectorized stepping,
+and the workers only split the replicates into contiguous ranges. The
+range [0, N) is split over at most the usable CPUs, `McConfig.workers`
+and one range per NOISE_BLOCK_BYTES of noise, so a small run never forks.
+The first range runs in the calling process and each other one in a child
+made by os.fork(), which runs the same block loop and returns its
+indicators packed two bits per replicate through a pipe. Forked children
+share no interpreter lock with the caller, unlike threads, which gain
+nothing here because the per-replicate Philox fill holds it.
 
 A block of R replicates is handled in three steps. Its noise is drawn into
 one reused buffer and transposed into a second, (steps, m, R), where the
@@ -36,6 +44,8 @@ true under rounding too.
 """
 from __future__ import annotations
 
+import os
+import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,17 +77,19 @@ NOISE_BLOCK_BYTES = 16 * 2**20
 
 @dataclass(frozen=True)
 class McConfig:
-    """Replicate count, time grid, base seed, and vectorization chunk.
+    """Replicate count, time grid, base seed, vectorization chunk and worker cap.
 
     `chunk` caps the replicates stepped together in one block; blocks are
-    further capped so their noise stays within NOISE_BLOCK_BYTES. Results do
-    not depend on either cap.
+    further capped so their noise stays within NOISE_BLOCK_BYTES. `workers`
+    caps the processes an estimate is split over (None: the usable CPUs).
+    Results do not depend on any of the three caps.
     """
 
     replicates: int
     step_count: int
     seed: int
     chunk: int = 2048
+    workers: int | None = None
 
     def __post_init__(self):
         if self.replicates < 1:
@@ -87,6 +99,8 @@ class McConfig:
         check_key(self.seed, 0)
         if self.chunk < 1:
             raise ValueError("chunk must be at least 1")
+        if self.workers is not None and self.workers < 1:
+            raise ValueError("workers must be at least 1")
 
 
 @dataclass(frozen=True)
@@ -135,22 +149,136 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
     grid. A temperature overload is a current overload whose path also has
     sup_t max_ell Theta_ell >= threshold^2, with each line's temperature
     started at its initial squared current.
+
+    The replicates are split into `_worker_count` contiguous, balanced
+    ranges. The first runs here, each other one in a forked child that
+    sends back only its packed indicators. A child that fails or sends a
+    short payload has its range recomputed here, to the same bits, and no
+    child outlives the call.
     """
     if not threshold > 0:
         raise ValueError("threshold must be strictly positive")
+    n = config.replicates
+    workers = _worker_count(n, config.step_count, ctx.ou.m, config.workers, _usable_cpus())
+    bounds = [n * k // workers for k in range(workers + 1)]
+    ranges = list(zip(bounds[1:-1], bounds[2:]))  # the first range, [0, bounds[1]), runs here
+    cur_hits = np.empty(n, dtype=bool)
+    tmp_hits = np.empty(n, dtype=bool)
+    children = {}  # (start, stop) -> (pid, read end) of the child computing that range
+    try:
+        for start, stop in ranges:
+            child = _fork_range(ctx, config, threshold, start, stop)
+            if child is not None:
+                children[start, stop] = child
+        cur_hits[: bounds[1]], tmp_hits[: bounds[1]] = _indicator_range(ctx, config, threshold, 0, bounds[1])
+        sent = {(start, stop): _receive(fd, stop - start) for (start, stop), (_, fd) in children.items()}
+    except BaseException:  # stop every child before it is reaped
+        import signal  # here only, so importing gridcap loads nothing new
+
+        for pid, _ in children.values():
+            os.kill(pid, signal.SIGKILL)
+        raise
+    finally:
+        for _, fd in children.values():
+            os.close(fd)
+        exits = {key: os.waitpid(pid, 0)[1] for key, (pid, _) in children.items()}
+    for start, stop in ranges:
+        bits = sent.get((start, stop))
+        if bits is None or exits[start, stop]:  # no child returned this range whole
+            bits = _indicator_range(ctx, config, threshold, start, stop)
+        cur_hits[start:stop], tmp_hits[start:stop] = bits
+    return McIndicators(current=cur_hits, temperature=tmp_hits, threshold=float(threshold))
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on; 1 where it cannot fork."""
+    if not hasattr(os, "fork"):
+        return 1
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _worker_count(replicates: int, step_count: int, m: int, cap, cpus: int) -> int:
+    """Processes to split an estimate over.
+
+    At most `cpus`, at most `cap` (None: no cap) and at most the
+    replicates, and few enough that each draws at least NOISE_BLOCK_BYTES
+    of noise, so a small run stays in the calling process.
+    """
+    blocks = -(-replicates * step_count * m * 8 // NOISE_BLOCK_BYTES)
+    return max(1, min(cpus, cpus if cap is None else cap, blocks, replicates))
+
+
+def _fork_range(ctx, config, threshold, start, stop):
+    """Fork a child that computes replicates [start, stop) and sends them through a pipe.
+
+    Returns (pid, read end), or None if no pipe or child could be made. The
+    child leaves by os._exit, so it flushes none of the stdio it inherited.
+    Its small matmuls are safe although BLAS may run threads here: OpenBLAS
+    stops its pool before a fork. Python >= 3.12 warns on a fork in a
+    threaded process all the same, which is silenced.
+    """
+    try:
+        read_fd, write_fd = os.pipe()
+    except OSError:
+        return None
+    try:
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", DeprecationWarning)
+            pid = os.fork()
+    except OSError:
+        os.close(read_fd)
+        os.close(write_fd)
+        return None
+    if pid == 0:
+        code = 1
+        try:
+            os.close(read_fd)
+            _send(write_fd, *_indicator_range(ctx, config, threshold, start, stop))
+            code = 0
+        finally:
+            os._exit(code)
+    os.close(write_fd)  # before the next fork, so only this child holds it
+    return pid, read_fd
+
+
+def _send(fd, current, temperature):
+    """Write a range's indicators to `fd`, packed two bits per replicate."""
+    payload = memoryview(np.packbits(np.concatenate([current, temperature])))
+    while payload:
+        payload = payload[os.write(fd, payload) :]
+
+
+def _receive(fd, count):
+    """Read what `_send` wrote for `count` replicates: (current, temperature), or None if short."""
+    size = -(-2 * count // 8)
+    chunks = []
+    while size:
+        chunk = os.read(fd, size)
+        if not chunk:
+            return None
+        chunks.append(chunk)
+        size -= len(chunk)
+    bits = np.unpackbits(np.frombuffer(b"".join(chunks), dtype=np.uint8), count=2 * count).view(bool)
+    return bits[:count], bits[count:]
+
+
+def _indicator_range(ctx: PsiContext, config: McConfig, threshold: float, start: int, stop: int):
+    """Current and temperature indicators of replicates [start, stop), in blocks."""
     n, m = config.step_count, ctx.ou.m
     mu, decay, std, C, y, q, c1, c2 = _coefficients(ctx, n)
     th2 = threshold * threshold
-    rows = max(1, min(config.chunk, config.replicates, NOISE_BLOCK_BYTES // (8 * n * m)))
+    rows = max(1, min(config.chunk, stop - start, NOISE_BLOCK_BYTES // (8 * n * m)))
     noise = np.empty(rows * n * m)
     paths = np.empty(rows * n * m)
 
-    cur_hits = np.zeros(config.replicates, dtype=bool)
-    tmp_hits = np.zeros(config.replicates, dtype=bool)
+    cur_hits = np.zeros(stop - start, dtype=bool)
+    tmp_hits = np.zeros(stop - start, dtype=bool)
     with np.errstate(over="ignore", invalid="ignore"):
-        for start in range(0, config.replicates, rows):
-            R = min(rows, config.replicates - start)
-            z = fill_normal_blocks(config.seed, start, noise[: R * n * m].reshape(R, n, m))
+        for first in range(start, stop, rows):
+            R = min(rows, stop - first)
+            z = fill_normal_blocks(config.seed, first, noise[: R * n * m].reshape(R, n, m))
             x = paths[: R * n * m].reshape(n, m, R)
             np.copyto(x, z.transpose(1, 2, 0))
             _ou_paths(x, mu, decay, std)
@@ -165,9 +293,9 @@ def overload_indicators(ctx: PsiContext, config: McConfig, threshold: float = 1.
                 x if cand.size == R else np.take(x, cand, axis=2), mu, *(c[lines] for c in (C, y, q, c1, c2))
             )
             cur_hit = cur >= th2
-            cur_hits[start + cand] = cur_hit
-            tmp_hits[start + cand] = cur_hit & (tmp >= th2)
-    return McIndicators(current=cur_hits, temperature=tmp_hits, threshold=float(threshold))
+            cur_hits[first - start + cand] = cur_hit
+            tmp_hits[first - start + cand] = cur_hit & (tmp >= th2)
+    return cur_hits, tmp_hits
 
 
 def _coefficients(ctx: PsiContext, step_count: int):
@@ -363,8 +491,8 @@ def decay_slope(
     any estimate records zero hits.
     """
     eps = [float(e) for e in epsilons]
-    if len(eps) < 2:
-        raise ValueError("need at least two noise scales to fit a slope")
+    if len(set(eps)) < 2:
+        raise ValueError("need at least two distinct noise scales to fit a slope")
     if any(e <= 0 for e in eps):
         raise ValueError("noise scales must be strictly positive")
     estimates = []

@@ -3,7 +3,10 @@
 Times `overload_indicators` at 20,000 replicates x 200 steps, where few
 replicates and lines reach the limit (epsilon 4e-4) and where nearly every
 replicate does (epsilon 4e-2), and the Philox fill of the same block of
-noise on its own. The file name does not start with ``test_``, so the
+noise on its own. Each estimate is timed in the calling process alone
+(workers=1) and split over the usable CPUs (the default, which forks one
+child per further CPU up to four), so the pair shows the speed-up of the
+split on the machine at hand. The file name does not start with ``test_``, so the
 default test run does not collect it. Run it with::
 
     pytest tests/bench_montecarlo.py --benchmark-only
@@ -32,10 +35,11 @@ def case14():
     return build_model(doc).ctx
 
 
+@pytest.mark.parametrize("workers", [1, None], ids=["workers=1", "workers=default"])
 @pytest.mark.parametrize("epsilon", [4e-4, 4e-2])
-def test_overload_indicators(benchmark, case14, epsilon):
+def test_overload_indicators(benchmark, case14, epsilon, workers):
     ctx = PsiContext(case14.flow, case14.op, replace(case14.ou, noise_scale=epsilon))
-    ind = benchmark(overload_indicators, ctx, CONFIG)
+    ind = benchmark(overload_indicators, ctx, replace(CONFIG, workers=workers))
     assert ind.current[ind.temperature].all()
 
 

@@ -9,6 +9,7 @@ messages document the measured values; they must not be loosened.
 """
 
 import dataclasses
+import json
 import time
 
 import numpy as np
@@ -415,4 +416,21 @@ def test_criterion_8_thread_flag_leaves_output_unchanged(capsys):
     narrow = capsys.readouterr().out
     assert main(["--threads", "8", *args]) == 0
     wide = capsys.readouterr().out
+    assert narrow == wide
+
+
+def test_thread_flag_leaves_output_unchanged_at_a_size_that_forks(capsys, monkeypatch, tmp_path):
+    doc = tmp_path / "case14.json"
+    convert = ("convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3", "--controllable", "6,9",
+               "--gamma", "1", "--vol", "10", "--tau", "0.5", "--zero-flow-rating", "1", "--epsilon", "0.0004",
+               "--p", "0.0001", "--horizon", "1", "--tau0", "0.5", "--output", str(doc))
+    assert main(list(convert)) == 0
+    # 20,000 x 200 steps is four noise blocks: the default run splits it over two processes on any machine
+    monkeypatch.setattr("gridcap.montecarlo._usable_cpus", lambda: 2)
+    args = ("mc", str(doc), "--n", "20000", "--steps", "200", "--seed", "5")
+    assert main(["--threads", "1", *args]) == 0
+    narrow = capsys.readouterr().out
+    assert main(list(args)) == 0
+    wide = capsys.readouterr().out
+    assert json.loads(wide)["estimates"][0]["hits"] > 0
     assert narrow == wide

@@ -376,6 +376,13 @@ def test_mc_fit_reports_the_single_scale_estimates(capsys):
     assert json.loads(pair)["estimates"] == singles
 
 
+def test_mc_fit_refuses_one_distinct_noise_scale(capsys):
+    code, out, err = run(capsys, "mc", "builtin:wheel3", "--eps", "0.5,0.5", "--n", "2000", "--steps", "50")
+    assert code == 2
+    assert out == ""
+    assert err == "error: need at least two distinct noise scales to fit a slope\n"
+
+
 def test_mc_csv_format(capsys):
     code, out, _ = run(
         capsys,

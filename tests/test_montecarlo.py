@@ -1,5 +1,7 @@
 """Coupled overload simulation: determinism, coupling, intervals, slope fits."""
 
+import os
+import time
 import tracemalloc
 from importlib import resources
 
@@ -13,12 +15,15 @@ from gridcap.grid_model import GridNetwork
 from gridcap.injections import SamplePath
 from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower
 from gridcap.montecarlo import (
+    NOISE_BLOCK_BYTES,
     McConfig,
     Z_95,
     _coefficients,
     _may_reach,
     _ou_paths,
     _peaks,
+    _usable_cpus,
+    _worker_count,
     decay_slope,
     overload_indicators,
     overload_probability,
@@ -535,3 +540,122 @@ def test_reach_mask_memory_budget():
         tracemalloc.stop()
     assert reach.tobytes() == (~(reach_bound(x, mu, C, y, 1.0, 1.0) < 1.0)).tobytes()
     assert peak < 3 * C.shape[0] * replicates * 8
+
+
+def test_decay_slope_refuses_one_distinct_noise_scale():
+    # a line through repeated abscissae is no fit: polyfit warned and returned a meaningless slope
+    with pytest.raises(ValueError, match="two distinct noise scales"):
+        decay_slope(wheel_context(), McConfig(200, 20, 0), (0.5, 0.5))
+
+
+def test_config_refuses_a_worker_cap_below_one():
+    with pytest.raises(ValueError, match="workers"):
+        McConfig(10, 10, 0, workers=0)
+    assert McConfig(10, 10, 0, workers=1).workers == 1
+
+
+def _assert_no_children():
+    with pytest.raises(ChildProcessError):
+        os.waitpid(-1, os.WNOHANG)
+
+
+def _count_forks(monkeypatch):
+    """Record the pid of every child forked from here on."""
+    forks, fork = [], os.fork
+
+    def counting_fork():
+        pid = fork()
+        if pid:
+            forks.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", counting_fork)
+    return forks
+
+
+def _split_setup(monkeypatch, cpus=3):
+    """A small wheel run that forks: blocks of 3 replicates, `cpus` usable CPUs."""
+    ctx = wheel_context(epsilon=0.6)
+    config = McConfig(300, 40, 2)
+    base = overload_indicators(ctx, config)
+    assert base.current.sum() > 0
+    monkeypatch.setattr("gridcap.montecarlo.NOISE_BLOCK_BYTES", 3 * 40 * 2 * 8)
+    monkeypatch.setattr("gridcap.montecarlo._usable_cpus", lambda: cpus)
+    return ctx, config, base
+
+
+@pytest.mark.parametrize("chunk", [13, 2048])
+@pytest.mark.parametrize("workers", [1, 2, 3])
+def test_split_over_processes_keeps_bits(monkeypatch, workers, chunk):
+    ctx, config, base = _split_setup(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    ind = overload_indicators(ctx, McConfig(300, 40, 2, chunk=chunk, workers=workers))
+    assert len(forks) == workers - 1
+    _assert_no_children()
+    assert np.array_equal(base.current, ind.current)
+    assert np.array_equal(base.temperature, ind.temperature)
+
+
+@pytest.mark.parametrize(
+    "send",
+    [lambda fd, current, temperature: os._exit(1), lambda fd, current, temperature: os.write(fd, b"\0")],
+    ids=["exit-1", "short-payload"],
+)
+def test_failed_child_range_is_recomputed(monkeypatch, send):
+    ctx, config, base = _split_setup(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    monkeypatch.setattr("gridcap.montecarlo._send", send)
+    ind = overload_indicators(ctx, config)
+    assert len(forks) == 2
+    _assert_no_children()
+    assert np.array_equal(base.current, ind.current)
+    assert np.array_equal(base.temperature, ind.temperature)
+
+
+def test_range_without_a_child_is_computed_here(monkeypatch):
+    ctx, config, base = _split_setup(monkeypatch)
+
+    def no_fork():
+        raise BlockingIOError("fork refused")
+
+    monkeypatch.setattr(os, "fork", no_fork)
+    ind = overload_indicators(ctx, config)
+    _assert_no_children()
+    assert np.array_equal(base.current, ind.current)
+    assert np.array_equal(base.temperature, ind.temperature)
+
+
+def test_children_are_killed_and_reaped_when_the_caller_raises(monkeypatch):
+    ctx, config, _ = _split_setup(monkeypatch)
+    forks = _count_forks(monkeypatch)
+    parent = os.getpid()
+
+    def range_or_interrupt(*args):
+        if os.getpid() == parent:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a child still busy when the caller raises
+
+    monkeypatch.setattr("gridcap.montecarlo._indicator_range", range_or_interrupt)
+    started = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        overload_indicators(ctx, config)
+    assert time.monotonic() - started < 30
+    assert len(forks) == 2
+    _assert_no_children()
+
+
+def test_worker_count():
+    # converted case14, 20,000 x 200 x 2 nodes: four noise blocks' worth
+    assert _worker_count(20_000, 200, 2, None, 2) == 2
+    assert _worker_count(20_000, 200, 2, None, 64) == 4
+    assert _worker_count(20_000, 200, 2, 1, 2) == 1
+    assert _worker_count(20_000, 200, 2, 3, 64) == 3
+    assert _worker_count(20_000, 200, 2, 10**6, 2) == 2  # never more than the usable CPUs
+    # criterion 8's run holds under one noise block, so it never forks
+    assert _worker_count(1_500, 60, 3, 8, 2) == 1
+    one_block = NOISE_BLOCK_BYTES // (200 * 2 * 8)
+    assert _worker_count(one_block, 200, 2, None, 64) == 1
+    assert _worker_count(one_block + 1, 200, 2, None, 64) == 2
+    assert _worker_count(3, 10**7, 2, None, 64) == 3  # never more than the replicates
+    assert _worker_count(1, 1, 1, None, 1) == 1
+    assert 1 <= _usable_cpus() <= os.cpu_count()

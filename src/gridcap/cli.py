@@ -8,8 +8,10 @@ Subcommands::
     gridcap mc INPUT               Monte Carlo overload probabilities
     gridcap convert INPUT          MATPOWER case -> native network document
 
-INPUT is a file path or ``builtin:NAME`` for a bundled network
-(``builtin:single-line``, ``builtin:wheel3``, ``builtin:case14``).
+INPUT is a file path or ``builtin:NAME`` for a bundled network:
+``builtin:single-line`` and ``builtin:wheel3`` are native network documents
+for ``rates``, ``region`` and ``mc``; ``builtin:case14`` is a MATPOWER case
+for ``convert``.
 
 Exit codes are defined in ``errors.py``: 0 success; 2 invalid input or
 parameters, an unreadable input file or an unwritable --output path;
@@ -54,11 +56,18 @@ BUILTINS = {
 }
 
 
-def _read_input(spec: str) -> str:
+def _read_input(spec: str, matpower: bool = False) -> str:
+    """The text of a file or bundled network; `matpower` says which kind the command reads."""
     if spec.startswith("builtin:"):
         name = spec[len("builtin:") :]
         if name not in BUILTINS:
             raise ValueError(f"unknown builtin {name!r}; available: {', '.join(sorted(BUILTINS))}")
+        if BUILTINS[name].endswith(".m") != matpower:
+            if matpower:
+                raise ValueError(f"{spec} is a native network document, not a MATPOWER case; "
+                                 "pass it to rates, region or mc directly")
+            raise ValueError(f"{spec} is a MATPOWER case; make a native document from it with "
+                             f"'gridcap convert {spec}' first")
         return resources.files("gridcap").joinpath("data", BUILTINS[name]).read_text()
     with open(spec) as handle:
         return handle.read()
@@ -177,7 +186,7 @@ def cmd_mc(args) -> str:
 
 
 def cmd_convert(args) -> str:
-    case = parse_matpower(_read_input(args.input))
+    case = parse_matpower(_read_input(args.input, matpower=True))
     for warning in case.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     defaults = AnalysisDefaults(epsilon=args.epsilon, p=args.p, horizon=args.horizon, tau0=args.tau0)

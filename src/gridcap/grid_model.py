@@ -33,16 +33,23 @@ for such a matrix (Demmel, Higham & Schreiber, 1995). The work is about
 4/3 N^3 flops, all in matrix products, against about 8/3 N^3 for LAPACK's
 gesv solve against the identity. Blocks of at most INVERSE_BLOCK rows go to
 `np.linalg.inv`, so a network with at most that many non-slack nodes gets
-the same bits as a plain `np.linalg.inv(Bhat)`. SciPy's Cholesky inverse
-would halve the flops again, but importing `scipy.linalg` takes ~0.2 s,
-which every command that assembles a network would pay at start-up.
+the same bits as a plain `np.linalg.inv(Bhat)`. Above that, each level
+multiplies only the rows and columns where Bhat couples its two halves
+(skipping the zero coupling is the idea behind nested dissection; George,
+SIAM J. Numer. Anal. 10(2), 1973). SciPy's Cholesky inverse would halve the
+flops again, and its sparse LU would skip more zeros, but importing
+`scipy.linalg` takes ~0.2 s and `scipy.sparse.linalg` ~0.15 s, which every
+command that assembles a network would pay at start-up.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
 ||Bhat^-1||_1, within a factor N of sigma_max/sigma_min, is not finite or
-reaches 1/RANK_RTOL. rank(C) = m is checked. rank(B) = rank(Cbar) = N are
-theorems for a connected graph with positive susceptances (the range of Bg
-meets the kernel of A only at 0); `test_rank_chain_random_networks` checks them.
+reaches 1/RANK_RTOL. A non-finite row of Cbar is refused. rank(C) = m is
+certified from eigvalsh(C^T C) where its rounding leaves no doubt, and
+otherwise checked by SVD at cutoff RANK_RTOL (`_gram_certifies_rank`).
+rank(B) = rank(Cbar) = N are theorems for a connected graph with positive
+susceptances (the range of Bg meets the kernel of A only at 0);
+`test_rank_chain_random_networks` checks them.
 """
 from __future__ import annotations
 
@@ -72,6 +79,10 @@ RANK_RTOL = 1e-9
 
 #: Largest block `_spd_inverse` hands to `np.linalg.inv` whole.
 INVERSE_BLOCK = 128
+
+#: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
+#: eigenvalue must clear to certify rank(C) = m without an SVD.
+GRAM_MARGIN = 1e3
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -175,6 +186,13 @@ def _spd_inverse(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
     A and S are inverted the same way down to INVERSE_BLOCK rows, and every
     block is written into `out` (allocated when not given).
+
+    A Laplacian's coupling block B is mostly zero. With c its nonzero
+    columns and r its nonzero rows, the products run on those alone:
+    A^-1 B = A^-1[:, r] B[r, c] in columns c and zero elsewhere, so only
+    S[c, c] is updated, X = (A^-1 B)[:, c] S^-1[c] and A^-1 gains
+    X[:, c] (A^-1 B)[:, c]^T. The terms left out are exact zeros; the sums
+    keep their other terms but may round in another order.
     """
     n = len(M)
     if out is None:
@@ -185,18 +203,53 @@ def _spd_inverse(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     k = n // 2
     B = M[:k, k:]
     Ai = _spd_inverse(M[:k, :k], out[:k, :k])
-    AiB = Ai @ B
-    S = B.T @ AiB
-    np.subtract(M[k:, k:], S, out=S)
+    rows = np.flatnonzero(B.any(axis=1))
+    cols = np.flatnonzero(B.any(axis=0))
+    Brc = B[np.ix_(rows, cols)]
+    AiB = Ai[:, rows] @ Brc
+    S = M[k:, k:].copy()
+    S[np.ix_(cols, cols)] -= Brc.T @ AiB[rows]
     Si = _spd_inverse(S, out[k:, k:])
     del S
     X = out[:k, k:]
-    np.matmul(AiB, Si, out=X)
-    Ai += X @ AiB.T
+    np.matmul(AiB, Si[cols], out=X)
+    Ai += X[:, cols] @ AiB.T
     del AiB
     np.negative(X, out=X)
     out[k:, :k] = X.T
     return out
+
+
+def _gram_certifies_rank(C: np.ndarray) -> bool:
+    """Whether eigvalsh(C^T C) proves that the SVD test finds rank(C) = m.
+
+    With u = 2^-53, each entry of the computed G = fl(C^T C) is a dot
+    product of length L, wrong by at most L u (|C|^T |C|) in any summation
+    order, and || |C|^T |C| ||_2 <= ||C||_F^2 = tr(G). eigvalsh is backward
+    stable, exact for G plus a perturbation of norm p(m) u ||G||_2 with p(m)
+    a modest multiple of m, which GRAM_MARGIN absorbs. By Weyl's inequality
+    every computed eigenvalue is then within (L + m) u tr(G) of the true
+    sigma_i^2, to first order. The certificate
+    lambda_min > GRAM_MARGIN (L + m) eps tr(G) (eps = 2u) so leaves
+    sigma_min^2 > (2 GRAM_MARGIN - 1) (L + m) u tr(G) >= 4e-13 sigma_max^2,
+    and sigma_min / sigma_max > 6e-7 even at L = m = 1: orders of magnitude
+    above RANK_RTOL and the SVD's own rounding, so the SVD test would find
+    full rank. Gradual underflow adds to each product and sum an absolute
+    error of at most eps tiny / 2 (tiny = 2^-1022, the least normal number),
+    at most L m eps tiny in norm over G; the certificate asks
+    floor >= L m tiny, so that error stays below eps floor, which the margin
+    absorbs. Anything else, a non-finite G, a smaller floor (C scaled far
+    down) or a NaN included, returns False and the caller runs the SVD test
+    itself, which is scale-invariant: RankDeficiency is raised on exactly
+    the inputs it would be without this shortcut.
+    """
+    L, m = C.shape
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G or floor certifies nothing
+        G = C.T @ C
+        floor = GRAM_MARGIN * (L + m) * np.finfo(float).eps * np.trace(G)
+    if not (np.isfinite(G).all() and floor >= L * m * np.finfo(float).tiny):
+        return False
+    return bool(np.linalg.eigvalsh(G)[0] > floor)
 
 
 @dataclass(frozen=True)
@@ -259,8 +312,10 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         finite or reaches 1/RANK_RTOL (module docstring); susceptance ratios
         near 1e10 do this.
     RankDeficiency
-        If rank(C) != m at relative singular-value cutoff RANK_RTOL. rank(B)
-        and rank(Cbar) are theorems here and are not re-checked.
+        If a row of Cbar is not finite (a subnormal rating overflows it),
+        naming the first such line, or if rank(C) != m at relative
+        singular-value cutoff RANK_RTOL. rank(B) and rank(Cbar) are theorems
+        here and are not re-checked.
     """
     n = network.node_count
     if not (1 <= m <= n - 1):
@@ -288,14 +343,25 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     for row, (i, j) in zip(Cbar[:, 1:], network.lines):
         np.subtract(Bhat_inv[i - 1] if i else 0.0, Bhat_inv[j - 1], out=row)
     del Bhat_inv
-    Cbar *= network.susceptance[:, None]  # Ct
-    Cbar /= network.current_rating[:, None]
+    try:
+        # Bhat^-1 is finite once kappa_1 is, so only an overflow (a subnormal
+        # rating) can make Cbar non-finite; NumPy raises after the whole product
+        with np.errstate(over="raise", invalid="raise"):
+            Cbar *= network.susceptance[:, None]  # Ct
+            Cbar /= network.current_rating[:, None]
+    except FloatingPointError:
+        ell = int(np.flatnonzero(~np.isfinite(Cbar).all(axis=1))[0])
+        raise RankDeficiency(
+            f"line {ell} has non-finite normalized currents "
+            f"(current rating {network.current_rating[ell]:.6g} is too small)"
+        ) from None
     Cbar.setflags(write=False)
 
     C = Cbar[:, 1 : m + 1]
-    s = np.linalg.svd(C, compute_uv=False)
-    if np.sum(s > RANK_RTOL * s[0]) != m:
-        raise RankDeficiency("stochastic block C does not have full column rank")
+    if not _gram_certifies_rank(C):
+        s = np.linalg.svd(C, compute_uv=False)
+        if np.sum(s > RANK_RTOL * s[0]) != m:
+            raise RankDeficiency("stochastic block C does not have full column rank")
 
     return DcFlowMatrices(
         network=network,

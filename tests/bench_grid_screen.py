@@ -1,9 +1,10 @@
-"""Layer micro-benchmarks on a seeded 1,000-bus ring-with-chords grid.
+"""Layer micro-benchmarks on seeded ring-with-chords grids.
 
 Times the three layers a grid screen spends most of its time in: the
-transfer assembly, the JSON report export and the document parser. The file
-name does not start with ``test_``, so the default test run does not collect
-it. Run it with::
+transfer assembly (at 1,000 and 3,000 buses, and on a densely coupled
+1,000-bus grid), and the JSON report export and the document parser (at
+1,000 buses). The file name does not start with ``test_``, so the default
+test run does not collect it. Run it with::
 
     pytest tests/bench_grid_screen.py --benchmark-only
 """
@@ -28,15 +29,15 @@ from gridcap.ld_rates import full_report
 BUSES = 1000
 
 
-def ring_with_chords(seed: int, n: int) -> NetworkDocument:
-    """Ring 1-2-...-n-1 plus n/2 random chords; bus 1 is the slack, n/10 buses are stochastic.
+def ring_with_chords(seed: int, n: int, chords: int = None) -> NetworkDocument:
+    """Ring 1-2-...-n-1 plus `chords` (default n/2) random chords; bus 1 is the slack, n/10 buses are stochastic.
 
     Ratings are 1.5 times the base flow, so every line starts at 2/3 of its rating.
     """
     rng = np.random.default_rng(seed)
     pairs = [(k, k + 1) for k in range(1, n)] + [(1, n)]
     seen = set(pairs)
-    while len(pairs) < n + n // 2:
+    while len(pairs) < n + (n // 2 if chords is None else chords):
         a, b = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
         if a != b and (a, b) not in seen:
             seen.add((a, b))
@@ -65,10 +66,20 @@ def grid():
     return doc, bm, full_report(bm.ctx)
 
 
-def test_build_flow_matrices(benchmark, grid):
-    _, bm, _ = grid
-    flow = benchmark(build_flow_matrices, bm.network, bm.flow.m)
-    assert flow.transfer.shape == (bm.network.line_count, BUSES)
+@pytest.mark.parametrize(
+    "buses, chords",
+    [(BUSES, None), (3 * BUSES, None), (BUSES, 5 * BUSES)],
+    ids=["1000", "3000", "dense-1000"],
+)
+def test_build_flow_matrices(benchmark, buses, chords):
+    # the 1,000- and 3,000-bus rings couple the halves of each inverse level
+    # through about half of their columns; the 5,000 extra chords of
+    # "dense-1000" touch nearly all of them, so the gathered products there
+    # run on whole blocks
+    network = build_model(ring_with_chords(seed=0, n=buses, chords=chords)).network
+    m = buses // 10
+    flow = benchmark(build_flow_matrices, network, m)
+    assert flow.transfer.shape == (network.line_count, buses)
 
 
 def test_export_report(benchmark, grid):

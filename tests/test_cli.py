@@ -659,6 +659,38 @@ def test_unknown_builtin(capsys):
     assert "unknown builtin" in err
 
 
+@pytest.mark.parametrize("argv", [["rates"], ["region", "--kind", "current"], ["mc"]])
+def test_matpower_builtin_asks_for_convert(capsys, argv):
+    code, out, err = run(capsys, argv[0], "builtin:case14", *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+    assert "builtin:case14 is a MATPOWER case" in err and "gridcap convert builtin:case14" in err
+
+
+@pytest.mark.parametrize("name", ["single-line", "wheel3"])
+def test_convert_refuses_native_builtins(capsys, name):
+    code, out, err = run(capsys, "convert", f"builtin:{name}", "--K", "1.5", "--stochastic", "2")
+    assert code == 2
+    assert out == ""
+    assert _single_error_line(err)
+    assert f"builtin:{name} is a native network document, not a MATPOWER case" in err
+
+
+def test_subnormal_rating_exits_numeric_without_warnings(tmp_path):
+    # the rating 1e-320 overflows its line's normalized currents to inf
+    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
+    doc["lines"][0]["rating"] = 1e-320
+    path = tmp_path / "subnormal.json"
+    path.write_text(json.dumps(doc))
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", "rates", str(path)],
+                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 4
+    assert proc.stdout == ""
+    assert _single_error_line(proc.stderr)
+    assert "line 0 has non-finite normalized currents" in proc.stderr
+
+
 def test_missing_file(capsys):
     code, _, err = run(capsys, "rates", "/no/such/file.json")
     assert code == 2

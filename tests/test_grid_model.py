@@ -9,10 +9,11 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_network, wheel_context
-from gridcap.errors import GraphError, InfeasibleStart, SingularReducedLaplacian
+from gridcap.errors import GraphError, InfeasibleStart, RankDeficiency, SingularReducedLaplacian
 from gridcap.grid_model import (
     INVERSE_BLOCK,
     GridNetwork,
+    _gram_certifies_rank,
     build_flow_matrices,
     build_laplacian,
     operating_point,
@@ -31,11 +32,11 @@ def _net(lines, n, beta=None, rating=None, tau=None):
     )
 
 
-def _ring_with_chords(n, seed, beta=(1.0, 5.0)):
-    """Ring 0-1-...-(n-1)-0 plus n // 2 random chords, susceptances U(beta), ratings U(0.5, 2)."""
+def _ring_with_chords(n, seed, beta=(1.0, 5.0), chords=None):
+    """Ring 0-1-...-(n-1)-0 plus `chords` (default n // 2) random chords, susceptances U(beta), ratings U(0.5, 2)."""
     rng = np.random.default_rng(seed)
     lines = {(k, k + 1) for k in range(n - 1)} | {(0, n - 1)}
-    while len(lines) < n + n // 2:
+    while len(lines) < n + (n // 2 if chords is None else chords):
         i, j = sorted(int(v) for v in rng.choice(n, 2, replace=False))
         lines.add((i, j))
     L = len(lines)
@@ -167,6 +168,48 @@ def test_flow_matrices_decomposition_budget(monkeypatch):
         assert all(shape == (net.line_count, m) for shape in shapes)
 
 
+def test_gram_certificate_replaces_the_rank_svd(monkeypatch):
+    # eigvalsh(C^T C) certifies rank(C) = m on well-conditioned networks, so
+    # no SVD runs; a doubtful certificate falls back to the SVD test, which
+    # still refuses wheel3 with one rating of 1e-12 (sigma ratio ~1e-12).
+    original = np.linalg.svd
+    calls = []
+
+    def counting(a, *args, **kwargs):
+        calls.append(np.shape(a))
+        return original(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    rng = np.random.default_rng(22)
+    nets = [random_network(rng, max_nodes=12, max_extra=8) for _ in range(40)] + [_ring_with_chords(1000, 11)]
+    for net in nets:
+        build_flow_matrices(net, int(rng.integers(1, min(net.node_count, 101))))
+    assert calls == []
+    wheel = _net([(0, 1), (0, 2), (1, 2)], 3, rating=[1e-12, 1.0, 1.0])
+    with pytest.raises(RankDeficiency, match="full column rank"):
+        build_flow_matrices(wheel, 2)
+    assert calls == [(3, 2)]
+    # scaled far up, the ratings push C^T C towards or below the least normal
+    # number; the SVD test is scale-invariant, so the verdicts stay
+    for scale in (1e150, 1e156, 1e160):
+        with pytest.raises(RankDeficiency, match="full column rank"):
+            build_flow_matrices(_net(wheel.lines, 3, rating=wheel.current_rating * scale), 2)
+        build_flow_matrices(_net(wheel.lines, 3, rating=[scale] * 3), 2)
+    # a nearly rank-1 C (sigma ratio ~1e-13) whose Gram entries are
+    # subnormal: its rounding can leave lambda_min a few ulps above zero
+    C = np.array([[-48.0, -24.0 + 1e-11], [24.0, 12.0], [-24.0, -12.0]]) * 1e-162
+    assert not _gram_certifies_rank(C)
+
+
+def test_overflowing_rating_names_its_line_without_warnings():
+    # a subnormal rating overflows its row of Cbar; the Gram certificate never sees it
+    net = _net([(0, 1), (0, 2), (1, 2)], 3, rating=[1.0, 1e-320, 1.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(RankDeficiency, match="line 1 has non-finite normalized currents"):
+            build_flow_matrices(net, 2)
+
+
 @pytest.mark.parametrize("ratio, singular", [(1e10, True), (1e6, False)])
 def test_ill_conditioned_reduced_laplacian(ratio, singular):
     # On the path 0-1-2 the 1-norm condition number of Bhat is about the
@@ -203,12 +246,42 @@ def test_degenerate_blocked_inverse_refused_without_warnings():
             build_flow_matrices(net, 1)
 
 
-@pytest.mark.parametrize("n", [INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 300, 1000])
-def test_blocked_inverse_matches_dense_inverse_and_angle_solve(n):
-    net = _ring_with_chords(n, n)
+def _coupled_network(n, shape):
+    """An n-node network whose Bhat couples its halves as `shape` says.
+
+    "ring" is `_ring_with_chords(n, n)`. "star" joins every node to the slack
+    alone, so Bhat is diagonal and no coupling block has a nonzero.
+    "few-chords" is a ring with n // 50 chords: a few columns of each block.
+    "near-complete" keeps each pair with probability 0.9: nearly all columns.
+    """
+    if shape == "ring":
+        return _ring_with_chords(n, n)
+    if shape == "few-chords":
+        return _ring_with_chords(n, n, chords=n // 50)
+    rng = np.random.default_rng(n)
+    if shape == "star":
+        lines = [(0, k) for k in range(1, n)]
+    else:
+        lines = [(i, j) for i in range(n) for j in range(i + 1, n) if j == i + 1 or rng.random() < 0.9]
+    L = len(lines)
+    return _net(lines, n, beta=rng.uniform(1.0, 5.0, L), rating=rng.uniform(0.5, 2.0, L))
+
+
+@pytest.mark.parametrize(
+    "n, shape",
+    [pytest.param(n, "ring", id=str(n)) for n in (INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 300, 1000)]
+    + [pytest.param(300, "star", id="star-300"), pytest.param(400, "few-chords", id="few-chords-400"),
+       pytest.param(150, "near-complete", id="near-complete-150")],
+)
+def test_blocked_inverse_matches_dense_inverse_and_angle_solve(n, shape):
+    net = _coupled_network(n, shape)
     flow = build_flow_matrices(net, n // 10)
     B = reference_laplacian(net)
     Bhat = B[1:, 1:]
+    # the top-level coupling block touches the share of columns its shape names
+    share = Bhat[: (n - 1) // 2, (n - 1) // 2 :].any(axis=0).mean()
+    assert {"ring": True, "star": share == 0, "few-chords": 0 < share <= 0.25,
+            "near-complete": share > 0.9}[shape]
     Bg = np.zeros((n, n))
     Bg[1:, 1:] = np.linalg.inv(Bhat)
     tails, heads = np.array(net.lines).T

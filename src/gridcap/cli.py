@@ -14,7 +14,8 @@ for ``rates``, ``region`` and ``mc``; ``builtin:case14`` is a MATPOWER case
 for ``convert``.
 
 Exit codes are defined in ``errors.py``: 0 success; 2 invalid input or
-parameters, an unreadable input file or an unwritable --output path;
+parameters, an unreadable input file, an unwritable --output path or a
+request that does not fit in memory;
 3 structurally empty result (empty slice, no stochastic lines, no hits,
 collapsed bound); 4 numerical failure. Output is rendered by ``io_formats``
 and goes to standard out (or --output), diagnostics to standard error.
@@ -311,5 +312,9 @@ def main(argv=None) -> int:
         return exc.exit_code
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError:
+        hint = "; lower --resolution" if getattr(args, "partition", False) else ""
+        print(f"error: the request does not fit in memory{hint}", file=sys.stderr)
         return 2
     return 0

@@ -283,6 +283,13 @@ class RiskPartition:
         return self.summaries[0].label
 
 
+def _ranges(start, stop):
+    """The integers of every [start[k], stop[k]), concatenated in order."""
+    size = stop - start
+    ends = np.cumsum(size)
+    return np.arange(ends[-1] if size.size else 0) + np.repeat(start - (ends - size), size)
+
+
 def _inside_rows(a, b):
     """Column range [lo, hi) of the cells inside every slab, one per grid row.
 
@@ -291,35 +298,171 @@ def _inside_rows(a, b):
     sorted centers, and rounding keeps its sum with b[ell, i] monotone too.
     After flipping the sign of decreasing rows, the cells with sum > -1
     form a suffix, and so do the cells with sum >= 1 or NaN (a NaN needs an
-    infinite term, and then sits at the end of the row or fills it). So
-    bisection on the same rounded sums finds both ends exactly: the result
-    is the full-grid test's, in O(lines x resolution x log resolution).
-    Lines are bisected in blocks of about BISECT_BLOCK (line, row) pairs,
-    so the temporaries stay small on networks with many lines.
+    infinite term, and then sits at the end of the row or fills it). So,
+    for each edge of a slab, a (line, row) pair is settled by its two end
+    sums when both fall on one side of it: inside, and the edge bounds
+    nothing on that row; beyond, and it rules the whole row out. Rows some
+    pair rules out are settled empty first; on the others only the pairs
+    whose end sums straddle an edge are bisected, on the same rounded sums,
+    so every non-empty range is the full-grid test's, in O(lines x
+    resolution) plus O(log resolution) per straddling pair. Lines are
+    visited in blocks of about BISECT_BLOCK (line, row) pairs, so the
+    temporaries stay small on networks with many lines.
     """
-    lo = np.zeros(b.shape[1], dtype=np.intp)
-    hi = np.full(b.shape[1], a.shape[1], dtype=np.intp)
-    step = max(1, BISECT_BLOCK // b.shape[1])
-    for start in range(0, a.shape[0], step):
-        ab, bb = a[start : start + step], b[start : start + step]
+    n, rows = a.shape[1], b.shape[1]
+    step = max(1, BISECT_BLOCK // rows)
+    blocks = [slice(start, start + step) for start in range(0, a.shape[0], step)]
+
+    def end_sums(blk):
+        ab, bb = a[blk], b[blk]
         sign = np.where(ab[:, -1] < ab[:, 0], -1.0, 1.0)[:, None]
-        np.maximum(lo, _first_true(ab, bb, sign, lambda x: x > -1.0).max(axis=0), out=lo)
-        np.minimum(hi, _first_true(ab, bb, sign, lambda x: ~(x < 1.0)).min(axis=0), out=hi)
+        first = ab[:, :1] + bb
+        last = ab[:, -1:] + bb
+        return ab, bb, sign, np.multiply(first, sign, out=first), np.multiply(last, sign, out=last)
+
+    dead = np.zeros(rows, dtype=bool)
+    for blk in blocks:
+        *_, first, last = end_sums(blk)
+        out = ((first >= 1.0) & (last >= 1.0)) | ((first <= -1.0) & (last <= -1.0))
+        dead |= out.any(axis=0)
+    lo = np.zeros(rows, dtype=np.intp)
+    hi = np.full(rows, n, dtype=np.intp)
+    for blk in blocks:
+        ab, bb, sign, first, last = end_sums(blk)
+        line, row = np.nonzero(~((first > -1.0) & (last > -1.0)) & ~dead)
+        np.maximum.at(lo, row, _first_true(ab, bb, line, row, sign, lambda x: x > -1.0))
+        line, row = np.nonzero(~((first < 1.0) & (last < 1.0)) & ~dead)
+        np.minimum.at(hi, row, _first_true(ab, bb, line, row, sign, lambda x: ~(x < 1.0)))
+    hi[dead] = 0
     return lo, np.maximum(hi, lo)
 
 
-def _first_true(a, b, sign, pred):
-    """Per (line, row): the smallest j in [0, n] with pred(sign (a[line, j] + b[line, row]))."""
+def _first_true(a, b, line, row, sign, pred):
+    """Per (line, row) pair: the smallest j in [0, n] with pred(sign[line] (a[line, j] + b[line, row]))."""
     n = a.shape[1]
-    lo = np.zeros(b.shape, dtype=np.intp)
-    hi = np.full(b.shape, n, dtype=np.intp)
+    lo = np.zeros(line.size, dtype=np.intp)
+    hi = np.full(line.size, n, dtype=np.intp)
+    sign, shift = sign[line, 0], b[line, row]
     for _ in range(n.bit_length()):
         mid = (lo + hi) // 2
-        hit = pred(sign * (np.take_along_axis(a, np.minimum(mid, n - 1), axis=1) + b))
+        hit = pred(sign * (a[line, np.minimum(mid, n - 1)] + shift))
         open_ = lo < hi
         hi = np.where(open_ & hit, mid, hi)
         lo = np.where(open_ & ~hit, mid + 1, lo)
     return lo
+
+
+def _rate(nu, denom, out=None):
+    """Overload rate (1 - |nu|)^2 / denom, rounded the same way wherever it is priced."""
+    out = np.abs(nu, out=out)
+    np.subtract(1.0, out, out=out)
+    np.square(out, out=out)
+    return np.divide(out, denom, out=out)
+
+
+def _binding_pairs(a, b, rows, lo, hi, live, denom):
+    """(live line, row) pairs whose rate can hold or tie a cell's least rate.
+
+    Returns a (len(live), len(rows)) mask over the given rows, each of
+    which has inside cells [lo[row], hi[row]).
+    Along a row the computed nu is monotone in j, so |nu| falls and then
+    rises, and each line's computed rate rises and then falls: its least
+    value over [lo, hi) is at one of the two end cells, and its greatest is
+    at an end too unless nu changes sign in between, where it is at most
+    1 / denom, the rate at nu = 0. No cell's least rate exceeds U, the
+    smallest of these row maxima over live lines, so no cell's tie
+    threshold exceeds U (1 + ARGMIN_RTOL). A line whose row minimum does
+    is above the threshold on every cell of the row: it neither holds a
+    minimum there nor ties with one, and is dropped. Lines are visited in
+    blocks of about BISECT_BLOCK pairs, once for U and once for the mask.
+    """
+    step = max(1, BISECT_BLOCK // rows.size)
+    blocks = [live[start : start + step] for start in range(0, live.size, step)]
+
+    def end_rates(lines):
+        """Rates at both end cells of each row, and whether nu keeps one strict sign between them."""
+        shift = b[np.ix_(lines, rows)]
+        nu_lo = a[np.ix_(lines, lo[rows])]
+        nu_lo += shift
+        nu_hi = a[np.ix_(lines, hi[rows] - 1)]
+        nu_hi += shift
+        one_sign = ((nu_lo > 0.0) & (nu_hi > 0.0)) | ((nu_lo < 0.0) & (nu_hi < 0.0))
+        d = denom[lines, None]
+        return _rate(nu_lo, d, out=nu_lo), _rate(nu_hi, d, out=nu_hi), one_sign, d
+
+    least_max = np.full(rows.size, np.inf)
+    for lines in blocks:
+        r_lo, r_hi, one_sign, d = end_rates(lines)
+        greatest = np.maximum(r_lo, r_hi, out=r_lo)
+        # (1 - 0)^2 / d rounds as 1 / d
+        np.copyto(greatest, 1.0 / d, where=~one_sign)
+        np.minimum(least_max, greatest.min(axis=0), out=least_max)
+    cut = least_max * (1.0 + ARGMIN_RTOL)
+    keep = []
+    for lines in blocks:
+        r_lo, r_hi, *_ = end_rates(lines)
+        keep.append(np.minimum(r_lo, r_hi, out=r_lo) <= cut)
+    return np.concatenate(keep)
+
+
+def _tie_runs(a, b, rows, lo, hi, live, denom, keep):
+    """Runs of inside cells along rows with one argmin set, and that set.
+
+    Inside cells, those of `rows`, are numbered in row-major order. Each
+    live line is priced only on its kept rows, taken as bands of
+    consecutive rows whose cells are contiguous in that order: once for
+    each cell's least rate, and again, recomputed rather than stored, for
+    the lines within ARGMIN_RTOL of it. A run starts at each row's first
+    cell and wherever some line joins or leaves the tie set. Returns the
+    row, first column and length of every run, and its tie set packed into
+    bytes, most significant byte first, so keys sort like the integer
+    bitmask sum_k 2^k over tied live lines k, for any number of lines.
+    """
+    counts = hi[rows] - lo[rows]
+    stops = np.cumsum(counts)
+    starts = stops - counts
+    cells = int(stops[-1])
+    jj = _ranges(lo[rows], hi[rows])
+    line, edge = np.nonzero(np.diff(keep, axis=1, prepend=False, append=False))
+    # band (k, q, r): live line k on rows[q:r]
+    bands = list(zip(line[0::2].tolist(), edge[0::2].tolist(), edge[1::2].tolist()))
+    nu = np.empty(max(stops[r - 1] - starts[q] for _, q, r in bands))
+
+    def price(k, q, r):
+        start, stop = starts[q], stops[r - 1]
+        out = nu[: stop - start]
+        ell = live[k]
+        # indices are in range, and mode="clip" spares the copy that
+        # mode="raise" makes when writing to `out`
+        np.take(a[ell], jj[start:stop], out=out, mode="clip")
+        np.add(out, np.repeat(b[ell, rows[q:r]], counts[q:r]), out=out)
+        return start, stop, _rate(out, denom[ell], out=out)
+
+    threshold = np.full(cells, np.inf)
+    for band in bands:
+        start, stop, rate = price(*band)
+        np.minimum(threshold[start:stop], rate, out=threshold[start:stop])
+    np.multiply(threshold, 1.0 + ARGMIN_RTOL, out=threshold)
+
+    # fresh[c]: cell c starts a row, or its tie set differs from cell c - 1's;
+    # each line's tie segments start and stop at fresh cells
+    fresh = np.zeros(cells + 1, dtype=bool)
+    fresh[starts] = True
+    segments = []
+    for band in bands:
+        start, stop, rate = price(*band)
+        tie = np.less_equal(rate, threshold[start:stop])
+        flips = start + np.flatnonzero(np.diff(tie, prepend=False, append=False))
+        fresh[flips] = True
+        segments.append((band[0], flips[0::2], flips[1::2]))
+
+    run_start = np.flatnonzero(fresh[:cells])
+    keys = np.zeros((run_start.size, (live.size + 7) // 8), dtype=np.uint8)
+    for k, seg_start, seg_stop in segments:
+        runs = _ranges(np.searchsorted(run_start, seg_start), np.searchsorted(run_start, seg_stop))
+        keys[runs, -1 - k // 8] |= np.uint8(1 << (k % 8))
+    run_row = rows[np.searchsorted(stops, run_start, side="right")]
+    return run_row, jj[run_start], np.diff(run_start, append=cells), keys
 
 
 def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) -> RiskPartition:
@@ -332,10 +475,18 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     Raises EmptySlice when no cell center lies inside the deterministic
     slice.
 
-    Rates are priced at inside cells only, one line at a time: working
-    memory is O(lines x resolution + inside cells x (1 + live lines / 64))
-    words besides the resolution^2 `label_grid`, and no (lines x cells)
-    array is held.
+    `_inside_rows` finds each row's inside cells, settling from two end
+    sums the rows some slab rules out. Rates are priced at inside cells
+    only, and only for the (live line, row) pairs that `_binding_pairs`
+    keeps: on case14 at 800^2, 2,185 of the 13,794 pairs on rows with
+    inside cells. Labels are found once per run of cells with one argmin
+    set along a row, and each label's cells are expanded from its runs in
+    row-major order, so centroids sum the same values as a full-grid mask.
+    Per-(line, row) work is blocked over lines (BISECT_BLOCK), and rates
+    are recomputed for the tie pass rather than stored: working memory is
+    O(lines x resolution + inside cells + runs x live lines / 8) words
+    besides the resolution^2 `label_grid`, and no (lines x cells) array is
+    held.
     """
     if resolution < 1:
         raise ValueError("resolution must be at least 1")
@@ -346,7 +497,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     uc = umin + cell_u * (np.arange(resolution) + 0.5)
     vc = vmin + cell_v * (np.arange(resolution) + 0.5)
 
-    live = _live_lines(ctx).tolist()
+    live = _live_lines(ctx)
     denom = ctx.line_variances
     # nu_ell at cell (i, j) is a[ell, j] + b[ell, i], rounded exactly as
     # (base + du u) + dv v is on the full grid
@@ -356,61 +507,38 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     counts = hi - lo
     if not counts.any():
         raise EmptySlice("no grid cell lies inside the deterministic slice")
-    # inside cells in row-major order
-    ii = np.repeat(np.arange(resolution), counts)
-    jj = np.arange(ii.size) + np.repeat(lo - (np.cumsum(counts) - counts), counts)
-
-    # Rates are priced twice, once for the minimum and once for the ties,
-    # in two reused buffers: fresh arrays this size cost more in page
-    # faults than the arithmetic. Indices are in range, and mode="clip"
-    # spares the copy that mode="raise" makes when writing to `out`.
-    nu = np.empty(ii.size)
-    shift = np.empty(ii.size)
-
-    def rate(ell):
-        np.take(a[ell], jj, out=nu, mode="clip")
-        np.add(nu, np.take(b[ell], ii, out=shift, mode="clip"), out=nu)
-        np.abs(nu, out=nu)
-        np.subtract(1.0, nu, out=nu)
-        np.square(nu, out=nu)
-        return np.divide(nu, denom[ell], out=nu)
-
-    best = rate(live[0]).copy()
-    for ell in live[1:]:
-        np.minimum(best, rate(ell), out=best)
-    threshold = best * (1.0 + ARGMIN_RTOL)
-    # Key each inside cell by its argmin set packed into bytes, most
-    # significant byte first, so keys sort like the integer bitmask
-    # sum_k 2^k over tied live lines k, for any number of lines.
-    width = (len(live) + 7) // 8
-    keys = np.zeros((width, ii.size), dtype=np.uint8)
-    tie = np.empty(ii.size, dtype=bool)
-    for k, ell in enumerate(live):
-        bits = np.less_equal(rate(ell), threshold, out=tie).view(np.uint8)
-        keys[-1 - k // 8] |= np.left_shift(bits, k % 8, out=bits)
-    _, first, inverse = np.unique(
-        np.ascontiguousarray(keys.T).view(np.dtype((np.void, width))).ravel(),
-        return_index=True,
-        return_inverse=True,
+    rows = np.flatnonzero(counts)
+    keep = _binding_pairs(a, b, rows, lo, hi, live, denom)
+    run_row, run_col, run_len, keys = _tie_runs(a, b, rows, lo, hi, live, denom, keep)
+    width = keys.shape[1]
+    unique, run_label = np.unique(keys.view(np.dtype((np.void, width))).ravel(), return_inverse=True)
+    members = np.unpackbits(
+        unique.view(np.uint8).reshape(-1, width)[:, ::-1], axis=1, count=live.size, bitorder="little"
     )
-    members = np.unpackbits(keys[::-1, first], axis=0, count=len(live), bitorder="little")
-    labels = [tuple(live[k] for k in np.flatnonzero(col)) for col in members.T]
-    label_grid = np.full((resolution, resolution), -1, dtype=np.int32)
-    label_grid[ii, jj] = inverse
+    labels = [tuple(live[np.flatnonzero(row)].tolist()) for row in members]
+    # in row-major order the grid alternates gaps of outside cells and runs
+    first = run_row * resolution + run_col
+    spans = np.empty(2 * first.size + 1, dtype=np.intp)
+    spans[0::2] = np.diff(first, prepend=0, append=resolution**2) - np.append(0, run_len)
+    spans[1::2] = run_len
+    values = np.full(spans.size, -1, dtype=np.int32)
+    values[1::2] = run_label
+    label_grid = np.repeat(values, spans).reshape(resolution, resolution)
 
-    # a stable sort keeps each label's cells in row-major order, so its
-    # centroid sums the same values in the same order as a full-grid mask
-    groups = np.split(np.argsort(inverse, kind="stable"), np.cumsum(np.bincount(inverse))[:-1])
+    # each label's runs in row-major order, expanded to its cells
+    order = np.argsort(run_label, kind="stable")
     cell_area = cell_u * cell_v
     summaries = []
-    for label, cells in zip(labels, groups):
-        count = len(cells)
+    for label, runs in zip(labels, np.split(order, np.cumsum(np.bincount(run_label))[:-1])):
+        lengths = run_len[runs]
+        count = int(lengths.sum())
+        cols = _ranges(run_col[runs], run_col[runs] + lengths)
         summaries.append(
             RegionSummary(
                 label=label,
                 cells=count,
                 area=count * cell_area,
-                centroid=(float(uc[jj[cells]].mean()), float(vc[ii[cells]].mean())),
+                centroid=(float(uc[cols].mean()), float(np.repeat(vc[run_row[runs]], lengths).mean())),
             )
         )
     summaries.sort(key=lambda s: (-s.cells, s.label))

@@ -577,6 +577,33 @@ def test_exact1d_overflowing_lag_exits_refusal_without_warnings():
     assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
 
 
+def test_partition_beyond_memory_exits_2(capsys, tmp_path):
+    # a 40,000^2 label grid alone needs 6 GB; the child's address space is capped at 1 GiB
+    resource = pytest.importorskip("resource")
+    code, out, _ = run(
+        capsys,
+        "convert", "builtin:case14",
+        "--K", "1.5", "--stochastic", "2,3", "--controllable", "6,9",
+        "--gamma", "1", "--vol", "10", "--tau", "0.5", "--zero-flow-rating", "1",
+        "--epsilon", "0.0004", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5",
+    )
+    assert code == 0
+    path = tmp_path / "case14.json"
+    path.write_text(out)
+
+    def cap_address_space():
+        resource.setrlimit(resource.RLIMIT_AS, (1 << 30, 1 << 30))
+
+    argv = ["region", str(path), "--kind", "deterministic", "--slice", "6,9", "--bbox=-5,5,-5,5",
+            "--partition", "--resolution", "40000"]
+    proc = subprocess.run([sys.executable, "-m", "gridcap", *argv], env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS="1"),
+                          capture_output=True, text=True, timeout=120, preexec_fn=cap_address_space)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert "Traceback" not in proc.stderr
+    assert proc.stderr.splitlines() == ["error: the request does not fit in memory; lower --resolution"]
+
+
 @pytest.mark.parametrize("mu", ["1e-165", "1e-200", "5e-324"])
 def test_exact1d_tiny_mean_exits_refusal(capsys, mu):
     # the secular Newton slope underflows to 0 at these means

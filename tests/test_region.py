@@ -18,6 +18,7 @@ from gridcap.io_formats import (
     parse_matpower,
 )
 from gridcap.ld_rates import (
+    ARGMIN_RTOL,
     current_decay_rate,
     full_report,
     lb_decay_rate,
@@ -28,6 +29,9 @@ from gridcap.ld_rates import (
 from oracles import dense_risk_partition, dense_slice_vertices
 from gridcap.region import (
     REGION_KINDS,
+    _binding_pairs,
+    _inside_rows,
+    _slice_geometry,
     build_region,
     contains,
     noise_margins,
@@ -458,6 +462,68 @@ def test_case14_partition_matches_dense_oracle_bytes():
         assert export_partition(got, fmt, line_terminals=bm.line_terminals) == expect
 
 
+def _binding_pair_cases(ctx, free, fixed, bbox, resolution):
+    """Check `_binding_pairs` against rates priced on every cell of the grid.
+
+    Returns how many live lines are constant along rows (du = 0), and how
+    many (live line, row) pairs change the sign of nu next to an end of the
+    row's inside range.
+    """
+    base, du, dv = _slice_geometry(ctx.flow, free, fixed)
+    umin, umax, vmin, vmax = bbox
+    uc = umin + (umax - umin) / resolution * (np.arange(resolution) + 0.5)
+    vc = vmin + (vmax - vmin) / resolution * (np.arange(resolution) + 0.5)
+    a = base[:, None] + du[:, None] * uc
+    b = dv[:, None] * vc
+    lo, hi = _inside_rows(a, b)
+    rows = np.flatnonzero(hi > lo)
+    live = np.asarray(ctx.stochastic_lines)
+    if not rows.size:
+        return 0, 0
+    denom = line_variances(ctx)
+    keep = _binding_pairs(a, b, rows, lo, hi, live, denom)
+
+    U, V = np.meshgrid(uc, vc)
+    nu = base[:, None, None] + du[:, None, None] * U + dv[:, None, None] * V
+    inside = np.all(np.abs(nu) < 1.0, axis=0)
+    rates = (1.0 - np.abs(nu[live])) ** 2 / denom[live, None, None]
+    threshold = np.min(rates, axis=0, where=inside, initial=np.inf) * (1.0 + ARGMIN_RTOL)
+    crossings = 0
+    assert keep.shape == (live.size, rows.size)
+    for q, i in enumerate(rows):
+        cells = inside[i]
+        rate, cut = rates[:, i, cells], threshold[i, cells]
+        # a dropped pair is above the threshold on every inside cell of its row
+        assert np.all(rate[~keep[:, q]] > cut)
+        # a line that holds or ties some cell's least rate is kept
+        assert keep[(rate <= cut).any(axis=1), q].all()
+        sign = np.sign(nu[live][:, i, cells])
+        if sign.shape[1] > 1:
+            crossings += int(np.sum((sign[:, 0] != sign[:, 1]) | (sign[:, -1] != sign[:, -2])))
+    return int(np.sum(du[live] == 0.0)), crossings
+
+
+def test_binding_pairs_keep_every_line_that_can_bind():
+    flat = crossings = 0
+    cases = [*_random_slices(np.random.default_rng(45), 40), (wheel_context(), (1, 2), np.zeros(2), BOX)]
+    for k, (ctx, free, fixed, bbox) in enumerate(cases):
+        counts = _binding_pair_cases(ctx, free, fixed, bbox, (2, 7, 17, 60)[k % 4])
+        flat += counts[0]
+        crossings += counts[1]
+    assert flat > 0 and crossings > 0
+    # one cell where the two symmetric lines' rates differ by ~5e-10
+    # relative: the larger exceeds every row maximum, yet ties
+    near_tie = (wheel_context(), (1, 2), np.zeros(2), (0.2, 0.4, 0.2 + 5e-10, 0.4 + 5e-10))
+    _binding_pair_cases(*near_tie, 1)
+    assert risk_partition(*near_tie, resolution=1).labels == ((0, 1),)
+
+
+def test_binding_pairs_hold_within_blocks(monkeypatch):
+    monkeypatch.setattr("gridcap.region.BISECT_BLOCK", 5)
+    for ctx, free, fixed, bbox in _random_slices(np.random.default_rng(46), 10):
+        _binding_pair_cases(ctx, free, fixed, bbox, 23)
+
+
 def test_case14_partition_memory_budget():
     # the dense (lines x cells) rate tensor alone is 19 x 800^2 doubles, 97 MB
     bm, free, fixed, bbox = _case14_map()
@@ -468,6 +534,19 @@ def test_case14_partition_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak < 60e6
+
+
+def test_case14_partition_pricing_memory():
+    # rates are priced on kept (line, row) pairs only; pricing every live
+    # line on every inside cell peaked at 14.3 MB
+    bm, free, fixed, bbox = _case14_map()
+    tracemalloc.start()
+    try:
+        risk_partition(bm.ctx, free, fixed, bbox, resolution=800)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16e6
 
 
 @pytest.mark.parametrize("block", [1, 100, 7 * 48])

@@ -18,19 +18,21 @@ parameters, an unreadable input file, an unwritable --output path or a
 request that does not fit in memory;
 3 structurally empty result (empty slice, no stochastic lines, no hits,
 collapsed bound); 4 numerical failure. Output is rendered by ``io_formats``
-and goes to standard out (or --output), diagnostics to standard error.
+and goes to standard out (or --output), diagnostics to standard error. An
+error about one line names it by its end buses, as ``line 3–4``.
 """
 from __future__ import annotations
 
 import argparse
 import math
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 
-from .errors import GridCapError
+from .errors import GridCapError, LineError
 from .exact1d import Exact1dProblem, exact_decay_rate
 from .io_formats import (
     AnalysisDefaults,
@@ -42,6 +44,7 @@ from .io_formats import (
     export_region,
     export_report,
     export_slice,
+    line_terminals,
     parse_matpower,
     parse_native,
     serialize_native,
@@ -131,6 +134,22 @@ def _free_indices(doc, text: str):
     return tuple(free)
 
 
+@contextmanager
+def _lines_named(terminals):
+    """Name the line of a LineError raised inside as "line a–b", with (a, b) = terminals(line)."""
+    try:
+        yield
+    except GridCapError as exc:  # LineError is a mixin, not an exception class
+        if isinstance(exc, LineError) and exc.line is not None:
+            exc.name = "line {}–{}".format(*terminals(exc.line))
+        raise
+
+
+def _document_lines(doc):
+    """`_lines_named` for the lines of a native document, which errors index in internal order."""
+    return _lines_named(lambda ell: line_terminals(doc)[ell])
+
+
 def cmd_rates(args) -> str:
     doc = parse_native(_read_input(args.input))
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
@@ -140,8 +159,9 @@ def cmd_rates(args) -> str:
         if args.tau > 0:
             doc = replace(doc, lines=tuple(replace(line, tau=args.tau) for line in doc.lines))
         tau0 = args.tau
-    bm = build_model(doc, epsilon=args.epsilon, horizon=args.horizon)
-    return export_report(full_report(bm.ctx, tau0=tau0), args.format, line_terminals=bm.line_terminals)
+    with _document_lines(doc):
+        bm = build_model(doc, epsilon=args.epsilon, horizon=args.horizon)
+        return export_report(full_report(bm.ctx, tau0=tau0), args.format, line_terminals=bm.line_terminals)
 
 
 def cmd_region(args) -> str:
@@ -153,17 +173,18 @@ def cmd_region(args) -> str:
     if args.slice is not None and args.bbox is None:
         raise ValueError("--slice requires --bbox")
     tau0 = args.tau0 if args.tau0 is not None else doc.defaults.tau0
-    bm = build_model(doc, epsilon=epsilon, horizon=args.horizon)
-    _check_noise(epsilon, p)  # also on the --partition path, which builds no region
-    if args.slice is None:
-        return export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format)
-    free = _free_indices(doc, args.slice)
-    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
-    if args.partition:  # labels the deterministic slice, so the --kind region is never built
-        part = risk_partition(bm.ctx, free, fixed, args.bbox, resolution=args.resolution)
-        return export_partition(part, args.format, line_terminals=bm.line_terminals)
-    sl = slice2d(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), bm.flow, free, fixed, args.bbox)
-    return export_slice(sl, args.format)
+    with _document_lines(doc):
+        bm = build_model(doc, epsilon=epsilon, horizon=args.horizon)
+        _check_noise(epsilon, p)  # also on the --partition path, which builds no region
+        if args.slice is None:
+            return export_region(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), args.format)
+        free = _free_indices(doc, args.slice)
+        fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+        if args.partition:  # labels the deterministic slice, so the --kind region is never built
+            part = risk_partition(bm.ctx, free, fixed, args.bbox, resolution=args.resolution)
+            return export_partition(part, args.format, line_terminals=bm.line_terminals)
+        sl = slice2d(build_region(bm.ctx, args.kind, epsilon, p, tau0=tau0), bm.flow, free, fixed, args.bbox)
+        return export_slice(sl, args.format)
 
 
 def cmd_exact1d(args) -> str:
@@ -175,7 +196,8 @@ def cmd_mc(args) -> str:
     doc = parse_native(_read_input(args.input))
     eps_list = args.eps or [doc.defaults.setting("epsilon", flag="--eps")]  # --eps is never an empty list
     config = McConfig(replicates=args.n, step_count=args.steps, seed=args.seed, workers=args.threads)
-    ctx = build_model(doc, epsilon=eps_list[0], horizon=args.horizon).ctx
+    with _document_lines(doc):
+        ctx = build_model(doc, epsilon=eps_list[0], horizon=args.horizon).ctx
     if len(eps_list) >= 2:
         # the fit runs one estimate per scale; report those rather than rerun them
         fit = decay_slope(ctx, config, eps_list, mode=args.kind, threshold=args.threshold)
@@ -191,17 +213,19 @@ def cmd_convert(args) -> str:
     for warning in case.warnings:
         print(f"warning: {warning}", file=sys.stderr)
     defaults = AnalysisDefaults(epsilon=args.epsilon, p=args.p, horizon=args.horizon, tau0=args.tau0)
-    doc = apply_imax_rule(
-        case,
-        args.K,
-        _id_list(args.stochastic),
-        _id_list(args.controllable) if args.controllable else [],
-        gamma=args.gamma,
-        vol=args.vol,
-        tau=args.tau,
-        defaults=defaults,
-        zero_flow_rating=args.zero_flow_rating,
-    )
+    # ZeroBaseFlow indexes the document's lines, which follow the case's branches
+    with _lines_named(lambda pos: case.branches[pos][:2]):
+        doc = apply_imax_rule(
+            case,
+            args.K,
+            _id_list(args.stochastic),
+            _id_list(args.controllable) if args.controllable else [],
+            gamma=args.gamma,
+            vol=args.vol,
+            tau=args.tau,
+            defaults=defaults,
+            zero_flow_rating=args.zero_flow_rating,
+        )
     return serialize_native(doc)
 
 

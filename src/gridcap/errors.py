@@ -38,6 +38,29 @@ class NumericalFailure(GridCapError):
     exit_code = 4
 
 
+class LineError:
+    """Mixin for an error about one line, placed before the category base.
+
+    `line` is the line's index, in the package's internal line order
+    (ZeroBaseFlow: its position in the document), or None when no one line
+    is at fault. The message is `template` with "{line}" set to `name`,
+    "line <index>" unless a caller that knows the input's bus ids renames
+    it, as the command line does.
+    """
+
+    template = "{line}"
+
+    def __init__(self, line=None, template=None):
+        if template is not None:
+            self.template = template
+        self.line = line
+        self.name = f"line {line}"
+        super().__init__(line, self.template)
+
+    def __str__(self):
+        return self.template.format(line=self.name)
+
+
 # --- input / document errors -------------------------------------------------
 
 class SchemaError(InvalidInput):
@@ -56,13 +79,11 @@ class ParseError(InvalidInput):
     """A MATPOWER case body could not be parsed; message contains the line."""
 
 
-class ZeroBaseFlow(InvalidInput):
+class ZeroBaseFlow(LineError, InvalidInput):
     """A line carries no current at the deterministic base point, so the
     proportional rating rule cannot assign it a finite rating."""
 
-    def __init__(self, line, message=None):
-        self.line = line
-        super().__init__(message or f"zero base flow on line {line}")
+    template = "zero base flow on {line}"
 
 
 # --- linear algebra / model errors -------------------------------------------
@@ -72,9 +93,12 @@ class SingularReducedLaplacian(NumericalFailure):
     1-norm condition number reaches 1/RANK_RTOL (wide susceptance ratios)."""
 
 
-class RankDeficiency(NumericalFailure):
+class RankDeficiency(LineError, NumericalFailure):
     """The stochastic block C lacks full column rank beyond tolerance, so
-    some stochastic injections cannot be told apart through line currents."""
+    some stochastic injections cannot be told apart through line currents;
+    or one line's normalized currents are not finite."""
+
+    template = "stochastic block C does not have full column rank"
 
 
 class InfeasibleStart(InvalidInput):
@@ -82,9 +106,11 @@ class InfeasibleStart(InvalidInput):
     level, so no overload decay rate is defined."""
 
 
-class ZeroVarianceLine(InvalidInput):
+class ZeroVarianceLine(LineError, InvalidInput):
     """A line's terminal current variance is zero; the line does not respond
     to the stochastic injections and has no finite decay rate."""
+
+    template = "{line} has zero terminal current variance"
 
 
 class NoStochasticLines(EmptyResult):
@@ -116,13 +142,11 @@ class NoBoundaryHit(NumericalFailure):
     (|state| < BLOWUP_BOUND)."""
 
 
-class BoundCollapse(EmptyResult):
+class BoundCollapse(LineError, EmptyResult):
     """A capacity-region bound dropped to zero or below: the parameters are so
     noisy that no admissible operating point exists for that line."""
 
-    def __init__(self, line, message=None):
-        self.line = line
-        super().__init__(message or f"capacity bound collapsed on line {line}")
+    template = "capacity bound collapsed on {line}"
 
 
 class EmptySlice(EmptyResult):

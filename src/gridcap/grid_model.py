@@ -14,18 +14,26 @@ as a chain of matrices:
     Cbar   rows of Ct divided by the line ratings, so Y = Cbar S is the
            normalized current
 
-A has two nonzeros per row, so row ell of Ct, for line ell from i to j, is
+A has two nonzeros per row, so entry (ell, c) of Ct, for line ell from i to
+j, is
 
-    Ct[ell] = beta_ell (Bg[i] - Bg[j]),
+    Ct[ell, c] = beta_ell (Bg[i, c] - Bg[j, c]),
 
-one subtraction of two rows of Bhat^-1 (row 0 of Bg is zero) scaled by the
-susceptance. The assembly forms Ct that way: A, Dbeta and the zero-padded Bg
-are never formed, and no matrix product runs. With the stochastic injections
-occupying nodes 1..m, Cbar splits column-wise into [0 | C | C_D]: the slack
-column is identically zero, C acts on the stochastic injections and C_D on
-the deterministic ones. `DcFlowMatrices` stores Cbar alone, read-only, with C
-and C_D as column views of it; its `transfer` property rebuilds Ct. B is freed
-once Bhat is inverted and kappa_1 taken, and Bhat^-1 before Cbar is formed.
+one subtraction of two entries of Bg (row 0 of Bg is zero) scaled by the
+susceptance. With the stochastic injections occupying nodes 1..m, Cbar splits
+column-wise into [0 | C | C_D]: the slack column is identically zero, C acts
+on the stochastic injections and C_D on the deterministic ones.
+
+What the analysis reads is C and a few products Cbar s, so `DcFlowMatrices`
+stores only C (L x m), Bg ((N+1) x (N+1), the inverse written into its lower
+block as `_spd_inverse` forms it) and the line end arrays, all read-only.
+Cbar itself is never stored: `columns(nodes)` gathers any of its columns
+from the two terminal rows of Bg, by the same three elementwise steps that
+form C (subtract, times beta, over the rating), so a served column has the
+bits of the same column in C; `currents(s)` returns Cbar s from the angles
+theta = Bhat^-1 s[1:]; `transfer` forms Ct whole for callers that want it.
+A, Dbeta and Ct are never formed by the assembly, and B is freed once Bhat
+is inverted and kappa_1 taken.
 
 Bhat is symmetric positive definite, so `_spd_inverse` inverts it by
 recursive 2 x 2 blocks through the Schur complement, which needs no pivoting
@@ -44,7 +52,10 @@ command that assembles a network would pay at start-up.
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
 ||Bhat^-1||_1, within a factor N of sigma_max/sigma_min, is not finite or
-reaches 1/RANK_RTOL. A non-finite row of Cbar is refused. rank(C) = m is
+reaches 1/RANK_RTOL. A non-finite row of Cbar is refused, although Cbar is
+not stored: every entry of row ell is at most fl(fl(2 ||Bhat^-1||_1 beta_ell)
+/ r_ell) in magnitude, since each rounding step is monotone, so only a line
+whose bound is not finite has its whole row priced. rank(C) = m is
 certified from eigvalsh(C^T C) where its rounding leaves no doubt, and
 otherwise checked by SVD at cutoff RANK_RTOL (`_gram_certifies_rank`).
 rank(B) = rank(Cbar) = N are theorems for a connected graph with positive
@@ -83,6 +94,9 @@ INVERSE_BLOCK = 128
 #: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
 #: eigenvalue must clear to certify rank(C) = m without an SVD.
 GRAM_MARGIN = 1e3
+
+#: Bytes of the largest temporary `DcFlowMatrices.columns` gathers at once.
+COLUMN_BLOCK_BYTES = 1 << 21
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -252,9 +266,39 @@ def _gram_certifies_rank(C: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(G)[0] > floor)
 
 
+def _gather_columns(network: GridNetwork, Bg, tails, heads, nodes: np.ndarray) -> np.ndarray:
+    """Cbar[:, nodes] in a new array, at most COLUMN_BLOCK_BYTES of columns gathered at a time.
+
+    Each block is Bg[i, c] - Bg[j, c], times beta_ell, over the rating, the
+    three elementwise steps that form C, so a column's bits do not depend on
+    the block that gathers it.
+    """
+    beta, rating = network.susceptance, network.current_rating
+    out = np.empty((len(tails), nodes.size))
+    width = max(1, COLUMN_BLOCK_BYTES // (8 * len(tails)))
+    # a run of consecutive nodes is read through slices, which gather faster
+    run = nodes.size > 0 and np.array_equal(nodes, np.arange(nodes[0], nodes[0] + nodes.size))
+    for start in range(0, len(nodes), width):
+        block = out[:, start : start + width]
+        if run:
+            cols = slice(nodes[0] + start, nodes[0] + start + block.shape[1])
+            np.subtract(Bg[tails, cols], Bg[heads, cols], out=block)
+        else:
+            cols = nodes[start : start + width]
+            np.subtract(Bg[np.ix_(tails, cols)], Bg[np.ix_(heads, cols)], out=block)
+        block *= beta[:, None]
+        block /= rating[:, None]
+    return out
+
+
 @dataclass(frozen=True)
 class DcFlowMatrices:
-    """The assembled injection-to-current linear map and its blocks.
+    """The assembled injection-to-current linear map, stored as C and Bg.
+
+    Stored, read-only: C, the grounded inverse Bg and the line end arrays.
+    Served on demand, in new arrays: any columns of Cbar (`columns`), the
+    normalized currents Cbar s of an injection vector (`currents`) and Ct
+    (`transfer`). No L x (N+1) array is kept (module docstring).
 
     Attributes
     ----------
@@ -263,25 +307,50 @@ class DcFlowMatrices:
         constants.
     m : int
         Number of stochastic nodes; by convention they are nodes 1..m.
-    normalized : array, shape (L, N+1)
-        Cbar (module docstring), read-only: the one L x (N+1) matrix stored.
-        `transfer` rebuilds Ct from it and `build_laplacian` rebuilds B.
     stochastic_block : array, shape (L, m)
-        Columns 1..m of Cbar (the matrix C), a view sharing Cbar's memory.
-    deterministic_block : array, shape (L, N-m)
-        Columns m+1..N of Cbar (the matrix C_D), a view likewise.
+        Columns 1..m of Cbar (the matrix C).
+    grounded_inverse : array, shape (N+1, N+1)
+        Bg = block-diag(0, Bhat^-1), as `_spd_inverse` forms it.
+    tails, heads : arrays of int, shape (L,)
+        The end nodes i < j of each line.
     """
 
     network: GridNetwork
     m: int
-    normalized: np.ndarray = field(repr=False)
     stochastic_block: np.ndarray = field(repr=False)
-    deterministic_block: np.ndarray = field(repr=False)
+    grounded_inverse: np.ndarray = field(repr=False)
+    tails: np.ndarray = field(repr=False)
+    heads: np.ndarray = field(repr=False)
+
+    def columns(self, nodes) -> np.ndarray:
+        """Cbar[:, nodes] in a new (L, len(nodes)) array, bit for bit as C's columns are formed."""
+        nodes = np.asarray(nodes, dtype=np.intp)
+        if nodes.ndim != 1 or np.any((nodes < 0) | (nodes >= self.node_count)):
+            raise ValueError(f"nodes must be a list of node indices in 0..{self.node_count - 1}")
+        return _gather_columns(self.network, self.grounded_inverse, self.tails, self.heads, nodes)
+
+    def currents(self, s) -> np.ndarray:
+        """Cbar s for nodal injections s (length N+1; the slack entry s[0] is not read).
+
+        The angles theta = Bhat^-1 s[1:] (theta_0 = 0), then
+        (theta_i - theta_j) beta_ell / r_ell for each line: equal to Cbar s up
+        to rounding.
+        """
+        s = np.asarray(s, dtype=float)
+        if s.shape != (self.node_count,):
+            raise ValueError(f"injections must have length {self.node_count}")
+        theta = np.zeros(self.node_count)
+        np.matmul(self.grounded_inverse[1:, 1:], s[1:], out=theta[1:])
+        flow = theta[self.tails] - theta[self.heads]
+        flow *= self.network.susceptance
+        flow /= self.network.current_rating
+        return flow
 
     @property
     def transfer(self) -> np.ndarray:
         """Ct = Cbar diag(rating), built afresh and read-only on each access."""
-        Ct = self.normalized * self.network.current_rating[:, None]
+        Ct = self.columns(np.arange(self.node_count))
+        Ct *= self.network.current_rating[:, None]
         Ct.setflags(write=False)
         return Ct
 
@@ -313,9 +382,9 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         near 1e10 do this.
     RankDeficiency
         If a row of Cbar is not finite (a subnormal rating overflows it),
-        naming the first such line, or if rank(C) != m at relative
-        singular-value cutoff RANK_RTOL. rank(B) and rank(Cbar) are theorems
-        here and are not re-checked.
+        naming the first such line in its `line`, or if rank(C) != m at
+        relative singular-value cutoff RANK_RTOL. rank(B) and rank(Cbar) are
+        theorems here and are not re-checked.
     """
     n = network.node_count
     if not (1 <= m <= n - 1):
@@ -323,11 +392,13 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     B = build_laplacian(network)
 
     Bhat = B[1:, 1:]
+    Bg = np.zeros((n, n))
     try:
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite blocks fail the kappa test
-            Bhat_inv = _spd_inverse(Bhat)
+            _spd_inverse(Bhat, Bg[1:, 1:])
         # Python floats: a huge product becomes inf without a RuntimeWarning
-        kappa = float(np.linalg.norm(Bhat, 1)) * float(np.linalg.norm(Bhat_inv, 1))
+        inverse_norm = float(np.linalg.norm(Bg[1:, 1:], 1))
+        kappa = float(np.linalg.norm(Bhat, 1)) * inverse_norm
     except np.linalg.LinAlgError:
         kappa = np.inf
     del B, Bhat
@@ -335,41 +406,31 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         raise SingularReducedLaplacian(
             "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
         )
+    Bg.setflags(write=False)
+    tails, heads = (_readonly(ends, np.intp) for ends in np.array(network.lines).T)
+    beta, rating = network.susceptance, network.current_rating
 
-    # Ct[ell] = beta_ell (Bg[i] - Bg[j]) (module docstring); lines have i < j, so
-    # only i can be the slack. Subtracting into each row in place needs no
-    # temporary the size of Ct.
-    Cbar = np.zeros((network.line_count, n))
-    for row, (i, j) in zip(Cbar[:, 1:], network.lines):
-        np.subtract(Bhat_inv[i - 1] if i else 0.0, Bhat_inv[j - 1], out=row)
-    del Bhat_inv
-    try:
-        # Bhat^-1 is finite once kappa_1 is, so only an overflow (a subnormal
-        # rating) can make Cbar non-finite; NumPy raises after the whole product
-        with np.errstate(over="raise", invalid="raise"):
-            Cbar *= network.susceptance[:, None]  # Ct
-            Cbar /= network.current_rating[:, None]
-    except FloatingPointError:
-        ell = int(np.flatnonzero(~np.isfinite(Cbar).all(axis=1))[0])
-        raise RankDeficiency(
-            f"line {ell} has non-finite normalized currents "
-            f"(current rating {network.current_rating[ell]:.6g} is too small)"
-        ) from None
-    Cbar.setflags(write=False)
+    # |Cbar[ell, c]| <= fl(fl(2 ||Bhat^-1||_1 beta_ell) / r_ell) (module
+    # docstring); beta_ell ||Bhat^-1||_1 <= kappa_1 < 1e9, so only a rating
+    # below ~1e-299 leaves the bound non-finite, and only such a row is priced
+    with np.errstate(over="ignore"):
+        bound = 2.0 * inverse_norm * beta / rating
+        for ell in np.flatnonzero(~np.isfinite(bound)):
+            row = np.subtract(Bg[tails[ell]], Bg[heads[ell]]) * beta[ell] / rating[ell]
+            if not np.isfinite(row).all():
+                raise RankDeficiency(
+                    int(ell), f"{{line}} has non-finite normalized currents "
+                    f"(current rating {rating[ell]:.6g} is too small)"
+                )
 
-    C = Cbar[:, 1 : m + 1]
+    C = _gather_columns(network, Bg, tails, heads, np.arange(1, m + 1))
+    C.setflags(write=False)
     if not _gram_certifies_rank(C):
         s = np.linalg.svd(C, compute_uv=False)
         if np.sum(s > RANK_RTOL * s[0]) != m:
-            raise RankDeficiency("stochastic block C does not have full column rank")
+            raise RankDeficiency()
 
-    return DcFlowMatrices(
-        network=network,
-        m=m,
-        normalized=Cbar,
-        stochastic_block=C,
-        deterministic_block=Cbar[:, m + 1 :],
-    )
+    return DcFlowMatrices(network=network, m=m, stochastic_block=C, grounded_inverse=Bg, tails=tails, heads=heads)
 
 
 @dataclass(frozen=True)
@@ -391,8 +452,23 @@ class OperatingPoint:
             object.__setattr__(self, name, _readonly(getattr(self, name)))
 
 
+def _checked_injections(flow: DcFlowMatrices, mu, mu_D=()):
+    """(mu, mu_D) as float vectors; ValueError unless their lengths are m and N - m."""
+    mu = np.atleast_1d(np.asarray(mu, dtype=float))
+    mu_D = np.atleast_1d(np.asarray(mu_D, dtype=float)) if len(np.atleast_1d(mu_D)) else np.zeros(0)
+    n_det = flow.node_count - 1 - flow.m
+    if mu.shape != (flow.m,):
+        raise ValueError(f"mu must have length {flow.m}")
+    if mu_D.shape != (n_det,):
+        raise ValueError(f"mu_D must have length {n_det}")
+    return mu, mu_D
+
+
 def operating_point(flow: DcFlowMatrices, mu, mu_D=()) -> OperatingPoint:
     """Build the operating point for given stochastic and deterministic injections.
+
+    y = C_D mu_D is computed as `flow.currents` of the deterministic
+    injections alone.
 
     Raises
     ------
@@ -400,14 +476,13 @@ def operating_point(flow: DcFlowMatrices, mu, mu_D=()) -> OperatingPoint:
         If max |nu_ell| >= 1, i.e. the start is not strictly inside the
         deterministic stability region.
     """
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    mu_D = np.atleast_1d(np.asarray(mu_D, dtype=float)) if len(np.atleast_1d(mu_D)) else np.zeros(0)
-    n_det = flow.deterministic_block.shape[1]
-    if mu.shape != (flow.m,):
-        raise ValueError(f"mu must have length {flow.m}")
-    if mu_D.shape != (n_det,):
-        raise ValueError(f"mu_D must have length {n_det}")
-    y = flow.deterministic_block @ mu_D if n_det else np.zeros(flow.line_count)
+    mu, mu_D = _checked_injections(flow, mu, mu_D)
+    if mu_D.size:
+        s = np.zeros(flow.node_count)
+        s[flow.m + 1 :] = mu_D
+        y = flow.currents(s)
+    else:
+        y = np.zeros(flow.line_count)
     nu = flow.stochastic_block @ mu + y
     if np.max(np.abs(nu)) >= 1.0:
         raise InfeasibleStart(

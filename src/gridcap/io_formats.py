@@ -72,6 +72,7 @@ __all__ = [
     "net_injections",
     "apply_imax_rule",
     "resolve_auto_ratings",
+    "line_terminals",
     "build_model",
     "export_report",
     "export_region",
@@ -677,8 +678,8 @@ def apply_imax_rule(
     return resolve_auto_ratings(doc, K, zero_flow_rating=zero_flow_rating)
 
 
-def _document_network(doc: NetworkDocument, ratings):
-    """GridNetwork in internal node order plus the line permutation."""
+def _internal_lines(doc: NetworkDocument) -> list:
+    """((i, j), position) per document line, i < j its internal node indices, in internal line order."""
     index = doc.index_of
     keyed = []
     for pos, line in enumerate(doc.lines):
@@ -687,6 +688,18 @@ def _document_network(doc: NetworkDocument, ratings):
             i, j = j, i
         keyed.append(((i, j), pos))
     keyed.sort()
+    return keyed
+
+
+def line_terminals(doc: NetworkDocument) -> tuple:
+    """Each line's end node ids in internal line order: `BuiltModel.line_terminals`, without building."""
+    node_ids = doc.node_ids
+    return tuple((node_ids[i], node_ids[j]) for (i, j), _ in _internal_lines(doc))
+
+
+def _document_network(doc: NetworkDocument, ratings):
+    """GridNetwork in internal node order plus the line permutation."""
+    keyed = _internal_lines(doc)
     order = [pos for _, pos in keyed]
     network = GridNetwork(
         node_count=len(doc.nodes),
@@ -712,10 +725,10 @@ def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float
         raise ValueError("zero_flow_rating must be positive")
     if not doc.has_auto_ratings():
         return doc
-    # with every rating 1.0, Cbar is Ct bit for bit, so Cbar s is the base flow
+    # with every rating 1.0 the normalized currents are the base flows
     network, order = _document_network(doc, [1.0] * len(doc.lines))
     flow = build_flow_matrices(network, len(doc.stochastic_ids))
-    base_flow = flow.normalized @ _base_injection_vector(doc)
+    base_flow = flow.currents(_base_injection_vector(doc))
     scale = np.max(np.abs(base_flow)) if base_flow.size else 0.0
     flow_of_pos = {pos: base_flow[k] for k, pos in enumerate(order)}
     lines = []
@@ -738,8 +751,9 @@ class BuiltModel:
     """Ready-to-analyze model assembled from a document.
 
     `line_terminals` gives each internal line's endpoints as original node
-    ids, in internal line order. Nothing is stored twice: `network`, `flow`,
-    `op` and `ou` are read from `ctx`, and `node_ids` from `document`.
+    ids, in internal line order, as `line_terminals(document)` does. Nothing
+    is stored twice: `network`, `flow`, `op` and `ou` are read from `ctx`, and
+    `node_ids` from `document`.
     """
 
     document: NetworkDocument

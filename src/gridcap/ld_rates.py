@@ -155,7 +155,7 @@ def _line_variance(ctx: PsiContext, line: int) -> float:
     """One line's C_ell M_T C_ell^T; ZeroVarianceLine if the line is excluded."""
     denom = float(ctx.line_variances[line])
     if denom <= 0.0:
-        raise ZeroVarianceLine(f"line {line} has zero terminal current variance")
+        raise ZeroVarianceLine(line)
     return denom
 
 
@@ -293,7 +293,7 @@ def taylor_phi(ctx: PsiContext, endpoints: CurrentEndpoints) -> float:
     try:
         cplus = np.linalg.solve(gram, C.T)
     except np.linalg.LinAlgError as exc:
-        raise RankDeficiency("stochastic block has no left inverse") from exc
+        raise RankDeficiency(template="stochastic block has no left inverse") from exc
 
     def k_total(f, fp):
         x = cplus @ (f - ctx.op.y)

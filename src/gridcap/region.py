@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import BoundCollapse, EmptySlice
-from .grid_model import _readonly
+from .grid_model import _checked_injections, _readonly
 from .ld_rates import ARGMIN_RTOL, PsiContext, _live_lines
 from .thermal import _horizon_decay
 
@@ -125,12 +125,12 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
 
 
 def contains(region: CapacityRegion, flow, mu, mu_D=()) -> bool:
-    """Strict membership: every normalized current stays inside its slab."""
-    mu = np.atleast_1d(np.asarray(mu, dtype=float))
-    mu_D = np.atleast_1d(np.asarray(mu_D, dtype=float)) if np.size(mu_D) else np.zeros(0)
-    nu = flow.stochastic_block @ mu
-    if mu_D.size:
-        nu = nu + flow.deterministic_block @ mu_D
+    """Strict membership: every normalized current stays inside its slab.
+
+    `mu` and `mu_D` must have lengths m and N - m, as for `operating_point`.
+    """
+    mu, mu_D = _checked_injections(flow, mu, mu_D)
+    nu = flow.currents(np.concatenate([[0.0], mu, mu_D]))
     return bool(np.all(np.abs(nu) < region.bounds))
 
 
@@ -185,8 +185,8 @@ def _slice_geometry(flow, free, fixed):
     s[1:] = fixed
     s[u] = 0.0
     s[v] = 0.0
-    cols = flow.normalized
-    return cols @ s, cols[:, u], cols[:, v]
+    cols = flow.columns([u, v])
+    return flow.currents(s), cols[:, 0], cols[:, 1]
 
 
 def _box(bbox):

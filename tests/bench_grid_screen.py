@@ -3,11 +3,15 @@
 Times the three layers a grid screen spends most of its time in: the
 transfer assembly (at 1,000 and 3,000 buses, and on a densely coupled
 1,000-bus grid), and the JSON report export and the document parser (at
-1,000 buses). The file name does not start with ``test_``, so the default
+1,000 buses). `build_model` is timed at 1,000 and 2,000 buses, and reports
+in `extra_info` the bytes its model keeps and its peak, both as traced by
+tracemalloc. The file name does not start with ``test_``, so the default
 test run does not collect it. Run it with::
 
     pytest tests/bench_grid_screen.py --benchmark-only
 """
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -80,6 +84,22 @@ def test_build_flow_matrices(benchmark, buses, chords):
     m = buses // 10
     flow = benchmark(build_flow_matrices, network, m)
     assert flow.transfer.shape == (network.line_count, buses)
+
+
+@pytest.mark.parametrize("buses", [BUSES, 2 * BUSES], ids=["1000", "2000"])
+def test_build_model(benchmark, buses):
+    doc = ring_with_chords(seed=0, n=buses)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        bm = build_model(doc)
+        kept, peak = (size - base for size in tracemalloc.get_traced_memory())
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info.update(kept_mb=kept / 1e6, peak_mb=peak / 1e6)
+    print(f"\nbuild_model at {buses} buses keeps {kept / 1e6:.2f} MB, traced peak {peak / 1e6:.1f} MB")
+    del bm
+    assert benchmark(build_model, doc).flow.node_count == buses
 
 
 def test_export_report(benchmark, grid):

@@ -114,7 +114,7 @@ def random_context(rng, max_nodes=7, uniform_gamma=False, uniform_tau=False):
     mu_D = rng.uniform(-1.0, 1.0, N - m)
     nu = flow.stochastic_block @ mu
     if N > m:
-        nu = nu + flow.deterministic_block @ mu_D
+        nu = nu + flow.columns(range(m + 1, N + 1)) @ mu_D
     peak = np.max(np.abs(nu))
     if peak >= 0.9:
         scale = 0.9 * float(rng.uniform(0.3, 1.0)) / peak

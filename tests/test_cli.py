@@ -12,9 +12,12 @@ import numpy as np
 import pytest
 
 import gridcap
+from gridcap import cli
 from gridcap.cli import main
-from gridcap.errors import GridCapError
-from gridcap.io_formats import parse_native
+from gridcap.errors import BoundCollapse, GridCapError
+from gridcap.io_formats import build_model, parse_native
+from gridcap.ld_rates import psi
+from gridcap.region import build_region
 from oracles import certified_temperature_rate
 from test_io_formats import TINY_CASE
 
@@ -715,7 +718,73 @@ def test_subnormal_rating_exits_numeric_without_warnings(tmp_path):
     assert proc.returncode == 4
     assert proc.stdout == ""
     assert _single_error_line(proc.stderr)
-    assert "line 0 has non-finite normalized currents" in proc.stderr
+    assert "line 1–2 has non-finite normalized currents" in proc.stderr
+
+
+CASE14_ARGS = ["--K", "1.5", "--controllable", "6,9", "--gamma", "1", "--vol", "10", "--tau", "0.5",
+               "--epsilon", "0.0004", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5"]
+
+
+def _reversed_case14(capsys, tmp_path, rating=None):
+    """Converted case14 (stochastic buses 2 and 3) with its lines listed in reverse.
+
+    So a line's position in the document is not its internal index. `rating`
+    maps a line's (from, to) to a rating that replaces its own.
+    """
+    code, out, _ = run(capsys, "convert", "builtin:case14", "--stochastic", "2,3", "--zero-flow-rating", "1",
+                       *CASE14_ARGS)
+    assert code == 0
+    doc = json.loads(out)
+    doc["lines"].reverse()
+    for line in doc["lines"]:
+        line["rating"] = (rating or {}).get((line["from"], line["to"]), line["rating"])
+    path = tmp_path / "reversed.json"
+    path.write_text(json.dumps(doc))
+    return path
+
+
+def test_zero_base_flow_names_the_branch_by_its_buses(capsys):
+    # stochastic buses 10 and 4 reorder the nodes, so the zero-flow branch
+    # 7-8 (the case's 14th) has another internal index
+    code, out, err = run(capsys, "convert", "builtin:case14", "--stochastic", "10,4", *CASE14_ARGS)
+    assert (code, out) == (2, "")
+    assert err.splitlines()[-1] == "error: zero base flow on line 7–8"
+
+
+def test_bound_collapse_names_the_line_by_its_buses(capsys, tmp_path):
+    path = _reversed_case14(capsys, tmp_path)
+    bm = build_model(parse_native(path.read_text()))
+    with pytest.raises(BoundCollapse) as info:
+        build_region(bm.ctx, "current", 1e-3, 1e-4)
+    ell = info.value.line
+    a, b = bm.line_terminals[ell]
+    assert (bm.document.lines[ell].from_id, bm.document.lines[ell].to_id) != (a, b)
+    code, out, err = run(capsys, "region", str(path), "--kind", "current", "--epsilon", "1e-3")
+    assert (code, out) == (3, "")
+    assert err == f"error: capacity bound collapsed on line {a}–{b}\n"
+
+
+def test_non_finite_row_names_the_line_by_its_buses(capsys, tmp_path):
+    # line 4-5 is at position 13 of the reversed list and is internal line 6
+    path = _reversed_case14(capsys, tmp_path, rating={(4, 5): 1e-320})
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (4, "")
+    assert _single_error_line(err)
+    assert err.startswith("error: line 4–5 has non-finite normalized currents")
+
+
+def test_zero_variance_line_names_the_line_by_its_buses(capsys, tmp_path, monkeypatch):
+    # No command prices an excluded line, so the report is replaced by psi on
+    # one: case14's line 7-8 does not feel the stochastic buses 2 and 3.
+    path = _reversed_case14(capsys, tmp_path)
+
+    def psi_on_excluded_line(ctx, tau0=None):
+        return psi(ctx, min(set(range(ctx.flow.line_count)) - set(ctx.stochastic_lines)), 1.0)
+
+    monkeypatch.setattr(cli, "full_report", psi_on_excluded_line)
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: line 7–8 has zero terminal current variance\n"
 
 
 def test_missing_file(capsys):

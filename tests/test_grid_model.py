@@ -9,6 +9,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 
 from conftest import random_network, wheel_context
+from gridcap import grid_model
 from gridcap.errors import GraphError, InfeasibleStart, RankDeficiency, SingularReducedLaplacian
 from gridcap.grid_model import (
     INVERSE_BLOCK,
@@ -18,6 +19,17 @@ from gridcap.grid_model import (
     build_laplacian,
     operating_point,
 )
+from gridcap.io_formats import (
+    SCHEMA_VERSION,
+    AnalysisDefaults,
+    LineSpec,
+    NetworkDocument,
+    NodeSpec,
+    build_model,
+    resolve_auto_ratings,
+)
+from gridcap.ld_rates import PsiContext, full_report
+from gridcap.region import REGION_KINDS, build_region, contains, risk_partition, slice2d
 from oracles import build_incidence, reference_laplacian
 
 
@@ -46,7 +58,7 @@ def _ring_with_chords(n, seed, beta=(1.0, 5.0), chords=None):
 def test_single_line_transfer_is_minus_one():
     flow = build_flow_matrices(_net([(0, 1)], 2), 1)
     assert np.allclose(flow.stochastic_block, [[-1.0]], atol=1e-15)
-    assert flow.deterministic_block.shape == (1, 0)
+    assert flow.columns(range(2, 2)).shape == (1, 0)
 
 
 def test_wheel_transfer_matrix_exact():
@@ -75,7 +87,8 @@ def test_transfer_matches_direct_angle_solution():
         # the assembly is beta_ell (Bg[i] - Bg[j]) / rating_ell for each line (i, j), bit for bit
         tails, heads = np.array(net.lines).T
         rows = net.susceptance[:, None] * (Bg[tails] - Bg[heads])
-        assert flow.normalized.tobytes() == (rows / net.current_rating[:, None]).tobytes()
+        cbar = flow.columns(range(n))
+        assert cbar.tobytes() == (rows / net.current_rating[:, None]).tobytes()
         # and the dense chain Dbeta A Bg up to rounding
         chain = np.diag(net.susceptance) @ build_incidence(net) @ Bg
         assert np.max(np.abs(flow.transfer - chain)) <= 1e-13 * np.max(np.abs(chain))
@@ -87,9 +100,7 @@ def test_transfer_matches_direct_angle_solution():
             for ell, (i, j) in enumerate(net.lines):
                 f = net.susceptance[ell] * (theta[i] - theta[j])
                 assert np.isclose(flow.transfer[ell, node], f, atol=1e-10)
-                assert np.isclose(
-                    flow.normalized[ell, node], f / net.current_rating[ell], atol=1e-10
-                )
+                assert np.isclose(cbar[ell, node], f / net.current_rating[ell], atol=1e-10)
 
 
 def test_flow_conservation_at_every_node():
@@ -140,7 +151,7 @@ def test_rank_chain_random_networks(seed):
     m = int(rng.integers(1, N + 1))
     flow = build_flow_matrices(net, m)
     assert np.linalg.matrix_rank(build_laplacian(net), tol=1e-9) == N
-    assert np.linalg.matrix_rank(flow.normalized, tol=1e-9) == N
+    assert np.linalg.matrix_rank(flow.columns(range(N + 1)), tol=1e-9) == N
     assert np.linalg.matrix_rank(flow.stochastic_block, tol=1e-9) == m
     eigs = np.linalg.eigvalsh(build_laplacian(net))
     assert eigs.min() > -1e-9
@@ -286,18 +297,19 @@ def test_blocked_inverse_matches_dense_inverse_and_angle_solve(n, shape):
     Bg[1:, 1:] = np.linalg.inv(Bhat)
     tails, heads = np.array(net.lines).T
     rows = net.susceptance[:, None] * (Bg[tails] - Bg[heads]) / net.current_rating[:, None]
+    cbar = flow.columns(range(n))
     if n - 1 <= INVERSE_BLOCK:  # one block: the bits of np.linalg.inv
-        assert flow.normalized.tobytes() == rows.tobytes()
+        assert cbar.tobytes() == rows.tobytes()
     scale = np.max(np.abs(rows))
-    assert np.max(np.abs(flow.normalized - rows)) <= 1e-12 * scale
-    assert build_flow_matrices(net, n // 10).normalized.tobytes() == flow.normalized.tobytes()
+    assert np.max(np.abs(cbar - rows)) <= 1e-12 * scale
+    assert build_flow_matrices(net, n // 10).columns(range(n)).tobytes() == cbar.tobytes()
     # line flows of the angles solved directly for random injections
     rng = np.random.default_rng(n)
     S = rng.normal(size=(n - 1, 4))
     theta = np.zeros((n, 4))
     theta[1:] = np.linalg.solve(Bhat, S)
     f = net.susceptance[:, None] * (theta[tails] - theta[heads]) / net.current_rating[:, None]
-    assert np.max(np.abs(flow.normalized[:, 1:] @ S - f)) <= 1e-10 * np.max(np.abs(f))
+    assert np.max(np.abs(cbar[:, 1:] @ S - f)) <= 1e-10 * np.max(np.abs(f))
 
 
 def test_inverse_blocks_stay_within_block_size(monkeypatch):
@@ -399,23 +411,26 @@ def test_arrays_are_read_only():
             arr[0] = 0.0 if arr.ndim == 1 else arr[0]
 
 
-def test_blocks_are_read_only_views_of_normalized():
-    # C and C_D are columns 1..m and m+1..N of Cbar, held once
+def test_stored_blocks_are_read_only():
+    # C is columns 1..m of Cbar; it, the grounded inverse, the line ends and
+    # Ct are read-only, while each served block of columns is a new array
     flow = build_flow_matrices(_net([(0, 1), (0, 2), (1, 2), (2, 3)], 4), 2)
-    assert flow.stochastic_block.tobytes() == flow.normalized[:, 1:3].tobytes()
-    assert flow.deterministic_block.tobytes() == flow.normalized[:, 3:].tobytes()
-    for block in (flow.stochastic_block, flow.deterministic_block):
-        assert np.shares_memory(block, flow.normalized)
-    for arr in (flow.transfer, flow.normalized, flow.stochastic_block, flow.deterministic_block):
+    assert flow.stochastic_block.tobytes() == flow.columns([1, 2]).tobytes()
+    for arr in (flow.transfer, flow.stochastic_block, flow.grounded_inverse):
         assert not arr.flags.writeable
         with pytest.raises(ValueError):
             arr[0, 0] = 1.0
+    for arr in (flow.tails, flow.heads):
+        assert not arr.flags.writeable
+    served = flow.columns([3, 0])
+    assert served.flags.writeable and not np.shares_memory(served, flow.grounded_inverse)
 
 
 def test_assembly_memory_budget():
-    # 1,000-bus ring with 500 chords and 100 stochastic nodes. B is 8 MB, Cbar
-    # 12 MB and the grounded inverse 8 MB; copying any stored matrix on top of
-    # the assembly's temporaries breaks the budget.
+    # 1,000-bus ring with 500 chords and 100 stochastic nodes. B and the
+    # grounded inverse are 8 MB each, C 1.2 MB and a whole Cbar would be
+    # 12 MB; copying any stored matrix on top of the assembly's temporaries
+    # breaks the budget.
     n = 1000
     net = _ring_with_chords(n, 11)
     tracemalloc.start()
@@ -426,5 +441,200 @@ def test_assembly_memory_budget():
         peak = tracemalloc.get_traced_memory()[1] - base
     finally:
         tracemalloc.stop()
-    assert flow.normalized.shape == (1500, n)
+    assert flow.stochastic_block.shape == (1500, n // 10)
     assert peak < 50e6
+
+
+def _row_loop_cbar(flow):
+    """Cbar as the assembly formed it while it stored it whole.
+
+    One in-place subtraction of two rows of Bhat^-1 per line, then the whole
+    matrix times beta and over the rating, from the model's own inverse.
+    """
+    net = flow.network
+    inverse = flow.grounded_inverse[1:, 1:]
+    cbar = np.zeros((net.line_count, net.node_count))
+    for row, (i, j) in zip(cbar[:, 1:], net.lines):
+        np.subtract(inverse[i - 1] if i else 0.0, inverse[j - 1], out=row)
+    cbar *= net.susceptance[:, None]
+    cbar /= net.current_rating[:, None]
+    return cbar
+
+
+def _flow_cases(seed):
+    """Random networks and rings with chords, each with a random stochastic count m."""
+    rng = np.random.default_rng(seed)
+    nets = [random_network(rng, max_nodes=12, max_extra=20) for _ in range(20)]
+    nets += [_ring_with_chords(n, n) for n in (INVERSE_BLOCK + 2, 300)]
+    return [(net, int(rng.integers(1, net.node_count))) for net in nets]
+
+
+@pytest.mark.parametrize("block_bytes", [None, 8, 8 * 1000])
+def test_columns_are_the_row_loop_formula_bit_for_bit(monkeypatch, block_bytes):
+    # one column per block, a few per block, and the default
+    if block_bytes is not None:
+        monkeypatch.setattr(grid_model, "COLUMN_BLOCK_BYTES", block_bytes)
+    rng = np.random.default_rng(32)
+    for net, m in _flow_cases(31):
+        flow = build_flow_matrices(net, m)
+        cbar = _row_loop_cbar(flow)
+        n = net.node_count
+        assert flow.columns(range(n)).tobytes() == cbar.tobytes()
+        assert flow.stochastic_block.tobytes() == cbar[:, 1 : m + 1].tobytes()
+        assert flow.transfer.tobytes() == (cbar * net.current_rating[:, None]).tobytes()
+        # any nodes in any order, the slack and repeats included
+        nodes = rng.integers(0, n, size=n + 3)
+        assert flow.columns(nodes).tobytes() == np.ascontiguousarray(cbar[:, nodes]).tobytes()
+
+
+def test_columns_match_the_incidence_chain():
+    # Cbar = Dbeta A Bg / rating with the oracle's incidence matrix and a plain inverse
+    rng = np.random.default_rng(33)
+    for net, m in _flow_cases(34):
+        flow = build_flow_matrices(net, m)
+        n = net.node_count
+        Bg = np.zeros((n, n))
+        Bg[1:, 1:] = np.linalg.inv(reference_laplacian(net)[1:, 1:])
+        chain = np.diag(net.susceptance) @ build_incidence(net) @ Bg / net.current_rating[:, None]
+        nodes = rng.permutation(n)[: max(2, n // 3)]
+        assert np.max(np.abs(flow.columns(nodes) - chain[:, nodes])) <= 1e-12 * np.max(np.abs(chain))
+
+
+def test_currents_match_the_dense_product():
+    rng = np.random.default_rng(35)
+    for net, m in _flow_cases(36):
+        flow = build_flow_matrices(net, m)
+        cbar = _row_loop_cbar(flow)
+        for _ in range(3):
+            s = rng.normal(size=net.node_count)
+            got = flow.currents(s)
+            # relative to the sum of the product's absolute terms, which no cancellation shrinks
+            assert np.max(np.abs(got - cbar @ s)) <= 1e-12 * np.max(np.abs(cbar) @ np.abs(s))
+            s[0] = 1e300  # the slack entry is not read
+            assert flow.currents(s).tobytes() == got.tobytes()
+
+
+def test_columns_and_currents_check_their_arguments():
+    flow = build_flow_matrices(_net([(0, 1), (0, 2), (1, 2)], 3), 1)
+    for nodes in ([3], [-1], [[1, 2]]):
+        with pytest.raises(ValueError, match="node indices in 0..2"):
+            flow.columns(nodes)
+    with pytest.raises(ValueError, match="length 3"):
+        flow.currents([0.0, 1.0])
+
+
+def test_refused_line_is_the_first_the_dense_formula_overflows():
+    # Ratings from 1e-320 to 1e-300 overflow some rows of the dense Cbar and
+    # not others; the refusal names the first non-finite row, and a network
+    # whose rows all stay finite is not refused for them.
+    rng = np.random.default_rng(37)
+    refused = kept = 0
+    for _ in range(120):
+        net = random_network(rng, max_nodes=10, max_extra=10)
+        rating = net.current_rating.copy()
+        tiny = rng.random(rating.size) < 0.15
+        rating[tiny] = 10.0 ** rng.uniform(-320, -300, tiny.sum())
+        m = net.node_count - 1
+        # the inverse does not read the ratings
+        Bg = build_flow_matrices(net, m).grounded_inverse
+        net = _net(net.lines, net.node_count, beta=net.susceptance, rating=rating)
+        tails, heads = np.array(net.lines).T
+        with np.errstate(over="ignore"):
+            rows = (Bg[tails] - Bg[heads]) * net.susceptance[:, None] / rating[:, None]
+        bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build_flow_matrices(net, m)
+                line = None
+            except RankDeficiency as exc:  # the rank test may refuse a finite, badly scaled C
+                line = exc.line
+        assert line == (int(bad[0]) if bad.size else None)
+        refused += bad.size > 0
+        kept += bad.size == 0 and tiny.any()
+    assert refused >= 20 and kept >= 5
+
+
+def _held_arrays(obj, seen=None):
+    """Every array a gridcap object holds in its fields or cached attributes, recursively."""
+    seen = set() if seen is None else seen
+    if id(obj) in seen:
+        return
+    seen.add(id(obj))
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, (tuple, list)):
+        for item in obj:
+            yield from _held_arrays(item, seen)
+    elif type(obj).__module__.startswith("gridcap"):
+        for value in vars(obj).values():
+            yield from _held_arrays(value, seen)
+
+
+def test_no_held_array_spans_lines_by_nodes():
+    # After a report, every region kind, slices and a partition have filled
+    # the model's cached attributes, the only array with a row per line is
+    # C: none is L x (N+1), or wider than m.
+    bm = build_model(_complete_document(40, 4))
+    full_report(bm.ctx)
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    for kind in REGION_KINDS:
+        region = build_region(bm.ctx, kind, 0.01, 1e-4)
+        slice2d(region, bm.flow, (1, 20), fixed, (-5.0, 5.0, -5.0, 5.0))
+        contains(region, bm.flow, bm.op.mu, bm.op.mu_D)
+    risk_partition(bm.ctx, (1, 20), fixed, (-5.0, 5.0, -5.0, 5.0), resolution=16)
+    shapes = {a.shape for a in _held_arrays(bm)}
+    L, n = bm.flow.line_count, bm.flow.node_count
+    assert [shape for shape in shapes if len(shape) == 2 and shape[0] == L] == [(L, bm.flow.m)]
+    assert (n, n) in shapes  # the grounded inverse is kept instead
+
+
+def _complete_document(n, m, rating=1.0):
+    """Every pair of n buses joined (L = n(n-1)/2 lines), each rated `rating`.
+
+    Bus 1 is the slack, buses 2..m+1 are stochastic and the rest deterministic.
+    """
+    rng = np.random.default_rng(n)
+    nodes = [NodeSpec(id=1, role="slack")]
+    for bus in range(2, n + 1):
+        value = float(rng.uniform(-1.0, 1.0))
+        if bus <= m + 1:
+            nodes.append(NodeSpec(id=bus, role="stochastic", gamma=1.0, vol=0.1, mean=value))
+        else:
+            nodes.append(NodeSpec(id=bus, role="deterministic", injection=value))
+    lines = tuple(
+        LineSpec(from_id=a, to_id=b, susceptance=float(rng.uniform(1.0, 5.0)), rating=rating, tau=0.5)
+        for a in range(1, n + 1) for b in range(a + 1, n + 1)
+    )
+    defaults = AnalysisDefaults(epsilon=0.01, p=1e-4, horizon=1.0, tau0=0.5)
+    return NetworkDocument(version=SCHEMA_VERSION, nodes=tuple(nodes), lines=lines, defaults=defaults)
+
+
+def test_pipeline_forms_no_array_spanning_lines_by_nodes():
+    # On a complete 160-bus graph an L x (N+1) array is 16 MB, while the
+    # grounded inverse is 0.2 MB and C 0.4 MB: each step's traced peak stays
+    # under half of that one array.
+    doc = _complete_document(160, 4)
+    L, n = len(doc.lines), len(doc.nodes)
+    budget = 0.5 * 8 * L * n
+    auto = _complete_document(160, 4, rating="auto")
+    bm = build_model(doc)
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    region = build_region(bm.ctx, "current", 0.01, 1e-4)
+    steps = dict(
+        resolve_auto_ratings=lambda: resolve_auto_ratings(auto, 1.5, zero_flow_rating=1.0),
+        build_model=lambda: build_model(doc),
+        full_report=lambda: full_report(PsiContext(bm.flow, bm.op, bm.ou)),
+        build_region=lambda: build_region(bm.ctx, "current", 0.01, 1e-4),
+        slice2d=lambda: slice2d(region, bm.flow, (1, 2), fixed, (-1.0, 1.0, -1.0, 1.0)),
+        contains=lambda: contains(region, bm.flow, bm.op.mu, bm.op.mu_D),
+    )
+    for name, step in steps.items():
+        tracemalloc.start()
+        try:
+            base = tracemalloc.get_traced_memory()[0]
+            step()
+            peak = tracemalloc.get_traced_memory()[1] - base
+        finally:
+            tracemalloc.stop()
+        assert peak < budget, name

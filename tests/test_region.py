@@ -333,12 +333,13 @@ def test_partition_labels_beyond_63_stochastic_lines():
     # pointwise oracle for every cell
     live = list(ctx.stochastic_lines)
     denom = line_variances(ctx)[live]
+    cbar = ctx.flow.columns(range(60))
     for i, v in enumerate(part.v_centers):
         for j, u in enumerate(part.u_centers):
             s = np.zeros(60)
             s[1:] = fixed
             s[free[0]], s[free[1]] = u, v
-            nu = ctx.flow.normalized @ s
+            nu = cbar @ s
             idx = part.label_grid[i, j]
             if np.max(np.abs(nu)) >= 1.0:
                 assert idx == -1
@@ -423,6 +424,25 @@ def _case14_map():
     (umin, vmin), (umax, vmax) = verts.min(axis=0), verts.max(axis=0)
     pad_u, pad_v = 0.05 * (umax - umin), 0.05 * (vmax - vmin)
     return bm, free, fixed, (umin - pad_u, umax + pad_u, vmin - pad_v, vmax + pad_v)
+
+
+def test_contains_requires_every_injection():
+    # The converted case14's operating point lies strictly inside its
+    # deterministic region, but not with its 11 fixed injections set to zero,
+    # which is how a missing mu_D used to be read. A missing or short mu_D
+    # and a long mu are refused as operating_point refuses them.
+    bm = _case14_map()[0]
+    det = build_region(bm.ctx, "deterministic", 4e-4, 1e-4)
+    mu, mu_D = bm.op.mu, bm.op.mu_D
+    assert contains(det, bm.flow, mu, mu_D)
+    assert not contains(det, bm.flow, mu, np.zeros_like(mu_D))
+    for args, message in [((mu,), "mu_D must have length 11"), ((mu, mu_D[:-1]), "mu_D must have length 11"),
+                          ((np.append(mu, 0.0), mu_D), "mu must have length 2")]:
+        with pytest.raises(ValueError, match=message):
+            contains(det, bm.flow, *args)
+    # membership reads the operating point's currents, up to rounding
+    nu = bm.flow.currents(np.concatenate([[0.0], mu, mu_D]))
+    assert np.max(np.abs(nu - bm.op.nu)) <= 1e-12
 
 
 @pytest.mark.parametrize("resolution", [1, 2, 7, 60, 61])

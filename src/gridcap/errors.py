@@ -149,8 +149,11 @@ class BoundCollapse(LineError, EmptyResult):
     template = "capacity bound collapsed on {line}"
 
 
-class EmptySlice(EmptyResult):
-    """A requested two-dimensional slice of a capacity region is empty."""
+class EmptySlice(LineError, EmptyResult):
+    """A requested two-dimensional slice of a capacity region is empty.
+
+    `line` is the line that empties it, or None when no one line does: the
+    polygon is degenerate, or no grid cell of a partition lies inside."""
 
 
 class InsufficientHits(EmptyResult):

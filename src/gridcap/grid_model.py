@@ -25,38 +25,65 @@ column-wise into [0 | C | C_D]: the slack column is identically zero, C acts
 on the stochastic injections and C_D on the deterministic ones.
 
 What the analysis reads is C and a few products Cbar s, so `DcFlowMatrices`
-stores only C (L x m), Bg ((N+1) x (N+1), the inverse written into its lower
-block as `_spd_inverse` forms it) and the line end arrays, all read-only.
-Cbar itself is never stored: `columns(nodes)` gathers any of its columns
-from the two terminal rows of Bg, by the same three elementwise steps that
-form C (subtract, times beta, over the rating), so a served column has the
-bits of the same column in C; `currents(s)` returns Cbar s from the angles
-theta = Bhat^-1 s[1:]; `transfer` forms Ct whole for callers that want it.
-A, Dbeta and Ct are never formed by the assembly, and B is freed once Bhat
-is inverted and kappa_1 taken.
+stores only C (L x m), a factorization of Bhat and the line end arrays, all
+read-only; neither Bg nor Cbar is stored. Column c of Bg holds the angles of
+a unit injection at node c, so `columns(nodes)` serves columns of Cbar from
+solves for unit vectors, followed by the same three elementwise steps that
+form C (subtract, times beta, over the rating); `currents(s)` returns Cbar s
+from one solve for the angles theta = Bhat^-1 s[1:]; `transfer` forms Ct
+whole for callers that want it. A, Dbeta and Ct are never formed by the
+assembly, and B is freed once Bhat is factored.
 
-Bhat is symmetric positive definite, so `_spd_inverse` inverts it by
-recursive 2 x 2 blocks through the Schur complement, which needs no pivoting
-for such a matrix (Demmel, Higham & Schreiber, 1995). The work is about
-4/3 N^3 flops, all in matrix products, against about 8/3 N^3 for LAPACK's
-gesv solve against the identity. Blocks of at most INVERSE_BLOCK rows go to
-`np.linalg.inv`, so a network with at most that many non-slack nodes gets
-the same bits as a plain `np.linalg.inv(Bhat)`. Above that, each level
-multiplies only the rows and columns where Bhat couples its two halves
-(skipping the zero coupling is the idea behind nested dissection; George,
-SIAM J. Numer. Anal. 10(2), 1973). SciPy's Cholesky inverse would halve the
-flops again, and its sparse LU would skip more zeros, but importing
-`scipy.linalg` takes ~0.2 s and `scipy.sparse.linalg` ~0.15 s, which every
-command that assembles a network would pay at start-up.
+The factorization. Bhat is symmetric positive definite, so `_spd_factor`
+splits it into halves [[A, B], [B^T, D]] and eliminates A through the Schur
+complement S = D - B^T A^-1 B, again symmetric positive definite, with no
+pivoting (Demmel, Higham & Schreiber, 1995); A and S are factored the same
+way. A Laplacian's coupling block B is mostly zero, so each level keeps
+only what its nonzero rows r and columns c need (skipping the zero coupling
+is the idea behind nested dissection; George, SIAM J. Numer. Anal. 10(2),
+1973): B's nonzeros, Y = A^-1 B[:, c] (found by a solve with the factored
+A) and the factored S, of which only S[c, c] differs from D. Which half is
+eliminated first is chosen to keep Y smaller. A block of at most
+INVERSE_BLOCK rows is a leaf, held as its `np.linalg.inv`, and below the top
+level leaves have FACTOR_LEAF rows. `_spd_solve` runs matrix products
+only: a solve with A, the update of the rows c of the other half by B^T, a
+solve with S and the back-substitution through Y x[c]. A network with at
+most INVERSE_BLOCK non-slack nodes is one leaf, so its columns and
+currents keep the bits of a plain `np.linalg.inv(Bhat)`. On a 1,000-bus
+ring with 500 chords the factors take ~2.6 MB where Bhat^-1 takes 8 MB,
+and they take about two thirds of the time of the inverse to form.
+
+Determinism. BLAS may round a column of a matrix product differently
+depending on the other columns multiplied with it, so a column solved alone
+need not have the bits of the same column solved in a block. `columns`
+therefore solves only whole blocks of SOLVE_BLOCK unit vectors aligned to
+the node index (nodes 1..SOLVE_BLOCK, the next SOLVE_BLOCK, and so on), C
+is formed from the same blocks, and a stochastic node's column is copied
+from C. A served column so has the same bits whichever nodes are requested
+with it. `currents` is one solve, equal to Cbar s up to rounding.
+
+Why not SciPy. Its sparse LU would skip more zeros and its Cholesky factor
+would halve the flops, but importing `scipy.sparse.linalg` takes ~0.15-0.2 s
+and `scipy.linalg` ~0.2 s: more than a whole 1,000-bus screen, and paid at
+start-up by every command that assembles a network.
 
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
 ||Bhat^-1||_1, within a factor N of sigma_max/sigma_min, is not finite or
-reaches 1/RANK_RTOL. A non-finite row of Cbar is refused, although Cbar is
-not stored: every entry of row ell is at most fl(fl(2 ||Bhat^-1||_1 beta_ell)
-/ r_ell) in magnitude, since each rounding step is monotone, so only a line
-whose bound is not finite has its whole row priced. rank(C) = m is
-certified from eigvalsh(C^T C) where its rounding leaves no doubt, and
+reaches 1/RANK_RTOL. Neither norm needs a pass over N^2 entries. Bhat is an
+irreducible nonsingular M-matrix (the graph is connected and the
+susceptances are positive), so Bhat^-1 is symmetric and entrywise positive
+and ||Bhat^-1||_1 = max(Bhat^-1 1), one solve. Column j of Bhat has absolute
+sum 2 Bhat_jj - beta_0j, where beta_0j is the susceptance of the line from
+the slack to j, or 0, so ||Bhat||_1 is read off B's diagonal and slack row.
+A non-finite row of Cbar is refused, although Cbar is not stored: every
+entry of row ell is at most fl(fl(4 ||Bhat^-1||_1 beta_ell) / r_ell) in
+magnitude. Exactly, |Bg[i, c] - Bg[j, c]| <= 2 ||Bhat^-1||_1; the solved
+entries and norm differ from the exact ones by at most about kappa_1 times
+the unit roundoff relative, far below the doubled factor, and each rounding
+step after that is monotone. So only a line whose bound is not finite has
+its whole row priced, from the same block solves as `columns`. rank(C) = m
+is certified from eigvalsh(C^T C) where its rounding leaves no doubt, and
 otherwise checked by SVD at cutoff RANK_RTOL (`_gram_certifies_rank`).
 rank(B) = rank(Cbar) = N are theorems for a connected graph with positive
 susceptances (the range of Bg meets the kernel of A only at 0);
@@ -65,6 +92,7 @@ susceptances (the range of Bg meets the kernel of A only at 0);
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -88,15 +116,30 @@ __all__ = [
 #: bounds the condition number kappa_1 of the grounded Laplacian.
 RANK_RTOL = 1e-9
 
-#: Largest block `_spd_inverse` hands to `np.linalg.inv` whole.
+#: Largest block `_spd_factor` holds as one `np.linalg.inv`: Bhat of a network
+#: with at most this many non-slack nodes is factored as its plain inverse.
 INVERSE_BLOCK = 128
+
+#: Leaf size of `_spd_factor` below the top level: a leaf of half of
+#: INVERSE_BLOCK rows costs less to invert and to apply than one more split.
+FACTOR_LEAF = INVERSE_BLOCK // 2
+
+#: A split of `_spd_factor` lists its coupling block's nonzeros one by one when
+#: they fill less than 1/SPARSE_COUPLING of the block's nonzero rows and
+#: columns, and keeps that block dense otherwise: a product with the list
+#: costs about as much per entry as SPARSE_COUPLING entries of a dense product.
+SPARSE_COUPLING = 16
+
+#: Width of the node-aligned blocks of unit vectors that `DcFlowMatrices`
+#: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up.
+SOLVE_BLOCK = INVERSE_BLOCK // 2
+
+#: Bytes of the largest run of Cbar's columns formed at once from solved angles.
+COLUMN_BLOCK_BYTES = 1 << 21
 
 #: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
 #: eigenvalue must clear to certify rank(C) = m without an SVD.
 GRAM_MARGIN = 1e3
-
-#: Bytes of the largest temporary `DcFlowMatrices.columns` gathers at once.
-COLUMN_BLOCK_BYTES = 1 << 21
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -189,48 +232,102 @@ def build_laplacian(network: GridNetwork) -> np.ndarray:
     return B
 
 
-def _spd_inverse(M: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Inverse of the symmetric positive definite M by recursive 2 x 2 blocks.
+class _Split(NamedTuple):
+    """One level of `_spd_factor`: M split into halves at row n // 2.
 
-    With M = [[A, B], [B^T, D]] split at k = n // 2, S = D - B^T A^-1 B is
-    the Schur complement, again symmetric positive definite, and with
-    X = A^-1 B S^-1
+    The half `head` is eliminated first and `tail` holds the Schur
+    complement: A = M[head, head], B = M[head, tail] and D = M[tail, tail].
+    `head` is the upper half unless the lower one keeps Y smaller.
+    Only B's nonzero columns `cols` enter, through `_coupled`: as the dense
+    block vals = B[rows, cols] over B's nonzero rows (starts is None), or,
+    when its nonzeros fill less than 1/SPARSE_COUPLING of that block, as a
+    list by column, entry e being B[rows[e], cols[g]] = vals[e] for the
+    group g that runs from starts[g] to the next start. Y is
+    A^-1 B[:, cols]; top and bottom factor A and the Schur complement
+    S = D - B^T A^-1 B, which differs from D only in S[cols, cols].
+    """
 
-        M^-1 = [[A^-1 + X (A^-1 B)^T, -X], [-X^T, S^-1]].
+    head: slice
+    tail: slice
+    rows: np.ndarray
+    vals: np.ndarray
+    starts: np.ndarray
+    cols: np.ndarray
+    Y: np.ndarray
+    top: object
+    bottom: object
 
-    A and S are inverted the same way down to INVERSE_BLOCK rows, and every
-    block is written into `out` (allocated when not given).
 
-    A Laplacian's coupling block B is mostly zero. With c its nonzero
-    columns and r its nonzero rows, the products run on those alone:
-    A^-1 B = A^-1[:, r] B[r, c] in columns c and zero elsewhere, so only
-    S[c, c] is updated, X = (A^-1 B)[:, c] S^-1[c] and A^-1 gains
-    X[:, c] (A^-1 B)[:, c]^T. The terms left out are exact zeros; the sums
-    keep their other terms but may round in another order.
+def _coupled(rows, vals, starts, X) -> np.ndarray:
+    """(B^T X)[cols] for a split's coupling block B held as (rows, vals, starts) (`_Split`)."""
+    if starts is None:
+        return vals.T @ X[rows]
+    terms = X[rows] * (vals if X.ndim == 1 else vals[:, None])
+    return np.add.reduceat(terms, starts, axis=0)
+
+
+def _spd_factor(M: np.ndarray, leaf: int = INVERSE_BLOCK):
+    """Factor the symmetric positive definite M by recursive 2 x 2 blocks.
+
+    A block of at most `leaf` rows is returned as its `np.linalg.inv`, read
+    only. A larger M is split into halves (`_Split`), whose A and S
+    are factored the same way with leaves of FACTOR_LEAF rows; Y = A^-1 B
+    is found by `_spd_solve` on the factored A, with the zero columns of B
+    left out, so only S[cols, cols] is updated. Raises LinAlgError if LAPACK
+    finds a leaf singular.
     """
     n = len(M)
-    if out is None:
-        out = np.empty((n, n))
-    if n <= INVERSE_BLOCK:
-        out[...] = np.linalg.inv(M)
-        return out
+    if n <= leaf:
+        inverse = np.linalg.inv(M)
+        inverse.setflags(write=False)
+        return inverse
     k = n // 2
-    B = M[:k, k:]
-    Ai = _spd_inverse(M[:k, :k], out[:k, :k])
-    rows = np.flatnonzero(B.any(axis=1))
-    cols = np.flatnonzero(B.any(axis=0))
-    Brc = B[np.ix_(rows, cols)]
-    AiB = Ai[:, rows] @ Brc
-    S = M[k:, k:].copy()
-    S[np.ix_(cols, cols)] -= Brc.T @ AiB[rows]
-    Si = _spd_inverse(S, out[k:, k:])
-    del S
-    X = out[:k, k:]
-    np.matmul(AiB, Si[cols], out=X)
-    Ai += X[:, cols] @ AiB.T
-    del AiB
-    np.negative(X, out=X)
-    out[k:, :k] = X.T
+    head, tail = slice(None, k), slice(k, None)
+    coupled = M[head, tail] != 0
+    if (n - k) * coupled.any(axis=1).sum() < k * coupled.any(axis=0).sum():  # Y is smaller this way round
+        head, tail = tail, head
+        coupled = M[head, tail] != 0
+    B = M[head, tail]
+    coupled_rows, cols = np.flatnonzero(coupled.any(axis=1)), np.flatnonzero(coupled.any(axis=0))
+    Bc = np.zeros((len(B), cols.size))
+    if np.count_nonzero(coupled) * SPARSE_COUPLING >= coupled_rows.size * cols.size:
+        rows, vals, starts = coupled_rows, B[np.ix_(coupled_rows, cols)], None
+        Bc[rows] = vals
+    else:
+        rows, col_of = np.nonzero(coupled)
+        order = np.argsort(col_of, kind="stable")  # by column of B, then by row
+        rows, col_of = rows[order], col_of[order]
+        vals = B[rows, col_of]
+        starts = np.flatnonzero(np.diff(col_of, prepend=-1))
+        Bc[rows, np.searchsorted(cols, col_of)] = vals
+    top = _spd_factor(M[head, head], FACTOR_LEAF)
+    Y = _spd_solve(top, Bc, Bc)
+    S = M[tail, tail].copy()
+    S[np.ix_(cols, cols)] -= _coupled(rows, vals, starts, Y)
+    bottom = _spd_factor(S, FACTOR_LEAF)
+    for arr in (rows, vals, starts, cols, Y):
+        if arr is not None:
+            arr.setflags(write=False)
+    return _Split(head, tail, rows, vals, starts, cols, Y, top, bottom)
+
+
+def _spd_solve(F, R: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Write into `out` the X with M X = R, for M factored as F by `_spd_factor`, and return it.
+
+    R and out are vectors or matrices with M's rows; out may be R itself.
+    A leaf is one product with its inverse. A split solves A z = R_top,
+    takes B^T z off the rows cols of R_bottom, solves S x_bottom with that
+    and back-substitutes x_top = z - Y x_bottom[cols]: matrix products only.
+    """
+    if isinstance(F, np.ndarray):
+        np.matmul(F, R, out=out)
+        return out
+    rhs = R[F.tail].copy()
+    top, bottom = out[F.head], out[F.tail]
+    _spd_solve(F.top, R[F.head], top)
+    rhs[F.cols] -= _coupled(F.rows, F.vals, F.starts, top)
+    _spd_solve(F.bottom, rhs, bottom)
+    top -= F.Y @ bottom[F.cols]
     return out
 
 
@@ -266,39 +363,96 @@ def _gram_certifies_rank(C: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(G)[0] > floor)
 
 
-def _gather_columns(network: GridNetwork, Bg, tails, heads, nodes: np.ndarray) -> np.ndarray:
-    """Cbar[:, nodes] in a new array, at most COLUMN_BLOCK_BYTES of columns gathered at a time.
+def _unit_angles(factor, size: int, block: int) -> np.ndarray:
+    """Columns of Bg for block `block` of nodes: angles of a unit injection at each node.
 
-    Each block is Bg[i, c] - Bg[j, c], times beta_ell, over the rating, the
-    three elementwise steps that form C, so a column's bits do not depend on
-    the block that gathers it.
+    The block holds nodes block * SOLVE_BLOCK + 1 onwards, SOLVE_BLOCK of
+    them or up to node `size` = N. The result has N + 1 rows, the slack's
+    row 0 zero, and one column per node of the block.
     """
-    beta, rating = network.susceptance, network.current_rating
-    out = np.empty((len(tails), nodes.size))
+    first = block * SOLVE_BLOCK
+    width = min(SOLVE_BLOCK, size - first)
+    units = np.zeros((size, width))
+    units[first + np.arange(width), np.arange(width)] = 1.0
+    angles = np.zeros((size + 1, width))
+    _spd_solve(factor, units, angles[1:])
+    return angles
+
+
+def _normalized(angles, tails, heads, beta, rating):
+    """Yield (cols, Cbar's columns for the angle columns cols), COLUMN_BLOCK_BYTES of them at a time.
+
+    A column is (angles[i] - angles[j]) beta_ell / r_ell for each line (i, j):
+    the three elementwise steps that form every column of Cbar, so a
+    column's bits do not depend on the run of columns it is formed in.
+    """
     width = max(1, COLUMN_BLOCK_BYTES // (8 * len(tails)))
-    # a run of consecutive nodes is read through slices, which gather faster
-    run = nodes.size > 0 and np.array_equal(nodes, np.arange(nodes[0], nodes[0] + nodes.size))
-    for start in range(0, len(nodes), width):
-        block = out[:, start : start + width]
-        if run:
-            cols = slice(nodes[0] + start, nodes[0] + start + block.shape[1])
-            np.subtract(Bg[tails, cols], Bg[heads, cols], out=block)
-        else:
-            cols = nodes[start : start + width]
-            np.subtract(Bg[np.ix_(tails, cols)], Bg[np.ix_(heads, cols)], out=block)
-        block *= beta[:, None]
-        block /= rating[:, None]
-    return out
+    for start in range(0, angles.shape[1], width):
+        cols = slice(start, start + width)
+        values = np.subtract(angles[tails, cols], angles[heads, cols])
+        values *= beta[:, None]
+        values /= rating[:, None]
+        yield cols, values
+
+
+def _factor_grounded(network: GridNetwork):
+    """(factor of Bhat, ||Bhat^-1||_1), or SingularReducedLaplacian when kappa_1 fails (module docstring)."""
+    B = build_laplacian(network)
+    # column j of Bhat sums to 2 Bhat_jj - beta_0j in absolute value, and B[0, j] = -beta_0j
+    bhat_norm = float(np.max(2.0 * np.diagonal(B)[1:] + B[0, 1:]))
+    try:
+        with np.errstate(over="ignore", invalid="ignore"):  # non-finite factors fail the kappa test
+            factor = _spd_factor(B[1:, 1:])
+            del B
+            # Bhat^-1 is entrywise positive, so its 1-norm is its largest row sum
+            ones = np.ones(network.node_count - 1)
+            inverse_norm = float(np.max(_spd_solve(factor, ones, ones)))
+    except np.linalg.LinAlgError:
+        factor, inverse_norm = None, np.inf
+    # Python floats: a huge product becomes inf without a RuntimeWarning
+    if not 0.0 < bhat_norm * inverse_norm < 1.0 / RANK_RTOL:  # NaN fails this test too
+        raise SingularReducedLaplacian(
+            "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
+        )
+    return factor, inverse_norm
+
+
+def _line_ends(network: GridNetwork):
+    """Read-only (tails, heads): the end nodes i < j of each line."""
+    return tuple(_readonly(ends, np.intp) for ends in np.array(network.lines).T)
+
+
+def _currents(network: GridNetwork, factor, tails, heads, s) -> np.ndarray:
+    """Cbar s from one solve for the angles theta = Bhat^-1 s[1:] (theta_0 = 0)."""
+    theta = np.zeros(network.node_count)
+    _spd_solve(factor, s[1:], theta[1:])
+    flow = theta[tails] - theta[heads]
+    flow *= network.susceptance
+    flow /= network.current_rating
+    return flow
+
+
+def _network_currents(network: GridNetwork, s) -> np.ndarray:
+    """Cbar s for nodal injections s of `network`, without assembling C.
+
+    Factors Bhat and refuses it as `build_flow_matrices` does
+    (SingularReducedLaplacian), then solves once, with the bits
+    `DcFlowMatrices.currents` gives; C is not formed and its rank not tested.
+    """
+    factor, _ = _factor_grounded(network)
+    return _currents(network, factor, *_line_ends(network), np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
 class DcFlowMatrices:
-    """The assembled injection-to-current linear map, stored as C and Bg.
+    """The assembled injection-to-current linear map, stored as C and a factorization of Bhat.
 
-    Stored, read-only: C, the grounded inverse Bg and the line end arrays.
-    Served on demand, in new arrays: any columns of Cbar (`columns`), the
-    normalized currents Cbar s of an injection vector (`currents`) and Ct
-    (`transfer`). No L x (N+1) array is kept (module docstring).
+    Stored, read-only: C, the factors of Bhat (`_spd_factor`) and the line
+    end arrays. Served on demand, in new arrays: any columns of Cbar
+    (`columns`), the normalized currents Cbar s of an injection vector
+    (`currents`) and Ct (`transfer`). Neither Bhat^-1 nor any L x (N+1)
+    array is kept, and a column is solved in its aligned block of
+    SOLVE_BLOCK nodes whatever else is requested (module docstring).
 
     Attributes
     ----------
@@ -309,8 +463,8 @@ class DcFlowMatrices:
         Number of stochastic nodes; by convention they are nodes 1..m.
     stochastic_block : array, shape (L, m)
         Columns 1..m of Cbar (the matrix C).
-    grounded_inverse : array, shape (N+1, N+1)
-        Bg = block-diag(0, Bhat^-1), as `_spd_inverse` forms it.
+    factor : ndarray or _Split
+        Bhat factored by `_spd_factor`: Bhat^-1 itself when N <= INVERSE_BLOCK.
     tails, heads : arrays of int, shape (L,)
         The end nodes i < j of each line.
     """
@@ -318,33 +472,45 @@ class DcFlowMatrices:
     network: GridNetwork
     m: int
     stochastic_block: np.ndarray = field(repr=False)
-    grounded_inverse: np.ndarray = field(repr=False)
+    factor: object = field(repr=False)
     tails: np.ndarray = field(repr=False)
     heads: np.ndarray = field(repr=False)
 
     def columns(self, nodes) -> np.ndarray:
-        """Cbar[:, nodes] in a new (L, len(nodes)) array, bit for bit as C's columns are formed."""
+        """Cbar[:, nodes] in a new (L, len(nodes)) array, with the same bits however the nodes are grouped.
+
+        Stochastic nodes are copied from C. Any other node's column is
+        solved with the whole aligned block that holds it, the block C's
+        columns come from, once per block requested.
+        """
         nodes = np.asarray(nodes, dtype=np.intp)
         if nodes.ndim != 1 or np.any((nodes < 0) | (nodes >= self.node_count)):
             raise ValueError(f"nodes must be a list of node indices in 0..{self.node_count - 1}")
-        return _gather_columns(self.network, self.grounded_inverse, self.tails, self.heads, nodes)
+        out = np.empty((self.line_count, nodes.size))
+        out[:, nodes == 0] = 0.0
+        stochastic = (nodes >= 1) & (nodes <= self.m)
+        out[:, stochastic] = self.stochastic_block[:, nodes[stochastic] - 1]
+        rest = np.flatnonzero(nodes > self.m)
+        blocks = (nodes[rest] - 1) // SOLVE_BLOCK
+        for block in np.unique(blocks):
+            pick = rest[blocks == block]
+            angles = _unit_angles(self.factor, self.node_count - 1, block)[:, nodes[pick] - 1 - block * SOLVE_BLOCK]
+            for cols, values in _normalized(angles, self.tails, self.heads, self.network.susceptance,
+                                            self.network.current_rating):
+                out[:, pick[cols]] = values
+        return out
 
     def currents(self, s) -> np.ndarray:
         """Cbar s for nodal injections s (length N+1; the slack entry s[0] is not read).
 
-        The angles theta = Bhat^-1 s[1:] (theta_0 = 0), then
+        The angles theta = Bhat^-1 s[1:] (theta_0 = 0) from one solve, then
         (theta_i - theta_j) beta_ell / r_ell for each line: equal to Cbar s up
         to rounding.
         """
         s = np.asarray(s, dtype=float)
         if s.shape != (self.node_count,):
             raise ValueError(f"injections must have length {self.node_count}")
-        theta = np.zeros(self.node_count)
-        np.matmul(self.grounded_inverse[1:, 1:], s[1:], out=theta[1:])
-        flow = theta[self.tails] - theta[self.heads]
-        flow *= self.network.susceptance
-        flow /= self.network.current_rating
-        return flow
+        return _currents(self.network, self.factor, self.tails, self.heads, s)
 
     @property
     def transfer(self) -> np.ndarray:
@@ -377,7 +543,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     Raises
     ------
     SingularReducedLaplacian
-        If LAPACK finds a block of `_spd_inverse` singular, or kappa_1 is not
+        If LAPACK finds a leaf of `_spd_factor` singular, or kappa_1 is not
         finite or reaches 1/RANK_RTOL (module docstring); susceptance ratios
         near 1e10 do this.
     RankDeficiency
@@ -389,48 +555,42 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     n = network.node_count
     if not (1 <= m <= n - 1):
         raise ValueError(f"m must lie in 1..{n - 1}")
-    B = build_laplacian(network)
-
-    Bhat = B[1:, 1:]
-    Bg = np.zeros((n, n))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite blocks fail the kappa test
-            _spd_inverse(Bhat, Bg[1:, 1:])
-        # Python floats: a huge product becomes inf without a RuntimeWarning
-        inverse_norm = float(np.linalg.norm(Bg[1:, 1:], 1))
-        kappa = float(np.linalg.norm(Bhat, 1)) * inverse_norm
-    except np.linalg.LinAlgError:
-        kappa = np.inf
-    del B, Bhat
-    if not kappa < 1.0 / RANK_RTOL:  # NaN fails this test too
-        raise SingularReducedLaplacian(
-            "grounded Laplacian is singular; graph disconnected or susceptances degenerate"
-        )
-    Bg.setflags(write=False)
-    tails, heads = (_readonly(ends, np.intp) for ends in np.array(network.lines).T)
+    factor, inverse_norm = _factor_grounded(network)
+    tails, heads = _line_ends(network)
     beta, rating = network.susceptance, network.current_rating
+    blocks = range(-(-(n - 1) // SOLVE_BLOCK))
 
-    # |Cbar[ell, c]| <= fl(fl(2 ||Bhat^-1||_1 beta_ell) / r_ell) (module
+    # |Cbar[ell, c]| <= fl(fl(4 ||Bhat^-1||_1 beta_ell) / r_ell) (module
     # docstring); beta_ell ||Bhat^-1||_1 <= kappa_1 < 1e9, so only a rating
-    # below ~1e-299 leaves the bound non-finite, and only such a row is priced
+    # below ~1e-299 leaves the bound non-finite, and only such a row is
+    # priced, block by block as `columns` solves it
     with np.errstate(over="ignore"):
-        bound = 2.0 * inverse_norm * beta / rating
-        for ell in np.flatnonzero(~np.isfinite(bound)):
-            row = np.subtract(Bg[tails[ell]], Bg[heads[ell]]) * beta[ell] / rating[ell]
-            if not np.isfinite(row).all():
-                raise RankDeficiency(
-                    int(ell), f"{{line}} has non-finite normalized currents "
-                    f"(current rating {rating[ell]:.6g} is too small)"
-                )
+        priced = np.flatnonzero(~np.isfinite(4.0 * inverse_norm * beta / rating))
+        finite = np.ones(priced.size, dtype=bool)
+        for block in blocks if priced.size else ():
+            angles = _unit_angles(factor, n - 1, block)
+            for _, rows in _normalized(angles, tails[priced], heads[priced], beta[priced], rating[priced]):
+                finite &= np.isfinite(rows).all(axis=1)
+    if not finite.all():
+        ell = int(priced[np.argmin(finite)])
+        raise RankDeficiency(
+            ell, f"{{line}} has non-finite normalized currents "
+            f"(current rating {rating[ell]:.6g} is too small)"
+        )
 
-    C = _gather_columns(network, Bg, tails, heads, np.arange(1, m + 1))
+    C = np.empty((network.line_count, m))
+    for block in blocks[: -(-m // SOLVE_BLOCK)]:
+        first = block * SOLVE_BLOCK
+        angles = _unit_angles(factor, n - 1, block)[:, : m - first]
+        for cols, values in _normalized(angles, tails, heads, beta, rating):
+            C[:, first : first + SOLVE_BLOCK][:, cols] = values
     C.setflags(write=False)
     if not _gram_certifies_rank(C):
         s = np.linalg.svd(C, compute_uv=False)
         if np.sum(s > RANK_RTOL * s[0]) != m:
             raise RankDeficiency()
 
-    return DcFlowMatrices(network=network, m=m, stochastic_block=C, grounded_inverse=Bg, tails=tails, heads=heads)
+    return DcFlowMatrices(network=network, m=m, stochastic_block=C, factor=factor, tails=tails, heads=heads)
 
 
 @dataclass(frozen=True)

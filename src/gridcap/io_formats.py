@@ -53,7 +53,7 @@ from operator import attrgetter
 import numpy as np
 
 from .errors import GraphError, ParseError, RoleError, SchemaError, ZeroBaseFlow
-from .grid_model import GridNetwork, _unreachable, build_flow_matrices, operating_point
+from .grid_model import GridNetwork, _network_currents, _unreachable, build_flow_matrices, operating_point
 from .injections import OuModel
 from .ld_rates import PsiContext
 
@@ -718,7 +718,12 @@ def _base_injection_vector(doc: NetworkDocument) -> np.ndarray:
 
 
 def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float = None) -> NetworkDocument:
-    """Replace "auto" ratings by K times the absolute deterministic base flow."""
+    """Replace "auto" ratings by K times the absolute deterministic base flow.
+
+    The base flows take one solve with the factored grounded Laplacian
+    (`grid_model._network_currents`); C is not assembled, so only the
+    SingularReducedLaplacian refusal of `build_flow_matrices` applies here.
+    """
     if not K > 1:
         raise ValueError("K must be strictly greater than 1")
     if zero_flow_rating is not None and not zero_flow_rating > 0:
@@ -727,8 +732,7 @@ def resolve_auto_ratings(doc: NetworkDocument, K: float, zero_flow_rating: float
         return doc
     # with every rating 1.0 the normalized currents are the base flows
     network, order = _document_network(doc, [1.0] * len(doc.lines))
-    flow = build_flow_matrices(network, len(doc.stochastic_ids))
-    base_flow = flow.currents(_base_injection_vector(doc))
+    base_flow = _network_currents(network, _base_injection_vector(doc))
     scale = np.max(np.abs(base_flow)) if base_flow.size else 0.0
     flow_of_pos = {pos: base_flow[k] for k, pos in enumerate(order)}
     lines = []

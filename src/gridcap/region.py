@@ -223,16 +223,16 @@ def slice2d(region: CapacityRegion, flow, free, fixed, bbox) -> Slice2D:
         if flat[ell]:
             if abs(base[ell]) >= r:
                 raise EmptySlice(
-                    f"line {ell} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
+                    ell, f"{{line}} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
                 )
             continue
         poly = _clip_half_plane(poly, (du[ell], dv[ell]), r - base[ell])
         poly = _clip_half_plane(poly, (-du[ell], -dv[ell]), r + base[ell])
         if len(poly) < 3:
-            raise EmptySlice(f"slice became empty while clipping line {ell}")
+            raise EmptySlice(ell, "slice became empty while clipping {line}")
     verts = np.asarray(poly, dtype=float)
     if _polygon_area(verts) <= 0.0:
-        raise EmptySlice("slice polygon is degenerate")
+        raise EmptySlice(None, "slice polygon is degenerate")
     return Slice2D(
         free=(int(free[0]), int(free[1])),
         bbox=(umin, umax, vmin, vmax),
@@ -506,7 +506,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     lo, hi = _inside_rows(a, b)
     counts = hi - lo
     if not counts.any():
-        raise EmptySlice("no grid cell lies inside the deterministic slice")
+        raise EmptySlice(None, "no grid cell lies inside the deterministic slice")
     rows = np.flatnonzero(counts)
     keep = _binding_pairs(a, b, rows, lo, hi, live, denom)
     run_row, run_col, run_len, keys = _tie_runs(a, b, rows, lo, hi, live, denom, keep)

@@ -3,10 +3,13 @@
 Times the three layers a grid screen spends most of its time in: the
 transfer assembly (at 1,000 and 3,000 buses, and on a densely coupled
 1,000-bus grid), and the JSON report export and the document parser (at
-1,000 buses). `build_model` is timed at 1,000 and 2,000 buses, and reports
-in `extra_info` the bytes its model keeps and its peak, both as traced by
-tracemalloc. The file name does not start with ``test_``, so the default
-test run does not collect it. Run it with::
+1,000 buses). `build_model` is timed at 1,000, 2,000 and 4,000 buses, and
+reports in `extra_info` the bytes its model keeps and its peak, both as
+traced by tracemalloc, and the bytes of the held factorization of the
+grounded Laplacian. The flow map's two served reads are timed at 1,000
+buses: `columns` of one node outside C (one aligned block of unit solves)
+and `currents` (one solve). The file name does not start with ``test_``,
+so the default test run does not collect it. Run it with::
 
     pytest tests/bench_grid_screen.py --benchmark-only
 """
@@ -86,7 +89,14 @@ def test_build_flow_matrices(benchmark, buses, chords):
     assert flow.transfer.shape == (network.line_count, buses)
 
 
-@pytest.mark.parametrize("buses", [BUSES, 2 * BUSES], ids=["1000", "2000"])
+def factor_bytes(factor) -> int:
+    """Bytes of the arrays in a factorization made by `grid_model._spd_factor`."""
+    if isinstance(factor, tuple):
+        return sum(factor_bytes(part) for part in factor)
+    return factor.nbytes if isinstance(factor, np.ndarray) else 0
+
+
+@pytest.mark.parametrize("buses", [BUSES, 2 * BUSES, 4 * BUSES], ids=["1000", "2000", "4000"])
 def test_build_model(benchmark, buses):
     doc = ring_with_chords(seed=0, n=buses)
     tracemalloc.start()
@@ -96,10 +106,24 @@ def test_build_model(benchmark, buses):
         kept, peak = (size - base for size in tracemalloc.get_traced_memory())
     finally:
         tracemalloc.stop()
-    benchmark.extra_info.update(kept_mb=kept / 1e6, peak_mb=peak / 1e6)
-    print(f"\nbuild_model at {buses} buses keeps {kept / 1e6:.2f} MB, traced peak {peak / 1e6:.1f} MB")
+    factor = factor_bytes(bm.flow.factor)
+    benchmark.extra_info.update(kept_mb=kept / 1e6, peak_mb=peak / 1e6, factor_mb=factor / 1e6)
+    print(f"\nbuild_model at {buses} buses keeps {kept / 1e6:.2f} MB ({factor / 1e6:.2f} MB of factors), "
+          f"traced peak {peak / 1e6:.1f} MB")
     del bm
     assert benchmark(build_model, doc).flow.node_count == buses
+
+
+def test_columns(benchmark, grid):
+    _, bm, _ = grid
+    # the last node is deterministic, so its column is solved, not copied from C
+    assert benchmark(bm.flow.columns, [BUSES - 1]).shape == (bm.flow.line_count, 1)
+
+
+def test_currents(benchmark, grid):
+    _, bm, _ = grid
+    s = np.concatenate([[0.0], bm.ou.mean, bm.op.mu_D])
+    assert benchmark(bm.flow.currents, s).shape == (bm.flow.line_count,)
 
 
 def test_export_report(benchmark, grid):

@@ -426,16 +426,16 @@ def dense_slice_vertices(region, flow, free, fixed, bbox):
         if abs(du[ell]) < 1e-15 and abs(dv[ell]) < 1e-15:
             if abs(base[ell]) >= r:
                 raise EmptySlice(
-                    f"line {ell} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
+                    ell, f"{{line}} pins |nu| = {abs(base[ell]):.6g} >= bound {r:.6g} across the slice"
                 )
             continue
         poly = _clip_half_plane(poly, (du[ell], dv[ell]), r - base[ell])
         poly = _clip_half_plane(poly, (-du[ell], -dv[ell]), r + base[ell])
         if len(poly) < 3:
-            raise EmptySlice(f"slice became empty while clipping line {ell}")
+            raise EmptySlice(ell, "slice became empty while clipping {line}")
     verts = np.asarray(poly, dtype=float)
     if _polygon_area(verts) <= 0.0:
-        raise EmptySlice("slice polygon is degenerate")
+        raise EmptySlice(None, "slice polygon is degenerate")
     return verts
 
 
@@ -467,7 +467,7 @@ def dense_risk_partition(ctx, free, fixed, bbox, resolution):
             with np.errstate(over="ignore"):
                 rates[live.index(ell)] = (1.0 - nu) ** 2 / denom[ell]
     if not inside.any():
-        raise EmptySlice("no grid cell lies inside the deterministic slice")
+        raise EmptySlice(None, "no grid cell lies inside the deterministic slice")
 
     best = np.min(rates, axis=0)
     tie = rates <= best * (1.0 + 1e-9)

@@ -14,10 +14,10 @@ import pytest
 import gridcap
 from gridcap import cli
 from gridcap.cli import main
-from gridcap.errors import BoundCollapse, GridCapError
+from gridcap.errors import BoundCollapse, EmptySlice, GridCapError
 from gridcap.io_formats import build_model, parse_native
 from gridcap.ld_rates import psi
-from gridcap.region import build_region
+from gridcap.region import build_region, slice2d
 from oracles import certified_temperature_rate
 from test_io_formats import TINY_CASE
 
@@ -762,6 +762,27 @@ def test_bound_collapse_names_the_line_by_its_buses(capsys, tmp_path):
     code, out, err = run(capsys, "region", str(path), "--kind", "current", "--epsilon", "1e-3")
     assert (code, out) == (3, "")
     assert err == f"error: capacity bound collapsed on line {a}–{b}\n"
+
+
+def test_empty_slice_names_the_line_by_its_buses(capsys, tmp_path):
+    # the box 0.5..0.6 in buses 2 and 3 lies outside the deterministic region
+    path = _reversed_case14(capsys, tmp_path)
+    bm = build_model(parse_native(path.read_text()))
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    region = build_region(bm.ctx, "deterministic", 4e-4, 1e-4)
+    with pytest.raises(EmptySlice) as info:
+        slice2d(region, bm.flow, (1, 2), fixed, (0.5, 0.6, 0.5, 0.6))
+    ell = info.value.line
+    a, b = bm.line_terminals[ell]
+    assert (bm.document.lines[ell].from_id, bm.document.lines[ell].to_id) != (a, b)
+    args = ["region", str(path), "--kind", "deterministic", "--slice", "2,3", "--bbox=0.5,0.6,0.5,0.6"]
+    code, out, err = run(capsys, *args)
+    assert (code, out) == (3, "")
+    assert err == f"error: slice became empty while clipping line {a}–{b}\n"
+    # a partition with no cell inside names no line
+    code, out, err = run(capsys, *args, "--partition", "--resolution", "20")
+    assert (code, out) == (3, "")
+    assert err == "error: no grid cell lies inside the deterministic slice\n"
 
 
 def test_non_finite_row_names_the_line_by_its_buses(capsys, tmp_path):

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
+from bench_grid_screen import ring_with_chords as synthetic_ring
 from conftest import random_network, wheel_context
 from gridcap import grid_model
 from gridcap.errors import GraphError, InfeasibleStart, RankDeficiency, SingularReducedLaplacian
@@ -412,18 +413,22 @@ def test_arrays_are_read_only():
 
 
 def test_stored_blocks_are_read_only():
-    # C is columns 1..m of Cbar; it, the grounded inverse, the line ends and
-    # Ct are read-only, while each served block of columns is a new array
-    flow = build_flow_matrices(_net([(0, 1), (0, 2), (1, 2), (2, 3)], 4), 2)
-    assert flow.stochastic_block.tobytes() == flow.columns([1, 2]).tobytes()
-    for arr in (flow.transfer, flow.stochastic_block, flow.grounded_inverse):
-        assert not arr.flags.writeable
-        with pytest.raises(ValueError):
-            arr[0, 0] = 1.0
-    for arr in (flow.tails, flow.heads):
-        assert not arr.flags.writeable
-    served = flow.columns([3, 0])
-    assert served.flags.writeable and not np.shares_memory(served, flow.grounded_inverse)
+    # C is columns 1..m of Cbar; it, every array of the factorization (one
+    # leaf, or splits above INVERSE_BLOCK), the line ends and Ct are
+    # read-only, while each served block of columns is a new array
+    for net in (_net([(0, 1), (0, 2), (1, 2), (2, 3)], 4), _ring_with_chords(INVERSE_BLOCK + 40, 3)):
+        flow = build_flow_matrices(net, 2)
+        assert flow.stochastic_block.tobytes() == flow.columns([1, 2]).tobytes()
+        factors = list(_held_arrays(flow.factor))
+        assert factors
+        for arr in [flow.transfer, flow.stochastic_block] + [a for a in factors if a.ndim == 2]:
+            assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                arr[0, 0] = 1.0
+        for arr in [flow.tails, flow.heads] + factors:
+            assert not arr.flags.writeable
+        served = flow.columns([3, 0])
+        assert served.flags.writeable and not any(np.shares_memory(served, a) for a in factors)
 
 
 def test_assembly_memory_budget():
@@ -445,6 +450,13 @@ def test_assembly_memory_budget():
     assert peak < 50e6
 
 
+def _model_inverse(flow):
+    """Bhat^-1 as the model solves it: each aligned block of unit columns, side by side."""
+    N = flow.node_count - 1
+    blocks = range(-(-N // grid_model.SOLVE_BLOCK))
+    return np.hstack([grid_model._unit_angles(flow.factor, N, block)[1:] for block in blocks])
+
+
 def _row_loop_cbar(flow):
     """Cbar as the assembly formed it while it stored it whole.
 
@@ -452,7 +464,7 @@ def _row_loop_cbar(flow):
     matrix times beta and over the rating, from the model's own inverse.
     """
     net = flow.network
-    inverse = flow.grounded_inverse[1:, 1:]
+    inverse = _model_inverse(flow)
     cbar = np.zeros((net.line_count, net.node_count))
     for row, (i, j) in zip(cbar[:, 1:], net.lines):
         np.subtract(inverse[i - 1] if i else 0.0, inverse[j - 1], out=row)
@@ -535,12 +547,13 @@ def test_refused_line_is_the_first_the_dense_formula_overflows():
         tiny = rng.random(rating.size) < 0.15
         rating[tiny] = 10.0 ** rng.uniform(-320, -300, tiny.sum())
         m = net.node_count - 1
-        # the inverse does not read the ratings
-        Bg = build_flow_matrices(net, m).grounded_inverse
+        # the factorization does not read the ratings: with unit ratings the
+        # served columns are (Bg[i] - Bg[j]) beta, the dense formula's first two steps
+        unit = _net(net.lines, net.node_count, beta=net.susceptance)
+        scaled = build_flow_matrices(unit, m).columns(range(net.node_count))
         net = _net(net.lines, net.node_count, beta=net.susceptance, rating=rating)
-        tails, heads = np.array(net.lines).T
         with np.errstate(over="ignore"):
-            rows = (Bg[tails] - Bg[heads]) * net.susceptance[:, None] / rating[:, None]
+            rows = scaled / rating[:, None]
         bad = np.flatnonzero(~np.isfinite(rows).all(axis=1))
         with warnings.catch_warnings():
             warnings.simplefilter("error")
@@ -553,6 +566,86 @@ def test_refused_line_is_the_first_the_dense_formula_overflows():
         refused += bad.size > 0
         kept += bad.size == 0 and tiny.any()
     assert refused >= 20 and kept >= 5
+    # above INVERSE_BLOCK a priced row is solved block by block, as `columns` solves it
+    rng = np.random.default_rng(38)
+    outcomes = set()
+    for n in (INVERSE_BLOCK + 2, 150, 200, 300) * 2:
+        net = _ring_with_chords(n, int(rng.integers(1 << 30)))
+        unit = _net(net.lines, n, beta=net.susceptance)
+        scaled = build_flow_matrices(unit, n - 1).columns(range(n))
+        rating = net.current_rating.copy()
+        tiny = rng.choice(rating.size, 2, replace=False)
+        rating[tiny] = 10.0 ** rng.uniform(-320, -300, 2)
+        with np.errstate(over="ignore"):
+            bad = np.flatnonzero(~np.isfinite(scaled / rating[:, None]).all(axis=1))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            try:
+                build_flow_matrices(_net(net.lines, n, beta=net.susceptance, rating=rating), n // 10)
+                line = None
+            except RankDeficiency as exc:
+                line = exc.line
+        assert line == (int(bad[0]) if bad.size else None)
+        outcomes.add(line is None)
+    assert outcomes == {True, False}
+
+
+def _large_random_networks(seed, count):
+    """`count` random networks (a random spanning tree plus extra lines) above INVERSE_BLOCK non-slack nodes."""
+    rng = np.random.default_rng(seed)
+    nets = []
+    while len(nets) < count:
+        net = random_network(rng, max_nodes=3 * INVERSE_BLOCK, max_extra=2 * INVERSE_BLOCK)
+        if net.node_count > INVERSE_BLOCK + 1:
+            nets.append(net)
+    return nets
+
+
+@pytest.mark.parametrize(
+    "net",
+    [pytest.param(_ring_with_chords(n, n + 1), id=f"ring-{n}") for n in (INVERSE_BLOCK + 2, 300, 1000)]
+    + [pytest.param(net, id=f"random-{k}") for k, net in enumerate(_large_random_networks(39, 3))],
+)
+def test_served_columns_do_not_depend_on_their_grouping(net):
+    # every column comes from the aligned block of unit solves that holds it,
+    # so all nodes at once, any subset with repeats and one node at a time
+    # give the same bytes, and C and Ct are the same columns
+    n = net.node_count
+    m = max(1, n // 10)
+    flow = build_flow_matrices(net, m)
+    full = flow.columns(range(n))
+    assert flow.columns(range(1, m + 1)).tobytes() == flow.stochastic_block.tobytes()
+    assert full[:, 1 : m + 1].tobytes() == flow.stochastic_block.tobytes()
+    assert flow.transfer.tobytes() == (full * net.current_rating[:, None]).tobytes()
+    rng = np.random.default_rng(n)
+    for size in (1, 2, 7, 70, 2 * n):
+        nodes = rng.integers(0, n, size=size)
+        assert flow.columns(nodes).tobytes() == np.ascontiguousarray(full[:, nodes]).tobytes()
+    for node in range(n) if n <= 300 else rng.choice(n, 40, replace=False):
+        assert flow.columns([node]).tobytes() == full[:, node].tobytes()
+    # and they agree with the dense inverse to rounding
+    Bg = np.zeros((n, n))
+    Bg[1:, 1:] = np.linalg.inv(reference_laplacian(net)[1:, 1:])
+    tails, heads = np.array(net.lines).T
+    dense = net.susceptance[:, None] * (Bg[tails] - Bg[heads]) / net.current_rating[:, None]
+    assert np.max(np.abs(full - dense)) <= 1e-12 * np.max(np.abs(dense))
+
+
+def test_kappa_from_one_solve_and_the_diagonal(monkeypatch):
+    # kappa_1 is ||Bhat||_1 from B's diagonal and slack row times the largest
+    # entry of Bhat^-1 1; it lies within 1e-9 of the dense norms' product, as
+    # a cutoff 1/RANK_RTOL just above or just below that product shows
+    rng = np.random.default_rng(40)
+    nets = [random_network(rng, max_nodes=12, max_extra=20) for _ in range(30)]
+    nets += _large_random_networks(41, 3) + [_ring_with_chords(300, 3, beta=(0.01, 100.0))]
+    for net in nets:
+        Bhat = reference_laplacian(net)[1:, 1:]
+        kappa = np.linalg.norm(Bhat, 1) * np.linalg.norm(np.linalg.inv(Bhat), 1)
+        monkeypatch.setattr(grid_model, "RANK_RTOL", 1.0 / (kappa * (1.0 + 1e-9)))
+        grid_model._factor_grounded(net)
+        monkeypatch.setattr(grid_model, "RANK_RTOL", 1.0 / (kappa * (1.0 - 1e-9)))
+        with pytest.raises(SingularReducedLaplacian):
+            grid_model._factor_grounded(net)
 
 
 def _held_arrays(obj, seen=None):
@@ -586,7 +679,18 @@ def test_no_held_array_spans_lines_by_nodes():
     shapes = {a.shape for a in _held_arrays(bm)}
     L, n = bm.flow.line_count, bm.flow.node_count
     assert [shape for shape in shapes if len(shape) == 2 and shape[0] == L] == [(L, bm.flow.m)]
-    assert (n, n) in shapes  # the grounded inverse is kept instead
+    assert (n - 1, n - 1) in shapes  # at most INVERSE_BLOCK non-slack nodes: the factor is Bhat^-1 itself
+
+
+def test_built_model_holds_less_than_half_a_dense_inverse():
+    # On the 1,000-bus ring with chords, Bhat^-1 alone would be 8 MB. The
+    # model keeps no N x N array, and all it holds, C (1.2 MB) included,
+    # stays under half of that.
+    bm = build_model(synthetic_ring(seed=0, n=1000))
+    N = bm.flow.node_count - 1
+    held = list(_held_arrays(bm))
+    assert max(a.size for a in held) < N * N // 4
+    assert sum(a.nbytes for a in held) <= 0.5 * 8 * N * N
 
 
 def _complete_document(n, m, rating=1.0):

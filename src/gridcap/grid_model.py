@@ -35,23 +35,23 @@ whole for callers that want it. A, Dbeta and Ct are never formed by the
 assembly, and B is freed once Bhat is factored.
 
 The factorization. Bhat is symmetric positive definite, so `_spd_factor`
-splits it into halves [[A, B], [B^T, D]] and eliminates A through the Schur
-complement S = D - B^T A^-1 B, again symmetric positive definite, with no
-pivoting (Demmel, Higham & Schreiber, 1995); A and S are factored the same
-way. A Laplacian's coupling block B is mostly zero, so each level keeps
-only what its nonzero rows r and columns c need (skipping the zero coupling
-is the idea behind nested dissection; George, SIAM J. Numer. Anal. 10(2),
-1973): B's nonzeros, Y = A^-1 B[:, c] (found by a solve with the factored
-A) and the factored S, of which only S[c, c] differs from D. Which half is
-eliminated first is chosen to keep Y smaller. A block of at most
-INVERSE_BLOCK rows is a leaf, held as its `np.linalg.inv`, and below the top
-level leaves have FACTOR_LEAF rows. `_spd_solve` runs matrix products
-only: a solve with A, the update of the rows c of the other half by B^T, a
-solve with S and the back-substitution through Y x[c]. A network with at
-most INVERSE_BLOCK non-slack nodes is one leaf, so its columns and
-currents keep the bits of a plain `np.linalg.inv(Bhat)`. On a 1,000-bus
-ring with 500 chords the factors take ~2.6 MB where Bhat^-1 takes 8 MB,
-and they take about two thirds of the time of the inverse to form.
+splits it at n // 2 into halves [[A, B], [B^T, D]] and eliminates A through
+the Schur complement S = D - B^T A^-1 B, again symmetric positive definite,
+with no pivoting (Demmel, Higham & Schreiber, 1995); A and S are factored
+the same way. A Laplacian's coupling block B is mostly zero, so each level
+keeps only what B's nonzero columns c need (skipping the zero coupling is
+the idea behind nested dissection; George, SIAM J. Numer. Anal. 10(2),
+1973): Y = A^-1 B[:, c] (found by a solve with the factored A) and the
+factored S, of which only S[c, c] differs from D. B is not kept, since
+B[:, c]^T A^-1 = Y^T. A block of at most INVERSE_BLOCK rows is a leaf,
+held as its `np.linalg.inv`, and below the top level leaves have
+FACTOR_LEAF rows. `_spd_solve` runs matrix products only: the update of
+the rows c of the lower half by Y^T times the upper half, a solve with S, a
+solve with A and the back-substitution through Y x[c]. A network with at
+most INVERSE_BLOCK non-slack nodes is one leaf, so its columns and currents
+keep the bits of a plain `np.linalg.inv(Bhat)`. On a 1,000-bus ring with
+500 chords the factors take ~2.3 MB where Bhat^-1 takes 8 MB, and they
+take about two thirds of the time of the inverse to form.
 
 Determinism. BLAS may round a column of a matrix product differently
 depending on the other columns multiplied with it, so a column solved alone
@@ -70,9 +70,9 @@ start-up by every command that assembles a network.
 Each invariant is decided once. `_unreachable` decides connectivity, also for
 `io_formats.parse_native`. Bhat is refused when kappa_1 = ||Bhat||_1
 ||Bhat^-1||_1, within a factor N of sigma_max/sigma_min, is not finite or
-reaches 1/RANK_RTOL. Neither norm needs a pass over N^2 entries. Bhat is an
-irreducible nonsingular M-matrix (the graph is connected and the
-susceptances are positive), so Bhat^-1 is symmetric and entrywise positive
+reaches 1/RANK_RTOL. Neither norm needs a pass over N^2 entries. Bhat is a
+nonsingular M-matrix (a grounded Laplacian of a connected graph with
+positive susceptances), so Bhat^-1 is symmetric and entrywise nonnegative
 and ||Bhat^-1||_1 = max(Bhat^-1 1), one solve. Column j of Bhat has absolute
 sum 2 Bhat_jj - beta_0j, where beta_0j is the susceptance of the line from
 the slack to j, or 0, so ||Bhat||_1 is read off B's diagonal and slack row.
@@ -123,12 +123,6 @@ INVERSE_BLOCK = 128
 #: Leaf size of `_spd_factor` below the top level: a leaf of half of
 #: INVERSE_BLOCK rows costs less to invert and to apply than one more split.
 FACTOR_LEAF = INVERSE_BLOCK // 2
-
-#: A split of `_spd_factor` lists its coupling block's nonzeros one by one when
-#: they fill less than 1/SPARSE_COUPLING of the block's nonzero rows and
-#: columns, and keeps that block dense otherwise: a product with the list
-#: costs about as much per entry as SPARSE_COUPLING entries of a dense product.
-SPARSE_COUPLING = 16
 
 #: Width of the node-aligned blocks of unit vectors that `DcFlowMatrices`
 #: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up.
@@ -233,48 +227,32 @@ def build_laplacian(network: GridNetwork) -> np.ndarray:
 
 
 class _Split(NamedTuple):
-    """One level of `_spd_factor`: M split into halves at row n // 2.
+    """One level of `_spd_factor`: M split into halves at row k = n // 2.
 
-    The half `head` is eliminated first and `tail` holds the Schur
-    complement: A = M[head, head], B = M[head, tail] and D = M[tail, tail].
-    `head` is the upper half unless the lower one keeps Y smaller.
-    Only B's nonzero columns `cols` enter, through `_coupled`: as the dense
-    block vals = B[rows, cols] over B's nonzero rows (starts is None), or,
-    when its nonzeros fill less than 1/SPARSE_COUPLING of that block, as a
-    list by column, entry e being B[rows[e], cols[g]] = vals[e] for the
-    group g that runs from starts[g] to the next start. Y is
-    A^-1 B[:, cols]; top and bottom factor A and the Schur complement
-    S = D - B^T A^-1 B, which differs from D only in S[cols, cols].
+    A = M[:k, :k], B = M[:k, k:] and D = M[k:, k:]. Y is A^-1 B[:, cols]
+    over B's nonzero columns `cols`; top and bottom factor A and the Schur
+    complement S = D - B^T A^-1 B, which differs from D only in
+    S[cols, cols]. B itself is not kept: B[:, cols]^T A^-1 = Y^T, as A is
+    symmetric.
     """
 
-    head: slice
-    tail: slice
-    rows: np.ndarray
-    vals: np.ndarray
-    starts: np.ndarray
+    k: int
     cols: np.ndarray
     Y: np.ndarray
     top: object
     bottom: object
 
 
-def _coupled(rows, vals, starts, X) -> np.ndarray:
-    """(B^T X)[cols] for a split's coupling block B held as (rows, vals, starts) (`_Split`)."""
-    if starts is None:
-        return vals.T @ X[rows]
-    terms = X[rows] * (vals if X.ndim == 1 else vals[:, None])
-    return np.add.reduceat(terms, starts, axis=0)
-
-
 def _spd_factor(M: np.ndarray, leaf: int = INVERSE_BLOCK):
     """Factor the symmetric positive definite M by recursive 2 x 2 blocks.
 
     A block of at most `leaf` rows is returned as its `np.linalg.inv`, read
-    only. A larger M is split into halves (`_Split`), whose A and S
-    are factored the same way with leaves of FACTOR_LEAF rows; Y = A^-1 B
+    only. A larger M is split into halves at n // 2 (`_Split`), whose A and
+    S are factored the same way with leaves of FACTOR_LEAF rows; Y = A^-1 B
     is found by `_spd_solve` on the factored A, with the zero columns of B
-    left out, so only S[cols, cols] is updated. Raises LinAlgError if LAPACK
-    finds a leaf singular.
+    left out, so only S[cols, cols] is updated, by the product of B's
+    nonzero rows with Y's. Raises LinAlgError if LAPACK finds a leaf
+    singular.
     """
     n = len(M)
     if n <= leaf:
@@ -282,50 +260,37 @@ def _spd_factor(M: np.ndarray, leaf: int = INVERSE_BLOCK):
         inverse.setflags(write=False)
         return inverse
     k = n // 2
-    head, tail = slice(None, k), slice(k, None)
-    coupled = M[head, tail] != 0
-    if (n - k) * coupled.any(axis=1).sum() < k * coupled.any(axis=0).sum():  # Y is smaller this way round
-        head, tail = tail, head
-        coupled = M[head, tail] != 0
-    B = M[head, tail]
-    coupled_rows, cols = np.flatnonzero(coupled.any(axis=1)), np.flatnonzero(coupled.any(axis=0))
-    Bc = np.zeros((len(B), cols.size))
-    if np.count_nonzero(coupled) * SPARSE_COUPLING >= coupled_rows.size * cols.size:
-        rows, vals, starts = coupled_rows, B[np.ix_(coupled_rows, cols)], None
-        Bc[rows] = vals
-    else:
-        rows, col_of = np.nonzero(coupled)
-        order = np.argsort(col_of, kind="stable")  # by column of B, then by row
-        rows, col_of = rows[order], col_of[order]
-        vals = B[rows, col_of]
-        starts = np.flatnonzero(np.diff(col_of, prepend=-1))
-        Bc[rows, np.searchsorted(cols, col_of)] = vals
-    top = _spd_factor(M[head, head], FACTOR_LEAF)
-    Y = _spd_solve(top, Bc, Bc)
-    S = M[tail, tail].copy()
-    S[np.ix_(cols, cols)] -= _coupled(rows, vals, starts, Y)
+    B = M[:k, k:]
+    rows, cols = np.flatnonzero(B.any(axis=1)), np.flatnonzero(B.any(axis=0))
+    coupling = B[np.ix_(rows, cols)]
+    top = _spd_factor(M[:k, :k], FACTOR_LEAF)
+    Y = np.zeros((k, cols.size))
+    Y[rows] = coupling
+    _spd_solve(top, Y, Y)
+    S = M[k:, k:].copy()
+    S[np.ix_(cols, cols)] -= coupling.T @ Y[rows]
     bottom = _spd_factor(S, FACTOR_LEAF)
-    for arr in (rows, vals, starts, cols, Y):
-        if arr is not None:
-            arr.setflags(write=False)
-    return _Split(head, tail, rows, vals, starts, cols, Y, top, bottom)
+    cols.setflags(write=False)
+    Y.setflags(write=False)
+    return _Split(k, cols, Y, top, bottom)
 
 
 def _spd_solve(F, R: np.ndarray, out: np.ndarray) -> np.ndarray:
     """Write into `out` the X with M X = R, for M factored as F by `_spd_factor`, and return it.
 
     R and out are vectors or matrices with M's rows; out may be R itself.
-    A leaf is one product with its inverse. A split solves A z = R_top,
-    takes B^T z off the rows cols of R_bottom, solves S x_bottom with that
-    and back-substitutes x_top = z - Y x_bottom[cols]: matrix products only.
+    A leaf is one product with its inverse. A split takes
+    B^T A^-1 R_top = Y^T R_top off the rows cols of R_bottom, solves
+    S x_bottom with that, solves A z = R_top and back-substitutes
+    x_top = z - Y x_bottom[cols]: matrix products only.
     """
     if isinstance(F, np.ndarray):
         np.matmul(F, R, out=out)
         return out
-    rhs = R[F.tail].copy()
-    top, bottom = out[F.head], out[F.tail]
-    _spd_solve(F.top, R[F.head], top)
-    rhs[F.cols] -= _coupled(F.rows, F.vals, F.starts, top)
+    rhs = R[F.k :].copy()
+    rhs[F.cols] -= F.Y.T @ R[: F.k]
+    top, bottom = out[: F.k], out[F.k :]
+    _spd_solve(F.top, R[: F.k], top)
     _spd_solve(F.bottom, rhs, bottom)
     top -= F.Y @ bottom[F.cols]
     return out
@@ -404,7 +369,7 @@ def _factor_grounded(network: GridNetwork):
         with np.errstate(over="ignore", invalid="ignore"):  # non-finite factors fail the kappa test
             factor = _spd_factor(B[1:, 1:])
             del B
-            # Bhat^-1 is entrywise positive, so its 1-norm is its largest row sum
+            # Bhat^-1 is entrywise nonnegative, so its 1-norm is its largest row sum
             ones = np.ones(network.node_count - 1)
             inverse_norm = float(np.max(_spd_solve(factor, ones, ones)))
     except np.linalg.LinAlgError:

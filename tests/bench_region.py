@@ -12,7 +12,8 @@ it. Run it with::
 import numpy as np
 import pytest
 
-from bench_grid_screen import BUSES, ring_with_chords
+from bench_grid_screen import BUSES
+from conftest import ring_with_chords
 from gridcap.io_formats import build_model
 from gridcap.region import risk_partition
 from test_region import _case14_map

@@ -11,6 +11,14 @@ sys.path.insert(0, str(pathlib.Path(__file__).resolve().parent))
 
 from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
 from gridcap.injections import OuModel
+from gridcap.io_formats import (
+    SCHEMA_VERSION,
+    AnalysisDefaults,
+    LineSpec,
+    NetworkDocument,
+    NodeSpec,
+    resolve_auto_ratings,
+)
 from gridcap.ld_rates import PsiContext
 
 settings.register_profile(
@@ -133,3 +141,33 @@ def random_context(rng, max_nodes=7, uniform_gamma=False, uniform_tau=False):
         horizon=float(rng.uniform(0.5, 2.0)),
     )
     return PsiContext(flow=flow, op=op, ou=ou)
+
+
+def ring_with_chords(seed: int, n: int, chords: int = None) -> NetworkDocument:
+    """Ring 1-2-...-n-1 plus `chords` (default n/2) random chords; bus 1 is the slack, n/10 buses are stochastic.
+
+    Ratings are 1.5 times the base flow, so every line starts at 2/3 of its rating.
+    """
+    rng = np.random.default_rng(seed)
+    pairs = [(k, k + 1) for k in range(1, n)] + [(1, n)]
+    seen = set(pairs)
+    while len(pairs) < n + (n // 2 if chords is None else chords):
+        a, b = sorted(int(v) for v in rng.integers(1, n + 1, size=2))
+        if a != b and (a, b) not in seen:
+            seen.add((a, b))
+            pairs.append((a, b))
+    stochastic = set(rng.choice(np.arange(2, n + 1), size=n // 10, replace=False).tolist())
+    injection = rng.uniform(-1.0, 1.0, size=n + 1)
+    nodes = [NodeSpec(id=1, role="slack")]
+    for bus in range(2, n + 1):
+        if bus in stochastic:
+            nodes.append(NodeSpec(id=bus, role="stochastic", gamma=1.0, vol=0.1, mean=float(injection[bus])))
+        else:
+            nodes.append(NodeSpec(id=bus, role="deterministic", injection=float(injection[bus])))
+    lines = tuple(
+        LineSpec(from_id=a, to_id=b, susceptance=float(s), rating="auto", tau=0.5)
+        for (a, b), s in zip(pairs, rng.uniform(1.0, 5.0, size=len(pairs)))
+    )
+    defaults = AnalysisDefaults(epsilon=0.01, p=1e-4, horizon=1.0, tau0=0.5)
+    doc = NetworkDocument(version=SCHEMA_VERSION, nodes=tuple(nodes), lines=lines, defaults=defaults)
+    return resolve_auto_ratings(doc, 1.5, zero_flow_rating=1.0)

@@ -36,7 +36,6 @@ from .grid_model import (
 from .injections import (
     OuModel,
     SamplePath,
-    uniform_grid,
     ou_step_coefficients,
 )
 from .thermal import (
@@ -47,12 +46,8 @@ from .ld_rates import (
     PsiContext,
     LineRates,
     DecayRateReport,
-    m_matrix,
-    line_variances,
     psi,
     current_decay_rate,
-    current_path,
-    optimal_paths,
     alpha,
     lb_decay_rate,
     taylor_decay_rate,

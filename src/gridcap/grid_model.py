@@ -128,9 +128,6 @@ FACTOR_LEAF = INVERSE_BLOCK // 2
 #: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up.
 SOLVE_BLOCK = INVERSE_BLOCK // 2
 
-#: Bytes of the largest run of Cbar's columns formed at once from solved angles.
-COLUMN_BLOCK_BYTES = 1 << 21
-
 #: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
 #: eigenvalue must clear to certify rank(C) = m without an SVD.
 GRAM_MARGIN = 1e3
@@ -345,19 +342,16 @@ def _unit_angles(factor, size: int, block: int) -> np.ndarray:
 
 
 def _normalized(angles, tails, heads, beta, rating):
-    """Yield (cols, Cbar's columns for the angle columns cols), COLUMN_BLOCK_BYTES of them at a time.
+    """Cbar's columns for the angle columns, as one (L, width) array.
 
     A column is (angles[i] - angles[j]) beta_ell / r_ell for each line (i, j):
     the three elementwise steps that form every column of Cbar, so a
-    column's bits do not depend on the run of columns it is formed in.
+    column's bits do not depend on the other columns formed with it.
     """
-    width = max(1, COLUMN_BLOCK_BYTES // (8 * len(tails)))
-    for start in range(0, angles.shape[1], width):
-        cols = slice(start, start + width)
-        values = np.subtract(angles[tails, cols], angles[heads, cols])
-        values *= beta[:, None]
-        values /= rating[:, None]
-        yield cols, values
+    values = np.subtract(angles[tails], angles[heads])
+    values *= beta[:, None]
+    values /= rating[:, None]
+    return values
 
 
 def _factor_grounded(network: GridNetwork):
@@ -460,9 +454,8 @@ class DcFlowMatrices:
         for block in np.unique(blocks):
             pick = rest[blocks == block]
             angles = _unit_angles(self.factor, self.node_count - 1, block)[:, nodes[pick] - 1 - block * SOLVE_BLOCK]
-            for cols, values in _normalized(angles, self.tails, self.heads, self.network.susceptance,
-                                            self.network.current_rating):
-                out[:, pick[cols]] = values
+            out[:, pick] = _normalized(angles, self.tails, self.heads, self.network.susceptance,
+                                       self.network.current_rating)
         return out
 
     def currents(self, s) -> np.ndarray:
@@ -534,8 +527,8 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         finite = np.ones(priced.size, dtype=bool)
         for block in blocks if priced.size else ():
             angles = _unit_angles(factor, n - 1, block)
-            for _, rows in _normalized(angles, tails[priced], heads[priced], beta[priced], rating[priced]):
-                finite &= np.isfinite(rows).all(axis=1)
+            rows = _normalized(angles, tails[priced], heads[priced], beta[priced], rating[priced])
+            finite &= np.isfinite(rows).all(axis=1)
     if not finite.all():
         ell = int(priced[np.argmin(finite)])
         raise RankDeficiency(
@@ -547,8 +540,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     for block in blocks[: -(-m // SOLVE_BLOCK)]:
         first = block * SOLVE_BLOCK
         angles = _unit_angles(factor, n - 1, block)[:, : m - first]
-        for cols, values in _normalized(angles, tails, heads, beta, rating):
-            C[:, first : first + SOLVE_BLOCK][:, cols] = values
+        C[:, first : first + SOLVE_BLOCK] = _normalized(angles, tails, heads, beta, rating)
     C.setflags(write=False)
     if not _gram_certifies_rank(C):
         s = np.linalg.svd(C, compute_uv=False)

@@ -9,7 +9,7 @@ with mean-reversion rates gamma_i > 0 and constant volatilities l_i > 0.
 `OuModel` holds those parameters, and `ou_step_coefficients` gives the exact
 one-step transition that the batched Monte Carlo kernel in `montecarlo`
 advances. `SamplePath` holds a path on a uniform time grid, such as the
-optimal paths of `ld_rates` and the attaining shot of `exact1d`.
+attaining shot of `exact1d`.
 """
 from __future__ import annotations
 
@@ -22,7 +22,6 @@ from .grid_model import _readonly
 __all__ = [
     "OuModel",
     "SamplePath",
-    "uniform_grid",
     "ou_step_coefficients",
 ]
 
@@ -68,6 +67,12 @@ class OuModel:
             raise ValueError("gamma entries must be strictly positive")
         if not np.all(self.vol > 0):
             raise ValueError("vol entries must be strictly positive")
+        with np.errstate(over="ignore"):  # rates divide by vol^2 and the noise scales with it
+            square = self.vol * self.vol
+        bad = ~((0.0 < square) & (square < np.inf))
+        if bad.any():
+            value = float(self.vol[np.argmax(bad)])
+            raise ValueError(f"vol = {value!r} is out of range: its square is 0 or not finite")
         if not self.noise_scale >= 0:
             raise ValueError("noise_scale must be non-negative")
         if not self.horizon > 0:
@@ -117,12 +122,6 @@ class SamplePath:
     @property
     def step_count(self) -> int:
         return self.times.shape[0] - 1
-
-
-def uniform_grid(horizon: float, step_count: int) -> np.ndarray:
-    if step_count < 1:
-        raise ValueError("step_count must be at least 1")
-    return np.linspace(0.0, horizon, step_count + 1)
 
 
 def ou_step_coefficients(model: OuModel, dt: float):

@@ -10,15 +10,13 @@ terminal variance. Everything else here is assembled from psi:
 
   * the current overload rate, min over lines of psi at level +-1,
   * a temperature lower-bound rate through the threshold level alpha_ell,
-  * a first-order-in-tau temperature rate for uniform parameters,
-  * the endpoint calculus Phi behind that first-order correction,
-  * the minimizing injection and current paths.
+  * a first-order-in-tau temperature rate for uniform parameters.
 
 Whether the noise reaches a line is decided once per PsiContext, by one
 rule: line ell is excluded when its row of C peaks at or below ZERO_ROW_RTOL
 times C's largest entry. An excluded line has variance 0 exactly, noise
 margin beta 0 and region bound 1, and no network rate or partition label;
-psi and the optimal paths raise ZeroVarianceLine on it (its rate is infinite).
+psi alone raises ZeroVarianceLine on it (its rate is infinite).
 
 Small decay rates mean likely overloads: probability ~ exp(-rate/eps).
 """
@@ -33,29 +31,21 @@ from .errors import (
     NonUniformGamma,
     NonUniformTau,
     NoStochasticLines,
-    RankDeficiency,
     ZeroVarianceLine,
 )
 from .grid_model import DcFlowMatrices, OperatingPoint, _readonly
-from .injections import OuModel, SamplePath, uniform_grid
+from .injections import OuModel
 from .thermal import overload_threshold_equivalence
 
 __all__ = [
     "PsiContext",
     "LineRates",
     "DecayRateReport",
-    "m_matrix",
-    "line_variances",
     "psi",
     "current_decay_rate",
-    "optimal_paths",
-    "current_path",
     "alpha",
     "lb_decay_rate",
     "taylor_decay_rate",
-    "CurrentEndpoints",
-    "optimal_current_endpoints",
-    "taylor_phi",
     "full_report",
 ]
 
@@ -133,24 +123,6 @@ def _m_diag(ou: OuModel, t: float, horizon: float) -> np.ndarray:
         return ou.vol**2 * (-np.expm1(-2.0 * g * t)) * np.exp(g * (t - horizon)) / g
 
 
-def m_matrix(ou: OuModel, t: float, horizon=None) -> np.ndarray:
-    """Reachability matrix M_t (diagonal): terminal-variance weights at time t."""
-    horizon = ou.horizon if horizon is None else horizon
-    if not 0.0 <= t <= horizon:
-        raise ValueError("t must lie in [0, horizon]")
-    return np.diag(_m_diag(ou, t, horizon))
-
-
-def _m_diag_derivative(ou: OuModel, t: float, horizon: float) -> np.ndarray:
-    g = ou.gamma
-    return ou.vol**2 * (1.0 + np.exp(-2.0 * g * t)) * np.exp(g * (t - horizon))
-
-
-def line_variances(ctx: PsiContext) -> np.ndarray:
-    """C_ell M_T C_ell^T for every line, the denominator of psi: `ctx.line_variances`."""
-    return ctx.line_variances
-
-
 def _line_variance(ctx: PsiContext, line: int) -> float:
     """One line's C_ell M_T C_ell^T; ZeroVarianceLine if the line is excluded."""
     denom = float(ctx.line_variances[line])
@@ -209,27 +181,6 @@ def current_decay_rate(ctx: PsiContext):
     return _min_levels(ctx, np.ones(ctx.flow.line_count))
 
 
-def current_path(ctx: PsiContext, injections_path: SamplePath) -> SamplePath:
-    """Map an injection path through the network to normalized line currents."""
-    Y = injections_path.values @ ctx.flow.stochastic_block.T + ctx.op.y
-    return SamplePath(injections_path.times, Y)
-
-
-def optimal_paths(ctx: PsiContext, line: int, a: float, step_count: int):
-    """Most likely injection path reaching current level a on a line, plus its currents.
-
-    The injection path starts at the mean and ends where the line's current
-    is exactly a; its action equals psi(ctx, line, a).
-    """
-    denom = _line_variance(ctx, line)
-    times = uniform_grid(ctx.horizon, step_count)
-    mdiags = np.stack([_m_diag(ctx.ou, t, ctx.horizon) for t in times])
-    gain = (a - ctx.op.nu[line]) / denom
-    X = ctx.ou.mean + gain * mdiags * ctx.flow.stochastic_block[line]
-    path = SamplePath(times, X)
-    return path, current_path(ctx, path)
-
-
 def alpha(ctx: PsiContext, line: int) -> float:
     """Threshold current level for a thermal overload on one line."""
     return float(
@@ -255,54 +206,6 @@ def taylor_decay_rate(ctx: PsiContext, tau0: float) -> float:
     multiplicative: (1 + 2 tau0 gamma) times the current rate.
     """
     return ctx.first_order(tau0)[0] * current_decay_rate(ctx)[0]
-
-
-@dataclass(frozen=True)
-class CurrentEndpoints:
-    """Boundary values and slopes of an optimal normalized current path."""
-
-    start: np.ndarray
-    end: np.ndarray
-    start_slope: np.ndarray
-    end_slope: np.ndarray
-
-
-def optimal_current_endpoints(ctx: PsiContext, line: int, a: float) -> CurrentEndpoints:
-    """Endpoint data of the optimal current path toward level a on a line."""
-    gain = (a - ctx.op.nu[line]) / _line_variance(ctx, line)
-    C, T = ctx.flow.stochastic_block, ctx.horizon
-    cl = C[line]
-    return CurrentEndpoints(
-        start=ctx.op.nu.copy(),
-        end=gain * C @ (_m_diag(ctx.ou, T, T) * cl) + ctx.op.nu,
-        start_slope=gain * C @ (_m_diag_derivative(ctx.ou, 0.0, T) * cl),
-        end_slope=gain * C @ (_m_diag_derivative(ctx.ou, T, T) * cl),
-    )
-
-
-def taylor_phi(ctx: PsiContext, endpoints: CurrentEndpoints) -> float:
-    """Endpoint expression Phi whose tau-weighted value corrects the current rate.
-
-    Phi depends on an optimal current path only through its boundary values
-    and slopes: Phi = sum_i [K_i(end) - K_i(start)] with
-    K_i(f, f') = 1/2 ((Cplus_i f' - b_i(Cplus_i (f - y))) / l_i)^2,
-    pulling currents back to injections through the pseudoinverse of C.
-    """
-    C = ctx.flow.stochastic_block
-    gram = C.T @ C
-    try:
-        cplus = np.linalg.solve(gram, C.T)
-    except np.linalg.LinAlgError as exc:
-        raise RankDeficiency(template="stochastic block has no left inverse") from exc
-
-    def k_total(f, fp):
-        x = cplus @ (f - ctx.op.y)
-        resid = (cplus @ fp - ctx.ou.drift(x)) / ctx.ou.vol
-        return 0.5 * float(resid @ resid)
-
-    return k_total(endpoints.end, endpoints.end_slope) - k_total(
-        endpoints.start, endpoints.start_slope
-    )
 
 
 @dataclass(frozen=True)

@@ -19,6 +19,7 @@ first.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -190,10 +191,13 @@ def _slice_geometry(flow, free, fixed):
 
 
 def _box(bbox):
-    """(umin, umax, vmin, vmax) as floats; ValueError unless both ranges increase."""
+    """(umin, umax, vmin, vmax) as floats; ValueError unless both ranges increase by a finite width."""
     umin, umax, vmin, vmax = map(float, bbox)
     if not (umin < umax and vmin < vmax):
         raise ValueError("bbox must satisfy umin < umax and vmin < vmax")
+    # clipping and cell centers take differences across the box
+    if not (math.isfinite(umax - umin) and math.isfinite(vmax - vmin)):
+        raise ValueError("bbox widths umax - umin and vmax - vmin must be finite")
     return umin, umax, vmin, vmax
 
 

@@ -34,7 +34,9 @@ def filter_coefficients(dt: float, tau):
     tau = np.asarray(tau, dtype=float)
     if np.any(tau <= 0):
         raise NonPositiveTau("thermal constants must be strictly positive")
-    x = dt / tau
+    # dt/tau overflowing to inf gives the exact limits q = c1 = 0 and c2 = 1
+    with np.errstate(over="ignore"):
+        x = dt / tau
     em = -np.expm1(-x)  # 1 - e^{-x}, accurate for small x
     q = 1.0 - em
     c2 = 1.0 - em / x

@@ -19,6 +19,13 @@ action of a temperature path by quadrature of its own integrand, and the
 residual of the stationarity system. They raise this module's own
 `NegativeRadicand`, `DegenerateF` and `BlowUp`.
 
+The closed forms behind the rates that the package prices live here too:
+the reachability matrix `m_matrix`, the optimal injection and current paths
+(`optimal_paths`, `current_path` on a `uniform_grid`), and the endpoint
+calculus `taylor_phi` of the first-order temperature correction. They share
+`_m_diag` and `_line_variance` with `ld_rates`, so the tests can check the
+action and the tau-correction that `psi` and `taylor_decay_rate` price.
+
 The dense slice and partition references are the exception: they are the
 straightforward full-grid and every-line forms of `risk_partition` and
 `slice2d`, sharing the slice geometry and the clipping step, so that the
@@ -36,17 +43,18 @@ from __future__ import annotations
 
 import json
 import math
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
-from gridcap.errors import EmptySlice, NoStochasticLines
+from gridcap.errors import EmptySlice, NoStochasticLines, RankDeficiency
 from gridcap._streams import fill_normal_blocks, normal_block
 from gridcap.exact1d import BLOWUP_BOUND, Exact1dProblem, ShotResult, _integrate, _shot_result
 from gridcap.grid_model import GridNetwork
-from gridcap.injections import OuModel, SamplePath, ou_step_coefficients, uniform_grid
-from gridcap.ld_rates import line_variances
+from gridcap.injections import OuModel, SamplePath, ou_step_coefficients
+from gridcap.ld_rates import PsiContext, _line_variance, _m_diag
 from gridcap.region import (
     RegionSummary,
     RiskPartition,
@@ -69,6 +77,12 @@ class DegenerateF(ArithmeticError):
 
 class BlowUp(ArithmeticError):
     """A shooting trajectory left the configured bounding box."""
+
+
+def uniform_grid(horizon: float, step_count: int) -> np.ndarray:
+    if step_count < 1:
+        raise ValueError("step_count must be at least 1")
+    return np.linspace(0.0, horizon, step_count + 1)
 
 
 def simulate_ou(model: OuModel, step_count: int, seed: int, replicate: int = 0) -> SamplePath:
@@ -216,6 +230,88 @@ def quadrature_cost(ctx, path):
     n = path.shape[0] - 1
     times = np.linspace(0.0, ctx.ou.horizon, n + 1)
     return rate_functional(SamplePath(times, path), ctx.ou)
+
+
+def m_matrix(ou: OuModel, t: float, horizon=None) -> np.ndarray:
+    """Reachability matrix M_t (diagonal): terminal-variance weights at time t."""
+    horizon = ou.horizon if horizon is None else horizon
+    if not 0.0 <= t <= horizon:
+        raise ValueError("t must lie in [0, horizon]")
+    return np.diag(_m_diag(ou, t, horizon))
+
+
+def _m_diag_derivative(ou: OuModel, t: float, horizon: float) -> np.ndarray:
+    g = ou.gamma
+    return ou.vol**2 * (1.0 + np.exp(-2.0 * g * t)) * np.exp(g * (t - horizon))
+
+
+def current_path(ctx: PsiContext, injections_path: SamplePath) -> SamplePath:
+    """Map an injection path through the network to normalized line currents."""
+    Y = injections_path.values @ ctx.flow.stochastic_block.T + ctx.op.y
+    return SamplePath(injections_path.times, Y)
+
+
+def optimal_paths(ctx: PsiContext, line: int, a: float, step_count: int):
+    """Most likely injection path reaching current level a on a line, plus its currents.
+
+    The injection path starts at the mean and ends where the line's current
+    is exactly a; its action equals psi(ctx, line, a).
+    """
+    denom = _line_variance(ctx, line)
+    times = uniform_grid(ctx.horizon, step_count)
+    mdiags = np.stack([_m_diag(ctx.ou, t, ctx.horizon) for t in times])
+    gain = (a - ctx.op.nu[line]) / denom
+    X = ctx.ou.mean + gain * mdiags * ctx.flow.stochastic_block[line]
+    path = SamplePath(times, X)
+    return path, current_path(ctx, path)
+
+
+@dataclass(frozen=True)
+class CurrentEndpoints:
+    """Boundary values and slopes of an optimal normalized current path."""
+
+    start: np.ndarray
+    end: np.ndarray
+    start_slope: np.ndarray
+    end_slope: np.ndarray
+
+
+def optimal_current_endpoints(ctx: PsiContext, line: int, a: float) -> CurrentEndpoints:
+    """Endpoint data of the optimal current path toward level a on a line."""
+    gain = (a - ctx.op.nu[line]) / _line_variance(ctx, line)
+    C, T = ctx.flow.stochastic_block, ctx.horizon
+    cl = C[line]
+    return CurrentEndpoints(
+        start=ctx.op.nu.copy(),
+        end=gain * C @ (_m_diag(ctx.ou, T, T) * cl) + ctx.op.nu,
+        start_slope=gain * C @ (_m_diag_derivative(ctx.ou, 0.0, T) * cl),
+        end_slope=gain * C @ (_m_diag_derivative(ctx.ou, T, T) * cl),
+    )
+
+
+def taylor_phi(ctx: PsiContext, endpoints: CurrentEndpoints) -> float:
+    """Endpoint expression Phi whose tau-weighted value corrects the current rate.
+
+    Phi depends on an optimal current path only through its boundary values
+    and slopes: Phi = sum_i [K_i(end) - K_i(start)] with
+    K_i(f, f') = 1/2 ((Cplus_i f' - b_i(Cplus_i (f - y))) / l_i)^2,
+    pulling currents back to injections through the pseudoinverse of C.
+    """
+    C = ctx.flow.stochastic_block
+    gram = C.T @ C
+    try:
+        cplus = np.linalg.solve(gram, C.T)
+    except np.linalg.LinAlgError as exc:
+        raise RankDeficiency(template="stochastic block has no left inverse") from exc
+
+    def k_total(f, fp):
+        x = cplus @ (f - ctx.op.y)
+        resid = (cplus @ fp - ctx.ou.drift(x)) / ctx.ou.vol
+        return 0.5 * float(resid @ resid)
+
+    return k_total(endpoints.end, endpoints.end_slope) - k_total(
+        endpoints.start, endpoints.start_slope
+    )
 
 
 def certified_temperature_rate(mu, gamma, vol, tau, horizon, n):
@@ -457,7 +553,7 @@ def dense_risk_partition(ctx, free, fixed, bbox, resolution):
     live = list(ctx.stochastic_lines)
     if not live:
         raise NoStochasticLines("no line couples to the stochastic injections")
-    denom = line_variances(ctx)
+    denom = ctx.line_variances
     inside = np.ones_like(U, dtype=bool)
     rates = np.empty((len(live), resolution, resolution))
     for ell in range(flow.line_count):

@@ -17,7 +17,7 @@ import pytest
 from importlib import resources
 
 from conftest import random_context, random_network, single_line_context
-from oracles import build_incidence, constrained_quadratic_rate, rate_functional
+from oracles import build_incidence, constrained_quadratic_rate, optimal_paths, rate_functional, uniform_grid
 from gridcap import (
     AnalysisDefaults,
     Exact1dProblem,
@@ -35,7 +35,6 @@ from gridcap import (
     exact_decay_rate,
     lb_decay_rate,
     noise_margins,
-    optimal_paths,
     overload_indicators,
     parse_matpower,
     psi,
@@ -45,8 +44,7 @@ from gridcap import (
 )
 from gridcap.cli import main
 from gridcap.grid_model import build_flow_matrices, operating_point
-from gridcap.injections import SamplePath, uniform_grid
-from gridcap.ld_rates import line_variances
+from gridcap.injections import SamplePath
 
 # single-line benchmark: mu=0.5, gamma=0.5, l=1, T=1, thermal lag tau per row
 BENCH_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)
@@ -247,7 +245,7 @@ def test_criterion_5_inclusion_chain_and_threshold():
         live = list(ctx.stochastic_lines)
         if not live:
             continue
-        sig2 = line_variances(ctx)[live]
+        sig2 = ctx.line_variances[live]
         # keep the largest per-line margin strictly below 1
         eps = float(rng.uniform(0.2, 0.8)) / (log_term * sig2.max())
         tau0 = float(ctx.tau[0])
@@ -289,7 +287,7 @@ def test_criterion_5_slice_polygons_convex():
         if nonslack < 2 or not ctx.stochastic_lines:
             continue
         live = list(ctx.stochastic_lines)
-        sig2 = line_variances(ctx)[live]
+        sig2 = ctx.line_variances[live]
         p = 1e-4
         eps = float(rng.uniform(0.2, 0.8)) / (np.log(1.0 / p) * sig2.max())
         free = tuple(int(k) for k in rng.choice(np.arange(1, nonslack + 1), 2, replace=False))

@@ -252,6 +252,38 @@ def test_region_partition_huge_box_prices_without_warnings(capsys):
     assert err.startswith("error:")
 
 
+def _run_maybe_strict(capsys, strict, argv):
+    """(exit code, stdout, stderr): in process, or with strict in a child under -W error."""
+    if not strict:
+        return run(capsys, *argv)
+    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", *argv], env=_subprocess_env(),
+                          capture_output=True, text=True, timeout=120)
+    return proc.returncode, proc.stdout, proc.stderr
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("box", [
+    ["--bbox=-1e308,1e308,-1,1"],
+    ["--bbox=-1e308,1e308,-1e308,1e308", "--partition", "--resolution", "4"],
+])
+def test_region_box_of_infinite_width_exits_usage(capsys, strict, box):
+    # umax - umin overflows to inf: clipping and cell centers would take inf and NaN distances
+    argv = ["region", "builtin:wheel3", "--kind", "current", "--slice", "2,3", *box]
+    code, out, err = _run_maybe_strict(capsys, strict, argv)
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: bbox widths umax - umin and vmax - vmin must be finite"]
+
+
+def test_region_wide_finite_box_keeps_its_slice(capsys):
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        code, out, err = run(capsys, "region", "builtin:wheel3", "--kind", "current", "--slice", "2,3",
+                             "--bbox=-1e10,1e10,-1,1")
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert len(doc["vertices"]) == 7 and abs(doc["area"] - 1.32) < 0.01  # six vertices, closed
+
+
 def test_region_partition_inverted_box_exits_usage(capsys):
     code, out, err = run(
         capsys,
@@ -705,6 +737,22 @@ def test_convert_refuses_native_builtins(capsys, name):
     assert out == ""
     assert _single_error_line(err)
     assert f"builtin:{name} is a native network document, not a MATPOWER case" in err
+
+
+@pytest.mark.parametrize("strict", [False, True])
+@pytest.mark.parametrize("vol", ["1e300", "1e-200"])
+def test_vol_whose_square_is_unusable_exits_usage(capsys, tmp_path, strict, vol):
+    # vol^2 overflows to inf or underflows to 0: mc reported 0 hits where the probability is about 1
+    code, out, _ = run(capsys, "convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3",
+                       "--controllable", "6,9", "--vol", vol, "--zero-flow-rating", "0.1", "--epsilon", "1e-3",
+                       "--horizon", "1", "--p", "0.1")
+    assert code == 0
+    path = tmp_path / "case14.json"
+    path.write_text(out)
+    for argv in (["mc", str(path), "--n", "200"], ["rates", str(path)]):
+        code, out, err = _run_maybe_strict(capsys, strict, argv)
+        assert (code, out) == (2, "")
+        assert err.splitlines() == [f"error: vol = {float(vol)!r} is out of range: its square is 0 or not finite"]
 
 
 def test_subnormal_rating_exits_numeric_without_warnings(tmp_path):

@@ -18,7 +18,7 @@ from gridcap.exact1d import (
     certified_rate,
     exact_decay_rate,
 )
-from gridcap.injections import SamplePath, uniform_grid
+from gridcap.injections import SamplePath
 from oracles import (
     BlowUp,
     DegenerateF,
@@ -27,6 +27,7 @@ from oracles import (
     euler_residual,
     functional_value,
     shoot,
+    uniform_grid,
 )
 from test_cli import _subprocess_env
 

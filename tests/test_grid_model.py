@@ -480,11 +480,7 @@ def _flow_cases(seed):
     return [(net, int(rng.integers(1, net.node_count))) for net in nets]
 
 
-@pytest.mark.parametrize("block_bytes", [None, 8, 8 * 1000])
-def test_columns_are_the_row_loop_formula_bit_for_bit(monkeypatch, block_bytes):
-    # one column per block, a few per block, and the default
-    if block_bytes is not None:
-        monkeypatch.setattr(grid_model, "COLUMN_BLOCK_BYTES", block_bytes)
+def test_columns_are_the_row_loop_formula_bit_for_bit():
     rng = np.random.default_rng(32)
     for net, m in _flow_cases(31):
         flow = build_flow_matrices(net, m)

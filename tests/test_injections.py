@@ -8,9 +8,8 @@ from gridcap.injections import (
     OuModel,
     SamplePath,
     ou_step_coefficients,
-    uniform_grid,
 )
-from oracles import rate_functional, simulate_ou
+from oracles import rate_functional, simulate_ou, uniform_grid
 
 
 def _model(m=1, gamma=0.5, vol=1.0, mu=0.5, eps=0.1, T=1.0):
@@ -126,6 +125,9 @@ def test_model_validation():
         _model(gamma=0.0)
     with pytest.raises(ValueError):
         _model(vol=-1.0)
+    for vol in (1e300, 1e-200):  # vol^2 overflows or underflows
+        with pytest.raises(ValueError, match="its square is 0 or not finite"):
+            _model(vol=vol)
     with pytest.raises(ValueError):
         _model(eps=-0.1)
     with pytest.raises(ValueError):

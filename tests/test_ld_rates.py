@@ -6,24 +6,27 @@ import pytest
 from conftest import make_context, random_context, single_line_context, wheel_context
 from gridcap.errors import NonUniformGamma, ZeroVarianceLine
 from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
-from gridcap.injections import OuModel, SamplePath, uniform_grid
+from gridcap.injections import OuModel, SamplePath
 from gridcap.ld_rates import (
     PsiContext,
-    _m_diag_derivative,
     alpha,
     current_decay_rate,
-    current_path,
     full_report,
     lb_decay_rate,
-    line_variances,
+    psi,
+    taylor_decay_rate,
+)
+from oracles import (
+    _m_diag_derivative,
+    constrained_quadratic_rate,
+    current_path,
     m_matrix,
     optimal_current_endpoints,
     optimal_paths,
-    psi,
-    taylor_decay_rate,
+    rate_functional,
     taylor_phi,
+    uniform_grid,
 )
-from oracles import constrained_quadratic_rate, rate_functional
 
 # Single line, mu=0.5, gamma=0.5, l=1, tau=0.6, T=1.
 SINGLE_IC = 0.1977470883586658
@@ -268,7 +271,7 @@ def test_full_report_is_consistent():
     ctx = wheel_context()
     rep = full_report(ctx)
     assert {row.line for row in rep.lines} == {0, 1, 2}
-    denom = line_variances(ctx)
+    denom = ctx.line_variances
     for row in rep.lines:
         assert np.isclose(row.psi_plus, psi(ctx, row.line, 1.0), rtol=1e-12)
         assert np.isclose(row.psi_minus, psi(ctx, row.line, -1.0), rtol=1e-12)

@@ -39,12 +39,12 @@ PUBLIC_NAMES = [
     "RankDeficiency", "RiskPartition", "RoleError", "SamplePath", "SchemaError", "ShotResult",
     "SingularReducedLaplacian", "Slice2D", "ZeroBaseFlow", "ZeroVarianceLine", "alpha", "apply_imax_rule",
     "build_flow_matrices", "build_laplacian", "build_model", "build_region", "certified_rate", "contains",
-    "current_decay_rate", "current_path", "decay_slope", "exact_decay_rate", "export_exact1d", "export_mc",
+    "current_decay_rate", "decay_slope", "exact_decay_rate", "export_exact1d", "export_mc",
     "export_partition", "export_region", "export_report", "export_slice", "filter_coefficients", "full_report",
-    "lb_decay_rate", "line_variances", "m_matrix", "net_injections", "noise_margins", "operating_point",
-    "optimal_paths", "ou_step_coefficients", "overload_indicators", "overload_probability",
+    "lb_decay_rate", "net_injections", "noise_margins", "operating_point",
+    "ou_step_coefficients", "overload_indicators", "overload_probability",
     "overload_threshold_equivalence", "parse_matpower", "parse_native", "psi", "resolve_auto_ratings",
-    "risk_partition", "serialize_native", "slice2d", "taylor_decay_rate", "uniform_grid", "wilson_interval",
+    "risk_partition", "serialize_native", "slice2d", "taylor_decay_rate", "wilson_interval",
 ]
 
 
@@ -53,4 +53,4 @@ def test_public_surface_is_pinned():
     tree = ast.parse(pathlib.Path(gridcap.__file__).read_text())
     names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names]
     assert sorted(names) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 82
+    assert len(PUBLIC_NAMES) == 77

@@ -22,11 +22,9 @@ from gridcap.ld_rates import (
     current_decay_rate,
     full_report,
     lb_decay_rate,
-    line_variances,
-    optimal_paths,
     psi,
 )
-from oracles import dense_risk_partition, dense_slice_vertices
+from oracles import dense_risk_partition, dense_slice_vertices, optimal_paths
 from gridcap.region import (
     REGION_KINDS,
     _binding_pairs,
@@ -332,7 +330,7 @@ def test_partition_labels_beyond_63_stochastic_lines():
 
     # pointwise oracle for every cell
     live = list(ctx.stochastic_lines)
-    denom = line_variances(ctx)[live]
+    denom = ctx.line_variances[live]
     cbar = ctx.flow.columns(range(60))
     for i, v in enumerate(part.v_centers):
         for j, u in enumerate(part.u_centers):
@@ -500,7 +498,7 @@ def _binding_pair_cases(ctx, free, fixed, bbox, resolution):
     live = np.asarray(ctx.stochastic_lines)
     if not rows.size:
         return 0, 0
-    denom = line_variances(ctx)
+    denom = ctx.line_variances
     keep = _binding_pairs(a, b, rows, lo, hi, live, denom)
 
     U, V = np.meshgrid(uc, vc)

@@ -8,12 +8,12 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from gridcap.errors import NonPositiveTau
-from gridcap.injections import SamplePath, uniform_grid
+from gridcap.injections import SamplePath
 from gridcap.thermal import (
     filter_coefficients,
     overload_threshold_equivalence,
 )
-from oracles import xi_map
+from oracles import uniform_grid, xi_map
 
 
 @pytest.mark.parametrize("dt,tau", [(0.1, 0.5), (0.01, 2.0), (0.5, 0.1)])
@@ -26,6 +26,13 @@ def test_filter_coefficients_match_quadrature(dt, tau):
     assert np.isclose(q, np.exp(-dt / tau), rtol=1e-13)
     assert np.isclose(c2, w_ramp, rtol=1e-10)
     assert np.isclose(c1, w_total - w_ramp, rtol=1e-10)
+
+
+def test_filter_coefficients_at_overflowing_ratio_are_the_exact_limits():
+    # dt / tau overflows to inf; q = c1 = 0 and c2 = 1 are then exact
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        assert filter_coefficients(0.005, 1e-320) == (0.0, 0.0, 1.0)
 
 
 def test_filter_coefficients_form_convex_weights():

@@ -48,7 +48,6 @@ from .ld_rates import (
     DecayRateReport,
     psi,
     current_decay_rate,
-    alpha,
     lb_decay_rate,
     taylor_decay_rate,
     full_report,

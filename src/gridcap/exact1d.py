@@ -53,8 +53,9 @@ cannot be trusted), the problem is refused with NoBoundaryHit.
 returns the same rate with the initial slopes (x1, x2) read off the
 extrapolated (p0, E(T)); neither integrates anything. The attaining shot
 is integrated only when `Exact1dResult.shot` is read: a 2-D Newton
-iteration on both conditions starts from the extrapolated (p0, E(T)) and
-samples the shot from the dense output of the converging integration. It
+iteration on both conditions starts from the extrapolated (p0, E(T)); every
+integration keeps DOP853's dense output, which adds evaluations but not
+steps, and the shot is sampled from that of the first one that lands. It
 raises NoBoundaryHit where the iteration does not converge, rather than
 search elsewhere.
 """
@@ -67,7 +68,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoBoundaryHit
-from .injections import SamplePath
+from .injections import SamplePath, _check_square
 from .thermal import filter_coefficients
 
 __all__ = [
@@ -142,9 +143,7 @@ class Exact1dProblem:
             if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be strictly positive")
         for name in ("gamma", "vol"):  # the solver divides by vol^2 and scales by gamma^2
-            value = float(getattr(self, name))
-            if not 0.0 < value * value < math.inf:
-                raise ValueError(f"{name} = {value!r} is out of range: its square is 0 or not finite")
+            _check_square(name, getattr(self, name))
 
     @property
     def level(self) -> float:
@@ -158,14 +157,8 @@ def _shot_from_reduced(problem: Exact1dProblem, p0: float, e_end: float):
     return 2.0 * a * p0, 2.0 * p0**2 + 4.0 * a**2 * e0
 
 
-def _integrate(
-    problem: Exact1dProblem,
-    p0: float,
-    e_end: float,
-    sensitivities: bool = False,
-    dense_output: bool = False,
-):
-    """Advance (theta, g, p, action) to the horizon; the solver's result.
+def _integrate(problem: Exact1dProblem, p0: float, e_end: float, sensitivities: bool = False):
+    """Advance (theta, g, p, action) to the horizon; the solver's result, with its dense output.
 
     A status other than 0 marks an invalid shot: the collapse event (first
     in `t_events`) or the escape event fired, or the step size failed.
@@ -217,7 +210,7 @@ def _integrate(
             rtol=ODE_RTOL,
             atol=[ODE_ATOL] * 4 + [np.inf] * (len(y0) - 4),
             events=(collapse, escape),
-            dense_output=dense_output,
+            dense_output=True,
         )
     return sol
 
@@ -262,28 +255,26 @@ def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
 
     u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
-    endpoint. From the second integration on, the solver also keeps its dense
-    output, so the converged shot is sampled without another solve. Returns
-    (p0, E(T), dense solution) once |theta(T) - 1| <= THETA_TOL and
-    |u(T)| <= CONTROL_TOL. Returns None when an iterate stops being
-    integrable, the Jacobian is singular, NEWTON_STEPS run out, or a step no
-    longer lowers the residual max(|theta(T) - 1| / THETA_TOL,
+    endpoint. Every integration keeps its dense output, so the converged
+    shot is sampled without another solve. Returns (p0, E(T), dense
+    solution) once |theta(T) - 1| <= THETA_TOL and |u(T)| <= CONTROL_TOL,
+    from the first integration that lands. Returns None when an iterate
+    stops being integrable, the Jacobian is singular, NEWTON_STEPS run out,
+    or a step no longer lowers the residual max(|theta(T) - 1| / THETA_TOL,
     |u(T)| / CONTROL_TOL): the iterates then jitter at the integration's own
     error, and further steps cannot meet the tolerances.
     """
     gam, a = problem.gamma, problem.level
     last = math.inf
-    for k in range(NEWTON_STEPS):
-        sol = _integrate(problem, p0, e_end, sensitivities=True, dense_output=k > 0)
+    for _ in range(NEWTON_STEPS):
+        sol = _integrate(problem, p0, e_end, sensitivities=True)
         if sol.status != 0:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
         resid = np.array([th - 1.0, p + gam * (g - a)])
         size = max(abs(resid[0]) / THETA_TOL, abs(resid[1]) / CONTROL_TOL)
         if size <= 1.0:
-            if sol.sol is not None:
-                return p0, e_end, sol
-            continue  # the first shot already lands: integrate it again for its dense output
+            return p0, e_end, sol
         if not size < last:
             return None
         last = size
@@ -441,8 +432,8 @@ class Exact1dResult:
     `value` is `certified_rate(problem)`. (x1, x2) = (f'(0), f''(0)) and
     `start` = (p0, E(T)) are the extrapolated discrete optimum's. `shot` is
     integrated on first access: a 2-D Newton iteration from `start` solves
-    theta(T) = 1 and the transversality condition u(T) = 0, and the
-    converging integration's dense output is sampled on SHOT_SAMPLES
+    theta(T) = 1 and the transversality condition u(T) = 0, and the dense
+    output of the first integration that lands is sampled on SHOT_SAMPLES
     intervals. On the single-line table that takes two integrations. Reading
     `shot` raises NoBoundaryHit when the iteration leaves the
     |state| < BLOWUP_BOUND search box, collapses onto f = 0 or does not

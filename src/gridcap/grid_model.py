@@ -43,24 +43,26 @@ keeps only what B's nonzero columns c need (skipping the zero coupling is
 the idea behind nested dissection; George, SIAM J. Numer. Anal. 10(2),
 1973): Y = A^-1 B[:, c] (found by a solve with the factored A) and the
 factored S, of which only S[c, c] differs from D. B is not kept, since
-B[:, c]^T A^-1 = Y^T. A block of at most INVERSE_BLOCK rows is a leaf,
-held as its `np.linalg.inv`, and below the top level leaves have
-FACTOR_LEAF rows. `_spd_solve` runs matrix products only: the update of
-the rows c of the lower half by Y^T times the upper half, a solve with S, a
-solve with A and the back-substitution through Y x[c]. A network with at
-most INVERSE_BLOCK non-slack nodes is one leaf, so its columns and currents
-keep the bits of a plain `np.linalg.inv(Bhat)`. On a 1,000-bus ring with
-500 chords the factors take ~2.3 MB where Bhat^-1 takes 8 MB, and they
-take about two thirds of the time of the inverse to form.
+B[:, c]^T A^-1 = Y^T. At every level a block of at most INVERSE_BLOCK
+rows is a leaf, held as its `np.linalg.inv`. `_spd_solve` runs matrix
+products only: the update of the rows c of the lower half by Y^T times the
+upper half, a solve with S, a solve with A and the back-substitution
+through Y x[c]. A network with at most INVERSE_BLOCK non-slack nodes is one
+leaf, so its columns and currents keep the bits of a plain
+`np.linalg.inv(Bhat)`. On a 1,000-bus ring with 500 chords the factors take
+~2.3 MB where Bhat^-1 takes 8 MB, and they take about two thirds of the
+time of the inverse to form.
 
 Determinism. BLAS may round a column of a matrix product differently
 depending on the other columns multiplied with it, so a column solved alone
 need not have the bits of the same column solved in a block. `columns`
 therefore solves only whole blocks of SOLVE_BLOCK unit vectors aligned to
-the node index (nodes 1..SOLVE_BLOCK, the next SOLVE_BLOCK, and so on), C
-is formed from the same blocks, and a stochastic node's column is copied
-from C. A served column so has the same bits whichever nodes are requested
-with it. `currents` is one solve, equal to Cbar s up to rounding.
+the node index (nodes 1..SOLVE_BLOCK, the next SOLVE_BLOCK, and so on): one
+routine, `_block_columns`, forms Cbar's columns from such a block for C,
+the non-finite-row check and `columns` alike, and a stochastic node's
+column is copied from C. A served column so has the same bits whichever
+nodes are requested with it. `currents` is one solve, equal to Cbar s up to
+rounding.
 
 Why not SciPy. Its sparse LU would skip more zeros and its Cholesky factor
 would halve the flops, but importing `scipy.sparse.linalg` takes ~0.15-0.2 s
@@ -116,17 +118,16 @@ __all__ = [
 #: bounds the condition number kappa_1 of the grounded Laplacian.
 RANK_RTOL = 1e-9
 
-#: Largest block `_spd_factor` holds as one `np.linalg.inv`: Bhat of a network
-#: with at most this many non-slack nodes is factored as its plain inverse.
-INVERSE_BLOCK = 128
-
-#: Leaf size of `_spd_factor` below the top level: a leaf of half of
-#: INVERSE_BLOCK rows costs less to invert and to apply than one more split.
-FACTOR_LEAF = INVERSE_BLOCK // 2
+#: Leaf size of `_spd_factor` at every level: a block of at most this many
+#: rows is held as its `np.linalg.inv`, which costs less to form and to
+#: apply than one more split. Bhat of a network with at most this many
+#: non-slack nodes is factored as its plain inverse.
+INVERSE_BLOCK = 64
 
 #: Width of the node-aligned blocks of unit vectors that `DcFlowMatrices`
-#: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up.
-SOLVE_BLOCK = INVERSE_BLOCK // 2
+#: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up. It
+#: sets how columns are grouped into solves, not the factor.
+SOLVE_BLOCK = 64
 
 #: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
 #: eigenvalue must clear to certify rank(C) = m without an SVD.
@@ -240,19 +241,18 @@ class _Split(NamedTuple):
     bottom: object
 
 
-def _spd_factor(M: np.ndarray, leaf: int = INVERSE_BLOCK):
+def _spd_factor(M: np.ndarray):
     """Factor the symmetric positive definite M by recursive 2 x 2 blocks.
 
-    A block of at most `leaf` rows is returned as its `np.linalg.inv`, read
-    only. A larger M is split into halves at n // 2 (`_Split`), whose A and
-    S are factored the same way with leaves of FACTOR_LEAF rows; Y = A^-1 B
-    is found by `_spd_solve` on the factored A, with the zero columns of B
-    left out, so only S[cols, cols] is updated, by the product of B's
-    nonzero rows with Y's. Raises LinAlgError if LAPACK finds a leaf
-    singular.
+    A block of at most INVERSE_BLOCK rows is returned as its
+    `np.linalg.inv`, read only. A larger M is split into halves at n // 2
+    (`_Split`), whose A and S are factored the same way; Y = A^-1 B is
+    found by `_spd_solve` on the factored A, with the zero columns of B left
+    out, so only S[cols, cols] is updated, by the product of B's nonzero
+    rows with Y's. Raises LinAlgError if LAPACK finds a leaf singular.
     """
     n = len(M)
-    if n <= leaf:
+    if n <= INVERSE_BLOCK:
         inverse = np.linalg.inv(M)
         inverse.setflags(write=False)
         return inverse
@@ -260,13 +260,13 @@ def _spd_factor(M: np.ndarray, leaf: int = INVERSE_BLOCK):
     B = M[:k, k:]
     rows, cols = np.flatnonzero(B.any(axis=1)), np.flatnonzero(B.any(axis=0))
     coupling = B[np.ix_(rows, cols)]
-    top = _spd_factor(M[:k, :k], FACTOR_LEAF)
+    top = _spd_factor(M[:k, :k])
     Y = np.zeros((k, cols.size))
     Y[rows] = coupling
     _spd_solve(top, Y, Y)
     S = M[k:, k:].copy()
     S[np.ix_(cols, cols)] -= coupling.T @ Y[rows]
-    bottom = _spd_factor(S, FACTOR_LEAF)
+    bottom = _spd_factor(S)
     cols.setflags(write=False)
     Y.setflags(write=False)
     return _Split(k, cols, Y, top, bottom)
@@ -325,12 +325,27 @@ def _gram_certifies_rank(C: np.ndarray) -> bool:
     return bool(np.linalg.eigvalsh(G)[0] > floor)
 
 
-def _unit_angles(factor, size: int, block: int) -> np.ndarray:
-    """Columns of Bg for block `block` of nodes: angles of a unit injection at each node.
+def _normalized(angles, tails, heads, beta, rating):
+    """Cbar's columns for the angle columns, as one (L, width) array.
+
+    A column is (angles[i] - angles[j]) beta_ell / r_ell for each line (i, j):
+    the three elementwise steps that form every column of Cbar and every
+    Cbar s, so a column's bits do not depend on the other columns formed
+    with it.
+    """
+    values = np.subtract(angles[tails], angles[heads])
+    values *= beta[:, None]
+    values /= rating[:, None]
+    return values
+
+
+def _block_columns(factor, size: int, block: int, picked, lines) -> np.ndarray:
+    """Cbar's columns `picked` of block `block` of nodes, over `lines` = (tails, heads, beta, rating).
 
     The block holds nodes block * SOLVE_BLOCK + 1 onwards, SOLVE_BLOCK of
-    them or up to node `size` = N. The result has N + 1 rows, the slack's
-    row 0 zero, and one column per node of the block.
+    them or up to node `size` = N, always solved together for their angles
+    (columns of Bg, the slack's row 0 zero); `_normalized` forms the picked
+    ones. Every column of Cbar is formed here.
     """
     first = block * SOLVE_BLOCK
     width = min(SOLVE_BLOCK, size - first)
@@ -338,20 +353,7 @@ def _unit_angles(factor, size: int, block: int) -> np.ndarray:
     units[first + np.arange(width), np.arange(width)] = 1.0
     angles = np.zeros((size + 1, width))
     _spd_solve(factor, units, angles[1:])
-    return angles
-
-
-def _normalized(angles, tails, heads, beta, rating):
-    """Cbar's columns for the angle columns, as one (L, width) array.
-
-    A column is (angles[i] - angles[j]) beta_ell / r_ell for each line (i, j):
-    the three elementwise steps that form every column of Cbar, so a
-    column's bits do not depend on the other columns formed with it.
-    """
-    values = np.subtract(angles[tails], angles[heads])
-    values *= beta[:, None]
-    values /= rating[:, None]
-    return values
+    return _normalized(angles[:, picked], *lines)
 
 
 def _factor_grounded(network: GridNetwork):
@@ -376,19 +378,17 @@ def _factor_grounded(network: GridNetwork):
     return factor, inverse_norm
 
 
-def _line_ends(network: GridNetwork):
-    """Read-only (tails, heads): the end nodes i < j of each line."""
-    return tuple(_readonly(ends, np.intp) for ends in np.array(network.lines).T)
+def _line_arrays(network: GridNetwork):
+    """(tails, heads, beta, rating): each line's end nodes i < j, read-only, its susceptance and its rating."""
+    tails, heads = (_readonly(ends, np.intp) for ends in np.array(network.lines).T)
+    return tails, heads, network.susceptance, network.current_rating
 
 
-def _currents(network: GridNetwork, factor, tails, heads, s) -> np.ndarray:
+def _currents(factor, lines, s) -> np.ndarray:
     """Cbar s from one solve for the angles theta = Bhat^-1 s[1:] (theta_0 = 0)."""
-    theta = np.zeros(network.node_count)
+    theta = np.zeros(s.size)
     _spd_solve(factor, s[1:], theta[1:])
-    flow = theta[tails] - theta[heads]
-    flow *= network.susceptance
-    flow /= network.current_rating
-    return flow
+    return _normalized(theta[:, None], *lines)[:, 0]
 
 
 def _network_currents(network: GridNetwork, s) -> np.ndarray:
@@ -399,7 +399,7 @@ def _network_currents(network: GridNetwork, s) -> np.ndarray:
     `DcFlowMatrices.currents` gives; C is not formed and its rank not tested.
     """
     factor, _ = _factor_grounded(network)
-    return _currents(network, factor, *_line_ends(network), np.asarray(s, dtype=float))
+    return _currents(factor, _line_arrays(network), np.asarray(s, dtype=float))
 
 
 @dataclass(frozen=True)
@@ -423,7 +423,8 @@ class DcFlowMatrices:
     stochastic_block : array, shape (L, m)
         Columns 1..m of Cbar (the matrix C).
     factor : ndarray or _Split
-        Bhat factored by `_spd_factor`: Bhat^-1 itself when N <= INVERSE_BLOCK.
+        Bhat factored by `_spd_factor`, with leaves of at most INVERSE_BLOCK
+        rows: Bhat^-1 itself when N <= INVERSE_BLOCK.
     tails, heads : arrays of int, shape (L,)
         The end nodes i < j of each line.
     """
@@ -453,9 +454,8 @@ class DcFlowMatrices:
         blocks = (nodes[rest] - 1) // SOLVE_BLOCK
         for block in np.unique(blocks):
             pick = rest[blocks == block]
-            angles = _unit_angles(self.factor, self.node_count - 1, block)[:, nodes[pick] - 1 - block * SOLVE_BLOCK]
-            out[:, pick] = _normalized(angles, self.tails, self.heads, self.network.susceptance,
-                                       self.network.current_rating)
+            out[:, pick] = _block_columns(self.factor, self.node_count - 1, block,
+                                          nodes[pick] - 1 - block * SOLVE_BLOCK, self._lines)
         return out
 
     def currents(self, s) -> np.ndarray:
@@ -468,7 +468,11 @@ class DcFlowMatrices:
         s = np.asarray(s, dtype=float)
         if s.shape != (self.node_count,):
             raise ValueError(f"injections must have length {self.node_count}")
-        return _currents(self.network, self.factor, self.tails, self.heads, s)
+        return _currents(self.factor, self._lines, s)
+
+    @property
+    def _lines(self):
+        return self.tails, self.heads, self.network.susceptance, self.network.current_rating
 
     @property
     def transfer(self) -> np.ndarray:
@@ -514,8 +518,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     if not (1 <= m <= n - 1):
         raise ValueError(f"m must lie in 1..{n - 1}")
     factor, inverse_norm = _factor_grounded(network)
-    tails, heads = _line_ends(network)
-    beta, rating = network.susceptance, network.current_rating
+    lines = tails, heads, beta, rating = _line_arrays(network)
     blocks = range(-(-(n - 1) // SOLVE_BLOCK))
 
     # |Cbar[ell, c]| <= fl(fl(4 ||Bhat^-1||_1 beta_ell) / r_ell) (module
@@ -526,8 +529,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         priced = np.flatnonzero(~np.isfinite(4.0 * inverse_norm * beta / rating))
         finite = np.ones(priced.size, dtype=bool)
         for block in blocks if priced.size else ():
-            angles = _unit_angles(factor, n - 1, block)
-            rows = _normalized(angles, tails[priced], heads[priced], beta[priced], rating[priced])
+            rows = _block_columns(factor, n - 1, block, slice(None), [v[priced] for v in lines])
             finite &= np.isfinite(rows).all(axis=1)
     if not finite.all():
         ell = int(priced[np.argmin(finite)])
@@ -539,8 +541,7 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
     C = np.empty((network.line_count, m))
     for block in blocks[: -(-m // SOLVE_BLOCK)]:
         first = block * SOLVE_BLOCK
-        angles = _unit_angles(factor, n - 1, block)[:, : m - first]
-        C[:, first : first + SOLVE_BLOCK] = _normalized(angles, tails, heads, beta, rating)
+        C[:, first : first + SOLVE_BLOCK] = _block_columns(factor, n - 1, block, slice(m - first), lines)
     C.setflags(write=False)
     if not _gram_certifies_rank(C):
         s = np.linalg.svd(C, compute_uv=False)

@@ -26,6 +26,17 @@ __all__ = [
 ]
 
 
+def _check_square(name: str, values) -> None:
+    """ValueError naming the first of `values` whose square, which rates divide by or scale with, is 0 or not finite."""
+    values = np.atleast_1d(np.asarray(values, dtype=float))
+    with np.errstate(over="ignore"):
+        square = values * values
+    bad = ~((0.0 < square) & (square < np.inf))
+    if bad.any():
+        value = float(values[np.argmax(bad)])
+        raise ValueError(f"{name} = {value!r} is out of range: its square is 0 or not finite")
+
+
 def _vector(x, name: str) -> np.ndarray:
     out = np.atleast_1d(np.asarray(x, dtype=float))
     if out.ndim != 1:
@@ -67,12 +78,7 @@ class OuModel:
             raise ValueError("gamma entries must be strictly positive")
         if not np.all(self.vol > 0):
             raise ValueError("vol entries must be strictly positive")
-        with np.errstate(over="ignore"):  # rates divide by vol^2 and the noise scales with it
-            square = self.vol * self.vol
-        bad = ~((0.0 < square) & (square < np.inf))
-        if bad.any():
-            value = float(self.vol[np.argmax(bad)])
-            raise ValueError(f"vol = {value!r} is out of range: its square is 0 or not finite")
+        _check_square("vol", self.vol)
         if not self.noise_scale >= 0:
             raise ValueError("noise_scale must be non-negative")
         if not self.horizon > 0:

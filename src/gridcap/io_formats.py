@@ -54,7 +54,7 @@ import numpy as np
 
 from .errors import GraphError, ParseError, RoleError, SchemaError, ZeroBaseFlow
 from .grid_model import GridNetwork, _network_currents, _unreachable, build_flow_matrices, operating_point
-from .injections import OuModel
+from .injections import OuModel, _check_square
 from .ld_rates import PsiContext
 
 __all__ = [
@@ -653,6 +653,7 @@ def apply_imax_rule(
         raise RoleError("at least one stochastic bus is required")
     if not (gamma > 0 and vol > 0 and tau > 0):
         raise ValueError("gamma, vol, and tau must be positive")
+    _check_square("vol", vol)  # the rule `OuModel` applies to the document's nodes
 
     inj = net_injections(case)
     nodes = []

@@ -43,7 +43,6 @@ __all__ = [
     "DecayRateReport",
     "psi",
     "current_decay_rate",
-    "alpha",
     "lb_decay_rate",
     "taylor_decay_rate",
     "full_report",
@@ -181,13 +180,6 @@ def current_decay_rate(ctx: PsiContext):
     return _min_levels(ctx, np.ones(ctx.flow.line_count))
 
 
-def alpha(ctx: PsiContext, line: int) -> float:
-    """Threshold current level for a thermal overload on one line."""
-    return float(
-        overload_threshold_equivalence(ctx.op.nu[line], ctx.tau[line], ctx.horizon)
-    )
-
-
 def lb_decay_rate(ctx: PsiContext):
     """Lower bound on the temperature overload decay rate, with its argmin lines.
 
@@ -225,7 +217,8 @@ class DecayRateReport:
     """Network-level decay rates plus the per-line table behind them.
 
     `taylor_rate` is None when the first-order closed form does not apply
-    (heterogeneous gamma, or no tau0 available); `taylor_note` says why.
+    (heterogeneous gamma, or no tau0 available) or overflows; `taylor_note`
+    says why.
     Lines in `excluded` do not respond to the noise at all; their rates are
     infinite and they are reported separately rather than as float inf.
     """
@@ -267,10 +260,15 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     taylor_rate = taylor_note = None
     try:
         factor, tau0 = ctx.first_order(tau0)
-        taylor_rate = factor * current
     except (NonUniformTau, NonUniformGamma) as exc:
         taylor_note = str(exc)
         tau0 = None
+    else:
+        taylor_rate = factor * current  # Python floats: an overflow is inf, without a warning
+        if not np.isfinite(taylor_rate):
+            taylor_rate = None
+            taylor_note = (f"first-order rate overflows: (1 + 2 tau0 gamma) = {factor:.6g} times "
+                           f"the current rate {current:.6g}")
 
     return DecayRateReport(
         lines=rows,

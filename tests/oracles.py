@@ -490,7 +490,7 @@ def shoot(problem: Exact1dProblem, x1: float, x2: float) -> ShotResult:
     along the way and BlowUp when the trajectory escapes the bounding box.
     """
     p0, e_end = _initial_from_shot(problem, x1, x2)
-    sol = _integrate(problem, p0, e_end, dense_output=True)
+    sol = _integrate(problem, p0, e_end)
     if sol.status != 0:
         if sol.t_events[0].size:  # the collapse event fired
             raise DegenerateF("f collapsed to zero along the shot")

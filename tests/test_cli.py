@@ -15,9 +15,10 @@ import gridcap
 from gridcap import cli
 from gridcap.cli import main
 from gridcap.errors import BoundCollapse, EmptySlice, GridCapError
-from gridcap.io_formats import build_model, parse_native
+from gridcap.io_formats import build_model, parse_native, serialize_native
 from gridcap.ld_rates import psi
 from gridcap.region import build_region, slice2d
+from conftest import ring_with_chords
 from oracles import certified_temperature_rate
 from test_io_formats import TINY_CASE
 
@@ -473,11 +474,7 @@ def test_convert_bundled_case(capsys, tmp_path):
     assert json.loads(out2)["current_rate"] > 0
 
 
-def test_case14_rates_independent_of_blas_threads(capsys, tmp_path):
-    # The 13 non-slack buses are inverted in one LAPACK block, and the report's
-    # products are small, so OpenBLAS's thread count does not reach the bytes.
-    # A 1,000-bus grid's flow map differs in its last bits between 1 and 2
-    # threads (README, Determinism).
+def _case14_document(capsys):
     code, out, _ = run(
         capsys,
         "convert", "builtin:case14",
@@ -486,8 +483,22 @@ def test_case14_rates_independent_of_blas_threads(capsys, tmp_path):
         "--epsilon", "0.0004", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5",
     )
     assert code == 0
-    path = tmp_path / "case14.json"
-    path.write_text(out)
+    return out
+
+
+@pytest.mark.parametrize("document", [
+    pytest.param(_case14_document, id="case14"),
+    pytest.param(lambda capsys: serialize_native(ring_with_chords(seed=0, n=120)), id="ring-120"),
+    pytest.param(lambda capsys: serialize_native(ring_with_chords(seed=0, n=129)), id="ring-129"),
+])
+def test_rates_independent_of_blas_threads(capsys, tmp_path, document):
+    # A network of at most 64 non-slack buses (case14 has 13) is one LAPACK
+    # inverse, and the rings' 119 and 128 are split once into such leaves,
+    # whose products are small enough that OpenBLAS's thread count does not
+    # reach the bytes. A 1,000-bus grid's flow map still differs in its last
+    # bits between 1 and 2 threads (README, Determinism).
+    path = tmp_path / "network.json"
+    path.write_text(document(capsys))
     reports = [
         subprocess.run([sys.executable, "-m", "gridcap", "rates", str(path)], capture_output=True, text=True,
                        check=True, env=dict(_subprocess_env(), OPENBLAS_NUM_THREADS=threads)).stdout
@@ -517,6 +528,8 @@ def test_convert_zero_flow_requires_flag(capsys):
         ("--tau0", "-0.5", "$.defaults.tau0: must be non-negative"),
         ("--zero-flow-rating", "0", "zero_flow_rating must be positive"),
         ("--zero-flow-rating", "-3", "zero_flow_rating must be positive"),
+        ("--vol", "1e300", "vol = 1e+300 is out of range: its square is 0 or not finite"),
+        ("--vol", "1e-200", "vol = 1e-200 is out of range: its square is 0 or not finite"),
     ],
 )
 def test_convert_refuses_what_its_parser_would_refuse(capsys, tmp_path, option, value, message):
@@ -742,17 +755,54 @@ def test_convert_refuses_native_builtins(capsys, name):
 @pytest.mark.parametrize("strict", [False, True])
 @pytest.mark.parametrize("vol", ["1e300", "1e-200"])
 def test_vol_whose_square_is_unusable_exits_usage(capsys, tmp_path, strict, vol):
-    # vol^2 overflows to inf or underflows to 0: mc reported 0 hits where the probability is about 1
+    # vol^2 overflows to inf or underflows to 0: mc reported 0 hits where the probability is about 1.
+    # convert refuses such a vol itself, so the document is edited after a conversion at vol 1
     code, out, _ = run(capsys, "convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3",
-                       "--controllable", "6,9", "--vol", vol, "--zero-flow-rating", "0.1", "--epsilon", "1e-3",
+                       "--controllable", "6,9", "--vol", "1", "--zero-flow-rating", "0.1", "--epsilon", "1e-3",
                        "--horizon", "1", "--p", "0.1")
     assert code == 0
+    doc = json.loads(out)
+    for node in doc["nodes"]:
+        if node["role"] == "stochastic":
+            node["vol"] = float(vol)
     path = tmp_path / "case14.json"
-    path.write_text(out)
+    path.write_text(json.dumps(doc))
     for argv in (["mc", str(path), "--n", "200"], ["rates", str(path)]):
         code, out, err = _run_maybe_strict(capsys, strict, argv)
         assert (code, out) == (2, "")
         assert err.splitlines() == [f"error: vol = {float(vol)!r} is out of range: its square is 0 or not finite"]
+
+
+@pytest.mark.parametrize("vol", ["1e300", "1e-200"])
+def test_convert_refuses_unusable_vol_without_warnings(capsys, vol):
+    # the refusal of `test_convert_refuses_what_its_parser_would_refuse`, under -W error
+    argv = ["convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3", "--controllable", "6,9",
+            "--vol", vol, "--zero-flow-rating", "0.1"]
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    assert (code, out) == (2, "")
+    # the case file's ignored fields are reported first
+    assert [line for line in err.splitlines() if not line.startswith("warning: ignored field")] == [
+        f"error: vol = {float(vol)!r} is out of range: its square is 0 or not finite"
+    ]
+
+
+def test_first_order_rate_overflow_is_a_note(capsys, tmp_path):
+    # (1 + 2 tau0 gamma) times the current rate overflows at gamma 1e300: the
+    # exporter refused the inf with exit 2, naming neither the rate nor the setting
+    code, out, _ = run(capsys, "convert", "builtin:case14", "--K", "1.5", "--stochastic", "2,3",
+                       "--controllable", "6,9", "--gamma", "1e300", "--zero-flow-rating", "0.1",
+                       "--epsilon", "0.01", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5")
+    assert code == 0
+    path = tmp_path / "case14.json"
+    path.write_text(out)
+    code, out, err = run(capsys, "rates", str(path))
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["taylor_rate"] is None
+    assert report["taylor_note"] == ("first-order rate overflows: (1 + 2 tau0 gamma) = 1e+300 times "
+                                     "the current rate 6.63521e+298")
+    assert report["tau0"] == 0.5
+    assert (report["current_rate"], report["lb_rate"]) == (6.635205572563586e+298, 8.438232895095107e+298)
 
 
 def test_subnormal_rating_exits_numeric_without_warnings(tmp_path):

@@ -280,7 +280,7 @@ def _coupled_network(n, shape):
 
 @pytest.mark.parametrize(
     "n, shape",
-    [pytest.param(n, "ring", id=str(n)) for n in (INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 300, 1000)]
+    [pytest.param(n, "ring", id=str(n)) for n in (INVERSE_BLOCK + 1, INVERSE_BLOCK + 2, 129, 130, 300, 1000)]
     + [pytest.param(300, "star", id="star-300"), pytest.param(400, "few-chords", id="few-chords-400"),
        pytest.param(150, "near-complete", id="near-complete-150")],
 )
@@ -452,8 +452,13 @@ def test_assembly_memory_budget():
 def _model_inverse(flow):
     """Bhat^-1 as the model solves it: each aligned block of unit columns, side by side."""
     N = flow.node_count - 1
-    blocks = range(-(-N // grid_model.SOLVE_BLOCK))
-    return np.hstack([grid_model._unit_angles(flow.factor, N, block)[1:] for block in blocks])
+    blocks = []
+    for first in range(0, N, grid_model.SOLVE_BLOCK):
+        width = min(grid_model.SOLVE_BLOCK, N - first)
+        units = np.zeros((N, width))
+        units[first + np.arange(width), np.arange(width)] = 1.0
+        blocks.append(grid_model._spd_solve(flow.factor, units, np.zeros((N, width))))
+    return np.hstack(blocks)
 
 
 def _row_loop_cbar(flow):
@@ -598,7 +603,7 @@ def _large_random_networks(seed, count):
 
 @pytest.mark.parametrize(
     "net",
-    [pytest.param(_ring_with_chords(n, n + 1), id=f"ring-{n}") for n in (INVERSE_BLOCK + 2, 300, 1000)]
+    [pytest.param(_ring_with_chords(n, n + 1), id=f"ring-{n}") for n in (INVERSE_BLOCK + 2, 130, 300, 1000)]
     + [pytest.param(net, id=f"random-{k}") for k, net in enumerate(_large_random_networks(39, 3))],
 )
 def test_served_columns_do_not_depend_on_their_grouping(net):

@@ -9,13 +9,13 @@ from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
 from gridcap.injections import OuModel, SamplePath
 from gridcap.ld_rates import (
     PsiContext,
-    alpha,
     current_decay_rate,
     full_report,
     lb_decay_rate,
     psi,
     taylor_decay_rate,
 )
+from gridcap.thermal import overload_threshold_equivalence
 from oracles import (
     _m_diag_derivative,
     constrained_quadratic_rate,
@@ -105,11 +105,11 @@ def test_current_rate_wheel_tie():
 
 def test_alpha_and_lower_bound_frozen():
     ctx = single_line_context()
-    assert np.isclose(alpha(ctx, 0), SINGLE_ALPHA, rtol=1e-12)
+    level = overload_threshold_equivalence(ctx.op.nu[0], ctx.tau[0], ctx.horizon)
+    assert np.isclose(level, SINGLE_ALPHA, rtol=1e-12)
     lb, argmin = lb_decay_rate(ctx)
     assert np.isclose(lb, SINGLE_LB, rtol=1e-12)
     assert argmin == (0,)
-    level = alpha(ctx, 0)
     assert np.isclose(lb, psi(ctx, 0, -level), rtol=1e-12)
 
 
@@ -275,7 +275,8 @@ def test_full_report_is_consistent():
     for row in rep.lines:
         assert np.isclose(row.psi_plus, psi(ctx, row.line, 1.0), rtol=1e-12)
         assert np.isclose(row.psi_minus, psi(ctx, row.line, -1.0), rtol=1e-12)
-        assert np.isclose(row.alpha, alpha(ctx, row.line), rtol=1e-12)
+        level = overload_threshold_equivalence(ctx.op.nu[row.line], ctx.tau[row.line], ctx.horizon)
+        assert np.isclose(row.alpha, level, rtol=1e-12)
         assert row.sigma2 > 0
     assert np.isclose(rep.current_rate, WHEEL_IC, rtol=1e-12)
     assert rep.current_argmin == (0, 1)

@@ -89,16 +89,17 @@ class ZeroBaseFlow(LineError, InvalidInput):
 # --- linear algebra / model errors -------------------------------------------
 
 class SingularReducedLaplacian(NumericalFailure):
-    """The grounded Laplacian is numerically singular: inversion fails or its
-    1-norm condition number reaches 1/RANK_RTOL (wide susceptance ratios)."""
+    """The grounded Laplacian is numerically singular: a leaf of the
+    factorization is singular or its 1-norm condition number reaches
+    1/RANK_RTOL (wide susceptance ratios)."""
 
 
 class RankDeficiency(LineError, NumericalFailure):
-    """The stochastic block C lacks full column rank beyond tolerance, so
-    some stochastic injections cannot be told apart through line currents;
-    or one line's normalized currents are not finite."""
+    """One line's normalized currents are not finite: its rating is so small
+    that the line's row of the flow map overflows. (The name is kept for
+    compatibility; the stochastic block's full column rank is a theorem.)"""
 
-    template = "stochastic block C does not have full column rank"
+    template = "{line} has non-finite normalized currents"
 
 
 class InfeasibleStart(InvalidInput):

@@ -84,12 +84,11 @@ magnitude. Exactly, |Bg[i, c] - Bg[j, c]| <= 2 ||Bhat^-1||_1; the solved
 entries and norm differ from the exact ones by at most about kappa_1 times
 the unit roundoff relative, far below the doubled factor, and each rounding
 step after that is monotone. So only a line whose bound is not finite has
-its whole row priced, from the same block solves as `columns`. rank(C) = m
-is certified from eigvalsh(C^T C) where its rounding leaves no doubt, and
-otherwise checked by SVD at cutoff RANK_RTOL (`_gram_certifies_rank`).
+its whole row priced, from the same block solves as `columns`.
 rank(B) = rank(Cbar) = N are theorems for a connected graph with positive
-susceptances (the range of Bg meets the kernel of A only at 0);
-`test_rank_chain_random_networks` checks them.
+susceptances (the range of Bg meets the kernel of A only at 0), so the m
+columns of Cbar that form C are independent and rank(C) = m. None is
+re-checked; `test_rank_chain_random_networks` checks them.
 """
 from __future__ import annotations
 
@@ -114,8 +113,8 @@ __all__ = [
     "operating_point",
 ]
 
-#: Relative singular-value cutoff of the rank(C) check; 1/RANK_RTOL also
-#: bounds the condition number kappa_1 of the grounded Laplacian.
+#: 1/RANK_RTOL bounds the 1-norm condition number kappa_1 of the grounded
+#: Laplacian: a larger one is refused as singular.
 RANK_RTOL = 1e-9
 
 #: Leaf size of `_spd_factor` at every level: a block of at most this many
@@ -128,10 +127,6 @@ INVERSE_BLOCK = 64
 #: solves for its columns; C takes m / SOLVE_BLOCK solves, rounded up. It
 #: sets how columns are grouped into solves, not the factor.
 SOLVE_BLOCK = 64
-
-#: Safety factor over the rounding of eigvalsh(C^T C) that its smallest
-#: eigenvalue must clear to certify rank(C) = m without an SVD.
-GRAM_MARGIN = 1e3
 
 
 def _readonly(a, dtype=float) -> np.ndarray:
@@ -293,38 +288,6 @@ def _spd_solve(F, R: np.ndarray, out: np.ndarray) -> np.ndarray:
     return out
 
 
-def _gram_certifies_rank(C: np.ndarray) -> bool:
-    """Whether eigvalsh(C^T C) proves that the SVD test finds rank(C) = m.
-
-    With u = 2^-53, each entry of the computed G = fl(C^T C) is a dot
-    product of length L, wrong by at most L u (|C|^T |C|) in any summation
-    order, and || |C|^T |C| ||_2 <= ||C||_F^2 = tr(G). eigvalsh is backward
-    stable, exact for G plus a perturbation of norm p(m) u ||G||_2 with p(m)
-    a modest multiple of m, which GRAM_MARGIN absorbs. By Weyl's inequality
-    every computed eigenvalue is then within (L + m) u tr(G) of the true
-    sigma_i^2, to first order. The certificate
-    lambda_min > GRAM_MARGIN (L + m) eps tr(G) (eps = 2u) so leaves
-    sigma_min^2 > (2 GRAM_MARGIN - 1) (L + m) u tr(G) >= 4e-13 sigma_max^2,
-    and sigma_min / sigma_max > 6e-7 even at L = m = 1: orders of magnitude
-    above RANK_RTOL and the SVD's own rounding, so the SVD test would find
-    full rank. Gradual underflow adds to each product and sum an absolute
-    error of at most eps tiny / 2 (tiny = 2^-1022, the least normal number),
-    at most L m eps tiny in norm over G; the certificate asks
-    floor >= L m tiny, so that error stays below eps floor, which the margin
-    absorbs. Anything else, a non-finite G, a smaller floor (C scaled far
-    down) or a NaN included, returns False and the caller runs the SVD test
-    itself, which is scale-invariant: RankDeficiency is raised on exactly
-    the inputs it would be without this shortcut.
-    """
-    L, m = C.shape
-    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite G or floor certifies nothing
-        G = C.T @ C
-        floor = GRAM_MARGIN * (L + m) * np.finfo(float).eps * np.trace(G)
-    if not (np.isfinite(G).all() and floor >= L * m * np.finfo(float).tiny):
-        return False
-    return bool(np.linalg.eigvalsh(G)[0] > floor)
-
-
 def _normalized(angles, tails, heads, beta, rating):
     """Cbar's columns for the angle columns, as one (L, width) array.
 
@@ -359,17 +322,17 @@ def _block_columns(factor, size: int, block: int, picked, lines) -> np.ndarray:
 def _factor_grounded(network: GridNetwork):
     """(factor of Bhat, ||Bhat^-1||_1), or SingularReducedLaplacian when kappa_1 fails (module docstring)."""
     B = build_laplacian(network)
-    # column j of Bhat sums to 2 Bhat_jj - beta_0j in absolute value, and B[0, j] = -beta_0j
-    bhat_norm = float(np.max(2.0 * np.diagonal(B)[1:] + B[0, 1:]))
-    try:
-        with np.errstate(over="ignore", invalid="ignore"):  # non-finite factors fail the kappa test
+    with np.errstate(over="ignore", invalid="ignore"):  # a non-finite norm or factor fails the kappa test
+        # column j of Bhat sums to 2 Bhat_jj - beta_0j in absolute value, and B[0, j] = -beta_0j
+        bhat_norm = float(np.max(2.0 * np.diagonal(B)[1:] + B[0, 1:]))
+        try:
             factor = _spd_factor(B[1:, 1:])
             del B
             # Bhat^-1 is entrywise nonnegative, so its 1-norm is its largest row sum
             ones = np.ones(network.node_count - 1)
             inverse_norm = float(np.max(_spd_solve(factor, ones, ones)))
-    except np.linalg.LinAlgError:
-        factor, inverse_norm = None, np.inf
+        except np.linalg.LinAlgError:
+            factor, inverse_norm = None, np.inf
     # Python floats: a huge product becomes inf without a RuntimeWarning
     if not 0.0 < bhat_norm * inverse_norm < 1.0 / RANK_RTOL:  # NaN fails this test too
         raise SingularReducedLaplacian(
@@ -396,7 +359,7 @@ def _network_currents(network: GridNetwork, s) -> np.ndarray:
 
     Factors Bhat and refuses it as `build_flow_matrices` does
     (SingularReducedLaplacian), then solves once, with the bits
-    `DcFlowMatrices.currents` gives; C is not formed and its rank not tested.
+    `DcFlowMatrices.currents` gives; C is not formed.
     """
     factor, _ = _factor_grounded(network)
     return _currents(factor, _line_arrays(network), np.asarray(s, dtype=float))
@@ -510,9 +473,8 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         near 1e10 do this.
     RankDeficiency
         If a row of Cbar is not finite (a subnormal rating overflows it),
-        naming the first such line in its `line`, or if rank(C) != m at
-        relative singular-value cutoff RANK_RTOL. rank(B) and rank(Cbar) are
-        theorems here and are not re-checked.
+        naming the first such line in its `line`. rank(B), rank(Cbar) and
+        rank(C) are theorems here and are not re-checked.
     """
     n = network.node_count
     if not (1 <= m <= n - 1):
@@ -543,11 +505,6 @@ def build_flow_matrices(network: GridNetwork, m: int) -> DcFlowMatrices:
         first = block * SOLVE_BLOCK
         C[:, first : first + SOLVE_BLOCK] = _block_columns(factor, n - 1, block, slice(m - first), lines)
     C.setflags(write=False)
-    if not _gram_certifies_rank(C):
-        s = np.linalg.svd(C, compute_uv=False)
-        if np.sum(s > RANK_RTOL * s[0]) != m:
-            raise RankDeficiency()
-
     return DcFlowMatrices(network=network, m=m, stochastic_block=C, factor=factor, tails=tails, heads=heads)
 
 

@@ -137,8 +137,8 @@ def psi(ctx: PsiContext, line: int, a: float) -> float:
 
 
 def _level_cost(level, nu_abs, denom):
-    """(level - |nu|)^2 / sigma^2 for scalars or arrays; ValueError if it overflows."""
-    with np.errstate(over="ignore"):
+    """(level - |nu|)^2 / sigma^2 for scalars or arrays; ValueError if it overflows or sigma^2 underflows to 0."""
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
         cost = (level - nu_abs) ** 2 / denom
     if not np.all(np.isfinite(cost)):
         raise ValueError("overload level too far out: its decay rate is non-finite")

@@ -39,7 +39,8 @@ def filter_coefficients(dt: float, tau):
         x = dt / tau
     em = -np.expm1(-x)  # 1 - e^{-x}, accurate for small x
     q = 1.0 - em
-    c2 = 1.0 - em / x
+    # at x = 0 (dt = 0) em / x is 0/0; its limit 1 gives the exact c2 = c1 = 0
+    c2 = 1.0 - np.divide(em, x, out=np.ones_like(em), where=x > 0)
     c1 = em - c2
     return q, c1, c2
 

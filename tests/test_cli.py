@@ -17,7 +17,7 @@ from gridcap.cli import main
 from gridcap.errors import BoundCollapse, EmptySlice, GridCapError
 from gridcap.io_formats import build_model, parse_native, serialize_native
 from gridcap.ld_rates import psi
-from gridcap.region import build_region, slice2d
+from gridcap.region import REGION_KINDS, build_region, slice2d
 from conftest import ring_with_chords
 from oracles import certified_temperature_rate
 from test_io_formats import TINY_CASE
@@ -342,15 +342,14 @@ def test_exact1d_unreachable_level(capsys):
     assert "no certified optimum of the problem discretized on 400 steps" in err
 
 
-def test_exact1d_large_lag_ratio_exits_without_warnings():
+def test_exact1d_large_lag_ratio_exits_without_warnings(capsys):
     # At T/tau = 700 the weights of the discretized problem span e^700 and
     # underflow; the certified start must neither warn nor overflow.
-    argv = ["--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", "0.0014285714", "--T", "1"]
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", "exact1d", *argv],
-                          env=_subprocess_env(), capture_output=True, text=True)
-    assert proc.returncode == 0
-    assert proc.stderr == ""
-    assert np.isclose(json.loads(proc.stdout)["rate"], 0.198135618, rtol=1e-8)
+    argv = ["exact1d", "--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", "0.0014285714", "--T", "1"]
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    assert code == 0
+    assert err == ""
+    assert np.isclose(json.loads(out)["rate"], 0.198135618, rtol=1e-8)
 
 
 @pytest.mark.parametrize("option, value", [("--vol", "1e200"), ("--vol", "1e-170"), ("--gamma", "1e160")])
@@ -615,14 +614,13 @@ def test_region_huge_horizon_thermal_bound_meets_current_bound(capsys):
     assert json.loads(out)["bounds"] == json.loads(current)["bounds"]
 
 
-def test_exact1d_overflowing_lag_exits_refusal_without_warnings():
+def test_exact1d_overflowing_lag_exits_refusal_without_warnings(capsys):
     # T / tau overflows to inf in the discrete levels' lags; lag = 0 is the exact limit
     argv = ["exact1d", "--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", "0.5", "--T", "1e308"]
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: ")
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
 def test_partition_beyond_memory_exits_2(capsys, tmp_path):
@@ -661,16 +659,15 @@ def test_exact1d_tiny_mean_exits_refusal(capsys, mu):
     assert _single_error_line(err) and "no certified optimum" in err
 
 
-def test_exact1d_wide_level_gap_exits_refusal():
+def test_exact1d_wide_level_gap_exits_refusal(capsys):
     # gamma T = 1.3e4: the 400- and 800-step optima differ by 26 %, so the rate is refused, not extrapolated
     argv = ["exact1d", "--mu", "0.7704599936516205", "--gamma", "141.79158793113598", "--vol", "2699.5271719058974",
             "--tau", "0.2001630826045529", "--T", "91.79489154037428"]
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", *argv], env=_subprocess_env(),
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert len(proc.stderr.splitlines()) == 1 and proc.stderr.startswith("error: the certified optima on 400 ")
-    assert "Traceback" not in proc.stderr
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    assert code == 4
+    assert out == ""
+    assert len(err.splitlines()) == 1 and err.startswith("error: the certified optima on 400 ")
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("eps", [",", " , "])
@@ -805,18 +802,95 @@ def test_first_order_rate_overflow_is_a_note(capsys, tmp_path):
     assert (report["current_rate"], report["lb_rate"]) == (6.635205572563586e+298, 8.438232895095107e+298)
 
 
-def test_subnormal_rating_exits_numeric_without_warnings(tmp_path):
-    # the rating 1e-320 overflows its line's normalized currents to inf
+def _edited_wheel3(tmp_path, edit):
+    """Path of a copy of builtin wheel3 whose parsed document `edit` has changed in place."""
     doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
-    doc["lines"][0]["rating"] = 1e-320
-    path = tmp_path / "subnormal.json"
+    edit(doc)
+    path = tmp_path / "wheel3-edited.json"
     path.write_text(json.dumps(doc))
-    proc = subprocess.run([sys.executable, "-W", "error", "-m", "gridcap", "rates", str(path)],
-                          env=_subprocess_env(), capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 4
-    assert proc.stdout == ""
-    assert _single_error_line(proc.stderr)
-    assert "line 1–2 has non-finite normalized currents" in proc.stderr
+    return str(path)
+
+
+def _set_line(index, **fields):
+    return lambda doc: doc["lines"][index].update(fields)
+
+
+def test_subnormal_rating_exits_numeric_without_warnings(capsys, tmp_path):
+    # the rating 1e-320 overflows its line's normalized currents to inf
+    path = _edited_wheel3(tmp_path, _set_line(0, rating=1e-320))
+    code, out, err = _run_maybe_strict(capsys, True, ["rates", path])
+    assert code == 4
+    assert out == ""
+    assert _single_error_line(err)
+    assert "line 1–2 has non-finite normalized currents" in err
+
+
+MC_QUICK = ["--n", "100", "--steps", "10"]
+EVERY_COMMAND = [["rates"], *(["region", "--kind", kind] for kind in REGION_KINDS), ["mc", *MC_QUICK]]
+COMMAND_IDS = ["rates", *REGION_KINDS, "mc"]
+
+
+def _assert_refused(code, out, err, expected_code, message):
+    assert (code, out) == (expected_code, "")
+    assert err.splitlines() == [f"error: {message}"]
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_tiny_rating_on_a_loaded_line_exits_infeasible_start(capsys, tmp_path, command):
+    # line 1-2 carries flow 0.3; at rating 1e-12 the start already overloads it
+    path = _edited_wheel3(tmp_path, _set_line(0, rating=1e-12))
+    code, out, err = _run_maybe_strict(capsys, True, [command[0], path, *command[1:]])
+    _assert_refused(code, out, err, 2, "initial normalized current reaches 3e+11 >= 1")
+
+
+def test_tiny_rating_on_an_unloaded_line_is_answered(capsys, tmp_path):
+    # line 2-3 carries no base flow, so rating 1e-12 leaves the start feasible:
+    # C's rows then differ in scale by 1e12, and that line binds every answer
+    path = _edited_wheel3(tmp_path, _set_line(2, rating=1e-12))
+    code, out, err = _run_maybe_strict(capsys, True, ["rates", path])
+    assert (code, err) == (0, "")
+    report = json.loads(out)
+    assert report["current_argmin"] == [2]
+    assert np.isclose(report["current_rate"], 5.2043e-24, rtol=1e-4)
+    code, out, err = _run_maybe_strict(capsys, True, ["region", path, "--kind", "current"])
+    _assert_refused(code, out, err, 3, "capacity bound collapsed on line 2–3")
+    code, out, err = _run_maybe_strict(capsys, True, ["mc", path, *MC_QUICK])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["estimates"][0]["p_hat"] == 1
+
+
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_overflowing_susceptance_exits_singular_without_warnings(capsys, tmp_path, command):
+    # 2 Bhat_jj overflows in ||Bhat||_1; the inf fails the kappa_1 test
+    path = _edited_wheel3(tmp_path, _set_line(2, susceptance=1.797e308))
+    code, out, err = _run_maybe_strict(capsys, True, [command[0], path, *command[1:]])
+    _assert_refused(code, out, err, 4,
+                    "grounded Laplacian is singular; graph disconnected or susceptances degenerate")
+
+
+def _subnormal_horizon(doc):
+    doc["defaults"]["horizon"] = 5e-324
+
+
+def _huge_ratings(doc):
+    for line in doc["lines"]:
+        line["rating"] = 1e200
+
+
+@pytest.mark.parametrize("edit", [_subnormal_horizon, _huge_ratings])
+def test_underflowing_line_variance_exits_usage_without_warnings(capsys, tmp_path, edit):
+    # every stochastic line's variance underflows to 0, so its rate divides by 0
+    code, out, err = _run_maybe_strict(capsys, True, ["rates", _edited_wheel3(tmp_path, edit)])
+    _assert_refused(code, out, err, 2, "overload level too far out: its decay rate is non-finite")
+
+
+@pytest.mark.parametrize("kind", ["current", "temperature"])
+def test_mc_subnormal_horizon_has_no_hits_without_warnings(capsys, tmp_path, kind):
+    # dt = 0: the thermal weights take their exact limits (1, 0, 0)
+    path = _edited_wheel3(tmp_path, _subnormal_horizon)
+    code, out, err = _run_maybe_strict(capsys, True, ["mc", path, "--kind", kind, *MC_QUICK])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["estimates"][0]["hits"] == 0
 
 
 CASE14_ARGS = ["--K", "1.5", "--controllable", "6,9", "--gamma", "1", "--vol", "10", "--tau", "0.5",
@@ -1001,11 +1075,7 @@ def test_deeply_nested_json_exits_invalid(capsys, tmp_path):
 
 
 def _wheel3_without_defaults(tmp_path):
-    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
-    del doc["defaults"]
-    path = tmp_path / "wheel3-bare.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+    return _edited_wheel3(tmp_path, lambda doc: doc.pop("defaults"))
 
 
 @pytest.mark.parametrize(
@@ -1045,15 +1115,15 @@ def test_bad_slice_axes_exit_usage(capsys, axes, message, partition):
 
 def _wheel3_with_ids(tmp_path, ids):
     """wheel3 with its nodes 1, 2, 3 renamed to `ids`, in lines too."""
-    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
     rename = dict(zip((1, 2, 3), ids))
-    for node in doc["nodes"]:
-        node["id"] = rename[node["id"]]
-    for line in doc["lines"]:
-        line["from"], line["to"] = rename[line["from"]], rename[line["to"]]
-    path = tmp_path / "wheel3-renamed.json"
-    path.write_text(json.dumps(doc))
-    return str(path)
+
+    def edit(doc):
+        for node in doc["nodes"]:
+            node["id"] = rename[node["id"]]
+        for line in doc["lines"]:
+            line["from"], line["to"] = rename[line["from"]], rename[line["to"]]
+
+    return _edited_wheel3(tmp_path, edit)
 
 
 @pytest.mark.parametrize("partition", [(), ("--partition", "--resolution", "8")])

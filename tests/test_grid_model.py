@@ -14,7 +14,6 @@ from gridcap.errors import GraphError, InfeasibleStart, RankDeficiency, Singular
 from gridcap.grid_model import (
     INVERSE_BLOCK,
     GridNetwork,
-    _gram_certifies_rank,
     build_flow_matrices,
     build_laplacian,
     operating_point,
@@ -158,62 +157,33 @@ def test_rank_chain_random_networks(seed):
 
 
 def test_flow_matrices_decomposition_budget(monkeypatch):
-    # rank(B) and rank(Cbar) are theorems for a connected network, and the
-    # singularity test reads the inverse, so only the L x m block C is
-    # decomposed.
-    original = np.linalg.svd
-    shapes = []
-
-    def counting(a, *args, **kwargs):
-        shapes.append(np.shape(a))
-        return original(a, *args, **kwargs)
-
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    rng = np.random.default_rng(21)
-    for _ in range(10):
-        net = random_network(rng)
-        m = int(rng.integers(1, net.node_count))
-        shapes.clear()
-        build_flow_matrices(net, m)
-        assert len(shapes) <= 1
-        assert all(shape == (net.line_count, m) for shape in shapes)
-
-
-def test_gram_certificate_replaces_the_rank_svd(monkeypatch):
-    # eigvalsh(C^T C) certifies rank(C) = m on well-conditioned networks, so
-    # no SVD runs; a doubtful certificate falls back to the SVD test, which
-    # still refuses wheel3 with one rating of 1e-12 (sigma ratio ~1e-12).
-    original = np.linalg.svd
+    # rank(B), rank(Cbar) and rank(C) are theorems for a connected network,
+    # and the singularity test reads one solve, so nothing is decomposed:
+    # neither an SVD nor eigvalsh runs, also where C's rows differ in scale
+    # by 1e12 (wheel3 with one rating of 1e-12).
     calls = []
 
-    def counting(a, *args, **kwargs):
-        calls.append(np.shape(a))
-        return original(a, *args, **kwargs)
+    def recording(name):
+        def call(*args, **kwargs):
+            calls.append(name)
+            raise AssertionError(f"np.linalg.{name} called")
+        return call
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
-    rng = np.random.default_rng(22)
-    nets = [random_network(rng, max_nodes=12, max_extra=8) for _ in range(40)] + [_ring_with_chords(1000, 11)]
+    for name in ("svd", "eigvalsh"):
+        monkeypatch.setattr(np.linalg, name, recording(name))
+    rng = np.random.default_rng(21)
+    nets = [random_network(rng) for _ in range(10)] + [_ring_with_chords(1000, 11)]
     for net in nets:
         build_flow_matrices(net, int(rng.integers(1, min(net.node_count, 101))))
+    wheel = _net([(0, 1), (0, 2), (1, 2)], 3, rating=[1.0, 1.0, 1e-12])
+    C = build_flow_matrices(wheel, 2).stochastic_block
     assert calls == []
-    wheel = _net([(0, 1), (0, 2), (1, 2)], 3, rating=[1e-12, 1.0, 1.0])
-    with pytest.raises(RankDeficiency, match="full column rank"):
-        build_flow_matrices(wheel, 2)
-    assert calls == [(3, 2)]
-    # scaled far up, the ratings push C^T C towards or below the least normal
-    # number; the SVD test is scale-invariant, so the verdicts stay
-    for scale in (1e150, 1e156, 1e160):
-        with pytest.raises(RankDeficiency, match="full column rank"):
-            build_flow_matrices(_net(wheel.lines, 3, rating=wheel.current_rating * scale), 2)
-        build_flow_matrices(_net(wheel.lines, 3, rating=[scale] * 3), 2)
-    # a nearly rank-1 C (sigma ratio ~1e-13) whose Gram entries are
-    # subnormal: its rounding can leave lambda_min a few ulps above zero
-    C = np.array([[-48.0, -24.0 + 1e-11], [24.0, 12.0], [-24.0, -12.0]]) * 1e-162
-    assert not _gram_certifies_rank(C)
+    assert np.allclose(C[:2], [[-2 / 3, -1 / 3], [-1 / 3, -2 / 3]])
+    assert np.allclose(C[2] * 1e-12, [1 / 3, -1 / 3])
 
 
 def test_overflowing_rating_names_its_line_without_warnings():
-    # a subnormal rating overflows its row of Cbar; the Gram certificate never sees it
+    # a subnormal rating overflows its row of Cbar
     net = _net([(0, 1), (0, 2), (1, 2)], 3, rating=[1.0, 1e-320, 1.0])
     with warnings.catch_warnings():
         warnings.simplefilter("error")
@@ -560,7 +530,7 @@ def test_refused_line_is_the_first_the_dense_formula_overflows():
             try:
                 build_flow_matrices(net, m)
                 line = None
-            except RankDeficiency as exc:  # the rank test may refuse a finite, badly scaled C
+            except RankDeficiency as exc:  # only a non-finite row is refused
                 line = exc.line
         assert line == (int(bad[0]) if bad.size else None)
         refused += bad.size > 0

@@ -35,6 +35,20 @@ def test_filter_coefficients_at_overflowing_ratio_are_the_exact_limits():
         assert filter_coefficients(0.005, 1e-320) == (0.0, 0.0, 1.0)
 
 
+def test_filter_coefficients_at_zero_ratio_are_the_exact_limits():
+    # dt = 0 leaves c2 = 1 - em / x at 0/0; q = 1 and c1 = c2 = 0 are the exact
+    # limits, and the entries with x > 0 keep the bits of the plain formula
+    dt = np.array([0.0, 5e-324, 1e-9, 0.1, 3.0])
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        q, c1, c2 = filter_coefficients(dt, 0.5)
+        assert filter_coefficients(0.0, 0.5) == (1.0, 0.0, 0.0)
+    em = -np.expm1(-dt[1:] / 0.5)
+    assert (q[0], c1[0], c2[0]) == (1.0, 0.0, 0.0)
+    assert np.array_equal(c2[1:], 1.0 - em / (dt[1:] / 0.5))
+    assert np.array_equal(c1[1:], em - c2[1:]) and np.array_equal(q[1:], 1.0 - em)
+
+
 def test_filter_coefficients_form_convex_weights():
     for dt, tau in [(1e-9, 1.0), (1e-3, 0.5), (0.2, 0.2), (50.0, 1.0)]:
         q, c1, c2 = filter_coefficients(dt, tau)

@@ -137,16 +137,20 @@ def _readonly(a, dtype=float) -> np.ndarray:
 
 
 def _unreachable(node_count: int, lines) -> list:
-    """Nodes no line path joins to node 0, in increasing order (breadth-first)."""
+    """Nodes no line path joins to node 0, in increasing order."""
     adjacency = [[] for _ in range(node_count)]
     for i, j in lines:
         adjacency[i].append(j)
         adjacency[j].append(i)
-    reached, frontier = {0}, {0}
-    while frontier:
-        frontier = {v for u in frontier for v in adjacency[u]} - reached
-        reached |= frontier
-    return sorted(set(range(node_count)) - reached)
+    reached = [False] * node_count
+    reached[0] = True
+    todo = [0]
+    while todo:
+        for v in adjacency[todo.pop()]:
+            if not reached[v]:
+                reached[v] = True
+                todo.append(v)
+    return [k for k, seen in enumerate(reached) if not seen]
 
 
 @dataclass(frozen=True)

@@ -136,7 +136,11 @@ def ou_step_coefficients(model: OuModel, dt: float):
     The transition over dt is exact:
         X' = mu + (X - mu) e^{-gamma dt} + N(0, eps l^2 (1-e^{-2 gamma dt})/(2 gamma))
     """
-    decay = np.exp(-model.gamma * dt)
-    # -expm1 keeps the variance accurate when gamma*dt is tiny
-    var = model.noise_scale * model.vol**2 * (-np.expm1(-2.0 * model.gamma * dt)) / (2.0 * model.gamma)
+    # gamma dt and 2 gamma may overflow to inf for a huge gamma; e^-inf = 0,
+    # -expm1(-inf) = 1 and x / inf = 0 are then the exact limits: decay 0, variance 0
+    with np.errstate(over="ignore"):
+        decay = np.exp(-model.gamma * dt)
+        rise = -np.expm1(-2.0 * model.gamma * dt)  # -expm1 keeps the variance accurate when gamma*dt is tiny
+        twice_gamma = 2.0 * model.gamma
+    var = model.noise_scale * model.vol**2 * rise / twice_gamma
     return decay, np.sqrt(var)

@@ -193,6 +193,8 @@ _NODE_KEYS = {
 _LINE_FIELDS = ("from", "to", "susceptance", "rating", "tau")
 _LINE_KEYS = frozenset(_LINE_FIELDS)
 _DEFAULTS_KEYS = frozenset(_DEFAULT_RULES)
+_ID_TYPES = (str, int)
+_INF = math.inf
 
 
 def _schema_error(message, *where) -> SchemaError:
@@ -216,13 +218,6 @@ def _number(value, *where) -> float:
     if not math.isfinite(number):
         raise _schema_error(f"expected a finite number, got {number!r}", *where)
     return number
-
-
-def _node_id(value, *where):
-    """`value` as a node id: a string, or an integer that is not a bool; `where` locates it."""
-    if isinstance(value, bool) or not isinstance(value, (str, int)):
-        raise _schema_error("id must be a string or integer", *where)
-    return value
 
 
 def _check_keys(obj, allowed, *where):
@@ -254,43 +249,57 @@ def parse_native(text: str) -> NetworkDocument:
         if not (isinstance(raw.get(table), list) and raw[table]):
             raise _schema_error("expected a non-empty array", table)
 
+    # One walk over the rows. A field that is a finite float (positive where
+    # the rule asks for it) is taken as it is; any other value goes to the
+    # helper that names its fault, so messages and their order do not depend
+    # on which test let the value through. json.loads makes only plain dict,
+    # list, str, int, float and bool objects, so type() tells them apart.
     nodes = []
-    seen_ids = set()
+    position = {}  # node id -> position in the document
     for k, entry in enumerate(raw["nodes"]):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             raise _schema_error("expected an object", "nodes", k)
         if "id" not in entry:
             raise _schema_error("missing id", "nodes", k)
-        nid = _node_id(entry["id"], "nodes", k, "id")
-        if nid in seen_ids:
+        nid = entry["id"]
+        if type(nid) not in _ID_TYPES:
+            raise _schema_error("id must be a string or integer", "nodes", k, "id")
+        if nid in position:
             raise _schema_error(f"duplicate id {nid!r}", "nodes", k, "id")
-        seen_ids.add(nid)
+        position[nid] = k
         role = entry.get("role")
         if role not in ROLES:
             raise _schema_error(f"role must be one of {ROLES}", "nodes", k, "role")
-        _check_keys(entry, _NODE_KEYS[role], "nodes", k)
+        allowed = _NODE_KEYS[role]
+        _check_keys(entry, allowed, "nodes", k)
         if role == "slack":
-            nodes.append(NodeSpec(id=nid, role=role))
+            nodes.append(NodeSpec(nid, role))
         elif role == "stochastic":
-            for field in ("gamma", "vol", "mean"):
-                if field not in entry:
-                    raise _schema_error(f"missing {field}", "nodes", k)
-            gamma = _number(entry["gamma"], "nodes", k, "gamma")
-            vol = _number(entry["vol"], "nodes", k, "vol")
-            mean = _number(entry["mean"], "nodes", k, "mean")
+            if len(entry) != len(allowed):  # no unknown key, so one is missing
+                missing = next(field for field in ("gamma", "vol", "mean") if field not in entry)
+                raise _schema_error(f"missing {missing}", "nodes", k)
+            gamma, vol, mean = entry["gamma"], entry["vol"], entry["mean"]
+            if not (type(gamma) is float and 0.0 < gamma < _INF):
+                gamma = _number(gamma, "nodes", k, "gamma")
+            if not (type(vol) is float and 0.0 < vol < _INF):
+                vol = _number(vol, "nodes", k, "vol")
+            if not (type(mean) is float and -_INF < mean < _INF):
+                mean = _number(mean, "nodes", k, "mean")
             if not gamma > 0:
                 raise _schema_error("must be positive", "nodes", k, "gamma")
             if not vol > 0:
                 raise _schema_error("must be positive", "nodes", k, "vol")
-            nodes.append(NodeSpec(id=nid, role=role, gamma=gamma, vol=vol, mean=mean))
+            nodes.append(NodeSpec(nid, role, gamma, vol, mean))
         else:
             if "injection" not in entry:
                 raise _schema_error("missing injection", "nodes", k)
-            injection = _number(entry["injection"], "nodes", k, "injection")
+            injection = entry["injection"]
+            if not (type(injection) is float and -_INF < injection < _INF):
+                injection = _number(injection, "nodes", k, "injection")
             controllable = entry.get("controllable", False)
-            if not isinstance(controllable, bool):
+            if type(controllable) is not bool:
                 raise _schema_error("must be a boolean", "nodes", k, "controllable")
-            nodes.append(NodeSpec(id=nid, role=role, injection=injection, controllable=controllable))
+            nodes.append(NodeSpec(nid, role, None, None, None, injection, controllable))
 
     slack_count = sum(1 for n in nodes if n.role == "slack")
     if slack_count != 1:
@@ -299,38 +308,44 @@ def parse_native(text: str) -> NetworkDocument:
         raise RoleError("at least one stochastic node is required")
 
     lines = []
-    seen_pairs = set()
+    pairs = set()  # (i, j), i < j, of document node positions
     for k, entry in enumerate(raw["lines"]):
-        if not isinstance(entry, dict):
+        if type(entry) is not dict:
             raise _schema_error("expected an object", "lines", k)
-        _check_keys(entry, _LINE_KEYS, "lines", k)
-        for field in _LINE_FIELDS:
-            if field not in entry:
-                raise _schema_error(f"missing {field}", "lines", k)
-        f = _node_id(entry["from"], "lines", k, "from")
-        t = _node_id(entry["to"], "lines", k, "to")
-        if f not in seen_ids:
+        if entry.keys() != _LINE_KEYS:
+            _check_keys(entry, _LINE_KEYS, "lines", k)
+            missing = next(field for field in _LINE_FIELDS if field not in entry)
+            raise _schema_error(f"missing {missing}", "lines", k)
+        f, t = entry["from"], entry["to"]
+        if type(f) not in _ID_TYPES:
+            raise _schema_error("id must be a string or integer", "lines", k, "from")
+        if type(t) not in _ID_TYPES:
+            raise _schema_error("id must be a string or integer", "lines", k, "to")
+        i, j = position.get(f), position.get(t)
+        if i is None:
             raise _schema_error(f"unknown node id {f!r}", "lines", k, "from")
-        if t not in seen_ids:
+        if j is None:
             raise _schema_error(f"unknown node id {t!r}", "lines", k, "to")
-        if f == t:
+        if i == j:
             raise _schema_error("self-loop", "lines", k)
-        pair = frozenset((f, t))
-        if pair in seen_pairs:
+        pair = (i, j) if i < j else (j, i)
+        if pair in pairs:
             raise _schema_error("duplicate line", "lines", k)
-        seen_pairs.add(pair)
-        susceptance = _number(entry["susceptance"], "lines", k, "susceptance")
-        if not susceptance > 0:
-            raise _schema_error("must be positive", "lines", k, "susceptance")
-        rating = entry["rating"]
-        if rating != "auto":
+        pairs.add(pair)
+        susceptance, rating, tau = entry["susceptance"], entry["rating"], entry["tau"]
+        if not (type(susceptance) is float and 0.0 < susceptance < _INF):
+            susceptance = _number(susceptance, "lines", k, "susceptance")
+            if not susceptance > 0:
+                raise _schema_error("must be positive", "lines", k, "susceptance")
+        if not (type(rating) is float and 0.0 < rating < _INF) and rating != "auto":
             rating = _number(rating, "lines", k, "rating")
             if not rating > 0:
                 raise _schema_error('must be positive or "auto"', "lines", k, "rating")
-        tau = _number(entry["tau"], "lines", k, "tau")
-        if not tau > 0:
-            raise _schema_error("must be positive", "lines", k, "tau")
-        lines.append(LineSpec(from_id=f, to_id=t, susceptance=susceptance, rating=rating, tau=tau))
+        if not (type(tau) is float and 0.0 < tau < _INF):
+            tau = _number(tau, "lines", k, "tau")
+            if not tau > 0:
+                raise _schema_error("must be positive", "lines", k, "tau")
+        lines.append(LineSpec(f, t, susceptance, rating, tau))
 
     defaults_raw = raw.get("defaults", {})
     if not isinstance(defaults_raw, dict):
@@ -339,8 +354,7 @@ def parse_native(text: str) -> NetworkDocument:
     # a null is refused here, where AnalysisDefaults would read it as absent
     defaults = AnalysisDefaults(**{name: _number(value, "defaults", name) for name, value in defaults_raw.items()})
 
-    position = {n.id: k for k, n in enumerate(nodes)}
-    unreachable = _unreachable(len(nodes), [(position[ln.from_id], position[ln.to_id]) for ln in lines])
+    unreachable = _unreachable(len(nodes), pairs)
     if unreachable:
         missing = sorted((nodes[k].id for k in unreachable), key=repr)
         raise GraphError(f"network is disconnected; unreachable nodes {missing}")
@@ -682,14 +696,14 @@ def apply_imax_rule(
 def _internal_lines(doc: NetworkDocument) -> list:
     """((i, j), position) per document line, i < j its internal node indices, in internal line order."""
     index = doc.index_of
-    keyed = []
-    for pos, line in enumerate(doc.lines):
+    n = len(index)
+    pairs = []
+    for line in doc.lines:
         i, j = index[line.from_id], index[line.to_id]
-        if i > j:
-            i, j = j, i
-        keyed.append(((i, j), pos))
-    keyed.sort()
-    return keyed
+        pairs.append((i, j) if i < j else (j, i))
+    # i n + j orders as (i, j) does, and ints compare faster than tuples; ties keep document order
+    order = sorted(range(len(pairs)), key=[i * n + j for i, j in pairs].__getitem__)
+    return [(pairs[pos], pos) for pos in order]
 
 
 def line_terminals(doc: NetworkDocument) -> tuple:
@@ -815,25 +829,19 @@ def _csv_doc(header: str, rows) -> str:
     return "\n".join([header, *rows]) + "\n"
 
 
+# one entry of export_report's "lines", laid out as _json_text lays it out:
+# %.17g is format(x, ".17g"), and the two ids come in rendered
+_REPORT_ROW = (
+    '    {\n      "line": %d,\n      "from": %s,\n      "to": %s,\n      "psi_plus": %.17g,\n'
+    '      "psi_minus": %.17g,\n      "alpha": %.17g,\n      "psi_alpha": %.17g,\n      "sigma2": %.17g\n    }'
+)
+
+
 def export_report(report, fmt: str = "json", *, line_terminals) -> str:
     """Render a decay-rate report as JSON or CSV, naming line ell by `line_terminals[ell]`."""
     rows = [(lr, *line_terminals[lr.line]) for lr in report.lines]
     if _wants_json(fmt):
-        lines = [
-            {
-                "line": lr.line,
-                "from": a,
-                "to": b,
-                "psi_plus": lr.psi_plus,
-                "psi_minus": lr.psi_minus,
-                "alpha": lr.alpha,
-                "psi_alpha": lr.psi_alpha,
-                "sigma2": lr.sigma2,
-            }
-            for lr, a, b in rows
-        ]
-        out = {
-            "lines": lines,
+        tail = {
             "excluded": list(report.excluded),
             "current_rate": report.current_rate,
             "current_argmin": list(report.current_argmin),
@@ -844,7 +852,20 @@ def export_report(report, fmt: str = "json", *, line_terminals) -> str:
             "horizon": report.horizon,
             "tau0": report.tau0,
         }
-        return _json_text(out) + "\n"
+        lines = "[]"
+        if rows:
+            name = {nid: _json_text(nid) for nid in dict.fromkeys(nid for _, a, b in rows for nid in (a, b))}
+            body = ",\n".join([
+                _REPORT_ROW % (lr.line, name[a], name[b], lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2)
+                for lr, a, b in rows
+            ])
+            # %.17g writes inf and nan where _f17 refuses them; an id may spell one too
+            if "inf" in body or "nan" in body:
+                for lr, _, _ in rows:
+                    for x in (lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2):
+                        _f17(x)
+            lines = "[\n" + body + "\n  ]"
+        return '{\n  "lines": ' + lines + "," + _json_text(tail)[1:] + "\n"
     return _csv_doc(
         "line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2",
         (

@@ -79,7 +79,15 @@ def noise_margins(ctx: PsiContext, epsilon: float, p: float) -> np.ndarray:
     reach (off `ctx.stochastic_lines`) have variance 0 and get beta = 0.
     """
     _check_noise(epsilon, p)
-    return np.sqrt(epsilon * np.log(1.0 / p) * ctx.line_variances)
+    var = ctx.line_variances
+    with np.errstate(over="ignore", invalid="ignore"):
+        beta = np.sqrt(epsilon * np.log(1.0 / p) * var)
+    # where beta^2 overflows (or reads inf * 0 off the noise's reach), beta may
+    # still be finite: take the root of each factor there
+    far = ~np.isfinite(beta)
+    if far.any():
+        beta[far] = math.sqrt(epsilon) * np.sqrt(np.log(1.0 / p) * var[far])
+    return beta
 
 
 def _refuse_collapse(live: np.ndarray, collapsed: np.ndarray):
@@ -107,7 +115,11 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
         bounds[live] = 1.0 - beta
     elif kind == "temperature_lb":
         q = _horizon_decay(ctx.horizon, ctx.tau[live])[0]
-        radicand = 1.0 - beta**2 * q * (1.0 - q)
+        with np.errstate(over="ignore", invalid="ignore"):
+            radicand = 1.0 - beta**2 * q * (1.0 - q)
+        # where beta**2 overflows, the radicand is -inf (collapsed) if q (1 - q) > 0;
+        # if q (1 - q) = 0 it reads inf * 0 = nan, where a finite beta**2 gives 1
+        radicand[np.isnan(radicand)] = 1.0
         _refuse_collapse(live, radicand < 0.0)
         bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)
     elif kind == "temperature_taylor":

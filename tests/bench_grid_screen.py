@@ -2,8 +2,11 @@
 
 Times the three layers a grid screen spends most of its time in: the
 transfer assembly (at 1,000 and 3,000 buses, and on a densely coupled
-1,000-bus grid), and the JSON report export and the document parser (at
-1,000 buses). `build_model` is timed at 1,000, 2,000 and 4,000 buses, and
+1,000-bus grid), and the JSON report export, the four region exports and the
+document parser (at 1,000 buses). `test_screen_op` times one whole screen
+at 1,000 buses, as the benchmark's `grid_screen` workload runs it: parse,
+`build_model`, `full_report`, then each region kind built, sliced and
+exported. `build_model` is timed at 1,000, 2,000 and 4,000 buses, and
 reports in `extra_info` the bytes its model keeps and its peak, both as
 traced by tracemalloc, and the bytes of the held factorization of the
 grounded Laplacian. The flow map's two served reads are timed at 1,000
@@ -14,14 +17,23 @@ so the default test run does not collect it. Run it with::
     pytest tests/bench_grid_screen.py --benchmark-only
 """
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
 from conftest import ring_with_chords
 from gridcap.grid_model import build_flow_matrices
-from gridcap.io_formats import build_model, export_report, parse_native, serialize_native
+from gridcap.io_formats import (
+    build_model,
+    export_region,
+    export_report,
+    export_slice,
+    parse_native,
+    serialize_native,
+)
 from gridcap.ld_rates import full_report
+from gridcap.region import REGION_KINDS, build_region, slice2d
 
 BUSES = 1000
 
@@ -96,3 +108,50 @@ def test_parse_native(benchmark, grid):
     doc, _, _ = grid
     text = serialize_native(doc)
     assert benchmark(parse_native, text) == doc
+
+
+def screen_op(text, free, bbox):
+    """One grid screen: the document text to every exported text."""
+    doc = parse_native(text)
+    bm = build_model(doc)
+    settings = doc.defaults
+    report = full_report(bm.ctx, tau0=settings.tau0)
+    exported = [export_report(report, "json", line_terminals=bm.line_terminals)]
+    fixed = np.concatenate([bm.ou.mean, bm.op.mu_D])
+    for kind in REGION_KINDS:
+        region = build_region(bm.ctx, kind, settings.epsilon, settings.p, tau0=settings.tau0)
+        exported.append(export_region(region))
+        exported.append(export_slice(slice2d(region, bm.flow, free, fixed, bbox)))
+    return exported
+
+
+@pytest.fixture(scope="module")
+def screen():
+    """Text, slice axes and window of a 1,000-bus screen.
+
+    Ratings are raised to at least their median, as in the benchmark's
+    synthetic grid: the plain rule leaves lightly loaded lines so little
+    room that every noisy region kind collapses.
+    """
+    doc = ring_with_chords(seed=0, n=BUSES)
+    floor = float(np.median([line.rating for line in doc.lines]))
+    doc = replace(doc, lines=tuple(replace(line, rating=max(line.rating, floor)) for line in doc.lines))
+    mean = build_model(doc).ou.mean
+    # the first two stochastic nodes are internal indices 1 and 2
+    bbox = (mean[0] - 3.0, mean[0] + 3.0, mean[1] - 3.0, mean[1] + 3.0)
+    return serialize_native(doc), (1, 2), bbox
+
+
+def test_export_regions(benchmark, screen):
+    text, _, _ = screen
+    doc = parse_native(text)
+    ctx = build_model(doc).ctx
+    settings = doc.defaults
+    regions = [build_region(ctx, kind, settings.epsilon, settings.p, tau0=settings.tau0) for kind in REGION_KINDS]
+    texts = benchmark(lambda: [export_region(region) for region in regions])
+    assert [t.startswith("{") for t in texts] == [True] * 4
+
+
+def test_screen_op(benchmark, screen):
+    exported = benchmark(screen_op, *screen)
+    assert len(exported) == 1 + 2 * len(REGION_KINDS)

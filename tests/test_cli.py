@@ -893,6 +893,35 @@ def test_mc_subnormal_horizon_has_no_hits_without_warnings(capsys, tmp_path, kin
     assert json.loads(out)["estimates"][0]["hits"] == 0
 
 
+def _huge_gamma(doc):
+    doc["nodes"][1]["gamma"] = 1.797e308
+
+
+@pytest.mark.parametrize("kind", ["current", "temperature"])
+def test_mc_huge_gamma_takes_the_exact_limit_without_warnings(capsys, tmp_path, kind):
+    # 2 gamma overflows: node 2 reverts at once, with step decay 0 and variance 0
+    path = _edited_wheel3(tmp_path, _huge_gamma)
+    code, out, err = _run_maybe_strict(capsys, True, ["mc", path, "--kind", kind, *MC_QUICK])
+    assert (code, err) == (0, "")
+    assert json.loads(out)["estimates"][0]["replicates"] == 100
+
+
+def _huge_epsilon(doc):
+    doc["defaults"]["epsilon"] = 1.797e308
+
+
+@pytest.mark.parametrize("kind", REGION_KINDS)
+def test_region_huge_epsilon_is_answered_without_warnings(capsys, tmp_path, kind):
+    # eps log(1/p) overflows; the noisy kinds collapse on the first line, the deterministic one keeps r = 1
+    path = _edited_wheel3(tmp_path, _huge_epsilon)
+    code, out, err = _run_maybe_strict(capsys, True, ["region", path, "--kind", kind])
+    if kind == "deterministic":
+        assert (code, err) == (0, "")
+        assert json.loads(out)["bounds"] == [1, 1, 1]
+    else:
+        _assert_refused(code, out, err, 3, "capacity bound collapsed on line 1–2")
+
+
 CASE14_ARGS = ["--K", "1.5", "--controllable", "6,9", "--gamma", "1", "--vol", "10", "--tau", "0.5",
                "--epsilon", "0.0004", "--p", "0.0001", "--horizon", "1", "--tau0", "0.5"]
 

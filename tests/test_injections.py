@@ -1,5 +1,8 @@
 """Injection models: exact transitions, simulation, and the action functional."""
 
+import warnings
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -34,6 +37,19 @@ def test_step_coefficients_match_transition_law():
     assert np.allclose(decay, np.exp(-model.gamma * 0.25), rtol=1e-14)
     var = 0.1 * model.vol**2 * (1.0 - np.exp(-2.0 * model.gamma * 0.25)) / (2.0 * model.gamma)
     assert np.allclose(std**2, var, rtol=1e-12)
+
+
+@pytest.mark.parametrize("dt", [0.1, 10.0])
+def test_step_coefficients_take_the_exact_limit_of_an_overflowing_gamma(dt):
+    # 2 gamma overflows, and so does gamma dt at dt = 10: the first coordinate reverts at once
+    model = OuModel(gamma=np.array([1.797e308, 0.5]), vol=np.ones(2), mean=np.zeros(2), noise_scale=0.1, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        decay, std = ou_step_coefficients(model, dt)
+    assert decay[0] == 0.0 and std[0] == 0.0
+    # the other coordinate keeps its bits
+    alone = ou_step_coefficients(replace(model, gamma=model.gamma[1:], vol=model.vol[1:], mean=model.mean[1:]), dt)
+    assert (decay[1], std[1]) == (alone[0][0], alone[1][0])
 
 
 def test_transition_residuals_are_standard_normal():

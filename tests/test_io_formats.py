@@ -10,7 +10,7 @@ from typing import NamedTuple
 
 import numpy as np
 import pytest
-from hypothesis import given
+from hypothesis import given, settings
 from hypothesis import strategies as st
 from importlib import resources
 
@@ -51,7 +51,7 @@ from gridcap.io_formats import (
     resolve_auto_ratings,
     serialize_native,
 )
-from gridcap.ld_rates import full_report
+from gridcap.ld_rates import DecayRateReport, LineRates, full_report
 from gridcap.montecarlo import McConfig, decay_slope
 from gridcap.region import build_region, risk_partition, slice2d
 
@@ -331,6 +331,138 @@ def test_parse_error_messages(path, value, error, message):
     assert str(err.value) == message
 
 
+# Valid documents as JSON values: int literals (some above 2**53) beside floats,
+# int and str ids, optional controllable flags and defaults, rows in any order.
+_IDS = st.one_of(st.integers(-2**64, 2**64), st.text(max_size=4))
+_POSITIVE = st.one_of(st.floats(min_value=5e-324, allow_infinity=False), st.integers(1, 2**80))
+_REAL = st.one_of(st.floats(allow_nan=False, allow_infinity=False), st.integers(-2**80, 2**80))
+_NON_NEGATIVE = st.one_of(st.floats(min_value=0.0, allow_infinity=False), st.integers(0, 2**80))
+_DEFAULTS = st.fixed_dictionaries({}, optional={
+    "epsilon": _NON_NEGATIVE,
+    "p": st.floats(min_value=5e-324, max_value=1.0, exclude_max=True),
+    "horizon": _POSITIVE,
+    "tau0": _NON_NEGATIVE,
+})
+
+
+@st.composite
+def _valid_documents(draw):
+    n = draw(st.integers(2, 7))
+    ids = draw(st.lists(_IDS, min_size=n, max_size=n, unique=True))
+    roles = draw(st.lists(st.sampled_from(["stochastic", "deterministic"]), min_size=n, max_size=n))
+    roles[draw(st.integers(1, n - 1))] = "stochastic"
+    roles[0] = "slack"
+    nodes = []
+    for nid, role in zip(ids, roles):
+        entry = {"id": nid, "role": role}
+        if role == "stochastic":
+            entry.update(gamma=draw(_POSITIVE), vol=draw(_POSITIVE), mean=draw(_REAL))
+        elif role == "deterministic":
+            entry["injection"] = draw(_REAL)
+            flag = draw(st.sampled_from([None, True, False]))
+            if flag is not None:
+                entry["controllable"] = flag
+        nodes.append(entry)
+    # a spanning tree, then chords
+    pairs = {(draw(st.integers(0, k - 1)), k) for k in range(1, n)}
+    pairs |= set(draw(st.lists(st.tuples(st.integers(0, n - 1), st.integers(0, n - 1))
+                               .filter(lambda ij: ij[0] < ij[1]), max_size=n)))
+    lines = []
+    for i, j in sorted(pairs):
+        if draw(st.booleans()):
+            i, j = j, i
+        rating = draw(st.one_of(_POSITIVE, st.just("auto")))
+        lines.append({"from": ids[i], "to": ids[j], "susceptance": draw(_POSITIVE), "rating": rating,
+                      "tau": draw(_POSITIVE)})
+    doc = {
+        "format": "gridcap-network",
+        "version": 1,
+        "nodes": draw(st.permutations(nodes)),
+        "lines": draw(st.permutations(lines)),
+    }
+    defaults = draw(st.one_of(st.none(), _DEFAULTS))
+    if defaults is not None:
+        doc["defaults"] = defaults
+    return doc
+
+
+def _numeric_paths(raw):
+    """Path of every numeric field in a document's JSON value."""
+    paths = []
+    for k, entry in enumerate(raw["nodes"]):
+        paths += [("nodes", k, field) for field in ("gamma", "vol", "mean", "injection") if field in entry]
+    for k in range(len(raw["lines"])):
+        paths += [("lines", k, field) for field in ("susceptance", "rating", "tau")]
+    return paths + [("defaults", name) for name in raw.get("defaults", {})]
+
+
+def _field(doc, path):
+    """The parsed value at a JSON path of `_numeric_paths`."""
+    if path[0] == "defaults":
+        return getattr(doc.defaults, path[1])
+    return getattr((doc.nodes if path[0] == "nodes" else doc.lines)[path[1]], path[2])
+
+
+@settings(derandomize=True, max_examples=150)
+@given(_valid_documents())
+def test_parser_reads_valid_documents_and_round_trips_them(raw):
+    doc = parse_native(json.dumps(raw))
+    assert parse_native(serialize_native(doc)) == doc
+    assert [n.id for n in doc.nodes] == [entry["id"] for entry in raw["nodes"]]
+    assert [n.controllable for n in doc.nodes] == [entry.get("controllable", False) for entry in raw["nodes"]]
+    assert [(ln.from_id, ln.to_id) for ln in doc.lines] == [(entry["from"], entry["to"]) for entry in raw["lines"]]
+    for path in _numeric_paths(raw):
+        value = raw[path[0]][path[1]] if len(path) == 2 else raw[path[0]][path[1]][path[2]]
+        expected = value if value == "auto" else float(value)
+        assert _field(doc, path) == expected and type(_field(doc, path)) is type(expected)
+
+
+# One-field mutations: the literal written, and the message it draws ("$.<path>: " in front);
+# None where the value is read, as float(value).
+MUTATIONS = [
+    ("true", "expected a number"),
+    ("false", "expected a number"),
+    ('"1.5"', "expected a number"),
+    ("NaN", "expected a finite number, got nan"),
+    ("Infinity", "expected a finite number, got inf"),
+    ("-Infinity", "expected a finite number, got -inf"),
+    ("1e999", "expected a finite number, got inf"),
+    ("-1e999", "expected a finite number, got -inf"),
+    (str(2**63), None),
+]
+
+
+def _mutation_message(path, message):
+    if message is None and path[-1] == "p":
+        message = "must lie strictly between 0 and 1"
+    if message is None:
+        return None
+    where = "".join(f"[{key}]" if type(key) is int else f".{key}" for key in path)
+    return f"${where}: {message}"
+
+
+@settings(derandomize=True, max_examples=40)
+@given(_valid_documents())
+def test_parser_refuses_one_field_mutations_with_their_messages(raw):
+    for path in _numeric_paths(raw):
+        target = raw[path[0]] if len(path) == 2 else raw[path[0]][path[1]]
+        value = target[path[-1]]
+        target[path[-1]] = "@MUTATED@"
+        template = json.dumps(raw)
+        target[path[-1]] = value
+        for literal, message in MUTATIONS:
+            text = template.replace('"@MUTATED@"', literal)
+            expected = _mutation_message(path, message)
+            if expected is None:
+                read = _field(parse_native(text), path)
+                assert read == float(json.loads(literal)) and type(read) is float
+                continue
+            with pytest.raises(SchemaError) as err:
+                parse_native(text)
+            assert type(err.value) is SchemaError
+            assert str(err.value) == expected
+
+
 SETTINGS = tuple(f.name for f in dataclasses.fields(AnalysisDefaults))
 # Every $.defaults.<setting> row but the null one: AnalysisDefaults reads None as an absent setting.
 DEFAULTS_ERRORS = [
@@ -565,6 +697,110 @@ def test_report_exports():
     assert lines[1].startswith("0,1,2,")
     with pytest.raises(ValueError):
         export_report(rep, "xml", line_terminals=ctx.flow.network.lines)
+
+
+def _report_object(report, line_terminals):
+    """The object export_report's JSON writes, for `_json_text` to render."""
+    return {
+        "lines": [
+            {
+                "line": lr.line,
+                "from": line_terminals[lr.line][0],
+                "to": line_terminals[lr.line][1],
+                "psi_plus": lr.psi_plus,
+                "psi_minus": lr.psi_minus,
+                "alpha": lr.alpha,
+                "psi_alpha": lr.psi_alpha,
+                "sigma2": lr.sigma2,
+            }
+            for lr in report.lines
+        ],
+        "excluded": list(report.excluded),
+        "current_rate": report.current_rate,
+        "current_argmin": list(report.current_argmin),
+        "lb_rate": report.lb_rate,
+        "lb_argmin": list(report.lb_argmin),
+        "taylor_rate": report.taylor_rate,
+        "taylor_note": report.taylor_note,
+        "horizon": report.horizon,
+        "tau0": report.tau0,
+    }
+
+
+def _report_csv(report, line_terminals):
+    rows = ["line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2"]
+    for lr in report.lines:
+        values = (lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2)
+        rows.append(",".join([str(lr.line), *map(str, line_terminals[lr.line]), *(format(x, ".17g") for x in values)]))
+    return "\n".join(rows) + "\n"
+
+
+# ids that quote, escape, leave ASCII, or spell a non-finite float
+REPORT_IDS = [0, 7, -3, 2**70, "a", "bus 12", 'q"uote', "back\\slash", "tab\tnew\nline", "café", "☃\U0001f600",
+              "inf", "-Infinity", "nan", "banana"]
+
+
+def _random_report(rng, line_count):
+    """A DecayRateReport over `line_count` lines, each live or excluded, with random floats of any scale."""
+    specials = [0.0, -0.0, 5e-324, 1.7976931348623157e308, 1e-310, 0.1, 1.0 / 3.0]
+
+    def value():
+        if rng.random() < 0.2:
+            return specials[rng.integers(len(specials))]
+        return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
+
+    live = [ell for ell in range(line_count) if rng.random() < 0.7]
+    rows = tuple(LineRates(ell, *(value() for _ in range(5))) for ell in live)
+    taylor = rng.random() < 0.5
+    return DecayRateReport(
+        lines=rows,
+        excluded=tuple(ell for ell in range(line_count) if ell not in live),
+        current_rate=value(),
+        current_argmin=tuple(live[:1]),
+        lb_rate=value(),
+        lb_argmin=tuple(live[-1:]),
+        taylor_rate=value() if taylor else None,
+        taylor_note=None if taylor else "first-order rate needs a uniform tau; tau0 not given",
+        horizon=value(),
+        tau0=value() if taylor else None,
+    )
+
+
+def test_report_export_matches_the_generic_writer():
+    rng = np.random.default_rng(11)
+    for draw in range(200):
+        line_count = int(rng.integers(0, 9))
+        terminals = tuple(
+            tuple(REPORT_IDS[k] for k in rng.choice(len(REPORT_IDS), size=2, replace=False)) for _ in range(line_count)
+        )
+        report = _random_report(rng, line_count)
+        assert export_report(report, line_terminals=terminals) == _json_text(_report_object(report, terminals)) + "\n"
+        assert export_report(report, "csv", line_terminals=terminals) == _report_csv(report, terminals)
+
+
+def test_report_export_refuses_the_first_non_finite_value_as_the_generic_writer_does():
+    rng = np.random.default_rng(12)
+    fields = ("psi_plus", "psi_minus", "alpha", "psi_alpha", "sigma2")
+    for draw in range(200):
+        line_count = int(rng.integers(1, 6))
+        terminals = tuple((f"n{ell}", "inf") for ell in range(line_count))
+        report = _random_report(rng, line_count)
+        # one to three non-finite values, in the rows or in the tail
+        for _ in range(int(rng.integers(1, 4))):
+            bad = [math.inf, -math.inf, math.nan][rng.integers(3)]
+            where = int(rng.integers(len(report.lines) + 1))
+            if where < len(report.lines):
+                rows = list(report.lines)
+                rows[where] = replace(rows[where], **{fields[rng.integers(5)]: bad})
+                report = replace(report, lines=tuple(rows))
+            else:
+                report = replace(report, **{("current_rate", "lb_rate", "horizon")[rng.integers(3)]: bad})
+        with pytest.raises(ValueError) as expected:
+            _json_text(_report_object(report, terminals))
+        with pytest.raises(ValueError) as err:
+            export_report(report, line_terminals=terminals)
+        assert str(err.value) == str(expected.value)
+        assert str(err.value).startswith("cannot export the non-finite value")
 
 
 def test_region_export_round_trip_bit_exact():

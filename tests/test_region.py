@@ -1,6 +1,7 @@
 """Capacity regions: slab bounds, 2-D slices, and the risk partition."""
 
 import tracemalloc
+import warnings
 from dataclasses import replace
 from importlib import resources
 
@@ -147,6 +148,31 @@ def test_bound_collapse_names_the_first_collapsing_line(kind, epsilon):
     with pytest.raises(BoundCollapse) as info:
         build_region(ctx, kind, epsilon, 1e-4, tau0=0.5)
     assert info.value.line == 2
+
+
+@pytest.mark.parametrize("epsilon, vol", [(1.797e308, 1.0), (1e307, 10.0)])
+def test_margins_of_an_overflowing_noise_scale_stay_finite(epsilon, vol):
+    # eps log(1/p) var overflows (at 1.797e308 already eps log(1/p) does), while beta is near 1e154
+    w = wheel_context(vol=vol)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        beta = noise_margins(w, epsilon, 1e-4)
+    var = vol**2 * np.array([5.0 / 9.0, 5.0 / 9.0, 2.0 / 9.0]) * (1.0 - np.exp(-2.0))
+    assert np.allclose(beta, np.sqrt(epsilon) * np.sqrt(np.log(1e4) * var), rtol=1e-14)
+
+
+@pytest.mark.parametrize("tau, bounds", [(0.5, None), (1e-3, None), (1e300, [1.0, 1.0, 1.0])])
+def test_lower_bound_kind_with_an_overflowing_margin_square(tau, bounds):
+    # beta**2 overflows; q (1 - q) is positive at tau 0.5, 0 at tau 1e-3 (q = 0) and at tau 1e300 (q = 1)
+    ctx = wheel_context(tau=tau)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        if bounds is None:
+            with pytest.raises(BoundCollapse) as info:
+                build_region(ctx, "temperature_lb", 1.797e308, 1e-4)
+            assert info.value.line == 0
+        else:
+            assert build_region(ctx, "temperature_lb", 1.797e308, 1e-4).bounds.tolist() == bounds
 
 
 def test_build_region_validation():

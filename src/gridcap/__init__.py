@@ -35,7 +35,6 @@ from .grid_model import (
 )
 from .injections import (
     OuModel,
-    SamplePath,
     ou_step_coefficients,
 )
 from .thermal import (

@@ -53,11 +53,10 @@ cannot be trusted), the problem is refused with NoBoundaryHit.
 returns the same rate with the initial slopes (x1, x2) read off the
 extrapolated (p0, E(T)); neither integrates anything. The attaining shot
 is integrated only when `Exact1dResult.shot` is read: a 2-D Newton
-iteration on both conditions starts from the extrapolated (p0, E(T)); every
-integration keeps DOP853's dense output, which adds evaluations but not
-steps, and the shot is sampled from that of the first one that lands. It
-raises NoBoundaryHit where the iteration does not converge, rather than
-search elsewhere.
+iteration on both conditions starts from the extrapolated (p0, E(T)), and
+the shot's theta(T) and action are the final state of the first
+integration that lands. It raises NoBoundaryHit where the iteration does
+not converge, rather than search elsewhere.
 """
 from __future__ import annotations
 
@@ -68,7 +67,7 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NoBoundaryHit
-from .injections import SamplePath, _check_square
+from .injections import _check_square
 from .thermal import filter_coefficients
 
 __all__ = [
@@ -113,9 +112,6 @@ ROUNDED_ROOT_TOL = 1e-8
 ODE_RTOL = 1e-10
 ODE_ATOL = 1e-12
 
-#: Intervals on which an integrated shot is sampled.
-SHOT_SAMPLES = 400
-
 _REFUSAL = (
     f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload level at the horizon"
 )
@@ -157,15 +153,15 @@ def _shot_from_reduced(problem: Exact1dProblem, p0: float, e_end: float):
     return 2.0 * a * p0, 2.0 * p0**2 + 4.0 * a**2 * e0
 
 
-def _integrate(problem: Exact1dProblem, p0: float, e_end: float, sensitivities: bool = False):
-    """Advance (theta, g, p, action) to the horizon; the solver's result, with its dense output.
+def _integrate(problem: Exact1dProblem, p0: float, e_end: float):
+    """Advance (theta, g, p, action) and their sensitivities to the horizon; the solver's result.
 
     A status other than 0 marks an invalid shot: the collapse event (first
     in `t_events`) or the escape event fired, or the step size failed.
 
-    With `sensitivities` the rows d(theta, g, p)/dE(T) (4-6) and
-    d(theta, g, p)/dp0 (7-9) are integrated in the same call. They carry an
-    infinite absolute tolerance, so only the shot itself steers the step size.
+    The rows d(theta, g, p)/dE(T) (4-6) and d(theta, g, p)/dp0 (7-9) are
+    integrated in the same call. They carry an infinite absolute tolerance,
+    so only the shot itself steers the step size.
     """
     from scipy.integrate import solve_ivp
 
@@ -174,16 +170,14 @@ def _integrate(problem: Exact1dProblem, p0: float, e_end: float, sensitivities: 
     gam2 = gam * gam
 
     def rhs(t, u):
-        u = u.tolist()
-        th, g, p = u[0], u[1], u[2]
+        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = u.tolist()
         weight = 2.0 * math.exp((t - T) / tau)
-        du = [(g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2]
-        if sensitivities:
-            stiffness = gam2 + e_end * weight
-            th_e, g_e, p_e, th_p, g_p, p_p = u[4:]
-            du += [(2.0 * g * g_e - th_e) / tau, p_e, stiffness * g_e + weight * g]
-            du += [(2.0 * g * g_p - th_p) / tau, p_p, stiffness * g_p]
-        return du
+        stiffness = gam2 + e_end * weight
+        return [
+            (g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2,
+            (2.0 * g * g_e - th_e) / tau, p_e, stiffness * g_e + weight * g,
+            (2.0 * g * g_p - th_p) / tau, p_p, stiffness * g_p,
+        ]
 
     def collapse(t, u):
         return u[1] - G_FLOOR
@@ -196,78 +190,47 @@ def _integrate(problem: Exact1dProblem, p0: float, e_end: float, sensitivities: 
     escape.terminal = True
 
     # d/dp0 starts from (0, 0, 1), d/dE(T) from 0
-    y0 = [a * a, a, p0, 0.0] + ([0.0, 0.0, 0.0, 0.0, 0.0, 1.0] if sensitivities else [])
+    y0 = [a * a, a, p0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
     # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
     # like e^{gamma T}), the error norm turns NaN and every step is rejected
     # until the solver stops with status -1 or an event fires; either way the
     # status marks the shot as failed, without a RuntimeWarning.
     with np.errstate(over="ignore", invalid="ignore"):
-        sol = solve_ivp(
+        return solve_ivp(
             rhs,
             (0.0, T),
             y0,
             method="DOP853",
             rtol=ODE_RTOL,
-            atol=[ODE_ATOL] * 4 + [np.inf] * (len(y0) - 4),
+            atol=[ODE_ATOL] * 4 + [np.inf] * 6,
             events=(collapse, escape),
-            dense_output=True,
         )
-    return sol
 
 
 @dataclass(frozen=True)
 class ShotResult:
-    """One integration of the stationarity system from given initial slopes.
+    """The landed shot's temperature theta(T) and accumulated action at the horizon."""
 
-    `states` rows are y = [theta, f, f', f''] on `theta.times`, `state_derivs`
-    their time derivatives; `value` is the accumulated action up to the horizon.
-    """
-
-    theta: SamplePath
     theta_end: float
     value: float
-    states: np.ndarray
-    state_derivs: np.ndarray
-
-
-def _shot_result(problem: Exact1dProblem, sol, e_end: float) -> ShotResult:
-    """Sample a dense solution of the reduced system on SHOT_SAMPLES intervals as a ShotResult."""
-    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
-    t = np.linspace(0.0, T, SHOT_SAMPLES + 1)
-    th, g, p, cost = sol.sol(t)[:4]
-    e = e_end * np.exp((t - T) / tau)
-    gpp = gam**2 * (g - a) + 2.0 * e * g
-    gppp = gam**2 * p + 2.0 * (e / tau) * g + 2.0 * e * p
-    f = g**2
-    fp = 2.0 * g * p
-    fpp = 2.0 * p**2 + 2.0 * g * gpp
-    fppp = 6.0 * p * gpp + 2.0 * g * gppp
-    return ShotResult(
-        theta=SamplePath(t, th[:, None]),
-        theta_end=float(th[-1]),
-        value=float(cost[-1]),
-        states=np.column_stack([th, f, fp, fpp]),
-        state_derivs=np.column_stack([(f - th) / tau, fp, fpp, fppp]),
-    )
 
 
 def _refine(problem: Exact1dProblem, p0: float, e_end: float):
     """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
 
     u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
-    endpoint. Every integration keeps its dense output, so the converged
-    shot is sampled without another solve. Returns (p0, E(T), dense
-    solution) once |theta(T) - 1| <= THETA_TOL and |u(T)| <= CONTROL_TOL,
-    from the first integration that lands. Returns None when an iterate
-    stops being integrable, the Jacobian is singular, NEWTON_STEPS run out,
-    or a step no longer lowers the residual max(|theta(T) - 1| / THETA_TOL,
-    |u(T)| / CONTROL_TOL): the iterates then jitter at the integration's own
-    error, and further steps cannot meet the tolerances.
+    endpoint. Returns (p0, E(T), solver result) once |theta(T) - 1| <=
+    THETA_TOL and |u(T)| <= CONTROL_TOL, from the first integration that
+    lands. Returns None when an iterate stops being integrable, the Jacobian
+    is singular, NEWTON_STEPS run out, or a step no longer lowers the
+    residual max(|theta(T) - 1| / THETA_TOL, |u(T)| / CONTROL_TOL): the
+    iterates then jitter at the integration's own error, and further steps
+    cannot meet the tolerances.
     """
     gam, a = problem.gamma, problem.level
     last = math.inf
     for _ in range(NEWTON_STEPS):
-        sol = _integrate(problem, p0, e_end, sensitivities=True)
+        sol = _integrate(problem, p0, e_end)
         if sol.status != 0:
             return None
         th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
@@ -432,9 +395,9 @@ class Exact1dResult:
     `value` is `certified_rate(problem)`. (x1, x2) = (f'(0), f''(0)) and
     `start` = (p0, E(T)) are the extrapolated discrete optimum's. `shot` is
     integrated on first access: a 2-D Newton iteration from `start` solves
-    theta(T) = 1 and the transversality condition u(T) = 0, and the dense
-    output of the first integration that lands is sampled on SHOT_SAMPLES
-    intervals. On the single-line table that takes two integrations. Reading
+    theta(T) = 1 and the transversality condition u(T) = 0, and the final
+    state of the first integration that lands gives theta(T) and the
+    action. On the single-line table that takes two integrations. Reading
     `shot` raises NoBoundaryHit when the iteration leaves the
     |state| < BLOWUP_BOUND search box, collapses onto f = 0 or does not
     settle.
@@ -451,8 +414,8 @@ class Exact1dResult:
         found = _refine(self.problem, *self.start)
         if found is None:
             raise NoBoundaryHit(_REFUSAL)
-        _, e_end, sol = found
-        return _shot_result(self.problem, sol, e_end)
+        end = found[2].y[:, -1]
+        return ShotResult(theta_end=float(end[0]), value=float(end[3]))
 
 
 def exact_decay_rate(problem: Exact1dProblem) -> Exact1dResult:

@@ -8,11 +8,11 @@ mean:
 with mean-reversion rates gamma_i > 0 and constant volatilities l_i > 0.
 `OuModel` holds those parameters, and `ou_step_coefficients` gives the exact
 one-step transition that the batched Monte Carlo kernel in `montecarlo`
-advances. `SamplePath` holds a path on a uniform time grid, such as the
-attaining shot of `exact1d`.
+advances.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,7 +21,6 @@ from .grid_model import _readonly
 
 __all__ = [
     "OuModel",
-    "SamplePath",
     "ou_step_coefficients",
 ]
 
@@ -88,47 +87,6 @@ class OuModel:
     def m(self) -> int:
         return self.mean.shape[0]
 
-    def drift(self, x: np.ndarray) -> np.ndarray:
-        return self.gamma * (self.mean - x)
-
-
-@dataclass(frozen=True)
-class SamplePath:
-    """Values of an m-dimensional path on a uniform time grid.
-
-    `times` has n+1 strictly increasing, equally spaced entries starting at
-    0; `values` is (n+1, m), row k holding the state at times[k].
-    """
-
-    times: np.ndarray
-    values: np.ndarray
-
-    def __post_init__(self):
-        times = _readonly(self.times)
-        values = np.asarray(self.values, dtype=float)
-        if values.ndim == 1:
-            values = values[:, None]
-        values = _readonly(values)
-        if times.ndim != 1 or times.shape[0] < 2:
-            raise ValueError("need at least two grid points")
-        if values.shape[0] != times.shape[0]:
-            raise ValueError("one value row per grid point required")
-        steps = np.diff(times)
-        if not np.all(steps > 0):
-            raise ValueError("grid must be strictly increasing")
-        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
-            raise ValueError("grid must be uniform")
-        object.__setattr__(self, "times", times)
-        object.__setattr__(self, "values", values)
-
-    @property
-    def step(self) -> float:
-        return float(self.times[1] - self.times[0])
-
-    @property
-    def step_count(self) -> int:
-        return self.times.shape[0] - 1
-
 
 def ou_step_coefficients(model: OuModel, dt: float):
     """Per-coordinate decay factor and noise standard deviation for one step.
@@ -138,9 +96,15 @@ def ou_step_coefficients(model: OuModel, dt: float):
     """
     # gamma dt and 2 gamma may overflow to inf for a huge gamma; e^-inf = 0,
     # -expm1(-inf) = 1 and x / inf = 0 are then the exact limits: decay 0, variance 0
-    with np.errstate(over="ignore"):
+    with np.errstate(over="ignore", invalid="ignore"):
         decay = np.exp(-model.gamma * dt)
         rise = -np.expm1(-2.0 * model.gamma * dt)  # -expm1 keeps the variance accurate when gamma*dt is tiny
         twice_gamma = 2.0 * model.gamma
-    var = model.noise_scale * model.vol**2 * rise / twice_gamma
-    return decay, np.sqrt(var)
+        var = model.noise_scale * model.vol**2 * rise / twice_gamma
+    std = np.sqrt(var)
+    # eps l^2 may overflow (inf, or inf / inf where 2 gamma does too) where the
+    # deviation itself is finite; take the root of each factor there
+    far = ~np.isfinite(std)
+    if far.any():
+        std[far] = math.sqrt(model.noise_scale) * model.vol[far] * np.sqrt(rise[far] / twice_gamma[far])
+    return decay, std

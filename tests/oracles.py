@@ -13,11 +13,17 @@ thermal recursion along one current path; the batched Monte Carlo kernel
 shares only the random streams and the step weights with them.
 `build_incidence` forms the incidence matrix A that the flow assembly never
 forms, so the transfer matrix can be checked as the product Dbeta A Bg.
-`shoot`, `functional_value` and `euler_residual` check the exact-rate
-engine from the variational side: a shot from given initial slopes, the
-action of a temperature path by quadrature of its own integrand, and the
-residual of the stationarity system. They raise this module's own
-`NegativeRadicand`, `DegenerateF` and `BlowUp`.
+`shoot`, `attaining_shot`, `functional_value` and `euler_residual` check
+the exact-rate engine from the variational side: a shot from given initial
+slopes, the shot that a result's `shot` lands on, the action of a
+temperature path by quadrature of its own integrand, and the residual of
+the stationarity system. The shots are integrated here, by a plain DOP853
+integration of the reduced system (`_integrate_reduced`) with its dense
+output, and sampled on a uniform grid as `SampledShot`; the package keeps
+only the landed shot's final state. They raise this module's own
+`NegativeRadicand`, `DegenerateF` and `BlowUp`. `SamplePath`, the path on
+a uniform time grid that these oracles take and return, lives here too, as
+no code in the package reads one.
 
 The closed forms behind the rates that the package prices live here too:
 the reachability matrix `m_matrix`, the optimal injection and current paths
@@ -46,14 +52,23 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
+from scipy.integrate import solve_ivp
 from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
-from gridcap.errors import EmptySlice, NoStochasticLines, RankDeficiency
+from gridcap.errors import EmptySlice, NoBoundaryHit, NoStochasticLines, RankDeficiency
 from gridcap._streams import fill_normal_blocks, normal_block
-from gridcap.exact1d import BLOWUP_BOUND, Exact1dProblem, ShotResult, _integrate, _shot_result
-from gridcap.grid_model import GridNetwork
-from gridcap.injections import OuModel, SamplePath, ou_step_coefficients
+from gridcap.exact1d import (
+    BLOWUP_BOUND,
+    G_FLOOR,
+    ODE_ATOL,
+    ODE_RTOL,
+    Exact1dProblem,
+    Exact1dResult,
+    _refine,
+)
+from gridcap.grid_model import GridNetwork, _readonly
+from gridcap.injections import OuModel, ou_step_coefficients
 from gridcap.ld_rates import PsiContext, _line_variance, _m_diag
 from gridcap.region import (
     RegionSummary,
@@ -77,6 +92,44 @@ class DegenerateF(ArithmeticError):
 
 class BlowUp(ArithmeticError):
     """A shooting trajectory left the configured bounding box."""
+
+
+@dataclass(frozen=True)
+class SamplePath:
+    """Values of an m-dimensional path on a uniform time grid.
+
+    `times` has n+1 strictly increasing, equally spaced entries starting at
+    0; `values` is (n+1, m), row k holding the state at times[k].
+    """
+
+    times: np.ndarray
+    values: np.ndarray
+
+    def __post_init__(self):
+        times = _readonly(self.times)
+        values = np.asarray(self.values, dtype=float)
+        if values.ndim == 1:
+            values = values[:, None]
+        values = _readonly(values)
+        if times.ndim != 1 or times.shape[0] < 2:
+            raise ValueError("need at least two grid points")
+        if values.shape[0] != times.shape[0]:
+            raise ValueError("one value row per grid point required")
+        steps = np.diff(times)
+        if not np.all(steps > 0):
+            raise ValueError("grid must be strictly increasing")
+        if not np.allclose(steps, steps[0], rtol=1e-9, atol=0.0):
+            raise ValueError("grid must be uniform")
+        object.__setattr__(self, "times", times)
+        object.__setattr__(self, "values", values)
+
+    @property
+    def step(self) -> float:
+        return float(self.times[1] - self.times[0])
+
+    @property
+    def step_count(self) -> int:
+        return self.times.shape[0] - 1
 
 
 def uniform_grid(horizon: float, step_count: int) -> np.ndarray:
@@ -306,7 +359,7 @@ def taylor_phi(ctx: PsiContext, endpoints: CurrentEndpoints) -> float:
 
     def k_total(f, fp):
         x = cplus @ (f - ctx.op.y)
-        resid = (cplus @ fp - ctx.ou.drift(x)) / ctx.ou.vol
+        resid = (cplus @ fp - ctx.ou.gamma * (ctx.ou.mean - x)) / ctx.ou.vol
         return 0.5 * float(resid @ resid)
 
     return k_total(endpoints.end, endpoints.end_slope) - k_total(
@@ -483,19 +536,102 @@ def _initial_from_shot(problem: Exact1dProblem, x1: float, x2: float):
     return p0, e0 * np.exp(problem.horizon / problem.tau)
 
 
-def shoot(problem: Exact1dProblem, x1: float, x2: float) -> ShotResult:
+#: Intervals on which a shot is sampled.
+SHOT_SAMPLES = 400
+
+
+@dataclass(frozen=True)
+class SampledShot:
+    """A shot of the stationarity system sampled on SHOT_SAMPLES intervals.
+
+    `states` rows are y = [theta, f, f', f''] on `theta.times`, `state_derivs`
+    their time derivatives; `value` is the accumulated action up to the horizon.
+    """
+
+    theta: SamplePath
+    theta_end: float
+    value: float
+    states: np.ndarray
+    state_derivs: np.ndarray
+
+
+def _integrate_reduced(problem: Exact1dProblem, p0: float, e_end: float):
+    """DOP853 solution of (theta, g, p, action) from (mu^2, |mu|, p0, 0) to the horizon, with dense output.
+
+    theta' = (g^2 - theta)/tau, g' = p, p' = gamma^2 (g - |mu|) + 2 E(T) e^{(t-T)/tau} g,
+    and the action accumulates (p + gamma (g - |mu|))^2 / (2 l^2). The
+    collapse event (first in `t_events`) stops it where g falls to G_FLOOR,
+    the escape event where |g| or |p| reaches BLOWUP_BOUND.
+    """
+    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
+    l2 = problem.vol**2
+
+    def rhs(t, u):
+        th, g, p, _ = u
+        e = e_end * math.exp((t - T) / tau)
+        return [(g * g - th) / tau, p, gam**2 * (g - a) + 2.0 * e * g, 0.5 * (p + gam * (g - a)) ** 2 / l2]
+
+    def collapse(t, u):
+        return u[1] - G_FLOOR
+
+    def escape(t, u):
+        return BLOWUP_BOUND - max(abs(u[1]), abs(u[2]))
+
+    collapse.terminal = escape.terminal = True
+    return solve_ivp(rhs, (0.0, T), [a * a, a, p0, 0.0], method="DOP853", rtol=ODE_RTOL, atol=ODE_ATOL,
+                     events=(collapse, escape), dense_output=True)
+
+
+def _sampled_shot(problem: Exact1dProblem, p0: float, e_end: float) -> SampledShot:
+    """Integrate from (p0, E(T)) and sample the dense solution on SHOT_SAMPLES intervals.
+
+    Raises DegenerateF when the squared-current variable collapses to zero
+    along the way and BlowUp when the trajectory escapes the bounding box.
+    """
+    sol = _integrate_reduced(problem, p0, e_end)
+    if sol.status != 0:
+        if sol.t_events[0].size:  # the collapse event fired
+            raise DegenerateF("f collapsed to zero along the shot")
+        raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
+    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
+    t = np.linspace(0.0, T, SHOT_SAMPLES + 1)
+    th, g, p, cost = sol.sol(t)
+    e = e_end * np.exp((t - T) / tau)
+    gpp = gam**2 * (g - a) + 2.0 * e * g
+    gppp = gam**2 * p + 2.0 * (e / tau) * g + 2.0 * e * p
+    f = g**2
+    fp = 2.0 * g * p
+    fpp = 2.0 * p**2 + 2.0 * g * gpp
+    fppp = 6.0 * p * gpp + 2.0 * g * gppp
+    return SampledShot(
+        theta=SamplePath(t, th[:, None]),
+        theta_end=float(th[-1]),
+        value=float(cost[-1]),
+        states=np.column_stack([th, f, fp, fpp]),
+        state_derivs=np.column_stack([(f - th) / tau, fp, fpp, fppp]),
+    )
+
+
+def shoot(problem: Exact1dProblem, x1: float, x2: float) -> SampledShot:
     """Integrate the stationarity system from initial slopes (f'(0), f''(0)).
 
     Raises DegenerateF when the squared-current variable collapses to zero
     along the way and BlowUp when the trajectory escapes the bounding box.
     """
-    p0, e_end = _initial_from_shot(problem, x1, x2)
-    sol = _integrate(problem, p0, e_end)
-    if sol.status != 0:
-        if sol.t_events[0].size:  # the collapse event fired
-            raise DegenerateF("f collapsed to zero along the shot")
-        raise BlowUp(f"trajectory left the |state| < {BLOWUP_BOUND:g} box")
-    return _shot_result(problem, sol, e_end)
+    return _sampled_shot(problem, *_initial_from_shot(problem, x1, x2))
+
+
+def attaining_shot(result: Exact1dResult) -> SampledShot:
+    """The shot that `result.shot` lands on, integrated and sampled here.
+
+    `exact1d._refine` supplies the (p0, E(T)) its Newton iteration lands on
+    from `result.start`; this integration of them shares no code with the
+    package's. Raises NoBoundaryHit where the iteration does not land.
+    """
+    found = _refine(result.problem, *result.start)
+    if found is None:
+        raise NoBoundaryHit("the shot's refinement did not land")
+    return _sampled_shot(result.problem, found[0], found[1])
 
 
 def ou_terminal_moments(model: OuModel):

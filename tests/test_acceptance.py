@@ -17,7 +17,14 @@ import pytest
 from importlib import resources
 
 from conftest import random_context, random_network, single_line_context
-from oracles import build_incidence, constrained_quadratic_rate, optimal_paths, rate_functional, uniform_grid
+from oracles import (
+    SamplePath,
+    build_incidence,
+    constrained_quadratic_rate,
+    optimal_paths,
+    rate_functional,
+    uniform_grid,
+)
 from gridcap import (
     AnalysisDefaults,
     Exact1dProblem,
@@ -44,7 +51,6 @@ from gridcap import (
 )
 from gridcap.cli import main
 from gridcap.grid_model import build_flow_matrices, operating_point
-from gridcap.injections import SamplePath
 
 # single-line benchmark: mu=0.5, gamma=0.5, l=1, T=1, thermal lag tau per row
 BENCH_TAUS = (0.1, 0.2, 0.3, 0.4, 0.5, 0.6)

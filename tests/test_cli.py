@@ -15,6 +15,7 @@ import gridcap
 from gridcap import cli
 from gridcap.cli import main
 from gridcap.errors import BoundCollapse, EmptySlice, GridCapError
+from gridcap.exact1d import Exact1dProblem, exact_decay_rate
 from gridcap.io_formats import build_model, parse_native, serialize_native
 from gridcap.ld_rates import psi
 from gridcap.region import REGION_KINDS, build_region, slice2d
@@ -307,6 +308,15 @@ def test_exact1d_reference_point(capsys):
     assert np.isclose(res["rate"], 0.4336068379085093, rtol=1e-6)
     assert np.isclose(res["theta_end"], 1.0, atol=1e-6)
     assert np.isclose(res["x1"], 1.0784993796300875, atol=1e-4)
+
+
+@pytest.mark.parametrize("tau", ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"])
+def test_exact1d_prints_the_library_shot(capsys, tau):
+    # the printed theta_end is the landed shot's, bit for bit, as is every other field
+    code, out, err = run(capsys, "exact1d", "--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", tau, "--T", "1")
+    assert (code, err) == (0, "")
+    res = exact_decay_rate(Exact1dProblem(mu=0.5, gamma=0.5, vol=1.0, tau=float(tau), horizon=1.0))
+    assert json.loads(out) == {"rate": res.value, "x1": res.x1, "x2": res.x2, "theta_end": res.shot.theta_end}
 
 
 def test_exact1d_invalid_mean(capsys):
@@ -904,6 +914,22 @@ def test_mc_huge_gamma_takes_the_exact_limit_without_warnings(capsys, tmp_path, 
     code, out, err = _run_maybe_strict(capsys, True, ["mc", path, "--kind", kind, *MC_QUICK])
     assert (code, err) == (0, "")
     assert json.loads(out)["estimates"][0]["replicates"] == 100
+
+
+def _overflowing_noise_variance(doc):
+    for node in doc["nodes"][1:]:
+        node["vol"] = 1e100
+    doc["defaults"]["epsilon"] = 1e200
+
+
+@pytest.mark.parametrize("kind", ["current", "temperature"])
+def test_mc_overflowing_noise_variance_hits_every_replicate_without_warnings(capsys, tmp_path, kind):
+    # eps vol^2 overflows, but the step deviation sqrt(eps) vol sqrt(rise / 2 gamma) ~ 3e199 is finite
+    path = _edited_wheel3(tmp_path, _overflowing_noise_variance)
+    code, out, err = _run_maybe_strict(capsys, True, ["mc", path, "--kind", kind, *MC_QUICK])
+    assert (code, err) == (0, "")
+    estimate = json.loads(out)["estimates"][0]
+    assert estimate["hits"] == estimate["replicates"] == 100
 
 
 def _huge_epsilon(doc):

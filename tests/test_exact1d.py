@@ -1,6 +1,8 @@
 """Single-line temperature overload rate via the variational boundary problem."""
 
+import ast
 import contextlib
+import pathlib
 import subprocess
 import sys
 import time
@@ -18,11 +20,13 @@ from gridcap.exact1d import (
     certified_rate,
     exact_decay_rate,
 )
-from gridcap.injections import SamplePath
+import oracles
 from oracles import (
     BlowUp,
     DegenerateF,
     NegativeRadicand,
+    SamplePath,
+    attaining_shot,
     certified_temperature_rate,
     euler_residual,
     functional_value,
@@ -66,7 +70,8 @@ def test_matches_certified_oracle(tau):
 
 def test_stationarity_residual_vanishes_along_optimum():
     res = exact_decay_rate(_problem(0.3))
-    r = euler_residual(_problem(0.3), res.shot.states, res.shot.state_derivs)
+    shot = attaining_shot(res)
+    r = euler_residual(_problem(0.3), shot.states, shot.state_derivs)
     assert np.max(np.abs(r)) < 1e-7
 
 
@@ -92,7 +97,7 @@ def test_result_exposes_attaining_shot():
     assert isinstance(res, Exact1dResult)
     assert np.isclose(res.x1, SHOT_05[0], atol=1e-4)
     assert np.isclose(res.x2, SHOT_05[1], atol=1e-3)
-    th = res.shot.theta.values[:, 0]
+    th = attaining_shot(res).theta.values[:, 0]
     assert np.isclose(th[0], 0.25, atol=1e-12)
     assert np.isclose(th[-1], 1.0, atol=1e-8)
     assert np.all(np.diff(th) > -1e-12)
@@ -100,7 +105,7 @@ def test_result_exposes_attaining_shot():
 
 def test_quadrature_of_optimal_path_recovers_value():
     res = exact_decay_rate(_problem(0.4))
-    val = functional_value(res.shot.theta, _problem(0.4))
+    val = functional_value(attaining_shot(res).theta, _problem(0.4))
     assert np.isclose(val, res.value, rtol=1e-4)
 
 
@@ -198,7 +203,8 @@ def test_optimum_satisfies_transversality(counted_rows, tau):
     # The terminal value is free, so the optimal control
     # u = g' + gamma (g - |mu|) vanishes at the horizon.
     res, _, _ = counted_rows[tau]
-    f, fp = res.shot.states[-1, 1], res.shot.states[-1, 2]
+    states = attaining_shot(res).states
+    f, fp = states[-1, 1], states[-1, 2]
     g = np.sqrt(f)
     p = fp / (2.0 * g)
     assert abs(p + 0.5 * (g - 0.5)) < 1e-6
@@ -226,7 +232,7 @@ def test_refinement_failure_raises(monkeypatch):
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_warm_start_budget(counted_rows, tau):
     # Started at the certified discrete optimum, the shot's refinement needs
-    # a few Newton solves and the final dense solve, and no scan.
+    # a few Newton solves, the last of which lands, and no scan.
     _, _, shot_calls = counted_rows[tau]
     assert shot_calls <= 8
 
@@ -400,22 +406,43 @@ def test_certified_rate_refuses_an_uncertified_level():
         certified_rate(_problem(1e308))
 
 
-# tau -> (value, x1, x2) of exact_decay_rate on each table row, bit for bit:
-# a faster secular solve must not move them.
+# tau -> (value, x1, x2, shot.theta_end, shot.value) of exact_decay_rate on
+# each table row, bit for bit: a faster secular solve or a leaner shot must
+# not move them, and `gridcap exact1d` prints the first four.
 TABLE_ROW_BITS = {
-    0.1: (0.22862878713875448, 0.5815108849471636, 0.6761024140970677),
-    0.2: (0.2684491596369167, 0.7049337656154453, 0.9758630245927663),
-    0.3: (0.3170987829654316, 0.8343372151594272, 1.3177188390762193),
-    0.4: (0.3726869653049885, 0.9595905961254703, 1.6918053708529335),
-    0.5: (0.43360683793641625, 1.0784994010589373, 2.098542809529905),
-    0.6: (0.49876667521204315, 1.1912222763876084, 2.5361266688644974),
+    0.1: (0.22862878713875448, 0.5815108849471636, 0.6761024140970677, 1.0000000000000082, 0.22862878712517676),
+    0.2: (0.2684491596369167, 0.7049337656154453, 0.9758630245927663, 1.0000000000000004, 0.2684491596344498),
+    0.3: (0.3170987829654316, 0.8343372151594272, 1.3177188390762193, 1.0000000000000009, 0.3170987829305843),
+    0.4: (0.3726869653049885, 0.9595905961254703, 1.6918053708529335, 0.9999999999999993, 0.3726869652950158),
+    0.5: (0.43360683793641625, 1.0784994010589373, 2.098542809529905, 0.9999999999999988, 0.4336068379328376),
+    0.6: (0.49876667521204315, 1.1912222763876084, 2.5361266688644974, 1.0000000000000002, 0.4987666752047028),
 }
 
 
 @pytest.mark.parametrize("tau", sorted(TABLE_ROW_BITS))
 def test_table_row_bits(tau):
     res = exact_decay_rate(_problem(tau))
-    assert (res.value, res.x1, res.x2) == TABLE_ROW_BITS[tau]
+    assert (res.value, res.x1, res.x2, res.shot.theta_end, res.shot.value) == TABLE_ROW_BITS[tau]
+
+
+def test_oracle_owns_its_shot_integrator():
+    # The oracle's shots are integrated by its own code; it may take the
+    # landed (p0, E(T)) from _refine, but not the package's integrator.
+    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
+    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
+                and node.module == "gridcap.exact1d" for alias in node.names}
+    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    assert not {"_integrate", "_shot_result"} & (imported | attributes)
+
+
+@pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
+def test_attaining_shot_matches_library_shot(counted_rows, tau):
+    # Integrated without the sensitivity rows, the oracle's steps differ from
+    # the package's, so the two land within the integration error, not bit for bit.
+    res, _, _ = counted_rows[tau]
+    shot = attaining_shot(res)
+    assert np.isclose(shot.theta_end, res.shot.theta_end, rtol=1e-9, atol=0.0)
+    assert np.isclose(shot.value, res.shot.value, rtol=1e-9, atol=0.0)
 
 
 def test_reused_ptsv_factors_match_two_banded_solves():
@@ -462,7 +489,7 @@ def test_lag_ratio_of_a_million_is_answered():
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_makes_two_solves(counted_rows, tau):
     # Started from the extrapolated discrete optimum, the shot's Newton lands
-    # after one step, and its second integration's dense output samples it.
+    # after one step, and its second integration's final state is the shot.
     _, _, shot_calls = counted_rows[tau]
     assert shot_calls == 2
 

@@ -9,10 +9,9 @@ from scipy import stats
 
 from gridcap.injections import (
     OuModel,
-    SamplePath,
     ou_step_coefficients,
 )
-from oracles import rate_functional, simulate_ou, uniform_grid
+from oracles import SamplePath, rate_functional, simulate_ou, uniform_grid
 
 
 def _model(m=1, gamma=0.5, vol=1.0, mu=0.5, eps=0.1, T=1.0):
@@ -50,6 +49,21 @@ def test_step_coefficients_take_the_exact_limit_of_an_overflowing_gamma(dt):
     # the other coordinate keeps its bits
     alone = ou_step_coefficients(replace(model, gamma=model.gamma[1:], vol=model.vol[1:], mean=model.mean[1:]), dt)
     assert (decay[1], std[1]) == (alone[0][0], alone[1][0])
+
+
+def test_step_deviation_survives_an_overflowing_variance():
+    # eps vol^2 overflows on the first coordinate (and on the third, whose 2 gamma
+    # overflows too), while its deviation is finite; the second keeps its bits
+    model = OuModel(gamma=np.array([1.0, 0.5, 1.797e308]), vol=np.array([1e100, 1.0, 1e100]), mean=np.zeros(3),
+                    noise_scale=1e200, horizon=1.0)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        _, std = ou_step_coefficients(model, 0.1)
+    rise = -np.expm1(-0.2)
+    assert np.isclose(std[0], 1e200 * np.sqrt(rise / 2.0), rtol=1e-14)
+    assert std[2] == 0.0
+    alone = ou_step_coefficients(replace(model, gamma=model.gamma[1:2], vol=model.vol[1:2], mean=model.mean[1:2]), 0.1)
+    assert std[1] == alone[1][0]
 
 
 def test_transition_residuals_are_standard_normal():

@@ -6,7 +6,7 @@ import pytest
 from conftest import make_context, random_context, single_line_context, wheel_context
 from gridcap.errors import NonUniformGamma, ZeroVarianceLine
 from gridcap.grid_model import GridNetwork, build_flow_matrices, operating_point
-from gridcap.injections import OuModel, SamplePath
+from gridcap.injections import OuModel
 from gridcap.ld_rates import (
     PsiContext,
     current_decay_rate,
@@ -17,6 +17,7 @@ from gridcap.ld_rates import (
 )
 from gridcap.thermal import overload_threshold_equivalence
 from oracles import (
+    SamplePath,
     _m_diag_derivative,
     constrained_quadratic_rate,
     current_path,

@@ -12,7 +12,6 @@ from conftest import make_context, random_context, single_line_context, wheel_co
 from gridcap._streams import fill_normal_blocks
 from gridcap.errors import InsufficientHits
 from gridcap.grid_model import GridNetwork
-from gridcap.injections import SamplePath
 from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower
 from gridcap.montecarlo import (
     NOISE_BLOCK_BYTES,
@@ -29,7 +28,7 @@ from gridcap.montecarlo import (
     overload_probability,
     wilson_interval,
 )
-from oracles import full_width_indicators, full_width_peaks, reach_bound, simulate_ou, xi_map
+from oracles import SamplePath, full_width_indicators, full_width_peaks, reach_bound, simulate_ou, xi_map
 
 
 def test_wilson_interval_textbook_case():

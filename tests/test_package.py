@@ -36,7 +36,7 @@ PUBLIC_NAMES = [
     "GridNetwork", "InfeasibleStart", "InsufficientHits", "LineRates", "MatpowerCaseSubset", "McConfig",
     "McEstimate", "McIndicators", "NetworkDocument", "NoBoundaryHit", "NoStochasticLines", "NonPositiveTau",
     "NonUniformGamma", "NonUniformTau", "OperatingPoint", "OuModel", "ParseError", "PsiContext", "REGION_KINDS",
-    "RankDeficiency", "RiskPartition", "RoleError", "SamplePath", "SchemaError", "ShotResult",
+    "RankDeficiency", "RiskPartition", "RoleError", "SchemaError", "ShotResult",
     "SingularReducedLaplacian", "Slice2D", "ZeroBaseFlow", "ZeroVarianceLine", "apply_imax_rule",
     "build_flow_matrices", "build_laplacian", "build_model", "build_region", "certified_rate", "contains",
     "current_decay_rate", "decay_slope", "exact_decay_rate", "export_exact1d", "export_mc",
@@ -53,4 +53,4 @@ def test_public_surface_is_pinned():
     tree = ast.parse(pathlib.Path(gridcap.__file__).read_text())
     names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names]
     assert sorted(names) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 76
+    assert len(PUBLIC_NAMES) == 75

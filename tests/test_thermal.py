@@ -8,12 +8,11 @@ import pytest
 from scipy.integrate import quad, solve_ivp
 
 from gridcap.errors import NonPositiveTau
-from gridcap.injections import SamplePath
 from gridcap.thermal import (
     filter_coefficients,
     overload_threshold_equivalence,
 )
-from oracles import uniform_grid, xi_map
+from oracles import SamplePath, uniform_grid, xi_map
 
 
 @pytest.mark.parametrize("dt,tau", [(0.1, 0.5), (0.01, 2.0), (0.5, 0.1)])

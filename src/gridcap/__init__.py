@@ -43,7 +43,6 @@ from .thermal import (
 )
 from .ld_rates import (
     PsiContext,
-    LineRates,
     DecayRateReport,
     psi,
     current_decay_rate,

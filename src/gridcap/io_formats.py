@@ -835,12 +835,36 @@ _REPORT_ROW = (
     '    {\n      "line": %d,\n      "from": %s,\n      "to": %s,\n      "psi_plus": %.17g,\n'
     '      "psi_minus": %.17g,\n      "alpha": %.17g,\n      "psi_alpha": %.17g,\n      "sigma2": %.17g\n    }'
 )
+_REPORT_CSV_ROW = "%d,%s,%s,%.17g,%.17g,%.17g,%.17g,%.17g"
+
+
+def _csv_field(value) -> str:
+    """str(value), quoted as RFC 4180 asks when it holds a comma, a double quote, CR or LF."""
+    text = str(value)
+    if "," in text or '"' in text or "\r" in text or "\n" in text:
+        return '"' + text.replace('"', '""') + '"'
+    return text
 
 
 def export_report(report, fmt: str = "json", *, line_terminals) -> str:
-    """Render a decay-rate report as JSON or CSV, naming line ell by `line_terminals[ell]`."""
-    rows = [(lr, *line_terminals[lr.line]) for lr in report.lines]
-    if _wants_json(fmt):
+    """Render a decay-rate report as JSON or CSV, naming line ell by `line_terminals[ell]`.
+
+    One row per entry of `report.line`, read from the report's columns. CSV
+    quotes an id that holds a comma, a double quote, CR or LF.
+    """
+    ends = [line_terminals[ell] for ell in report.line]
+    as_json = _wants_json(fmt)
+    # row k holds line report.line[k]'s values, in the order they are written
+    values = np.stack([report.psi_plus, report.psi_minus, report.alpha, report.psi_alpha, report.sigma2], axis=1)
+    finite = np.isfinite(values)
+    if not finite.all():
+        # %.17g writes inf and nan where _f17 refuses them; refuse the first in
+        # row-major order, the one a writer that formats row by row meets first
+        _f17(values[~finite][0])
+    render = _json_text if as_json else _csv_field
+    name = {nid: render(nid) for nid in dict.fromkeys(nid for pair in ends for nid in pair)}
+    rows = [(ell, name[a], name[b], *row) for ell, (a, b), row in zip(report.line, ends, values.tolist())]
+    if as_json:
         tail = {
             "excluded": list(report.excluded),
             "current_rate": report.current_rate,
@@ -852,28 +876,9 @@ def export_report(report, fmt: str = "json", *, line_terminals) -> str:
             "horizon": report.horizon,
             "tau0": report.tau0,
         }
-        lines = "[]"
-        if rows:
-            name = {nid: _json_text(nid) for nid in dict.fromkeys(nid for _, a, b in rows for nid in (a, b))}
-            body = ",\n".join([
-                _REPORT_ROW % (lr.line, name[a], name[b], lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2)
-                for lr, a, b in rows
-            ])
-            # %.17g writes inf and nan where _f17 refuses them; an id may spell one too
-            if "inf" in body or "nan" in body:
-                for lr, _, _ in rows:
-                    for x in (lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2):
-                        _f17(x)
-            lines = "[\n" + body + "\n  ]"
+        lines = "[\n" + ",\n".join([_REPORT_ROW % row for row in rows]) + "\n  ]" if rows else "[]"
         return '{\n  "lines": ' + lines + "," + _json_text(tail)[1:] + "\n"
-    return _csv_doc(
-        "line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2",
-        (
-            f"{lr.line},{a},{b},{_f17(lr.psi_plus)},{_f17(lr.psi_minus)},"
-            f"{_f17(lr.alpha)},{_f17(lr.psi_alpha)},{_f17(lr.sigma2)}"
-            for lr, a, b in rows
-        ),
-    )
+    return _csv_doc("line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2", [_REPORT_CSV_ROW % row for row in rows])
 
 
 def export_region(region, fmt: str = "json") -> str:
@@ -934,16 +939,19 @@ def export_partition(part, fmt: str = "json", *, line_terminals) -> str:
             "regions": regions,
         }
         return _json_text(out) + "\n"
-    rows = []
+    # only the labeled cells, in row-major order; each center and label is formatted once
     grid = part.label_grid
-    for i in range(grid.shape[0]):
-        for j in range(grid.shape[1]):
-            idx = grid[i, j]
-            if idx < 0:
-                continue
-            label = "+".join(str(ell) for ell in part.labels[idx])
-            rows.append(f"{i},{j},{_f17(part.u_centers[j])},{_f17(part.v_centers[i])},{label}")
-    return _csv_doc("i,j,u,v,label", rows)
+    rows, cols = np.nonzero(grid >= 0)
+    u = [_f17(x) for x in part.u_centers]
+    v = [_f17(x) for x in part.v_centers]
+    labels = ["+".join(str(ell) for ell in label) for label in part.labels]
+    return _csv_doc(
+        "i,j,u,v,label",
+        [
+            f"{i},{j},{u[j]},{v[i]},{labels[k]}"
+            for i, j, k in zip(rows.tolist(), cols.tolist(), grid[rows, cols].tolist())
+        ],
+    )
 
 
 def export_mc(epsilons, estimates, seed: int, fmt: str = "json", fit=None) -> str:

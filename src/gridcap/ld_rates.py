@@ -12,6 +12,10 @@ terminal variance. Everything else here is assembled from psi:
   * a temperature lower-bound rate through the threshold level alpha_ell,
   * a first-order-in-tau temperature rate for uniform parameters.
 
+full_report prices the per-line table (psi at +-1, alpha_ell and psi at
+alpha_ell, and sigma2 = C_ell L^2 C_ell^T) as NumPy arrays over the
+live lines and keeps those arrays as the report's columns.
+
 Whether the noise reaches a line is decided once per PsiContext, by one
 rule: line ell is excluded when its row of C peaks at or below ZERO_ROW_RTOL
 times C's largest entry. An excluded line has variance 0 exactly, noise
@@ -39,7 +43,6 @@ from .thermal import overload_threshold_equivalence
 
 __all__ = [
     "PsiContext",
-    "LineRates",
     "DecayRateReport",
     "psi",
     "current_decay_rate",
@@ -201,21 +204,15 @@ def taylor_decay_rate(ctx: PsiContext, tau0: float) -> float:
 
 
 @dataclass(frozen=True)
-class LineRates:
-    """Per-line decay-rate summary for reporting."""
-
-    line: int
-    psi_plus: float
-    psi_minus: float
-    alpha: float
-    psi_alpha: float
-    sigma2: float
-
-
-@dataclass(frozen=True)
 class DecayRateReport:
-    """Network-level decay rates plus the per-line table behind them.
+    """Network-level decay rates plus the per-line table behind them, held as columns.
 
+    `line` holds the live line indices in ascending order, as
+    `PsiContext.stochastic_lines`. The five read-only float64 arrays
+    `psi_plus`, `psi_minus` (psi at levels +1 and -1), `alpha` (the thermal
+    threshold level), `psi_alpha` (psi at alpha) and `sigma2` (C_ell L^2
+    C_ell^T, the variance rate of the line's noise) are aligned with it:
+    entry k belongs to line `line[k]`.
     `taylor_rate` is None when the first-order closed form does not apply
     (heterogeneous gamma, or no tau0 available) or overflows; `taylor_note`
     says why.
@@ -223,7 +220,12 @@ class DecayRateReport:
     infinite and they are reported separately rather than as float inf.
     """
 
-    lines: tuple
+    line: tuple
+    psi_plus: np.ndarray
+    psi_minus: np.ndarray
+    alpha: np.ndarray
+    psi_alpha: np.ndarray
+    sigma2: np.ndarray
     excluded: tuple
     current_rate: float
     current_argmin: tuple
@@ -251,8 +253,6 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
     psi_minus = _level_cost(1.0, -nu, denom)
     levels = overload_threshold_equivalence(nu, ctx.tau[idx], ctx.horizon)
     psi_alpha = _level_cost(levels, np.abs(nu), denom)
-    columns = zip(*(v.tolist() for v in (psi_plus, psi_minus, levels, psi_alpha, sigma2)))
-    rows = tuple(LineRates(ell, *values) for ell, values in zip(idx.tolist(), columns))
     excluded = tuple(sorted(set(range(ctx.flow.line_count)).difference(ctx.stochastic_lines)))
     current, current_argmin = _argmin(idx, np.minimum(psi_plus, psi_minus))
     lb, lb_argmin = _argmin(idx, psi_alpha)
@@ -271,7 +271,12 @@ def full_report(ctx: PsiContext, tau0=None) -> DecayRateReport:
                            f"the current rate {current:.6g}")
 
     return DecayRateReport(
-        lines=rows,
+        line=ctx.stochastic_lines,
+        psi_plus=_readonly(psi_plus),
+        psi_minus=_readonly(psi_minus),
+        alpha=_readonly(levels),
+        psi_alpha=_readonly(psi_alpha),
+        sigma2=_readonly(sigma2),
         excluded=excluded,
         current_rate=current,
         current_argmin=current_argmin,

@@ -114,14 +114,15 @@ def build_region(ctx: PsiContext, kind: str, epsilon: float, p: float, tau0=None
     if kind == "current":
         bounds[live] = 1.0 - beta
     elif kind == "temperature_lb":
-        q = _horizon_decay(ctx.horizon, ctx.tau[live])[0]
+        # 1 - q as -expm1(-T/tau): rounding 1 - e^{-T/tau} loses it, to 0 at T/tau below ~1e-16
+        q, one_minus_q = _horizon_decay(ctx.horizon, ctx.tau[live])
         with np.errstate(over="ignore", invalid="ignore"):
-            radicand = 1.0 - beta**2 * q * (1.0 - q)
+            radicand = 1.0 - beta**2 * q * one_minus_q
         # where beta**2 overflows, the radicand is -inf (collapsed) if q (1 - q) > 0;
         # if q (1 - q) = 0 it reads inf * 0 = nan, where a finite beta**2 gives 1
         radicand[np.isnan(radicand)] = 1.0
         _refuse_collapse(live, radicand < 0.0)
-        bounds[live] = np.sqrt(radicand) - beta * (1.0 - q)
+        bounds[live] = np.sqrt(radicand) - beta * one_minus_q
     elif kind == "temperature_taylor":
         factor, tau0 = ctx.first_order(tau0)
         bounds[live] = 1.0 - beta / np.sqrt(factor)

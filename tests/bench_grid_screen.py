@@ -2,8 +2,8 @@
 
 Times the three layers a grid screen spends most of its time in: the
 transfer assembly (at 1,000 and 3,000 buses, and on a densely coupled
-1,000-bus grid), and the JSON report export, the four region exports and the
-document parser (at 1,000 buses). `test_screen_op` times one whole screen
+1,000-bus grid), and the rate report, its JSON export, the four region
+exports and the document parser (at 1,000 buses). `test_screen_op` times one whole screen
 at 1,000 buses, as the benchmark's `grid_screen` workload runs it: parse,
 `build_model`, `full_report`, then each region kind built, sliced and
 exported. `build_model` is timed at 1,000, 2,000 and 4,000 buses, and
@@ -96,6 +96,11 @@ def test_currents(benchmark, grid):
     _, bm, _ = grid
     s = np.concatenate([[0.0], bm.ou.mean, bm.op.mu_D])
     assert benchmark(bm.flow.currents, s).shape == (bm.flow.line_count,)
+
+
+def test_full_report(benchmark, grid):
+    _, bm, _ = grid
+    assert len(benchmark(full_report, bm.ctx).line) == len(bm.ctx.stochastic_lines)
 
 
 def test_export_report(benchmark, grid):

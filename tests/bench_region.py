@@ -3,7 +3,8 @@
 Times `risk_partition` on the converted IEEE 14-bus case sliced over buses
 6 and 9 (the map `case14_study` draws), and on a seeded 1,000-bus,
 1,500-line ring with chords sliced over its first two stochastic nodes in
-a box of +-3 around their means, as `grid_screen` slices it. The file name
+a box of +-3 around their means, as `grid_screen` slices it, and the CSV
+export of the case14 map (one row per labeled cell). The file name
 does not start with ``test_``, so the default test run does not collect
 it. Run it with::
 
@@ -14,7 +15,7 @@ import pytest
 
 from bench_grid_screen import BUSES
 from conftest import ring_with_chords
-from gridcap.io_formats import build_model
+from gridcap.io_formats import build_model, export_partition
 from gridcap.region import risk_partition
 from test_region import _case14_map
 
@@ -33,3 +34,10 @@ def test_risk_partition(benchmark, case):
     bm, free, fixed, bbox = _case14_map() if case == "case14" else _grid_map()
     part = benchmark(risk_partition, bm.ctx, free, fixed, bbox, resolution=RESOLUTION)
     assert part.summaries[0].cells > 0
+
+
+def test_export_partition_csv(benchmark):
+    bm, free, fixed, bbox = _case14_map()
+    part = risk_partition(bm.ctx, free, fixed, bbox, resolution=RESOLUTION)
+    text = benchmark(export_partition, part, "csv", line_terminals=bm.line_terminals)
+    assert text.count("\n") - 1 == int(np.count_nonzero(part.label_grid >= 0))

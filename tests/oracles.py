@@ -40,7 +40,9 @@ the full-width Monte Carlo kernel, which shares the random streams and the
 step coefficients and prices every replicate at every step.
 
 `reference_json_text` is the plain recursive JSON writer, one isinstance
-chain per value; the exporters' writer must match its bytes. Likewise
+chain per value; the exporters' writer must match its bytes, and
+`reference_partition_csv`, which walks every cell of a partition's label
+grid, must match the partition CSV that walks only the labeled ones. Likewise
 `reference_laplacian` is the line-by-line Laplacian and `reach_bound` the
 Monte Carlo path-box bound written as one expression; the library's
 vectorized and in-place forms must match their bits.
@@ -839,3 +841,17 @@ def reference_json_text(obj, indent=0) -> str:
     if isinstance(obj, str):
         return json.dumps(obj)
     raise TypeError(f"cannot serialize {type(obj).__name__}")
+
+
+def reference_partition_csv(part) -> str:
+    """A risk partition's CSV, one row per labeled cell, written cell by cell over the whole grid."""
+    rows = []
+    grid = part.label_grid
+    for i in range(grid.shape[0]):
+        for j in range(grid.shape[1]):
+            idx = grid[i, j]
+            if idx < 0:
+                continue
+            label = "+".join(str(ell) for ell in part.labels[idx])
+            rows.append(f"{i},{j},{_reference_f17(part.u_centers[j])},{_reference_f17(part.v_centers[i])},{label}")
+    return "\n".join(["i,j,u,v,label", *rows]) + "\n"

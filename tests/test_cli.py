@@ -1,5 +1,7 @@
 """End-to-end command-line behavior, run in process."""
 
+import csv
+import io
 import json
 import os
 import pathlib
@@ -622,6 +624,31 @@ def test_region_huge_horizon_thermal_bound_meets_current_bound(capsys):
     assert err == ""
     _, current, _ = run(capsys, "region", "builtin:wheel3", "--kind", "current", "--horizon", "1e308")
     assert json.loads(out)["bounds"] == json.loads(current)["bounds"]
+
+
+def test_region_tiny_horizon_thermal_bound_keeps_one_minus_q(capsys):
+    # T/tau = 2e-17: 1 - e^{-T/tau} rounds to 0, -expm1(-T/tau) keeps 2e-17, and with
+    # beta^2 ~ 1e30 the radicand's beta^2 q (1 - q) ~ 2e13 is far above 1
+    argv = ["region", "builtin:wheel3", "--kind", "temperature_lb", "--horizon", "1e-17", "--epsilon", "1e46"]
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["error: capacity bound collapsed on line 1–2"]
+
+
+def test_rates_csv_quotes_ids_that_hold_separators(capsys, tmp_path):
+    doc = json.loads(resources.files("gridcap").joinpath("data", "wheel3.json").read_text())
+    ids = {1: "a,b", 2: 'q"x', 3: "line\nbreak"}
+    for node in doc["nodes"]:
+        node["id"] = ids[node["id"]]
+    for line in doc["lines"]:
+        line["from"], line["to"] = ids[line["from"]], ids[line["to"]]
+    path = tmp_path / "wheel.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = run(capsys, "rates", str(path), "--format", "csv")
+    assert (code, err) == (0, "")
+    rows = list(csv.reader(io.StringIO(out, newline="")))
+    assert [len(row) for row in rows] == [8] * 4
+    assert [row[1:3] for row in rows[1:]] == [["a,b", 'q"x'], ["a,b", "line\nbreak"], ['q"x', "line\nbreak"]]
 
 
 def test_exact1d_overflowing_lag_exits_refusal_without_warnings(capsys):

@@ -1,7 +1,9 @@
 """Serialization: native documents, grid case files, reports, and exports."""
 
 import copy
+import csv
 import dataclasses
+import io
 import json
 import math
 from collections import OrderedDict
@@ -15,7 +17,7 @@ from hypothesis import strategies as st
 from importlib import resources
 
 from conftest import random_network, wheel_context
-from oracles import reference_json_text
+from oracles import reference_json_text, reference_partition_csv
 from gridcap import io_formats
 from gridcap.errors import (
     EmptySlice,
@@ -51,9 +53,10 @@ from gridcap.io_formats import (
     resolve_auto_ratings,
     serialize_native,
 )
-from gridcap.ld_rates import DecayRateReport, LineRates, full_report
+from gridcap.ld_rates import DecayRateReport, full_report
 from gridcap.montecarlo import McConfig, decay_slope
 from gridcap.region import build_region, risk_partition, slice2d
+from test_region import _case14_map
 
 BOX = (-2.0, 2.0, -2.0, 2.0)
 
@@ -699,21 +702,29 @@ def test_report_exports():
         export_report(rep, "xml", line_terminals=ctx.flow.network.lines)
 
 
+REPORT_COLUMNS = ("psi_plus", "psi_minus", "alpha", "psi_alpha", "sigma2")
+
+
+def _report_rows(report):
+    """(line, psi_plus, psi_minus, alpha, psi_alpha, sigma2) per line, as Python numbers."""
+    return [(ell, *(float(getattr(report, field)[k]) for field in REPORT_COLUMNS)) for k, ell in enumerate(report.line)]
+
+
 def _report_object(report, line_terminals):
     """The object export_report's JSON writes, for `_json_text` to render."""
     return {
         "lines": [
             {
-                "line": lr.line,
-                "from": line_terminals[lr.line][0],
-                "to": line_terminals[lr.line][1],
-                "psi_plus": lr.psi_plus,
-                "psi_minus": lr.psi_minus,
-                "alpha": lr.alpha,
-                "psi_alpha": lr.psi_alpha,
-                "sigma2": lr.sigma2,
+                "line": ell,
+                "from": line_terminals[ell][0],
+                "to": line_terminals[ell][1],
+                "psi_plus": psi_plus,
+                "psi_minus": psi_minus,
+                "alpha": alpha,
+                "psi_alpha": psi_alpha,
+                "sigma2": sigma2,
             }
-            for lr in report.lines
+            for ell, psi_plus, psi_minus, alpha, psi_alpha, sigma2 in _report_rows(report)
         ],
         "excluded": list(report.excluded),
         "current_rate": report.current_rate,
@@ -727,17 +738,23 @@ def _report_object(report, line_terminals):
     }
 
 
+def _csv_quoted(value):
+    """str(value) as an RFC 4180 field: quoted, inner quotes doubled, when it holds , " CR or LF."""
+    text = str(value)
+    return '"' + text.replace('"', '""') + '"' if any(c in text for c in ',"\r\n') else text
+
+
 def _report_csv(report, line_terminals):
     rows = ["line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2"]
-    for lr in report.lines:
-        values = (lr.psi_plus, lr.psi_minus, lr.alpha, lr.psi_alpha, lr.sigma2)
-        rows.append(",".join([str(lr.line), *map(str, line_terminals[lr.line]), *(format(x, ".17g") for x in values)]))
+    for ell, *values in _report_rows(report):
+        ends = map(_csv_quoted, line_terminals[ell])
+        rows.append(",".join([str(ell), *ends, *(format(x, ".17g") for x in values)]))
     return "\n".join(rows) + "\n"
 
 
-# ids that quote, escape, leave ASCII, or spell a non-finite float
+# ids that quote, escape, leave ASCII, spell a non-finite float, or hold a CSV separator
 REPORT_IDS = [0, 7, -3, 2**70, "a", "bus 12", 'q"uote', "back\\slash", "tab\tnew\nline", "café", "☃\U0001f600",
-              "inf", "-Infinity", "nan", "banana"]
+              "inf", "-Infinity", "nan", "banana", "a,b", "cr\rid", '"', ",", ""]
 
 
 def _random_report(rng, line_count):
@@ -750,10 +767,11 @@ def _random_report(rng, line_count):
         return float(rng.standard_normal() * 10.0 ** rng.integers(-300, 300))
 
     live = [ell for ell in range(line_count) if rng.random() < 0.7]
-    rows = tuple(LineRates(ell, *(value() for _ in range(5))) for ell in live)
+    columns = {field: np.array([value() for _ in live], dtype=float) for field in REPORT_COLUMNS}
     taylor = rng.random() < 0.5
     return DecayRateReport(
-        lines=rows,
+        line=tuple(live),
+        **columns,
         excluded=tuple(ell for ell in range(line_count) if ell not in live),
         current_rate=value(),
         current_argmin=tuple(live[:1]),
@@ -778,9 +796,21 @@ def test_report_export_matches_the_generic_writer():
         assert export_report(report, "csv", line_terminals=terminals) == _report_csv(report, terminals)
 
 
+def test_report_csv_reads_back_every_id_through_csv_reader():
+    # each id, as "from" and as "to", comes back as str(id) in a row of 8 fields
+    n = len(REPORT_IDS)
+    terminals = tuple((REPORT_IDS[k], REPORT_IDS[(k + 1) % n]) for k in range(n))
+    values = np.random.default_rng(14).standard_normal((len(REPORT_COLUMNS), n))
+    report = replace(_random_report(np.random.default_rng(14), 0), line=tuple(range(n)), **dict(zip(REPORT_COLUMNS, values)))
+    rows = list(csv.reader(io.StringIO(export_report(report, "csv", line_terminals=terminals), newline="")))
+    assert rows[0] == "line,from,to,psi_plus,psi_minus,alpha,psi_alpha,sigma2".split(",")
+    assert [len(row) for row in rows[1:]] == [8] * n
+    assert [tuple(row[1:3]) for row in rows[1:]] == [(str(a), str(b)) for a, b in terminals]
+    assert np.array_equal(np.array([row[3:] for row in rows[1:]], dtype=float).T, values)
+
+
 def test_report_export_refuses_the_first_non_finite_value_as_the_generic_writer_does():
     rng = np.random.default_rng(12)
-    fields = ("psi_plus", "psi_minus", "alpha", "psi_alpha", "sigma2")
     for draw in range(200):
         line_count = int(rng.integers(1, 6))
         terminals = tuple((f"n{ell}", "inf") for ell in range(line_count))
@@ -788,11 +818,12 @@ def test_report_export_refuses_the_first_non_finite_value_as_the_generic_writer_
         # one to three non-finite values, in the rows or in the tail
         for _ in range(int(rng.integers(1, 4))):
             bad = [math.inf, -math.inf, math.nan][rng.integers(3)]
-            where = int(rng.integers(len(report.lines) + 1))
-            if where < len(report.lines):
-                rows = list(report.lines)
-                rows[where] = replace(rows[where], **{fields[rng.integers(5)]: bad})
-                report = replace(report, lines=tuple(rows))
+            where = int(rng.integers(len(report.line) + 1))
+            if where < len(report.line):
+                field = REPORT_COLUMNS[rng.integers(5)]
+                column = getattr(report, field).copy()
+                column[where] = bad
+                report = replace(report, **{field: column})
             else:
                 report = replace(report, **{("current_rate", "lb_rate", "horizon")[rng.integers(3)]: bad})
         with pytest.raises(ValueError) as expected:
@@ -843,6 +874,21 @@ def test_partition_exports():
     assert rows[0] == "i,j,u,v,label"
     assert len(rows) - 1 == int(np.count_nonzero(part.label_grid >= 0))
     assert any("+" in r.rsplit(",", 1)[1] for r in rows[1:])  # tie labels joined
+
+
+@pytest.mark.parametrize("case", ["wheel3-20", "case14-200"])
+def test_partition_csv_matches_the_cell_by_cell_writer(case):
+    # the case14 map is the one the benchmark draws, at 200^2; both maps hold tie labels
+    if case == "wheel3-20":
+        ctx = wheel_context()
+        part = risk_partition(ctx, (1, 2), np.zeros(2), BOX, resolution=20)
+        terminals = ctx.flow.network.lines
+    else:
+        bm, free, fixed, bbox = _case14_map()
+        part = risk_partition(bm.ctx, free, fixed, bbox, resolution=200)
+        terminals = bm.line_terminals
+    assert any(len(label) > 1 for label in part.labels)
+    assert export_partition(part, "csv", line_terminals=terminals) == reference_partition_csv(part)
 
 
 def test_schema_constants():

@@ -246,7 +246,7 @@ def test_zero_coupling_line_excluded():
         psi(ctx, 1, 1.0)
     rep = full_report(ctx)
     assert rep.excluded == (1,)
-    assert [row.line for row in rep.lines] == [0]
+    assert rep.line == (0,)
     rate, argmin = current_decay_rate(ctx)
     assert argmin == (0,)
     assert np.isfinite(rate)
@@ -262,29 +262,42 @@ def test_zero_coupling_line_excluded():
     ctx = make_context(net, 2, [0.3, 0.2], [1.0, 1.0], [1.0, 1.0], 0.1, 1.0, mu_D=[0.0])
     rep = full_report(ctx)
     assert rep.excluded == (1,)
-    assert [row.line for row in rep.lines] == [0, 2]
-    for row in rep.lines:
-        assert row.psi_plus == psi(ctx, row.line, 1.0)
-        assert row.psi_minus == psi(ctx, row.line, -1.0)
+    assert rep.line == (0, 2)
+    for k, ell in enumerate(rep.line):
+        assert rep.psi_plus[k] == psi(ctx, ell, 1.0)
+        assert rep.psi_minus[k] == psi(ctx, ell, -1.0)
 
 
 def test_full_report_is_consistent():
     ctx = wheel_context()
     rep = full_report(ctx)
-    assert {row.line for row in rep.lines} == {0, 1, 2}
+    assert set(rep.line) == {0, 1, 2}
     denom = ctx.line_variances
-    for row in rep.lines:
-        assert np.isclose(row.psi_plus, psi(ctx, row.line, 1.0), rtol=1e-12)
-        assert np.isclose(row.psi_minus, psi(ctx, row.line, -1.0), rtol=1e-12)
-        level = overload_threshold_equivalence(ctx.op.nu[row.line], ctx.tau[row.line], ctx.horizon)
-        assert np.isclose(row.alpha, level, rtol=1e-12)
-        assert row.sigma2 > 0
+    for k, ell in enumerate(rep.line):
+        assert np.isclose(rep.psi_plus[k], psi(ctx, ell, 1.0), rtol=1e-12)
+        assert np.isclose(rep.psi_minus[k], psi(ctx, ell, -1.0), rtol=1e-12)
+        level = overload_threshold_equivalence(ctx.op.nu[ell], ctx.tau[ell], ctx.horizon)
+        assert np.isclose(rep.alpha[k], level, rtol=1e-12)
+        assert rep.sigma2[k] > 0
     assert np.isclose(rep.current_rate, WHEEL_IC, rtol=1e-12)
     assert rep.current_argmin == (0, 1)
     assert rep.lb_argmin == (0, 1)
     assert np.isclose(rep.taylor_rate, (1.0 + 2 * 0.5 * 1.0) * WHEEL_IC, rtol=1e-12)
     assert rep.tau0 == 0.5
     assert rep.horizon == 1.0
+
+
+def test_report_columns_are_read_only_and_aligned_with_its_lines():
+    rng = np.random.default_rng(2)
+    for ctx in [wheel_context()] + [random_context(rng) for _ in range(20)]:
+        rep = full_report(ctx)
+        assert rep.line == ctx.stochastic_lines
+        for field in ("psi_plus", "psi_minus", "alpha", "psi_alpha", "sigma2"):
+            column = getattr(rep, field)
+            assert column.dtype == np.float64
+            assert column.shape == (len(rep.line),)
+            assert not column.flags.writeable
+        assert np.array_equal(rep.sigma2, ((ctx.flow.stochastic_block**2) @ ctx.ou.vol**2)[list(rep.line)])
 
 
 def test_report_minima_are_the_table_minima_bit_for_bit():
@@ -294,12 +307,12 @@ def test_report_minima_are_the_table_minima_bit_for_bit():
     rng = np.random.default_rng(1)
     for ctx in [single_line_context(mu=0.475, tau=1.056)] + [random_context(rng) for _ in range(300)]:
         rep = full_report(ctx)
-        assert rep.lb_rate == min(row.psi_alpha for row in rep.lines)
-        assert rep.current_rate == min(min(row.psi_plus, row.psi_minus) for row in rep.lines)
+        assert rep.lb_rate == min(rep.psi_alpha)
+        assert rep.current_rate == min(min(plus, minus) for plus, minus in zip(rep.psi_plus, rep.psi_minus))
         assert (rep.lb_rate, rep.lb_argmin) == lb_decay_rate(ctx)
         assert (rep.current_rate, rep.current_argmin) == current_decay_rate(ctx)
-        for row in rep.lines:
-            assert (row.psi_plus, row.psi_minus) == (psi(ctx, row.line, 1.0), psi(ctx, row.line, -1.0))
+        for ell, plus, minus in zip(rep.line, rep.psi_plus, rep.psi_minus):
+            assert (plus, minus) == (psi(ctx, ell, 1.0), psi(ctx, ell, -1.0))
 
 
 def test_context_refuses_two_different_schedules():

@@ -33,7 +33,7 @@ def test_package_reexports_only_listed_names():
 PUBLIC_NAMES = [
     "AnalysisDefaults", "BoundCollapse", "BuiltModel", "CapacityRegion", "DcFlowMatrices", "DecayFit",
     "DecayRateReport", "EmptySlice", "Exact1dProblem", "Exact1dResult", "GraphError", "GridCapError",
-    "GridNetwork", "InfeasibleStart", "InsufficientHits", "LineRates", "MatpowerCaseSubset", "McConfig",
+    "GridNetwork", "InfeasibleStart", "InsufficientHits", "MatpowerCaseSubset", "McConfig",
     "McEstimate", "McIndicators", "NetworkDocument", "NoBoundaryHit", "NoStochasticLines", "NonPositiveTau",
     "NonUniformGamma", "NonUniformTau", "OperatingPoint", "OuModel", "ParseError", "PsiContext", "REGION_KINDS",
     "RankDeficiency", "RiskPartition", "RoleError", "SchemaError", "ShotResult",
@@ -53,4 +53,4 @@ def test_public_surface_is_pinned():
     tree = ast.parse(pathlib.Path(gridcap.__file__).read_text())
     names = [a.name for node in tree.body if isinstance(node, ast.ImportFrom) and node.level == 1 for a in node.names]
     assert sorted(names) == PUBLIC_NAMES
-    assert len(PUBLIC_NAMES) == 75
+    assert len(PUBLIC_NAMES) == 74

@@ -137,10 +137,8 @@ class NonPositiveTau(InvalidInput):
 
 class NoBoundaryHit(NumericalFailure):
     """The exact-rate solver certified no answer: the problem discretized on
-    one of its two levels has no certified optimum, the two levels' rates
-    differ by more than their extrapolation trusts, or the attaining shot's
-    Newton refinement did not settle inside its search box
-    (|state| < BLOWUP_BOUND)."""
+    one of its two levels has no certified optimum, or the two levels' rates
+    differ by more than their extrapolation trusts."""
 
 
 class BoundCollapse(LineError, EmptyResult):

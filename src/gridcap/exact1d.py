@@ -14,55 +14,39 @@ and the stationarity system collapses losslessly: the combination
     E(t) = (g'' - gamma^2 (g - mu)) / (2 g)
 
 obeys tau E' = E, so E(t) = E(T) e^{(t-T)/tau} and the whole boundary value
-problem reduces to integrating
+problem reduces to the system
 
     theta' = (g^2 - theta)/tau,   g' = p,   p' = gamma^2 (g - mu) + 2 E(t) g
 
-from (mu^2, mu, p0) and choosing (p0, E(T)) so that theta(T) = 1 at minimal
-action. The public shooting parameters are the missing initial data of the
-equivalent 4-D system in y = [theta, f, f', f'']: x1 = f'(0), x2 = f''(0),
-related bijectively to (p0, E(0)) through f = g^2.
-
-The two conditions on (p0, E(T)) are solved by Newton's method. The forward
-sensitivities d(theta, g, p)/dE(T) and d(theta, g, p)/dp0 obey the
-linearized system
-
-    s_theta' = (2 g s_g - s_theta)/tau,   s_g' = s_p,
-    s_p' = (gamma^2 + 2 E(t)) s_g  [+ 2 e^{(t-T)/tau} g for d/dE(T)]
-
-from s = 0 (d/dE(T)) or s = (0, 0, 1) (d/dp0), and are integrated in the
-same DOP853 call as the shot. The first condition is theta(T) = 1. The
-second is the transversality condition of the free endpoint: g(T) is not
+from (mu^2, mu, p0), with (p0, E(T)) chosen so that theta(T) = 1 at minimal
+action. The free endpoint adds the transversality condition: g(T) is not
 prescribed and theta(T) does not depend on it pointwise, so the optimal
 control u = g' + gamma (g - mu) = p + gamma (g - mu) vanishes at the horizon,
-u(T) = 0.
+u(T) = 0. The public shooting parameters are the missing initial data of
+the equivalent 4-D system in y = [theta, f, f', f'']: x1 = f'(0),
+x2 = f''(0), related bijectively to (p0, E(0)) through f = g^2.
 
-One discrete engine certifies the optimum. On a mesh that puts half its
-steps in the last min(T, 40 tau), theta(T) = 1 is a single quadratic
-constraint on a positive definite quadratic action, and the global minimizer
-is the root of a 1-D secular equation at which the Lagrangian Hessian is
-still positive definite, certified by its LDL^T factorization in LAPACK
-?ptsv, whose pivots are all positive exactly when the Hessian is positive
-definite (More & Sorensen 1983; Polik & Terlaky, SIAM Review 2007). It is
-solved at DISCRETE_STEPS and twice as many steps, and the rate, p0 and E(T)
-of the two levels are Richardson-extrapolated. Where either level is not
-certified, or the two levels' rates differ by more than EXTRAPOLATION_RTOL
-relative (the meshes do not yet resolve the optimum, so the extrapolation
-cannot be trusted), the problem is refused with NoBoundaryHit.
-`certified_rate` returns the extrapolated rate, and `exact_decay_rate`
-returns the same rate with the initial slopes (x1, x2) read off the
-extrapolated (p0, E(T)); neither integrates anything. The attaining shot
-is integrated only when `Exact1dResult.shot` is read: a 2-D Newton
-iteration on both conditions starts from the extrapolated (p0, E(T)), and
-the shot's theta(T) and action are the final state of the first
-integration that lands. It raises NoBoundaryHit where the iteration does
-not converge, rather than search elsewhere.
+One discrete engine prices and certifies the optimum. On a mesh that puts
+half its steps in the last min(T, 40 tau), theta(T) = 1 is a single
+quadratic constraint on a positive definite quadratic action, and the
+global minimizer is the root of a 1-D secular equation at which the
+Lagrangian Hessian is still positive definite, certified by its LDL^T
+factorization in LAPACK ?ptsv, whose pivots are all positive exactly when
+the Hessian is positive definite (More & Sorensen 1983; Polik & Terlaky,
+SIAM Review 2007). It is solved at DISCRETE_STEPS and twice as many steps,
+and the rate, p0, E(T) and theta(T) of the two levels are
+Richardson-extrapolated. Where either level is not certified, or the two
+levels' rates differ by more than EXTRAPOLATION_RTOL relative (the meshes do
+not yet resolve the optimum, so the extrapolation cannot be trusted), the
+problem is refused with NoBoundaryHit. `certified_rate` returns the
+extrapolated rate, and `exact_decay_rate` returns the same rate with the
+initial slopes (x1, x2) read off the extrapolated (p0, E(T)) and the
+extrapolated theta(T); no ODE is integrated.
 """
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -77,21 +61,6 @@ __all__ = [
     "certified_rate",
     "exact_decay_rate",
 ]
-
-#: Trajectories whose state magnitude passes this bound are treated as divergent.
-BLOWUP_BOUND = 1e6
-
-#: g below this level counts as a collapse of f = g^2 toward the singularity.
-G_FLOOR = 1e-9
-
-#: Newton iterations the refinement may take before it gives up.
-NEWTON_STEPS = 8
-
-#: A Newton iterate lands on the boundary once |theta(T) - 1| is this small.
-THETA_TOL = 1e-11
-
-#: The refinement also needs the terminal control |u(T)| this small.
-CONTROL_TOL = 1e-9
 
 #: Steps of the coarser of the two discretized problems whose certified optima are extrapolated.
 DISCRETE_STEPS = 400
@@ -108,22 +77,17 @@ SECULAR_STEPS = 60
 #: g^T W g may miss its target by this much, relatively, where lam itself is resolved to rounding.
 ROUNDED_ROOT_TOL = 1e-8
 
-#: Relative and absolute tolerances of every integration of the stationarity system.
-ODE_RTOL = 1e-10
-ODE_ATOL = 1e-12
-
-_REFUSAL = (
-    f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload level at the horizon"
-)
-
 
 @dataclass(frozen=True)
 class Exact1dProblem:
     """Single-line setting: injection mean mu, rate gamma, volatility, lag tau.
 
     The decay rate is invariant under mu -> -mu (flip the noise), so
-    computations use |mu| throughout; mu = 0 is rejected because the start
-    then sits on the f = 0 singularity of the variational system.
+    computations use |mu| throughout. mu = 0 is rejected: the certified
+    engine already refuses means of about 1e-4 and below (the bound
+    moves with the lag), whose discretized optima it does not certify, and
+    at mu = 0 (p0, E(0)) no longer maps to the initial slopes (x1, x2)
+    through f = g^2.
     """
 
     mu: float
@@ -153,105 +117,16 @@ def _shot_from_reduced(problem: Exact1dProblem, p0: float, e_end: float):
     return 2.0 * a * p0, 2.0 * p0**2 + 4.0 * a**2 * e0
 
 
-def _integrate(problem: Exact1dProblem, p0: float, e_end: float):
-    """Advance (theta, g, p, action) and their sensitivities to the horizon; the solver's result.
-
-    A status other than 0 marks an invalid shot: the collapse event (first
-    in `t_events`) or the escape event fired, or the step size failed.
-
-    The rows d(theta, g, p)/dE(T) (4-6) and d(theta, g, p)/dp0 (7-9) are
-    integrated in the same call. They carry an infinite absolute tolerance,
-    so only the shot itself steers the step size.
-    """
-    from scipy.integrate import solve_ivp
-
-    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
-    l2 = problem.vol**2
-    gam2 = gam * gam
-
-    def rhs(t, u):
-        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = u.tolist()
-        weight = 2.0 * math.exp((t - T) / tau)
-        stiffness = gam2 + e_end * weight
-        return [
-            (g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2,
-            (2.0 * g * g_e - th_e) / tau, p_e, stiffness * g_e + weight * g,
-            (2.0 * g * g_p - th_p) / tau, p_p, stiffness * g_p,
-        ]
-
-    def collapse(t, u):
-        return u[1] - G_FLOOR
-
-    collapse.terminal = True
-
-    def escape(t, u):
-        return BLOWUP_BOUND - max(abs(u[1]), abs(u[2]))
-
-    escape.terminal = True
-
-    # d/dp0 starts from (0, 0, 1), d/dE(T) from 0
-    y0 = [a * a, a, p0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
-    # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
-    # like e^{gamma T}), the error norm turns NaN and every step is rejected
-    # until the solver stops with status -1 or an event fires; either way the
-    # status marks the shot as failed, without a RuntimeWarning.
-    with np.errstate(over="ignore", invalid="ignore"):
-        return solve_ivp(
-            rhs,
-            (0.0, T),
-            y0,
-            method="DOP853",
-            rtol=ODE_RTOL,
-            atol=[ODE_ATOL] * 4 + [np.inf] * 6,
-            events=(collapse, escape),
-        )
-
-
 @dataclass(frozen=True)
 class ShotResult:
-    """The landed shot's temperature theta(T) and accumulated action at the horizon."""
+    """The optimum's terminal temperature theta(T) and its action, the certified rate."""
 
     theta_end: float
     value: float
 
 
-def _refine(problem: Exact1dProblem, p0: float, e_end: float):
-    """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
-
-    u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
-    endpoint. Returns (p0, E(T), solver result) once |theta(T) - 1| <=
-    THETA_TOL and |u(T)| <= CONTROL_TOL, from the first integration that
-    lands. Returns None when an iterate stops being integrable, the Jacobian
-    is singular, NEWTON_STEPS run out, or a step no longer lowers the
-    residual max(|theta(T) - 1| / THETA_TOL, |u(T)| / CONTROL_TOL): the
-    iterates then jitter at the integration's own error, and further steps
-    cannot meet the tolerances.
-    """
-    gam, a = problem.gamma, problem.level
-    last = math.inf
-    for _ in range(NEWTON_STEPS):
-        sol = _integrate(problem, p0, e_end)
-        if sol.status != 0:
-            return None
-        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
-        resid = np.array([th - 1.0, p + gam * (g - a)])
-        size = max(abs(resid[0]) / THETA_TOL, abs(resid[1]) / CONTROL_TOL)
-        if size <= 1.0:
-            return p0, e_end, sol
-        if not size < last:
-            return None
-        last = size
-        jac = np.array([[th_p, th_e], [p_p + gam * g_p, p_e + gam * g_e]])
-        try:
-            step = np.linalg.solve(jac, resid)
-        except np.linalg.LinAlgError:
-            return None
-        p0, e_end = p0 - step[0], e_end - step[1]
-    return None
-
-
 def _discrete_level(problem: Exact1dProblem, n: int):
-    """(rate, p0, E(T)) of the certified optimum of the problem discretized on n steps, or None.
+    """(rate, p0, E(T), theta(T)) of the certified optimum of the problem discretized on n steps, or None.
 
     The current path is sampled as g_k = g(t_k) on a two-zone mesh with g_0 =
     |mu|: half of the n steps are spread evenly over the last
@@ -283,7 +158,9 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     first and last zone, and E(T) = (g''(T) - gamma^2 (g(T) - |mu|)) / (2 g(T)).
     E is read at the horizon rather than at the start because E(0) e^{T/tau}
     would multiply the discretization error by e^{T/tau}. All three carry an
-    O(d^2) error. Returns None when no certified root is reached within
+    O(d^2) error. theta(T) is the constraint's value at the root,
+    1 - target + g^T W g, so it is 1 to within the secular tolerance.
+    Returns None when no certified root is reached within
     SECULAR_STEPS, or when a step's d/tau is so small that its weight c1
     rounds to zero or below.
     """
@@ -327,7 +204,7 @@ def _discrete_level(problem: Exact1dProblem, n: int):
             continue
         wg = w * g
         norm2 = float(g @ wg)
-        if abs(norm2 - target) <= 1e-10 * target:  # far tighter than the basin of _refine needs
+        if abs(norm2 - target) <= 1e-10 * target:  # theta(T) = 1 to far below the rate's discretization error
             break
         if norm2 < target:
             lo = lam
@@ -349,11 +226,11 @@ def _discrete_level(problem: Exact1dProblem, n: int):
     rate = 0.5 * float(d @ (r * r)) / problem.vol**2
     p0 = (-3.0 * a + 4.0 * g[0] - g[1]) / (2.0 * d[0])
     gpp_end = (2.0 * g[-1] - 5.0 * g[-2] + 4.0 * g[-3] - g[-4]) / (d[-1] * d[-1])
-    return rate, p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1])
+    return rate, p0, (gpp_end - gam * gam * (g[-1] - a)) / (2.0 * g[-1]), (1.0 - target) + norm2
 
 
 def _discrete_optimum(problem: Exact1dProblem):
-    """(rate, p0, E(T)) extrapolated from levels DISCRETE_STEPS and twice that.
+    """(rate, p0, E(T), theta(T)) extrapolated from levels DISCRETE_STEPS and twice that.
 
     Each is (4 X_2n - X_n)/3, which cancels the O(d^2) error of both
     levels. Raises NoBoundaryHit unless both levels certify and their rates
@@ -390,17 +267,14 @@ def certified_rate(problem: Exact1dProblem) -> float:
 
 @dataclass(frozen=True)
 class Exact1dResult:
-    """Certified minimal action with the initial slopes of its minimizer; the attaining shot on demand.
+    """Certified minimal action with the initial slopes and terminal temperature of its minimizer.
 
     `value` is `certified_rate(problem)`. (x1, x2) = (f'(0), f''(0)) and
-    `start` = (p0, E(T)) are the extrapolated discrete optimum's. `shot` is
-    integrated on first access: a 2-D Newton iteration from `start` solves
-    theta(T) = 1 and the transversality condition u(T) = 0, and the final
-    state of the first integration that lands gives theta(T) and the
-    action. On the single-line table that takes two integrations. Reading
-    `shot` raises NoBoundaryHit when the iteration leaves the
-    |state| < BLOWUP_BOUND search box, collapses onto f = 0 or does not
-    settle.
+    `start` = (p0, E(T)) are the extrapolated discrete optimum's, and
+    `shot` holds its extrapolated theta(T), which is 1 to within the secular
+    tolerance, with `value` as its action. `problem` and `start` are kept
+    so that the optimum can be integrated from (p0, E(T)), which x1 and x2
+    cannot give back where e^{-T/tau} underflows.
     """
 
     value: float
@@ -408,28 +282,23 @@ class Exact1dResult:
     x2: float
     problem: Exact1dProblem
     start: tuple = field(repr=False)
-
-    @cached_property
-    def shot(self) -> ShotResult:
-        found = _refine(self.problem, *self.start)
-        if found is None:
-            raise NoBoundaryHit(_REFUSAL)
-        end = found[2].y[:, -1]
-        return ShotResult(theta_end=float(end[0]), value=float(end[3]))
+    shot: ShotResult
 
 
 def exact_decay_rate(problem: Exact1dProblem) -> Exact1dResult:
     """Temperature overload decay rate from the certified discrete optimum, with its initial slopes.
 
-    The rate is `certified_rate(problem)`, bit for bit. p0 = g'(0) and E(T),
-    read off the discrete paths at DISCRETE_STEPS and twice as many steps
-    and extrapolated as (4 X_2n - X_n)/3, give x1 = f'(0) and x2 = f''(0) in
-    closed form. No ODE is integrated until the result's `shot` is read.
+    The rate is `certified_rate(problem)`, bit for bit. p0 = g'(0), E(T)
+    and theta(T), read off the discrete paths at DISCRETE_STEPS and twice as
+    many steps and extrapolated as (4 X_2n - X_n)/3, give x1 = f'(0) and
+    x2 = f''(0) in closed form, and the shot's theta(T). No ODE is
+    integrated.
 
     Raises NoBoundaryHit when either discrete level is not certified or the
     two levels differ by more than EXTRAPOLATION_RTOL relative: no other
     minimizer is searched for.
     """
-    rate, p0, e_end = _discrete_optimum(problem)
+    rate, p0, e_end, theta_end = _discrete_optimum(problem)
     x1, x2 = _shot_from_reduced(problem, p0, e_end)
-    return Exact1dResult(value=float(rate), x1=float(x1), x2=float(x2), problem=problem, start=(p0, e_end))
+    return Exact1dResult(value=float(rate), x1=float(x1), x2=float(x2), problem=problem, start=(p0, e_end),
+                         shot=ShotResult(theta_end=float(theta_end), value=float(rate)))

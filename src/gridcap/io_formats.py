@@ -991,6 +991,6 @@ def export_mc(epsilons, estimates, seed: int, fmt: str = "json", fit=None) -> st
 
 
 def export_exact1d(result) -> str:
-    """Render an exact single-line temperature rate and its shot as JSON."""
+    """Render an exact single-line temperature rate, its initial slopes and its terminal temperature as JSON."""
     out = {"rate": result.value, "x1": result.x1, "x2": result.x2, "theta_end": result.shot.theta_end}
     return _json_text(out) + "\n"

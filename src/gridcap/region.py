@@ -26,7 +26,7 @@ import numpy as np
 
 from .errors import BoundCollapse, EmptySlice
 from .grid_model import _checked_injections, _readonly
-from .ld_rates import ARGMIN_RTOL, PsiContext, _live_lines
+from .ld_rates import ARGMIN_RTOL, PsiContext, _level_cost, _live_lines
 from .thermal import _horizon_decay
 
 __all__ = [
@@ -490,7 +490,8 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
     within ARGMIN_RTOL relative produce multi-line labels. `bbox` is
     (umin, umax, vmin, vmax) with both ranges increasing, as for `slice2d`.
     Raises EmptySlice when no cell center lies inside the deterministic
-    slice.
+    slice, and ValueError, as the rate report does, when a live line's
+    largest rate, 1 / sigma^2 at nu = 0, is not finite.
 
     `_inside_rows` finds each row's inside cells, settling from two end
     sums the rows some slab rules out. Rates are priced at inside cells
@@ -516,6 +517,7 @@ def risk_partition(ctx: PsiContext, free, fixed, bbox, resolution: int = 400) ->
 
     live = _live_lines(ctx)
     denom = ctx.line_variances
+    _level_cost(1.0, 0.0, denom[live])  # each line's largest rate, at nu = 0, must be finite
     # nu_ell at cell (i, j) is a[ell, j] + b[ell, i], rounded exactly as
     # (base + du u) + dv v is on the full grid
     a = base[:, None] + du[:, None] * uc

@@ -15,13 +15,16 @@ shares only the random streams and the step weights with them.
 forms, so the transfer matrix can be checked as the product Dbeta A Bg.
 `shoot`, `attaining_shot`, `functional_value` and `euler_residual` check
 the exact-rate engine from the variational side: a shot from given initial
-slopes, the shot that a result's `shot` lands on, the action of a
-temperature path by quadrature of its own integrand, and the residual of
-the stationarity system. The shots are integrated here, by a plain DOP853
-integration of the reduced system (`_integrate_reduced`) with its dense
-output, and sampled on a uniform grid as `SampledShot`; the package keeps
-only the landed shot's final state. They raise this module's own
-`NegativeRadicand`, `DegenerateF` and `BlowUp`. `SamplePath`, the path on
+slopes, the shot that lands from a result's discrete optimum, the action of
+a temperature path by quadrature of its own integrand, and the residual of
+the stationarity system. The package integrates no ODE. `_refine` is the
+shooting route to the optimum: a 2-D Newton iteration on theta(T) = 1 and
+the transversality condition u(T) = 0, over DOP853 shots that carry their
+forward sensitivities (`_integrate`). The shots themselves are integrated
+by a plain DOP853 integration of the reduced system (`_integrate_reduced`)
+with its dense output, and sampled on a uniform grid as `SampledShot`.
+They raise this module's own `NegativeRadicand`, `DegenerateF` and
+`BlowUp`. `SamplePath`, the path on
 a uniform time grid that these oracles take and return, lives here too, as
 no code in the package reads one.
 
@@ -60,15 +63,7 @@ from scipy.optimize import brentq
 
 from gridcap.errors import EmptySlice, NoBoundaryHit, NoStochasticLines, RankDeficiency
 from gridcap._streams import fill_normal_blocks, normal_block
-from gridcap.exact1d import (
-    BLOWUP_BOUND,
-    G_FLOOR,
-    ODE_ATOL,
-    ODE_RTOL,
-    Exact1dProblem,
-    Exact1dResult,
-    _refine,
-)
+from gridcap.exact1d import Exact1dProblem, Exact1dResult
 from gridcap.grid_model import GridNetwork, _readonly
 from gridcap.injections import OuModel, ou_step_coefficients
 from gridcap.ld_rates import PsiContext, _line_variance, _m_diag
@@ -530,6 +525,119 @@ def euler_residual(problem: Exact1dProblem, y, y_prime) -> np.ndarray:
     return r[0] if r.shape[0] == 1 and np.asarray(y_prime).ndim == 1 else r
 
 
+#: Trajectories whose state magnitude passes this bound are treated as divergent.
+BLOWUP_BOUND = 1e6
+
+#: g below this level counts as a collapse of f = g^2 toward the singularity.
+G_FLOOR = 1e-9
+
+#: Newton iterations the refinement may take before it gives up.
+NEWTON_STEPS = 8
+
+#: A Newton iterate lands on the boundary once |theta(T) - 1| is this small.
+THETA_TOL = 1e-11
+
+#: The refinement also needs the terminal control |u(T)| this small.
+CONTROL_TOL = 1e-9
+
+#: Relative and absolute tolerances of every integration of the stationarity system.
+ODE_RTOL = 1e-10
+ODE_ATOL = 1e-12
+
+_REFUSAL = (
+    f"no certified shot inside the |state| < {BLOWUP_BOUND:g} search box reaches the overload level at the horizon"
+)
+
+
+def _integrate(problem: Exact1dProblem, p0: float, e_end: float):
+    """Advance (theta, g, p, action) and their sensitivities to the horizon; the solver's result.
+
+    A status other than 0 marks an invalid shot: the collapse event (first
+    in `t_events`) or the escape event fired, or the step size failed.
+
+    The rows d(theta, g, p)/dE(T) (4-6) and d(theta, g, p)/dp0 (7-9) are
+    integrated in the same call. They carry an infinite absolute tolerance,
+    so only the shot itself steers the step size.
+    """
+    from scipy.integrate import solve_ivp
+
+    tau, gam, a, T = problem.tau, problem.gamma, problem.level, problem.horizon
+    l2 = problem.vol**2
+    gam2 = gam * gam
+
+    def rhs(t, u):
+        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = u.tolist()
+        weight = 2.0 * math.exp((t - T) / tau)
+        stiffness = gam2 + e_end * weight
+        return [
+            (g * g - th) / tau, p, gam2 * (g - a) + e_end * weight * g, 0.5 * (p + gam * (g - a)) ** 2 / l2,
+            (2.0 * g * g_e - th_e) / tau, p_e, stiffness * g_e + weight * g,
+            (2.0 * g * g_p - th_p) / tau, p_p, stiffness * g_p,
+        ]
+
+    def collapse(t, u):
+        return u[1] - G_FLOOR
+
+    collapse.terminal = True
+
+    def escape(t, u):
+        return BLOWUP_BOUND - max(abs(u[1]), abs(u[2]))
+
+    escape.terminal = True
+
+    # d/dp0 starts from (0, 0, 1), d/dE(T) from 0
+    y0 = [a * a, a, p0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 1.0]
+    # No event bounds the sensitivity rows. Where they overflow (d/dp0 grows
+    # like e^{gamma T}), the error norm turns NaN and every step is rejected
+    # until the solver stops with status -1 or an event fires; either way the
+    # status marks the shot as failed, without a RuntimeWarning.
+    with np.errstate(over="ignore", invalid="ignore"):
+        return solve_ivp(
+            rhs,
+            (0.0, T),
+            y0,
+            method="DOP853",
+            rtol=ODE_RTOL,
+            atol=[ODE_ATOL] * 4 + [np.inf] * 6,
+            events=(collapse, escape),
+        )
+
+
+def _refine(problem: Exact1dProblem, p0: float, e_end: float):
+    """2-D Newton on (p0, E(T)) for theta(T) = 1 and the transversality u(T) = 0.
+
+    u = p + gamma (g - |mu|) is the optimal control, which vanishes at a free
+    endpoint. Returns (p0, E(T), solver result) once |theta(T) - 1| <=
+    THETA_TOL and |u(T)| <= CONTROL_TOL, from the first integration that
+    lands. Returns None when an iterate stops being integrable, the Jacobian
+    is singular, NEWTON_STEPS run out, or a step no longer lowers the
+    residual max(|theta(T) - 1| / THETA_TOL, |u(T)| / CONTROL_TOL): the
+    iterates then jitter at the integration's own error, and further steps
+    cannot meet the tolerances.
+    """
+    gam, a = problem.gamma, problem.level
+    last = math.inf
+    for _ in range(NEWTON_STEPS):
+        sol = _integrate(problem, p0, e_end)
+        if sol.status != 0:
+            return None
+        th, g, p, _, th_e, g_e, p_e, th_p, g_p, p_p = sol.y[:, -1]
+        resid = np.array([th - 1.0, p + gam * (g - a)])
+        size = max(abs(resid[0]) / THETA_TOL, abs(resid[1]) / CONTROL_TOL)
+        if size <= 1.0:
+            return p0, e_end, sol
+        if not size < last:
+            return None
+        last = size
+        jac = np.array([[th_p, th_e], [p_p + gam * g_p, p_e + gam * g_e]])
+        try:
+            step = np.linalg.solve(jac, resid)
+        except np.linalg.LinAlgError:
+            return None
+        p0, e_end = p0 - step[0], e_end - step[1]
+    return None
+
+
 def _initial_from_shot(problem: Exact1dProblem, x1: float, x2: float):
     """Map (f'(0), f''(0)) to the reduced parameters (p0, E at horizon)."""
     a = problem.level
@@ -624,15 +732,16 @@ def shoot(problem: Exact1dProblem, x1: float, x2: float) -> SampledShot:
 
 
 def attaining_shot(result: Exact1dResult) -> SampledShot:
-    """The shot that `result.shot` lands on, integrated and sampled here.
+    """The shot that lands from a result's discrete optimum, integrated and sampled here.
 
-    `exact1d._refine` supplies the (p0, E(T)) its Newton iteration lands on
-    from `result.start`; this integration of them shares no code with the
-    package's. Raises NoBoundaryHit where the iteration does not land.
+    `_refine` runs its Newton iteration from `result.start`, the extrapolated
+    (p0, E(T)), and the landed (p0, E(T)) are integrated again with dense
+    output. Neither integration shares code with the package, which
+    integrates nothing. Raises NoBoundaryHit where the iteration does not land.
     """
     found = _refine(result.problem, *result.start)
     if found is None:
-        raise NoBoundaryHit("the shot's refinement did not land")
+        raise NoBoundaryHit(_REFUSAL)
     return _sampled_shot(result.problem, found[0], found[1])
 
 

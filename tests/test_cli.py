@@ -16,8 +16,8 @@ import pytest
 import gridcap
 from gridcap import cli
 from gridcap.cli import main
-from gridcap.errors import BoundCollapse, EmptySlice, GridCapError
-from gridcap.exact1d import Exact1dProblem, exact_decay_rate
+from gridcap.errors import BoundCollapse, EmptySlice, GridCapError, NoBoundaryHit
+from gridcap.exact1d import Exact1dProblem, certified_rate, exact_decay_rate
 from gridcap.io_formats import build_model, parse_native, serialize_native
 from gridcap.ld_rates import psi
 from gridcap.region import REGION_KINDS, build_region, slice2d
@@ -314,7 +314,7 @@ def test_exact1d_reference_point(capsys):
 
 @pytest.mark.parametrize("tau", ["0.1", "0.2", "0.3", "0.4", "0.5", "0.6"])
 def test_exact1d_prints_the_library_shot(capsys, tau):
-    # the printed theta_end is the landed shot's, bit for bit, as is every other field
+    # every printed field is the library result's, bit for bit
     code, out, err = run(capsys, "exact1d", "--mu", "0.5", "--gamma", "0.5", "--vol", "1", "--tau", tau, "--T", "1")
     assert (code, err) == (0, "")
     res = exact_decay_rate(Exact1dProblem(mu=0.5, gamma=0.5, vol=1.0, tau=float(tau), horizon=1.0))
@@ -344,7 +344,7 @@ def test_exact1d_reachable_beyond_former_box(capsys):
 def test_exact1d_unreachable_level(capsys):
     # Reaching theta(T) = 1 within T = 1e-3 at tau = 1e4 takes a current of
     # order 3e3. The 400-step level reaches no certified secular root (the
-    # 800-step level does), so the rate is refused and no shot is integrated.
+    # 800-step level does), so the rate is refused.
     code, _, err = run(
         capsys,
         "exact1d",
@@ -707,6 +707,72 @@ def test_exact1d_wide_level_gap_exits_refusal(capsys):
     assert "Traceback" not in err
 
 
+# (mu, gamma, vol, tau, T) whose rate certifies where the shooting route of
+# tests/oracles.py does not land: the reference case at gamma 2, and draws
+# 82, 104 and 106 of the exact-rate sweep in tests/test_exact1d.py
+FORMER_SHOT_REFUSALS = {
+    "gamma2": (0.5, 2.0, 1.0, 1.0, 8.0),
+    "draw82": (0.3852289862805758, 3.5781993962842273, 0.7119847195296184, 0.05003434084824712, 3.985455561533374),
+    "draw104": (0.6530955954544738, 4.471276445163399, 1.0377930723525155, 0.08386650712660974, 4.172698567668809),
+    "draw106": (0.8119341768094288, 1.3265201846889585, 1.4719752778658444, 0.10463564630489619, 8.735623412071709),
+}
+
+
+def _exact1d_argv(args):
+    return ["exact1d", *(token for name, value in zip(("--mu", "--gamma", "--vol", "--tau", "--T"), args)
+                         for token in (name, repr(value)))]
+
+
+@pytest.mark.parametrize("args", FORMER_SHOT_REFUSALS.values(), ids=FORMER_SHOT_REFUSALS.keys())
+def test_exact1d_prints_every_certified_rate(capsys, args):
+    code, out, err = _run_maybe_strict(capsys, True, _exact1d_argv(args))
+    assert (code, err) == (0, "")
+    doc = json.loads(out)
+    assert doc["rate"] == certified_rate(Exact1dProblem(*args))
+    assert np.isclose(doc["theta_end"], 1.0, rtol=0.0, atol=1e-6)
+
+
+def _exact1d_sweep(count=40, seed=36):
+    """Seeded (mu, gamma, vol, tau, T) with log-uniform means down to 1e-6 and gamma T up to ~3e3."""
+    rng = np.random.default_rng(seed)
+    draws = []
+    for _ in range(count):
+        mu, gamma, vol = 10.0 ** rng.uniform(-6.0, -0.02), 10.0 ** rng.uniform(-1.3, 2.0), 10.0 ** rng.uniform(-0.7, 0.7)
+        horizon = 10.0 ** rng.uniform(-1.0, 1.5)
+        draws.append((mu, gamma, vol, horizon * 10.0 ** rng.uniform(-3.0, 2.0), horizon))
+    return draws
+
+
+def test_exact1d_exits_refusal_exactly_where_the_rate_is_refused(capsys):
+    codes = []
+    for args in _exact1d_sweep():
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            code, out, err = run(capsys, *_exact1d_argv(args))
+        codes.append(code)
+        try:
+            rate = certified_rate(Exact1dProblem(*args))
+        except NoBoundaryHit as exc:
+            assert (code, out, err) == (4, "", f"error: {exc}\n"), args
+        else:
+            assert (code, err) == (0, ""), args
+            assert json.loads(out)["rate"] == rate, args
+    assert set(codes) == {0, 4}
+
+
+def test_exact1d_loads_no_ode_solver():
+    code = (
+        "import sys\n"
+        "from gridcap.cli import main\n"
+        "code = main(['exact1d', '--mu', '0.5', '--gamma', '0.5', '--vol', '1', '--tau', '0.3', '--T', '1'])\n"
+        "print()\n"
+        "print(code, 'scipy.integrate' in sys.modules, 'scipy.linalg' in sys.modules)\n"
+    )
+    out = subprocess.run([sys.executable, "-c", code], env=_subprocess_env(), capture_output=True, text=True,
+                         check=True).stdout
+    assert out.splitlines()[-1].split() == ["0", "False", "True"]
+
+
 @pytest.mark.parametrize("eps", [",", " , "])
 def test_mc_empty_noise_scale_list_exits_usage(capsys, eps):
     with pytest.raises(SystemExit) as exc:
@@ -918,6 +984,21 @@ def _huge_ratings(doc):
 def test_underflowing_line_variance_exits_usage_without_warnings(capsys, tmp_path, edit):
     # every stochastic line's variance underflows to 0, so its rate divides by 0
     code, out, err = _run_maybe_strict(capsys, True, ["rates", _edited_wheel3(tmp_path, edit)])
+    _assert_refused(code, out, err, 2, "overload level too far out: its decay rate is non-finite")
+
+
+def _tiny_horizon(doc):
+    doc["defaults"]["horizon"] = 1e-310
+
+
+@pytest.mark.parametrize("edit", [_subnormal_horizon, _tiny_horizon])
+def test_partition_with_underflowing_line_variance_exits_usage_without_warnings(capsys, tmp_path, edit):
+    # every line's largest rate 1 / sigma^2 is inf: the partition refuses as `rates` does instead of labelling ties
+    argv = ["region", _edited_wheel3(tmp_path, edit), "--kind", "current", "--slice", "2,3", "--bbox=-2,2,-2,2",
+            "--partition"]
+    code, out, err = _run_maybe_strict(capsys, True, argv)
+    _assert_refused(code, out, err, 2, "overload level too far out: its decay rate is non-finite")
+    code, out, err = _run_maybe_strict(capsys, True, ["rates", argv[1]])
     _assert_refused(code, out, err, 2, "overload level too far out: its decay rate is non-finite")
 
 

@@ -1,6 +1,5 @@
 """Single-line temperature overload rate via the variational boundary problem."""
 
-import ast
 import contextlib
 import pathlib
 import subprocess
@@ -176,25 +175,34 @@ def test_residual_shape_contract():
 
 
 def _counted(problem):
-    """exact_decay_rate(problem), its shot read once, and the solve_ivp calls of the rate and of the shot."""
-    original = scipy.integrate.solve_ivp
-    calls = [0]
+    """exact_decay_rate(problem), the solve_ivp calls of its rate, the oracle's shot integrations, and the shot.
 
-    def counting(*args, **kwargs):
-        calls[0] += 1
-        return original(*args, **kwargs)
+    The shot is `attaining_shot` of the result, and its integrations are the
+    calls its Newton refinement makes to `oracles._integrate`.
+    """
+    original_solve, original_integrate = scipy.integrate.solve_ivp, oracles._integrate
+    solves, integrations = [0], [0]
+
+    def counting_solve(*args, **kwargs):
+        solves[0] += 1
+        return original_solve(*args, **kwargs)
+
+    def counting_integrate(*args, **kwargs):
+        integrations[0] += 1
+        return original_integrate(*args, **kwargs)
 
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(scipy.integrate, "solve_ivp", counting)
+        mp.setattr(scipy.integrate, "solve_ivp", counting_solve)
+        mp.setattr(oracles, "_integrate", counting_integrate)
         res = exact_decay_rate(problem)
-        rate_calls = calls[0]
-        res.shot
-        return res, rate_calls, calls[0] - rate_calls
+        rate_calls = solves[0]
+        shot = attaining_shot(res)
+        return res, rate_calls, integrations[0], shot
 
 
 @pytest.fixture(scope="module")
 def counted_rows():
-    """Each benchmark row's result with the solve_ivp calls of its rate and of its shot."""
+    """Each benchmark row's result, the solve_ivp calls of its rate, the oracle's shot integrations, and the shot."""
     return {tau: _counted(_problem(tau)) for tau in sorted(REFERENCE_RATES)}
 
 
@@ -202,8 +210,8 @@ def counted_rows():
 def test_optimum_satisfies_transversality(counted_rows, tau):
     # The terminal value is free, so the optimal control
     # u = g' + gamma (g - |mu|) vanishes at the horizon.
-    res, _, _ = counted_rows[tau]
-    states = attaining_shot(res).states
+    _, _, _, shot = counted_rows[tau]
+    states = shot.states
     f, fp = states[-1, 1], states[-1, 2]
     g = np.sqrt(f)
     p = fp / (2.0 * g)
@@ -215,25 +223,25 @@ def test_row_solve_budget(counted_rows, tau):
     # Every solve is looked up on scipy.integrate at call time, so the
     # patched counter would see any; the rate is the certified discrete
     # optimum's, bit for bit, and integrates nothing.
-    res, rate_calls, _ = counted_rows[tau]
+    res, rate_calls, _, _ = counted_rows[tau]
     assert res.value == certified_rate(_problem(tau))
     assert np.isclose(res.value, REFERENCE_RATES[tau], rtol=1e-9)
     assert rate_calls == 0
 
 
 def test_refinement_failure_raises(monkeypatch):
-    # There is no second engine: a shot whose refinement does not settle is reported.
-    monkeypatch.setattr(exact1d, "_refine", lambda *args: None)
+    # The oracle searches nowhere else: a shot whose refinement does not settle is reported.
+    monkeypatch.setattr(oracles, "_refine", lambda *args: None)
     res = exact_decay_rate(_problem(0.3))
     with pytest.raises(NoBoundaryHit, match="search box"):
-        res.shot
+        attaining_shot(res)
 
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_warm_start_budget(counted_rows, tau):
-    # Started at the certified discrete optimum, the shot's refinement needs
-    # a few Newton solves, the last of which lands, and no scan.
-    _, _, shot_calls = counted_rows[tau]
+    # Started at the certified discrete optimum, the oracle's refinement
+    # needs a few Newton solves, the last of which lands, and no scan.
+    _, _, shot_calls, _ = counted_rows[tau]
     assert shot_calls <= 8
 
 
@@ -287,13 +295,13 @@ LARGE_LAG_RATIOS = {600: 0.1982005042, 1000: 0.1980189177, 5000: 0.1978014015}
 
 @pytest.fixture(scope="module")
 def counted_large_lags():
-    """Each large-lag-ratio result with the solve_ivp calls of its rate and of its shot."""
+    """Each large-lag-ratio result, the solve_ivp calls of its rate, the oracle's shot integrations, and the shot."""
     return {ratio: _counted(_problem(1.0 / ratio)) for ratio in sorted(LARGE_LAG_RATIOS)}
 
 
 @pytest.mark.parametrize("ratio", sorted(LARGE_LAG_RATIOS))
 def test_large_lag_ratio_starts_certified(counted_large_lags, ratio):
-    res, rate_calls, shot_calls = counted_large_lags[ratio]
+    res, rate_calls, shot_calls, _ = counted_large_lags[ratio]
     assert np.isclose(res.value, LARGE_LAG_RATIOS[ratio], rtol=1e-8)
     assert rate_calls == 0
     assert shot_calls <= 8
@@ -382,14 +390,14 @@ def test_certified_rate_at_extreme_lag_ratio():
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_certified_rate_matches_shot_on_reference_rows(counted_rows, tau):
-    res, _, _ = counted_rows[tau]
-    assert np.isclose(certified_rate(_problem(tau)), res.shot.value, rtol=1e-8, atol=0.0)
+    _, _, _, shot = counted_rows[tau]
+    assert np.isclose(certified_rate(_problem(tau)), shot.value, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("ratio", sorted(LARGE_LAG_RATIOS))
 def test_certified_rate_matches_shot_at_large_lag_ratios(counted_large_lags, ratio):
-    res, _, _ = counted_large_lags[ratio]
-    assert np.isclose(certified_rate(_problem(1.0 / ratio)), res.shot.value, rtol=1e-8, atol=0.0)
+    _, _, _, shot = counted_large_lags[ratio]
+    assert np.isclose(certified_rate(_problem(1.0 / ratio)), shot.value, rtol=1e-8, atol=0.0)
 
 
 @pytest.mark.parametrize("mu", [1e-165, 1e-200, 5e-324])
@@ -407,15 +415,16 @@ def test_certified_rate_refuses_an_uncertified_level():
 
 
 # tau -> (value, x1, x2, shot.theta_end, shot.value) of exact_decay_rate on
-# each table row, bit for bit: a faster secular solve or a leaner shot must
-# not move them, and `gridcap exact1d` prints the first four.
+# each table row, bit for bit: a faster secular solve must not move them,
+# and `gridcap exact1d` prints the first four. shot.theta_end is the
+# extrapolated discrete theta(T), and shot.value is the rate itself.
 TABLE_ROW_BITS = {
-    0.1: (0.22862878713875448, 0.5815108849471636, 0.6761024140970677, 1.0000000000000082, 0.22862878712517676),
-    0.2: (0.2684491596369167, 0.7049337656154453, 0.9758630245927663, 1.0000000000000004, 0.2684491596344498),
-    0.3: (0.3170987829654316, 0.8343372151594272, 1.3177188390762193, 1.0000000000000009, 0.3170987829305843),
-    0.4: (0.3726869653049885, 0.9595905961254703, 1.6918053708529335, 0.9999999999999993, 0.3726869652950158),
-    0.5: (0.43360683793641625, 1.0784994010589373, 2.098542809529905, 0.9999999999999988, 0.4336068379328376),
-    0.6: (0.49876667521204315, 1.1912222763876084, 2.5361266688644974, 1.0000000000000002, 0.4987666752047028),
+    0.1: (0.22862878713875448, 0.5815108849471636, 0.6761024140970677, 1.0000000000074685, 0.22862878713875448),
+    0.2: (0.2684491596369167, 0.7049337656154453, 0.9758630245927663, 1.000000000003441, 0.2684491596369167),
+    0.3: (0.3170987829654316, 0.8343372151594272, 1.3177188390762193, 1.0000000000533324, 0.3170987829654316),
+    0.4: (0.3726869653049885, 0.9595905961254703, 1.6918053708529335, 1.000000000008187, 0.3726869653049885),
+    0.5: (0.43360683793641625, 1.0784994010589373, 2.098542809529905, 0.9999999999968017, 0.43360683793641625),
+    0.6: (0.49876667521204315, 1.1912222763876084, 2.5361266688644974, 1.0000000000001676, 0.49876667521204315),
 }
 
 
@@ -426,21 +435,25 @@ def test_table_row_bits(tau):
 
 
 def test_oracle_owns_its_shot_integrator():
-    # The oracle's shots are integrated by its own code; it may take the
-    # landed (p0, E(T)) from _refine, but not the package's integrator.
-    tree = ast.parse(pathlib.Path(oracles.__file__).read_text())
-    imported = {alias.name for node in ast.walk(tree) if isinstance(node, ast.ImportFrom)
-                and node.module == "gridcap.exact1d" for alias in node.names}
-    attributes = {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
-    assert not {"_integrate", "_shot_result"} & (imported | attributes)
+    # The shooting route lives in the oracle alone: the package defines none
+    # of its names, and no source file of the package names an ODE solver.
+    moved = {"_integrate", "_refine", "BLOWUP_BOUND", "G_FLOOR", "NEWTON_STEPS", "THETA_TOL", "CONTROL_TOL",
+             "ODE_RTOL", "ODE_ATOL", "_REFUSAL"}
+    assert not {name for name in moved if hasattr(exact1d, name)}
+    assert moved <= set(vars(oracles))
+    sources = sorted(pathlib.Path(exact1d.__file__).parent.glob("*.py"))
+    assert len(sources) > 1
+    for source in sources:
+        text = source.read_text()
+        assert "scipy.integrate" not in text and "solve_ivp" not in text, source.name
 
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_attaining_shot_matches_library_shot(counted_rows, tau):
-    # Integrated without the sensitivity rows, the oracle's steps differ from
-    # the package's, so the two land within the integration error, not bit for bit.
-    res, _, _ = counted_rows[tau]
-    shot = attaining_shot(res)
+    # The oracle lands by shooting and the package prices the discretized
+    # problem, so the two agree within the integration and extrapolation
+    # errors, not bit for bit.
+    res, _, _, shot = counted_rows[tau]
     assert np.isclose(shot.theta_end, res.shot.theta_end, rtol=1e-9, atol=0.0)
     assert np.isclose(shot.value, res.shot.value, rtol=1e-9, atol=0.0)
 
@@ -488,30 +501,30 @@ def test_lag_ratio_of_a_million_is_answered():
 
 @pytest.mark.parametrize("tau", sorted(REFERENCE_RATES))
 def test_row_makes_two_solves(counted_rows, tau):
-    # Started from the extrapolated discrete optimum, the shot's Newton lands
-    # after one step, and its second integration's final state is the shot.
-    _, _, shot_calls = counted_rows[tau]
+    # Started from the extrapolated discrete optimum, the oracle's Newton
+    # lands after one step, on its second integration.
+    _, _, shot_calls, _ = counted_rows[tau]
     assert shot_calls == 2
 
 
 @pytest.mark.parametrize("name", ["draw82", "draw104", "draw106"])
 def test_stalled_refinement_ends_early(monkeypatch, name):
-    # The shot's Newton reaches these optima within three steps, after which
-    # the residual jitters at the integration's own error. The first step
-    # that no longer lowers it ends the iteration, answered or refused,
+    # The oracle's Newton reaches these optima within three steps, after
+    # which the residual jitters at the integration's own error. The first
+    # step that no longer lowers it ends the iteration, answered or refused,
     # instead of running out NEWTON_STEPS.
     calls = [0]
-    original = exact1d._integrate
+    original = oracles._integrate
 
     def counting(*args, **kwargs):
         calls[0] += 1
         return original(*args, **kwargs)
 
-    monkeypatch.setattr(exact1d, "_integrate", counting)
+    monkeypatch.setattr(oracles, "_integrate", counting)
     res = exact_decay_rate(Exact1dProblem(*CERTIFIED_OR_REFUSED[name]))
     assert calls[0] == 0
     with contextlib.suppress(NoBoundaryHit):
-        res.shot
+        attaining_shot(res)
     assert calls[0] <= 5
 
 

@@ -5,16 +5,24 @@ inside a replicate are indexed by position (step, coordinate). Because a
 stream never depends on how work is scheduled, simulations are bit-identical
 across runs and across worker counts.
 
-`fill_normal_blocks` draws the blocks of consecutive replicates with one
-generator whose Philox key, counter and buffer are reset per replicate,
-which is several times cheaper than building a generator for each. The
-generator is local to the call, so concurrent callers share no state.
+`fill_normal_columns` fills a steps-major (steps, dim, replicates) block,
+one column per replicate, in place. It draws consecutive replicates with
+one generator whose Philox key, counter and buffer are reset per
+replicate, which is several times cheaper than building a generator for
+each. The draws are staged replicate-major, at most STAGING_BYTES (and
+at least one replicate) at a time, and each staged group is copied
+transposed into its columns, so the block needs no second buffer of its
+size. The generator and the staging are local to the call, so concurrent
+callers share no state.
 """
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["check_key", "replicate_stream", "normal_block", "fill_normal_blocks"]
+__all__ = ["check_key", "replicate_stream", "normal_block", "fill_normal_columns"]
+
+# Upper bound on the bytes of replicate-major draws staged at once (at least one replicate).
+STAGING_BYTES = 2**20
 
 
 def check_key(seed: int, replicate: int) -> None:
@@ -45,14 +53,16 @@ def normal_block(seed: int, replicate: int, steps: int, dim: int) -> np.ndarray:
     return replicate_stream(seed, replicate).standard_normal((steps, dim))
 
 
-def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
-    """Fill out[i] with normal_block(seed, start + i, steps, dim), bit for bit.
+def fill_normal_columns(seed: int, start: int, x: np.ndarray) -> np.ndarray:
+    """Fill x[:, :, r] with normal_block(seed, start + r, steps, dim), bit for bit.
 
-    `out` is a C-contiguous float64 array of shape (replicates, steps, dim).
-    Returns `out`.
+    `x` is a float64 array of shape (steps, dim, replicates). Returns `x`.
     """
+    steps, dim, count = x.shape
     check_key(seed, start)
-    check_key(seed, start + max(out.shape[0], 1) - 1)  # the last replicate's key
+    check_key(seed, start + max(count, 1) - 1)  # the last replicate's key
+    group = max(1, min(count, STAGING_BYTES // max(1, 8 * steps * dim)))
+    staging = np.empty((group, steps, dim))
     bits = np.random.Philox(key=np.array([seed, start], dtype=np.uint64))
     gen = np.random.Generator(bits)
     fresh = bits.state  # a just-keyed stream: zero counter, empty buffer
@@ -60,8 +70,11 @@ def fill_normal_blocks(seed: int, start: int, out: np.ndarray) -> np.ndarray:
     fresh["state"] = {name: words.tolist() for name, words in fresh["state"].items()}
     fresh["buffer"] = fresh["buffer"].tolist()
     key = fresh["state"]["key"]
-    for i in range(out.shape[0]):
-        key[1] = start + i
-        bits.state = fresh
-        gen.standard_normal(out=out[i])
-    return out
+    for first in range(0, count, group):
+        width = min(group, count - first)
+        for i in range(width):
+            key[1] = start + first + i
+            bits.state = fresh
+            gen.standard_normal(out=staging[i])
+        np.copyto(x[:, :, first : first + width], staging[:width].transpose(1, 2, 0))
+    return x

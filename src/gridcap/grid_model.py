@@ -556,13 +556,14 @@ def operating_point(flow: DcFlowMatrices, mu, mu_D=()) -> OperatingPoint:
         deterministic stability region.
     """
     mu, mu_D = _checked_injections(flow, mu, mu_D)
-    if mu_D.size:
-        s = np.zeros(flow.node_count)
-        s[flow.m + 1 :] = mu_D
-        y = flow.currents(s)
-    else:
-        y = np.zeros(flow.line_count)
-    nu = flow.stochastic_block @ mu + y
+    with np.errstate(over="ignore"):  # an injection near the float limit gives an inf current, refused below
+        if mu_D.size:
+            s = np.zeros(flow.node_count)
+            s[flow.m + 1 :] = mu_D
+            y = flow.currents(s)
+        else:
+            y = np.zeros(flow.line_count)
+        nu = flow.stochastic_block @ mu + y
     if np.max(np.abs(nu)) >= 1.0:
         raise InfeasibleStart(
             f"initial normalized current reaches {np.max(np.abs(nu)):.6g} >= 1"

@@ -6,16 +6,18 @@ estimate is therefore bit-identical for any chunk size and any number of
 worker processes: chunking only groups replicates for vectorized stepping,
 and the workers only split the replicates into contiguous ranges. The
 range [0, N) is split over at most the usable CPUs, `McConfig.workers`
-and one range per NOISE_BLOCK_BYTES of noise, so a small run never forks.
+and one range per NOISE_BLOCK_BYTES of paths, so a small run never forks.
 The first range runs in the calling process and each other one in a child
 made by os.fork(), which runs the same block loop and returns its
 indicators packed two bits per replicate through a pipe. Forked children
 share no interpreter lock with the caller, unlike threads, which gain
 nothing here because the per-replicate Philox fill holds it.
 
-A block of R replicates is handled in three steps. Its noise is drawn into
-one reused buffer and transposed into a second, (steps, m, R), where the
-OU recursion then runs in place, so that buffer holds the stored paths.
+A block of R replicates is handled in three steps. Its noise is drawn
+into one reused (steps, m, R) path buffer, through the filler's staging
+of at most `_streams.STAGING_BYTES`, and the OU recursion then runs in
+place, so that buffer holds the stored paths. A worker's working memory
+is that one block, at most NOISE_BLOCK_BYTES, plus the staging.
 Each replicate's path box (its lowest and highest state per coordinate
 over all steps and the start) bounds every line's current from above,
 with a slack that covers all rounding, and a grace factor extends the
@@ -27,7 +29,7 @@ lines reach. Only the candidates' columns go through the exact kernel,
 and only on the lines that some candidate in the block reaches:
 currents, the thermal recursion and the peaks, priced lines-major as
 (lines, W) arrays from the stored paths. A block holds at most
-`McConfig.chunk` replicates and at most NOISE_BLOCK_BYTES of noise;
+`McConfig.chunk` replicates and at most NOISE_BLOCK_BYTES of paths;
 neither cap changes any result.
 
 Each (line, column) pair's current comes from the same gemm, whatever the
@@ -55,7 +57,7 @@ from .grid_model import _readonly
 from .injections import ou_step_coefficients
 from .ld_rates import PsiContext
 from .thermal import filter_coefficients
-from ._streams import check_key, fill_normal_blocks
+from ._streams import check_key, fill_normal_columns
 
 __all__ = [
     "Z_95",
@@ -71,7 +73,7 @@ __all__ = [
 
 Z_95 = 1.959963984540054
 
-# Upper bound on the bytes of noise drawn for one block of replicates.
+# Upper bound on the bytes of the path buffer of one block of replicates.
 NOISE_BLOCK_BYTES = 16 * 2**20
 
 
@@ -80,7 +82,7 @@ class McConfig:
     """Replicate count, time grid, base seed, vectorization chunk and worker cap.
 
     `chunk` caps the replicates stepped together in one block; blocks are
-    further capped so their noise stays within NOISE_BLOCK_BYTES. `workers`
+    further capped so their paths stay within NOISE_BLOCK_BYTES. `workers`
     caps the processes an estimate is split over (None: the usable CPUs).
     Results do not depend on any of the three caps.
     """
@@ -203,8 +205,8 @@ def _worker_count(replicates: int, step_count: int, m: int, cap, cpus: int) -> i
     """Processes to split an estimate over.
 
     At most `cpus`, at most `cap` (None: no cap) and at most the
-    replicates, and few enough that each draws at least NOISE_BLOCK_BYTES
-    of noise, so a small run stays in the calling process.
+    replicates, and few enough that each fills at least NOISE_BLOCK_BYTES
+    of paths, so a small run stays in the calling process.
     """
     blocks = -(-replicates * step_count * m * 8 // NOISE_BLOCK_BYTES)
     return max(1, min(cpus, cpus if cap is None else cap, blocks, replicates))
@@ -270,7 +272,6 @@ def _indicator_range(ctx: PsiContext, config: McConfig, threshold: float, start:
     mu, decay, std, C, y, q, c1, c2 = _coefficients(ctx, n)
     th2 = threshold * threshold
     rows = max(1, min(config.chunk, stop - start, NOISE_BLOCK_BYTES // (8 * n * m)))
-    noise = np.empty(rows * n * m)
     paths = np.empty(rows * n * m)
 
     cur_hits = np.zeros(stop - start, dtype=bool)
@@ -278,9 +279,7 @@ def _indicator_range(ctx: PsiContext, config: McConfig, threshold: float, start:
     with np.errstate(over="ignore", invalid="ignore"):
         for first in range(start, stop, rows):
             R = min(rows, stop - first)
-            z = fill_normal_blocks(config.seed, first, noise[: R * n * m].reshape(R, n, m))
-            x = paths[: R * n * m].reshape(n, m, R)
-            np.copyto(x, z.transpose(1, 2, 0))
+            x = fill_normal_columns(config.seed, first, paths[: R * n * m].reshape(n, m, R))
             _ou_paths(x, mu, decay, std)
             reach = _may_reach(x, mu, C, y, threshold, th2)
             cand = np.flatnonzero(reach.any(axis=0))

@@ -2,22 +2,26 @@
 
 Times `overload_indicators` at 20,000 replicates x 200 steps, where few
 replicates and lines reach the limit (epsilon 4e-4) and where nearly every
-replicate does (epsilon 4e-2), and the Philox fill of the same block of
-noise on its own. Each estimate is timed in the calling process alone
-(workers=1) and split over the usable CPUs (the default, which forks one
-child per further CPU up to four), so the pair shows the speed-up of the
-split on the machine at hand. The file name does not start with ``test_``, so the
-default test run does not collect it. Run it with::
+replicate does (epsilon 4e-2), and the Philox fill of the same
+replicates' noise into one steps-major (steps, m, R) array on its own.
+Each estimate is timed in the calling process alone (workers=1) and split
+over the usable CPUs (the default, which forks one child per further CPU
+up to four), so the pair shows the speed-up of the split on the machine at
+hand. Each estimate also runs once untimed under tracemalloc and reports
+the calling process's traced peak as `peak_mb` in `extra_info` (a forked
+child's memory is not traced). The file name does not start with
+``test_``, so the default test run does not collect it. Run it with::
 
     pytest tests/bench_montecarlo.py --benchmark-only
 """
+import tracemalloc
 from dataclasses import replace
 from importlib import resources
 
 import numpy as np
 import pytest
 
-from gridcap._streams import fill_normal_blocks
+from gridcap._streams import fill_normal_columns
 from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower
 from gridcap.ld_rates import PsiContext
 from gridcap.montecarlo import McConfig, overload_indicators
@@ -39,11 +43,20 @@ def case14():
 @pytest.mark.parametrize("epsilon", [4e-4, 4e-2])
 def test_overload_indicators(benchmark, case14, epsilon, workers):
     ctx = PsiContext(case14.flow, case14.op, replace(case14.ou, noise_scale=epsilon))
-    ind = benchmark(overload_indicators, ctx, replace(CONFIG, workers=workers))
+    config = replace(CONFIG, workers=workers)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        overload_indicators(ctx, config)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    benchmark.extra_info.update(peak_mb=peak / 1e6)
+    ind = benchmark(overload_indicators, ctx, config)
     assert ind.current[ind.temperature].all()
 
 
-def test_fill_normal_blocks(benchmark):
-    out = np.empty((CONFIG.replicates, CONFIG.step_count, 2))
-    benchmark(fill_normal_blocks, CONFIG.seed, 0, out)
+def test_fill_normal_columns(benchmark):
+    out = np.empty((CONFIG.step_count, 2, CONFIG.replicates))
+    benchmark(fill_normal_columns, CONFIG.seed, 0, out)
     assert np.isfinite(out).all()

@@ -62,7 +62,7 @@ from scipy.linalg import eigh_tridiagonal, solve_banded
 from scipy.optimize import brentq
 
 from gridcap.errors import EmptySlice, NoBoundaryHit, NoStochasticLines, RankDeficiency
-from gridcap._streams import fill_normal_blocks, normal_block
+from gridcap._streams import normal_block
 from gridcap.exact1d import Exact1dProblem, Exact1dResult
 from gridcap.grid_model import GridNetwork, _readonly
 from gridcap.injections import OuModel, ou_step_coefficients
@@ -864,7 +864,7 @@ def full_width_peaks(ctx, config):
     dt = ou.horizon / n
     decay, std = ou_step_coefficients(ou, dt)
     q, c1, c2 = filter_coefficients(dt, ctx.tau)
-    noise = fill_normal_blocks(config.seed, 0, np.empty((R, n, ou.m))).transpose(1, 2, 0)
+    noise = np.stack([normal_block(config.seed, r, n, ou.m) for r in range(R)], axis=2)
     mu, decay, std, y, q, c1, c2 = (
         np.repeat(np.asarray(c)[:, None], R, axis=1) for c in (ou.mean, decay, std, ctx.op.y, q, c1, c2)
     )

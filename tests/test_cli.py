@@ -971,6 +971,19 @@ def test_overflowing_susceptance_exits_singular_without_warnings(capsys, tmp_pat
                     "grounded Laplacian is singular; graph disconnected or susceptances degenerate")
 
 
+@pytest.mark.parametrize("node, field", [(3, "mean"), (6, "injection")], ids=["node3-mean", "node6-injection"])
+@pytest.mark.parametrize("command", EVERY_COMMAND, ids=COMMAND_IDS)
+def test_overflowing_injection_on_case14_exits_infeasible_start_without_warnings(capsys, tmp_path, command, node,
+                                                                                  field):
+    # the currents C mu and Cbar s overflow to inf, in the matmul or in the division by a rating below 1
+    doc = json.loads(_case14_document(capsys))
+    next(n for n in doc["nodes"] if n["id"] == node)[field] = 1.797e308
+    path = tmp_path / "case14.json"
+    path.write_text(json.dumps(doc))
+    code, out, err = _run_maybe_strict(capsys, True, [command[0], str(path), *command[1:]])
+    _assert_refused(code, out, err, 2, "initial normalized current reaches inf >= 1")
+
+
 def _subnormal_horizon(doc):
     doc["defaults"]["horizon"] = 5e-324
 

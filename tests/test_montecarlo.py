@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from conftest import make_context, random_context, single_line_context, wheel_context
-from gridcap._streams import fill_normal_blocks
+from gridcap._streams import STAGING_BYTES, fill_normal_columns
 from gridcap.errors import InsufficientHits
 from gridcap.grid_model import GridNetwork
 from gridcap.io_formats import AnalysisDefaults, apply_imax_rule, build_model, parse_matpower
@@ -18,6 +18,7 @@ from gridcap.montecarlo import (
     McConfig,
     Z_95,
     _coefficients,
+    _indicator_range,
     _may_reach,
     _ou_paths,
     _peaks,
@@ -299,8 +300,7 @@ def _peak_levels(peaks):
 
 def _stored_paths(ctx, replicates, steps, seed):
     mu, decay, std, *_ = _coefficients(ctx, steps)
-    z = fill_normal_blocks(seed, 0, np.empty((replicates, steps, ctx.ou.m)))
-    x = np.ascontiguousarray(z.transpose(1, 2, 0))
+    x = fill_normal_columns(seed, 0, np.empty((steps, ctx.ou.m, replicates)))
     _ou_paths(x, mu, decay, std)
     return x
 
@@ -539,6 +539,26 @@ def test_reach_mask_memory_budget():
         tracemalloc.stop()
     assert reach.tobytes() == (~(reach_bound(x, mu, C, y, 1.0, 1.0) < 1.0)).tobytes()
     assert peak < 3 * C.shape[0] * replicates * 8
+
+
+def test_indicator_range_holds_one_path_block():
+    # the benchmark's case14 estimate over two full blocks of 2,048 x 200: the
+    # noise is drawn straight into the path block through the small staging,
+    # so one block of paths is the range's only large buffer; the slack
+    # covers the (L, R) reach bound and the candidates' kernel
+    ctx = _case14_context(4e-4)
+    config = McConfig(4096, 200, 1)
+    rows = min(config.chunk, NOISE_BLOCK_BYTES // (8 * config.step_count * ctx.ou.m))
+    path_block = rows * config.step_count * ctx.ou.m * 8
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        current, temperature = _indicator_range(ctx, config, 1.0, 0, config.replicates)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert (int(current.sum()), int(temperature.sum())) == (364, 11)
+    assert peak < path_block + STAGING_BYTES + 2**20
 
 
 def test_decay_slope_refuses_one_distinct_noise_scale():
